@@ -196,28 +196,11 @@ type Options = core.Options
 // that affect artifact contents — the correct cache or digest key.
 type OptionsKey = core.OptionsKey
 
-// Engine selects the simulation execution substrate: the default
-// goroutine-per-rank runtime or the single-threaded discrete-event
-// engine built for very large rank counts. Both produce bit-identical
-// results for every job (Options.Engine and every benchmark Config
-// accept either).
-type Engine = simmpi.Engine
-
-// The available engines. ParseEngine maps the CLI spellings.
-const (
-	EngineGoroutine = simmpi.EngineGoroutine
-	EngineEvent     = simmpi.EngineEvent
-)
-
-// ParseEngine resolves a CLI engine name ("goroutine", "event" or ""
-// for the default) to an Engine.
-func ParseEngine(s string) (Engine, error) { return simmpi.ParseEngine(s) }
-
 // Model selects the compute-phase pricing model: the calibrated
 // roofline default or the ECM memory-hierarchy model with explicit
-// per-level transfer phases. Unlike Engine, the model changes simulated
-// results — ECM artifacts are digest-distinct from roofline ones
-// (Options.Model and every benchmark Config accept either).
+// per-level transfer phases. The model changes simulated results — ECM
+// artifacts are digest-distinct from roofline ones (Options.Model and
+// every benchmark Config accept either).
 type Model = perfmodel.Model
 
 // The available pricing models. ParseModel maps the CLI spellings.
@@ -297,7 +280,7 @@ type Request = core.Request
 type UnknownIDError = core.UnknownIDError
 
 // DecodeRequest strictly decodes one JSON Request from r: unknown
-// fields and trailing data are rejected, ids and engine validated, the
+// fields and trailing data are rejected, ids and model validated, the
 // result normalized.
 func DecodeRequest(r io.Reader) (Request, error) { return core.DecodeRequest(r) }
 

@@ -11,50 +11,42 @@ import (
 
 	"a64fxbench/internal/arch"
 	"a64fxbench/internal/hpcg"
-	"a64fxbench/internal/simmpi"
 )
 
 // engineBenchNodes fixes the benchmark scenario so snapshots taken on
-// different days are comparable: 86 nodes × 48 cores = 4128 ranks, just
-// above the 4096-rank floor where the event engine's advantage is
-// quoted. The scenario itself is hpcg.EngineScaleConfig.
+// different days are comparable: 86 nodes × 48 cores = 4128 ranks. The
+// scenario itself is hpcg.ScaleConfig.
 const engineBenchNodes = 86
 
-// engineBenchResult is one engine's measurement in the snapshot.
-type engineBenchResult struct {
-	Engine      string  `json:"engine"`
-	Ranks       int     `json:"ranks"`
-	Msgs        int64   `json:"msgs"`
-	WallMS      float64 `json:"wall_ms"`
-	RanksPerSec float64 `json:"ranks_per_sec"`
-}
-
-// engineBenchSnapshot is the BENCH_engine.json schema. Speedup — the
-// event engine's ranks/sec over the goroutine engine's, measured on one
-// core — is the only field the regression gate compares: absolute wall
-// times track the host machine, but the ratio of two runs interleaved
-// on the same core is stable across hosts.
+// engineBenchSnapshot is the BENCH_engine.json schema. AllocsPerMsg —
+// heap allocations per simulated message — is the only field the
+// regression gate compares: it is a property of the code, not of the
+// host. Wall time and ranks/sec track the host and are informational.
 type engineBenchSnapshot struct {
-	Scenario string              `json:"scenario"`
-	Results  []engineBenchResult `json:"results"`
-	Speedup  float64             `json:"speedup"`
+	Scenario     string  `json:"scenario"`
+	Ranks        int     `json:"ranks"`
+	Msgs         int64   `json:"msgs"`
+	WallMS       float64 `json:"wall_ms"`
+	RanksPerSec  float64 `json:"ranks_per_sec"`
+	AllocsPerMsg float64 `json:"allocs_per_msg"`
 }
 
-// engineBenchTol is the allowed fractional drop in speedup versus the
-// committed baseline before the gate fails.
+// engineBenchTol is the allowed fractional growth in allocs/msg versus
+// the committed baseline before the gate fails.
 const engineBenchTol = 0.15
 
-// engineBenchReps is how many times each engine runs; the fastest rep
-// counts. Minimum-of-N discards scheduler and GC interference, which
-// otherwise dwarfs real regressions in a sub-second measurement.
+// engineBenchReps is how many times the scenario runs; the fastest rep
+// and the fewest allocations count. Minimum-of-N discards scheduler and
+// GC interference, which otherwise dwarfs real regressions in a
+// sub-second measurement.
 const engineBenchReps = 3
 
-// enginebenchCmd runs the weak-scaled HPCG scenario under both engines
-// on a single core, verifies they agree bit-for-bit, and reports
-// simulated-ranks/sec. With a baseline snapshot argument it becomes the
-// CI regression gate: the measured event/goroutine speedup must not
-// fall more than 15% below the baseline's. -o writes the new snapshot
-// (the file CI uploads and, when re-baselining, commits).
+// enginebenchCmd runs the weak-scaled HPCG scenario on a single core and
+// reports simulated ranks/sec and allocations per simulated message.
+// With a baseline snapshot argument it becomes the CI regression gate:
+// allocs/msg must not exceed the baseline's by more than 15%. -o writes
+// the new snapshot (the file CI uploads and, when re-baselining,
+// commits).
 func enginebenchCmd(cfg sweepConfig, args []string) error {
 	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1))
 	sys := arch.MustGet(arch.A64FX)
@@ -62,44 +54,34 @@ func enginebenchCmd(cfg sweepConfig, args []string) error {
 		Scenario: fmt.Sprintf("hpcg weak-scaled, %d nodes (%d ranks), a64fx, GOMAXPROCS=1",
 			engineBenchNodes, engineBenchNodes*sys.CoresPerNode()),
 	}
-	type outcome struct {
-		makespan, bytes uint64
-		msgs            int64
-		gflops          uint64
-	}
-	var outcomes []outcome
-	for _, eng := range []simmpi.Engine{simmpi.EngineGoroutine, simmpi.EngineEvent} {
-		var res hpcg.Result
-		var wall time.Duration
-		for rep := 0; rep < engineBenchReps; rep++ {
-			start := time.Now()
-			r, err := hpcg.Run(hpcg.EngineScaleConfig(sys, engineBenchNodes, eng))
-			if err != nil {
-				return fmt.Errorf("enginebench: %s engine: %w", eng, err)
-			}
-			if w := time.Since(start); rep == 0 || w < wall {
-				res, wall = r, w
-			}
+	var wall time.Duration
+	var mallocs uint64
+	for rep := 0; rep < engineBenchReps; rep++ {
+		runtime.GC()
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		start := time.Now()
+		res, err := hpcg.Run(hpcg.ScaleConfig(sys, engineBenchNodes))
+		if err != nil {
+			return fmt.Errorf("enginebench: %w", err)
 		}
-		snap.Results = append(snap.Results, engineBenchResult{
-			Engine:      string(eng),
-			Ranks:       res.Procs,
-			Msgs:        res.Report.TotalMsgs,
-			WallMS:      math.Round(wall.Seconds()*1e5) / 100,
-			RanksPerSec: math.Round(float64(res.Procs) / wall.Seconds()),
-		})
-		outcomes = append(outcomes, outcome{
-			makespan: uint64(res.Report.Makespan),
-			msgs:     res.Report.TotalMsgs,
-			bytes:    uint64(res.Report.TotalBytesSent),
-			gflops:   math.Float64bits(res.GFLOPs),
-		})
+		w := time.Since(start)
+		runtime.ReadMemStats(&after)
+		m := after.Mallocs - before.Mallocs
+		if rep == 0 || w < wall {
+			wall = w
+		}
+		if rep == 0 || m < mallocs {
+			mallocs = m
+		}
+		snap.Ranks, snap.Msgs = res.Procs, res.Report.TotalMsgs
 	}
-	if outcomes[0] != outcomes[1] {
-		return fmt.Errorf("enginebench: engines diverged on the benchmark scenario: goroutine %+v, event %+v",
-			outcomes[0], outcomes[1])
+	if snap.Msgs == 0 {
+		return fmt.Errorf("enginebench: the scenario sent no messages")
 	}
-	snap.Speedup = math.Round(snap.Results[1].RanksPerSec/snap.Results[0].RanksPerSec*100) / 100
+	snap.WallMS = math.Round(wall.Seconds()*1e5) / 100
+	snap.RanksPerSec = math.Round(float64(snap.Ranks) / wall.Seconds())
+	snap.AllocsPerMsg = math.Round(float64(mallocs)/float64(snap.Msgs)*1e4) / 1e4
 
 	if err := withOutput(cfg, func(w io.Writer) error {
 		enc := json.NewEncoder(w)
@@ -108,11 +90,8 @@ func enginebenchCmd(cfg sweepConfig, args []string) error {
 	}); err != nil {
 		return err
 	}
-	for _, r := range snap.Results {
-		fmt.Fprintf(os.Stderr, "enginebench: %-9s %d ranks, %d msgs: %.1fms (%.0f ranks/s)\n",
-			r.Engine, r.Ranks, r.Msgs, r.WallMS, r.RanksPerSec)
-	}
-	fmt.Fprintf(os.Stderr, "enginebench: event/goroutine speedup %.2f×\n", snap.Speedup)
+	fmt.Fprintf(os.Stderr, "enginebench: %d ranks, %d msgs: %.1fms (%.0f ranks/s), %.4f allocs/msg\n",
+		snap.Ranks, snap.Msgs, snap.WallMS, snap.RanksPerSec, snap.AllocsPerMsg)
 
 	if len(args) == 0 {
 		return nil
@@ -125,12 +104,12 @@ func enginebenchCmd(cfg sweepConfig, args []string) error {
 		return fmt.Errorf("enginebench: baseline scenario %q does not match %q; re-baseline with -o %s",
 			base.Scenario, snap.Scenario, args[0])
 	}
-	floor := base.Speedup * (1 - engineBenchTol)
-	if snap.Speedup < floor {
-		return fmt.Errorf("enginebench: speedup regressed to %.2f×, baseline %.2f× (floor %.2f×)",
-			snap.Speedup, base.Speedup, floor)
+	ceiling := base.AllocsPerMsg * (1 + engineBenchTol)
+	if snap.AllocsPerMsg > ceiling {
+		return fmt.Errorf("enginebench: allocs/msg regressed to %.4f, baseline %.4f (ceiling %.4f)",
+			snap.AllocsPerMsg, base.AllocsPerMsg, ceiling)
 	}
-	fmt.Fprintf(os.Stderr, "enginebench: within baseline (%.2f× ≥ %.2f× floor)\n", snap.Speedup, floor)
+	fmt.Fprintf(os.Stderr, "enginebench: within baseline (%.4f ≤ %.4f allocs/msg ceiling)\n", snap.AllocsPerMsg, ceiling)
 	return nil
 }
 
@@ -143,8 +122,8 @@ func loadEngineBaseline(path string) (engineBenchSnapshot, error) {
 	if err := json.Unmarshal(data, &s); err != nil {
 		return s, fmt.Errorf("enginebench: parsing baseline %s: %w", path, err)
 	}
-	if s.Speedup <= 0 {
-		return s, fmt.Errorf("enginebench: baseline %s has no speedup field", path)
+	if s.AllocsPerMsg <= 0 {
+		return s, fmt.Errorf("enginebench: baseline %s has no allocs_per_msg field", path)
 	}
 	return s, nil
 }

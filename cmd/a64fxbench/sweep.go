@@ -6,7 +6,6 @@ import (
 	"io"
 	"time"
 
-	"a64fxbench"
 	"a64fxbench/internal/core"
 	"a64fxbench/internal/serve"
 	"a64fxbench/internal/sweep"
@@ -25,9 +24,6 @@ type sweepConfig struct {
 	// congestion prices multi-node communication through the routed
 	// contention model (core.Options.Congestion).
 	congestion bool
-	// engine selects the simmpi execution substrate for every simulated
-	// job (core.Options.Engine); empty means the goroutine default.
-	engine a64fxbench.Engine
 	// machine names the target machine for machine-parameterized ids
 	// (core.Request.Machine); empty means the default (A64FX).
 	machine string
@@ -76,7 +72,7 @@ func (c sweepConfig) requestLenient(ids []string) (core.Request, error) {
 func (c sweepConfig) rawRequest(ids []string) core.Request {
 	return core.Request{
 		IDs: ids, Quick: c.quick, Congestion: c.congestion,
-		Engine: string(c.engine), Format: c.format, Compare: c.compare,
+		Format: c.format, Compare: c.compare,
 		PeriodNS: c.period.Nanoseconds(), Machine: c.machine,
 		Model: c.model,
 	}

@@ -55,10 +55,6 @@ type Config struct {
 	// benchmark carries; see simmpi.Instrumentation. CASTEP runs on a
 	// single node, so Congestion never changes its results.
 	simmpi.Instrumentation
-	// Engine selects the simmpi execution substrate (goroutine-per-rank
-	// or discrete-event); engines are bit-identical in every result.
-	// Empty means the goroutine default.
-	Engine simmpi.Engine
 }
 
 // Result is the outcome of a metered run.
@@ -152,16 +148,25 @@ func Run(cfg Config) (Result, error) {
 		Nodes:          1,
 		ThreadsPerRank: 1,
 		RankModel:      func(int) *perfmodel.CostModel { return model },
-		Engine:         cfg.Engine,
 		Label:          fmt.Sprintf("castep %s c=%d", sys.ID, procs),
 	}
 	cfg.Instrumentation.Apply(&job)
 
 	// The wavefunction transpose: each SCF cycle needs all-to-all
-	// communication of grid data among the band groups.
+	// communication of grid data among the band groups. Only the block
+	// length matters (it sets the wire bytes), so every rank sends the
+	// same read-only zero block to every peer.
 	a2aBytesPerPeer := units.Bytes(n3 * 16 / float64(procs*procs) * 4)
+	var zeroBlock []float64
+	if procs > 1 {
+		zeroBlock = make([]float64, int(a2aBytesPerPeer)/8)
+	}
 
 	rep, err := simmpi.Run(job, func(r *simmpi.Rank) error {
+		send := make([][]float64, r.Size())
+		for i := range send {
+			send[i] = zeroBlock
+		}
 		for cyc := 0; cyc < cfg.Cycles; cyc++ {
 			r.Region("scf-cycle")
 			r.Region("fft")
@@ -169,11 +174,6 @@ func Run(cfg Config) (Result, error) {
 			r.EndRegion()
 			if r.Size() > 1 {
 				r.Region("transpose")
-				send := make([][]float64, r.Size())
-				n := int(a2aBytesPerPeer) / 8
-				for i := range send {
-					send[i] = make([]float64, n)
-				}
 				r.Alltoall(send)
 				r.EndRegion()
 			}

@@ -41,7 +41,7 @@ var _ = registerExt(&Experiment{
 		congested.Congestion = true
 		for _, nodes := range nodeCounts {
 			free, err := hpcg.Run(hpcg.Config{
-				System: sys, Nodes: nodes, Iterations: iters, Instrumentation: opt.Instr(), Engine: opt.Engine,
+				System: sys, Nodes: nodes, Iterations: iters, Instrumentation: opt.Instr(),
 			})
 			if err != nil {
 				return nil, err
@@ -50,7 +50,7 @@ var _ = registerExt(&Experiment{
 			// and `trace` see its link events.
 			cong, err := hpcg.Run(hpcg.Config{
 				System: sys, Nodes: nodes, Iterations: iters,
-				Instrumentation: congested, Engine: opt.Engine,
+				Instrumentation: congested,
 			})
 			if err != nil {
 				return nil, err

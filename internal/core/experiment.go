@@ -65,14 +65,6 @@ type Options struct {
 	// contents (phase times are evaluated through the same model terms)
 	// and is excluded from the cache/digest key.
 	Counters *metrics.Config
-	// Engine selects the simmpi execution substrate for every simulated
-	// job the experiment runs (goroutine-per-rank or discrete-event; see
-	// simmpi.Engine). Engines are bit-identical in every output, so like
-	// the observability fields Engine is excluded from ArtifactKey — but
-	// the sweep cache keys on it, so dual-engine differential runs
-	// really execute both engines instead of sharing one cached
-	// artifact. Empty means the goroutine default.
-	Engine simmpi.Engine
 	// Machine names the target machine for machine-parameterized
 	// experiments (the ext-machine suite runs its single-node
 	// microbenchmarks on it). Paper artifacts ignore it — their system

@@ -11,7 +11,6 @@ import (
 	"a64fxbench/internal/arch"
 	"a64fxbench/internal/metrics"
 	"a64fxbench/internal/perfmodel"
-	"a64fxbench/internal/simmpi"
 	"a64fxbench/internal/spec"
 	"a64fxbench/internal/units"
 )
@@ -34,9 +33,6 @@ type Request struct {
 	// Congestion prices multi-node communication through the routed
 	// contention model (core.Options.Congestion).
 	Congestion bool `json:"congestion,omitempty"`
-	// Engine selects the simulation substrate: "", "goroutine" or
-	// "event" (core.Options.Engine).
-	Engine string `json:"engine,omitempty"`
 	// Model selects the compute-phase pricing model: "", "roofline" or
 	// "ecm" (core.Options.Model). Normalization canonicalizes the empty
 	// default to "roofline"; the model participates in Digest, so an
@@ -128,9 +124,9 @@ func lookupID(id string) error {
 }
 
 // Normalized returns the request in canonical form — ids trimmed and
-// lower-cased, the engine name canonicalized — and validates it: at
+// lower-cased, the model name canonicalized — and validates it: at
 // least one id, every id known (an *UnknownIDError lists the valid set
-// otherwise), the engine parseable, the period non-negative. Two
+// otherwise), the model parseable, the period non-negative. Two
 // requests that normalize equal have equal Digests.
 func (r Request) Normalized() (Request, error) {
 	return r.normalized(true)
@@ -164,11 +160,6 @@ func (r Request) normalized(strictIDs bool) (Request, error) {
 		return Request{}, fmt.Errorf("request: no experiment ids (valid: %s)",
 			strings.Join(ValidIDs(), " "))
 	}
-	eng, err := simmpi.ParseEngine(out.Engine)
-	if err != nil {
-		return Request{}, fmt.Errorf("request: %w", err)
-	}
-	out.Engine = string(eng)
 	model, err := perfmodel.ParseModel(out.Model)
 	if err != nil {
 		return Request{}, fmt.Errorf("request: %w", err)
@@ -217,15 +208,11 @@ func (r Request) normalized(strictIDs bool) (Request, error) {
 // are owned by the operation executing the request (trace attaches a
 // sink, counters a PMU config), not by the serializable descriptor.
 func (r Request) Options() (Options, error) {
-	eng, err := simmpi.ParseEngine(r.Engine)
-	if err != nil {
-		return Options{}, err
-	}
 	model, err := perfmodel.ParseModel(r.Model)
 	if err != nil {
 		return Options{}, err
 	}
-	return Options{Quick: r.Quick, Congestion: r.Congestion, Engine: eng, Machine: r.Machine, Model: model}, nil
+	return Options{Quick: r.Quick, Congestion: r.Congestion, Machine: r.Machine, Model: model}, nil
 }
 
 // CounterConfig builds the PMU configuration the counters operation
@@ -260,7 +247,6 @@ func (r Request) Digest() string {
 		flags |= 4
 	}
 	b = append(b, flags)
-	str(r.Engine)
 	str(r.Format)
 	b = binary.BigEndian.AppendUint64(b, uint64(r.PeriodNS))
 	str(r.Machine)

@@ -11,7 +11,7 @@ func TestRequestRoundTrip(t *testing.T) {
 	t.Parallel()
 	in := Request{
 		IDs: []string{"table1", "fig3"}, Quick: true, Congestion: true,
-		Engine: "event", Format: "json", Compare: true, PeriodNS: 50_000,
+		Format: "json", Compare: true, PeriodNS: 50_000,
 	}
 	data, err := json.Marshal(in)
 	if err != nil {
@@ -52,7 +52,9 @@ func TestRequestStrictDecoding(t *testing.T) {
 		{"not json", `ids=table1`, "request"},
 		{"no ids", `{}`, "no experiment ids"},
 		{"empty id", `{"ids":["  "]}`, "empty experiment id"},
-		{"bad engine", `{"ids":["table1"],"engine":"quantum"}`, "quantum"},
+		// The engine is no longer selectable: a request naming one is
+		// rejected like any other unknown field.
+		{"bad engine", `{"ids":["table1"],"engine":"event"}`, `unknown field "engine"`},
 		{"negative period", `{"ids":["table1"],"period_ns":-1}`, "negative counter period"},
 	}
 	for _, tc := range cases {
@@ -103,8 +105,8 @@ func TestRequestNormalization(t *testing.T) {
 	if a.IDs[0] != "table1" {
 		t.Fatalf("id not canonicalized: %q", a.IDs[0])
 	}
-	if a.Engine == "" {
-		t.Fatal("engine not canonicalized to the default name")
+	if a.Model == "" {
+		t.Fatal("model not canonicalized to the default name")
 	}
 	if a.Digest() != b.Digest() {
 		t.Fatalf("equivalent requests digest differently: %s vs %s", a.Digest(), b.Digest())
@@ -129,7 +131,6 @@ func TestRequestDigestDiscriminates(t *testing.T) {
 		"congestion": {IDs: []string{"table1"}, Congestion: true},
 		"compare":    {IDs: []string{"table1"}, Compare: true},
 		"format":     {IDs: []string{"table1"}, Format: "json"},
-		"engine":     {IDs: []string{"table1"}, Engine: "event"},
 		"period":     {IDs: []string{"table1"}, PeriodNS: 1000},
 		"model":      {IDs: []string{"table1"}, Model: "ecm"},
 		"ids":        {IDs: []string{"table1", "table3"}},

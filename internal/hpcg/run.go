@@ -34,10 +34,6 @@ type Config struct {
 	// network-pricing options (Trace, Congestion, Counters) every
 	// benchmark carries; see simmpi.Instrumentation.
 	simmpi.Instrumentation
-	// Engine selects the simmpi execution substrate (goroutine-per-rank
-	// or discrete-event); engines are bit-identical in every result.
-	// Empty means the goroutine default.
-	Engine simmpi.Engine
 }
 
 // OptimisedKernelGain is the memory-efficiency gain of the vendor-
@@ -193,7 +189,6 @@ func Run(cfg Config) (Result, error) {
 		ThreadsPerRank: 1,
 		RankModel:      func(int) *perfmodel.CostModel { return model },
 		Fabric:         sys.NewFabric(cfg.Nodes),
-		Engine:         cfg.Engine,
 		Label:          fmt.Sprintf("hpcg %s n=%d %dx%dx%d", sys.ID, cfg.Nodes, cfg.NX, cfg.NY, cfg.NZ),
 	}
 	cfg.Instrumentation.Apply(&job)

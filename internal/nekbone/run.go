@@ -34,10 +34,6 @@ type Config struct {
 	// network-pricing options (Trace, Congestion, Counters) every
 	// benchmark carries; see simmpi.Instrumentation.
 	simmpi.Instrumentation
-	// Engine selects the simmpi execution substrate (goroutine-per-rank
-	// or discrete-event); engines are bit-identical in every result.
-	// Empty means the goroutine default.
-	Engine simmpi.Engine
 }
 
 func (c *Config) defaults() error {
@@ -154,7 +150,6 @@ func RunWithNoise(cfg Config, noiseProb float64, noiseDur units.Duration) (Resul
 		Fabric:         sys.NewFabric(cfg.Nodes),
 		NoiseProb:      noiseProb,
 		NoiseDuration:  noiseDur,
-		Engine:         cfg.Engine,
 		Label:          fmt.Sprintf("nekbone %s n=%d c=%d", sys.ID, cfg.Nodes, cfg.CoresPerNode),
 	}
 	cfg.Instrumentation.Apply(&job)

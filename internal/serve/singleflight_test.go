@@ -35,10 +35,21 @@ func TestFlightGroupDeduplicates(t *testing.T) {
 			results[i], shareds[i] = r, shared
 		}(i)
 	}
+	// Release fn only once every caller has joined the flight; a caller
+	// arriving after the flight completed would start a second run.
 	deadline := time.Now().Add(10 * time.Second)
-	for atomic.LoadInt32(&runs) == 0 {
+	for {
+		g.mu.Lock()
+		w := 0
+		if c := g.calls["k"]; c != nil {
+			w = c.waiters
+		}
+		g.mu.Unlock()
+		if w == n {
+			break
+		}
 		if time.Now().After(deadline) {
-			t.Fatal("fn never started")
+			t.Fatalf("only %d of %d callers joined the flight", w, n)
 		}
 		time.Sleep(time.Millisecond)
 	}

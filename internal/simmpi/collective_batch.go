@@ -1,23 +1,25 @@
 package simmpi
 
-// Batched world collectives for the discrete-event engine.
+// Batched world collectives: the only implementation of the eight world
+// collectives.
 //
 // When all p ranks have parked at the same collective, the functions
 // here execute it as one event: each rank's exact per-rank operation
-// sequence — the same sendCore/recvCore calls, buffer copies, and
-// reduction folds as the goroutine implementations in simmpi.go — is
-// replayed in a dependency-valid cross-rank order. All simulator state
-// is per-rank (clocks, PMUs, stats, flow sequences, trace logs), and
-// cross-rank coupling happens only through message stamps, so any order
-// that runs every receive after its matching send yields bit-identical
-// results; the trace merge in Run re-sorts events into (Start, Rank)
-// order afterwards. That "same per-rank sequence, shared executor"
-// construction — not testing alone — is what makes the two engines
-// equivalent.
+// sequence of a classic point-to-point algorithm — the same
+// sendCore/recvCore calls, buffer copies, and reduction folds a rank
+// would issue through Send/Recv — is replayed in a dependency-valid
+// cross-rank order. All simulator state is per-rank (clocks, PMUs,
+// stats, flow sequences, trace logs), and cross-rank coupling happens
+// only through message stamps, so any order that runs every receive
+// after its matching send yields bit-identical results; the trace merge
+// in Run re-sorts events into (Start, Rank) order afterwards. The
+// point-to-point algorithms themselves live on as a test-only reference
+// oracle (collective_ref_test.go) that the differential suite in
+// engine_test.go compares every batched collective against.
 //
 // Message slots: within one round of every algorithm the send→recv
 // pairing is a bijection (each rank receives at most one message), so a
-// single scratch slice indexed by receiver replaces the mailbox map.
+// single scratch slice indexed by receiver replaces per-route queues.
 //
 // The valid cross-rank orders used below:
 //   - round-based exchanges (barrier, allreduce doubling, allgather
@@ -137,7 +139,7 @@ func runBatched(e *eventEngine, kind collKind, args []collArgs, res []any) {
 }
 
 // collRoot checks that every rank named the same root (a mismatched
-// root would deadlock the goroutine engine; failing loudly is kinder).
+// root would deadlock a point-to-point tree; failing loudly is kinder).
 func collRoot(e *eventEngine, args []collArgs) int {
 	root := args[0].root
 	for i := 1; i < len(args); i++ {
@@ -149,8 +151,8 @@ func collRoot(e *eventEngine, args []collArgs) int {
 	return root
 }
 
-// batchBarrier mirrors Rank.Barrier: log₂p dissemination rounds, each
-// rank sending to (id+k) and receiving from (id-k).
+// batchBarrier runs ⌈log₂p⌉ dissemination rounds, each rank sending to
+// (id+k) and receiving from (id-k).
 func batchBarrier(e *eventEngine) {
 	rs, p := e.ranks, len(e.ranks)
 	e.beginAll(e.starts)
@@ -179,8 +181,8 @@ func arNewID(id, rem int) int {
 	}
 }
 
-// batchAllreduce mirrors Rank.Allreduce: pre-fold to a power of two,
-// recursive doubling, post-unfold. Results land in each rank's own buf.
+// batchAllreduce pre-folds to a power of two, runs recursive doubling,
+// and post-unfolds. Results land in each rank's own buf.
 func batchAllreduce(e *eventEngine, args []collArgs) {
 	rs, p := e.ranks, len(e.ranks)
 	e.beginAll(e.starts)
@@ -251,9 +253,9 @@ func batchAllreduce(e *eventEngine, args []collArgs) {
 	e.endAll(metrics.CollAllreduce, e.starts)
 }
 
-// batchBcast mirrors Rank.Bcast: binomial tree rooted at root,
-// processed in increasing virtual rank so every parent's send precedes
-// its child's receive.
+// batchBcast runs a binomial tree rooted at root, processed in
+// increasing virtual rank so every parent's send precedes its child's
+// receive.
 func batchBcast(e *eventEngine, args []collArgs, res []any) {
 	rs, p := e.ranks, len(e.ranks)
 	root := collRoot(e, args)
@@ -285,11 +287,11 @@ func batchBcast(e *eventEngine, args []collArgs, res []any) {
 	e.endAll(metrics.CollBcast, e.starts)
 }
 
-// batchReduceTree mirrors Rank.Reduce's binomial combine onto the root,
-// without the collBegin/collEnd bracket (callers bracket it, because
-// ReduceScatter's non-power-of-two path nests it inside its own
-// bracket exactly as the goroutine code nests r.Reduce). bufs come from
-// args[i].buf; mask-ascending rounds run senders before receivers.
+// batchReduceTree is Reduce's binomial combine onto the root, without
+// the collBegin/collEnd bracket (callers bracket it, because
+// ReduceScatter's non-power-of-two path nests a complete Reduce inside
+// its own bracket). bufs come from args[i].buf; mask-ascending rounds
+// run senders before receivers.
 func batchReduceTree(e *eventEngine, args []collArgs, root, tag int) {
 	rs, p := e.ranks, len(e.ranks)
 	for mask := 1; mask < p; mask <<= 1 {
@@ -314,9 +316,9 @@ func batchReduceTree(e *eventEngine, args []collArgs, root, tag int) {
 	}
 }
 
-// batchAllgather mirrors Rank.Allgather's ring: p-1 steps, blocks
-// travelling rank→rank+1, each rank copying the block it just received
-// into its output at the rotating cursor.
+// batchAllgather runs the ring: p-1 steps, blocks travelling
+// rank→rank+1, each rank copying the block it just received into its
+// output at the rotating cursor.
 func batchAllgather(e *eventEngine, args []collArgs, res []any) {
 	rs, p := e.ranks, len(e.ranks)
 	e.beginAll(e.starts)
@@ -346,8 +348,8 @@ func batchAllgather(e *eventEngine, args []collArgs, res []any) {
 	e.endAll(metrics.CollAllgather, e.starts)
 }
 
-// batchAlltoall mirrors Rank.Alltoall: XOR pairwise exchange for
-// power-of-two sizes, the rotation schedule otherwise.
+// batchAlltoall runs the XOR pairwise exchange for power-of-two sizes,
+// the rotation schedule otherwise.
 func batchAlltoall(e *eventEngine, args []collArgs, res []any) {
 	rs, p := e.ranks, len(e.ranks)
 	e.beginAll(e.starts)
@@ -384,10 +386,9 @@ func batchAlltoall(e *eventEngine, args []collArgs, res []any) {
 	e.endAll(metrics.CollAlltoall, e.starts)
 }
 
-// batchReduceScatter mirrors Rank.ReduceScatter: recursive halving for
-// power-of-two sizes; otherwise a nested Reduce to rank 0 followed by a
-// linear scatter, with the inner Reduce bracketed in its own
-// collBegin/collEnd exactly as the goroutine code's r.Reduce call is.
+// batchReduceScatter runs recursive halving for power-of-two sizes;
+// otherwise a nested Reduce to rank 0 followed by a linear scatter, with
+// the inner Reduce bracketed in its own collBegin/collEnd.
 func batchReduceScatter(e *eventEngine, args []collArgs, res []any) {
 	rs, p := e.ranks, len(e.ranks)
 	e.beginAll(e.starts)
@@ -457,9 +458,9 @@ func batchReduceScatter(e *eventEngine, args []collArgs, res []any) {
 	e.endAll(metrics.CollReduceScatter, e.starts)
 }
 
-// batchExScan mirrors Rank.ExScan's linear pipeline: ranks in ascending
-// order each receive the running prefix and forward it combined with
-// their own contribution.
+// batchExScan runs the linear pipeline: ranks in ascending order each
+// receive the running prefix and forward it combined with their own
+// contribution.
 func batchExScan(e *eventEngine, args []collArgs, res []any) {
 	rs, p := e.ranks, len(e.ranks)
 	e.beginAll(e.starts)

@@ -3,7 +3,6 @@ package simmpi
 import (
 	"fmt"
 	"sort"
-	"sync"
 
 	"a64fxbench/internal/units"
 )
@@ -23,9 +22,7 @@ type Comm struct {
 
 // splitState coordinates one Split call across the job's ranks.
 type splitState struct {
-	mu      sync.Mutex
 	entries map[int][]splitEntry // color → entries
-	done    chan struct{}
 	arrived int
 }
 
@@ -39,46 +36,24 @@ type splitEntry struct {
 // Every rank of the job must call Split the same number of times.
 func (r *Rank) Split(color, key int) *Comm {
 	j := r.job
-	j.splitMu.Lock()
-	if j.splits == nil {
-		j.splits = map[int]*splitState{}
-	}
 	seq := j.splitSeq[r.id]
 	j.splitSeq[r.id]++
 	st, ok := j.splits[seq]
 	if !ok {
-		st = &splitState{
-			entries: map[int][]splitEntry{},
-			done:    make(chan struct{}),
-		}
+		st = &splitState{entries: map[int][]splitEntry{}}
 		j.splits[seq] = st
 	}
-	j.splitMu.Unlock()
-
-	st.mu.Lock()
 	st.entries[color] = append(st.entries[color], splitEntry{r.id, key})
 	st.arrived++
-	if st.arrived == r.size {
-		close(st.done)
-	}
-	st.mu.Unlock()
-	if r.eng != nil {
-		// Event engine: a real-time channel wait would stall the one
-		// runnable rank forever; park in the loop's rendezvous instead.
-		r.eng.splitWait(r, st.done)
-	} else {
-		<-st.done
-	}
+	// Wait until every rank has registered its (color, key).
+	r.eng.splitWait(r, st.arrived == r.size)
 
-	// The barrier above is a synchronisation in real time only; in
-	// virtual time MPI_Comm_split is a collective, so charge a
-	// barrier's worth of virtual time too.
+	// The rendezvous above costs no virtual time; MPI_Comm_split is a
+	// collective, so charge a barrier's worth of virtual time too.
 	r.Barrier()
 
-	st.mu.Lock()
 	// Copy before sorting: every member sorts its own view.
 	entries := append([]splitEntry(nil), st.entries[color]...)
-	st.mu.Unlock()
 	sort.Slice(entries, func(i, k int) bool {
 		if entries[i].key != entries[k].key {
 			return entries[i].key < entries[k].key

@@ -1,13 +1,14 @@
 package simmpi
 
-// The dual-engine differential suite: every observable output of a job
-// — the full Report (per-rank clocks, stats, counters, link heatmaps)
-// and the merged trace timeline — must be byte-identical between the
-// goroutine engine and the discrete-event engine, for every
-// communication pattern and option combination. The suite also asserts
-// collective RESULTS (not just times) inside the bodies, so the event
-// engine's batched data path is checked against ground truth, not
-// merely against the other engine.
+// The differential suite for the batched world collectives: every
+// observable output of a job — the full Report (per-rank clocks, stats,
+// counters, link heatmaps) and the merged trace timeline — must be
+// byte-identical between a run through the batched collectives
+// (collective_batch.go) and a run through the point-to-point reference
+// oracle (collective_ref_test.go), for every communication pattern and
+// option combination. The bodies also assert collective RESULTS (not
+// just times), so the batched data path is checked against ground
+// truth, not merely against the oracle.
 
 import (
 	"crypto/sha256"
@@ -37,41 +38,44 @@ func reportDigest(t *testing.T, rep Report, tl Timeline) string {
 	return fmt.Sprintf("%x", h.Sum(nil))
 }
 
-// runEngine executes one job under the given engine and digests it.
-func runEngine(t *testing.T, c JobConfig, eng Engine, traced bool, body func(*Rank) error) (Report, string) {
+// collBody is a test job body that calls world collectives through cs.
+type collBody func(r *Rank, cs *collSet) error
+
+// runDigest executes one job with the given collectives and digests it.
+func runDigest(t *testing.T, c JobConfig, cs *collSet, traced bool, body collBody) (Report, string) {
 	t.Helper()
-	c.Engine = eng
 	var sink *MemorySink
 	if traced {
 		sink = &MemorySink{}
 		c.Sink = sink
 	}
-	rep, err := Run(c, body)
+	rep, err := Run(c, func(r *Rank) error { return body(r, cs) })
 	if err != nil {
-		t.Fatalf("engine %s: %v", eng, err)
+		t.Fatal(err)
 	}
 	var tl Timeline
 	if sink != nil {
 		tl = sink.Events
 		if len(tl) == 0 {
-			t.Fatalf("engine %s: traced run produced no events", eng)
+			t.Fatal("traced run produced no events")
 		}
 	}
 	return rep, reportDigest(t, rep, tl)
 }
 
-// assertEngineEquivalent runs body under both engines and demands
+// assertCollectiveEquivalent runs body once through the batched
+// collectives and once through the reference oracle and demands
 // byte-identical digests.
-func assertEngineEquivalent(t *testing.T, c JobConfig, traced bool, body func(*Rank) error) {
+func assertCollectiveEquivalent(t *testing.T, c JobConfig, traced bool, body collBody) {
 	t.Helper()
-	repG, digG := runEngine(t, c, EngineGoroutine, traced, body)
-	repE, digE := runEngine(t, c, EngineEvent, traced, body)
-	if digG != digE {
-		t.Fatalf("engines diverged:\n goroutine makespan=%v msgs=%d bytes=%v\n event     makespan=%v msgs=%d bytes=%v",
-			repG.Makespan, repG.TotalMsgs, repG.TotalBytesSent,
-			repE.Makespan, repE.TotalMsgs, repE.TotalBytesSent)
+	repB, digB := runDigest(t, c, batchedColls, traced, body)
+	repR, digR := runDigest(t, c, refColls, traced, body)
+	if digB != digR {
+		t.Fatalf("batched collectives diverged from the reference:\n batched   makespan=%v msgs=%d bytes=%v\n reference makespan=%v msgs=%d bytes=%v",
+			repB.Makespan, repB.TotalMsgs, repB.TotalBytesSent,
+			repR.Makespan, repR.TotalMsgs, repR.TotalBytesSent)
 	}
-	if repG.Makespan <= 0 && repG.TotalMsgs > 0 {
+	if repB.Makespan <= 0 && repB.TotalMsgs > 0 {
 		t.Fatal("degenerate job: messages moved but no time passed")
 	}
 }
@@ -81,9 +85,9 @@ func assertEngineEquivalent(t *testing.T, c JobConfig, traced bool, body func(*R
 var engineBodies = []struct {
 	name string
 	min  int // smallest p the body supports
-	body func(r *Rank) error
+	body collBody
 }{
-	{"compute-pingpong", 2, func(r *Rank) error {
+	{"compute-pingpong", 2, func(r *Rank, _ *collSet) error {
 		w := vecWork(1000 + 100*r.ID())
 		for it := 0; it < 3; it++ {
 			r.Compute(w)
@@ -106,13 +110,13 @@ var engineBodies = []struct {
 		}
 		return nil
 	}},
-	{"all-collectives", 1, func(r *Rank) error {
+	{"all-collectives", 1, func(r *Rank, cs *collSet) error {
 		p := float64(r.Size())
 		r.Compute(vecWork(500 * (1 + r.ID()%3)))
-		r.Barrier()
+		cs.Barrier(r)
 		// Allreduce: sum of rank ids.
 		buf := []float64{float64(r.ID()), 1}
-		r.Allreduce(buf, OpSum)
+		cs.Allreduce(r, buf, OpSum)
 		if want := p * (p - 1) / 2; buf[0] != want || buf[1] != p {
 			return fmt.Errorf("allreduce got %v", buf)
 		}
@@ -124,18 +128,18 @@ var engineBodies = []struct {
 		} else {
 			payload = []float64{0, 0}
 		}
-		payload = r.Bcast(root, payload)
+		payload = cs.Bcast(r, root, payload)
 		if payload[0] != 3.25 {
 			return fmt.Errorf("bcast got %v", payload)
 		}
 		// Reduce onto a non-zero root.
 		rbuf := []float64{1}
-		r.Reduce(root, rbuf, OpSum)
+		cs.Reduce(r, root, rbuf, OpSum)
 		if r.ID() == root && rbuf[0] != p {
 			return fmt.Errorf("reduce got %v", rbuf)
 		}
 		// Allgather.
-		gathered := r.Allgather([]float64{float64(10 * r.ID())})
+		gathered := cs.Allgather(r, []float64{float64(10 * r.ID())})
 		for i, v := range gathered {
 			if v != float64(10*i) {
 				return fmt.Errorf("allgather[%d] = %v", i, v)
@@ -146,7 +150,7 @@ var engineBodies = []struct {
 		for i := range send {
 			send[i] = []float64{float64(r.ID()*100 + i)}
 		}
-		recv := r.Alltoall(send)
+		recv := cs.Alltoall(r, send)
 		for i, blk := range recv {
 			if blk[0] != float64(i*100+r.ID()) {
 				return fmt.Errorf("alltoall[%d] = %v", i, blk)
@@ -157,12 +161,12 @@ var engineBodies = []struct {
 		for i := range rs {
 			rs[i] = float64(i)
 		}
-		mine := r.ReduceScatter(rs, OpSum)
+		mine := cs.ReduceScatter(r, rs, OpSum)
 		if mine[0] != p*float64(2*r.ID()) || mine[1] != p*float64(2*r.ID()+1) {
 			return fmt.Errorf("reducescatter got %v", mine)
 		}
 		// ExScan: prefix sum of rank ids.
-		ex := r.ExScan([]float64{float64(r.ID())}, OpSum)
+		ex := cs.ExScan(r, []float64{float64(r.ID())}, OpSum)
 		id := float64(r.ID())
 		if want := id * (id - 1) / 2; ex[0] != want {
 			return fmt.Errorf("exscan got %v want %v", ex, want)
@@ -170,7 +174,7 @@ var engineBodies = []struct {
 		r.Elapse(3 * units.Microsecond)
 		return nil
 	}},
-	{"comm-split", 2, func(r *Rank) error {
+	{"comm-split", 2, func(r *Rank, _ *collSet) error {
 		c := r.Split(r.ID()%2, -r.ID())
 		if got := c.AllreduceScalar(1, OpSum); got != float64(c.Size()) {
 			return fmt.Errorf("split allreduce got %v", got)
@@ -183,7 +187,7 @@ var engineBodies = []struct {
 		}
 		return nil
 	}},
-	{"ring-sendrecv", 2, func(r *Rank) error {
+	{"ring-sendrecv", 2, func(r *Rank, _ *collSet) error {
 		p := r.Size()
 		data := []float64{float64(r.ID())}
 		for step := 0; step < p; step++ {
@@ -198,18 +202,18 @@ var engineBodies = []struct {
 		}
 		return nil
 	}},
-	{"imbalanced-collective", 2, func(r *Rank) error {
+	{"imbalanced-collective", 2, func(r *Rank, cs *collSet) error {
 		// Heavily skewed compute so ranks hit the collective at very
 		// different virtual times.
 		r.Compute(vecWork(100 * (1 + r.ID()*r.ID())))
-		v := r.AllreduceScalar(float64(r.ID()), OpMax)
+		v := cs.allreduceScalar(r, float64(r.ID()), OpMax)
 		if v != float64(r.Size()-1) {
 			return fmt.Errorf("max got %v", v)
 		}
-		r.Barrier()
+		cs.Barrier(r)
 		return nil
 	}},
-	{"many-to-one", 2, func(r *Rank) error {
+	{"many-to-one", 2, func(r *Rank, _ *collSet) error {
 		if r.ID() == 0 {
 			for src := 1; src < r.Size(); src++ {
 				got := r.RecvFloats(src, 9)
@@ -235,6 +239,8 @@ var engineSizes = []struct {
 	{1, 1}, {2, 1}, {3, 1}, {4, 2}, {5, 2}, {7, 3}, {8, 4}, {12, 4},
 }
 
+// TestEngineEquivalence runs every body at every size through both
+// collective implementations.
 func TestEngineEquivalence(t *testing.T) {
 	t.Parallel()
 	for _, b := range engineBodies {
@@ -244,14 +250,15 @@ func TestEngineEquivalence(t *testing.T) {
 			}
 			t.Run(fmt.Sprintf("%s/p%d_n%d", b.name, sz.procs, sz.nodes), func(t *testing.T) {
 				t.Parallel()
-				assertEngineEquivalent(t, cfg(sz.procs, sz.nodes), true, b.body)
+				assertCollectiveEquivalent(t, cfg(sz.procs, sz.nodes), true, b.body)
 			})
 		}
 	}
 }
 
-// TestEngineEquivalenceOptions crosses one rich body with the full
-// option matrix: tracing, counters, congestion, noise, and all at once.
+// TestEngineEquivalenceOptions crosses the all-collectives body with the
+// full option matrix: tracing, counters, congestion, noise, and all at
+// once.
 func TestEngineEquivalenceOptions(t *testing.T) {
 	t.Parallel()
 	body := engineBodies[1].body // all-collectives
@@ -283,7 +290,7 @@ func TestEngineEquivalenceOptions(t *testing.T) {
 				t.Parallel()
 				c := cfg(sz.procs, sz.nodes)
 				o.mutate(&c)
-				assertEngineEquivalent(t, c, o.traced, body)
+				assertCollectiveEquivalent(t, c, o.traced, body)
 			})
 		}
 	}
@@ -304,7 +311,6 @@ func vecWork(n int) perfmodel.WorkProfile {
 func TestEventEngineErrorPropagation(t *testing.T) {
 	t.Parallel()
 	c := cfg(4, 2)
-	c.Engine = EngineEvent
 	boom := fmt.Errorf("rank 2 gave up")
 	_, err := Run(c, func(r *Rank) error {
 		if r.ID() == 2 {
@@ -330,12 +336,10 @@ func TestEventEngineErrorPropagation(t *testing.T) {
 }
 
 // TestEventEngineDeadlockDetection: a receive that can never be matched
-// must produce a diagnostic, not a hang (the goroutine engine hangs
-// forever on the same program — the event engine is strictly better).
+// must produce a diagnostic, not a hang.
 func TestEventEngineDeadlockDetection(t *testing.T) {
 	t.Parallel()
 	c := cfg(2, 1)
-	c.Engine = EngineEvent
 	_, err := Run(c, func(r *Rank) error {
 		if r.ID() == 0 {
 			r.Recv(1, 99) // never sent
@@ -359,31 +363,10 @@ func TestEventEngineDeadlockDetection(t *testing.T) {
 	}
 }
 
-// TestEngineResultNeutralInConfig: the engine never leaks into the
-// report — running the same body twice under one engine is already
-// covered above; this pins the validate() default and rejection.
-func TestEngineValidation(t *testing.T) {
-	t.Parallel()
-	c := cfg(2, 1)
-	c.Engine = "threads"
-	if _, err := Run(c, func(*Rank) error { return nil }); err == nil {
-		t.Fatal("unknown engine must be rejected")
-	}
-	if eng, err := ParseEngine(""); err != nil || eng != EngineGoroutine {
-		t.Fatalf("ParseEngine default: %v %v", eng, err)
-	}
-	if eng, err := ParseEngine("event"); err != nil || eng != EngineEvent {
-		t.Fatalf("ParseEngine event: %v %v", eng, err)
-	}
-	if _, err := ParseEngine("fibers"); err == nil {
-		t.Fatal("ParseEngine must reject unknown names")
-	}
-}
-
-// FuzzEngineEquivalence fuzzes the job shape — rank count, node count,
-// message size, noise seed/probability, compute skew — and asserts the
-// engines stay byte-identical. (Satellite: differential property test.)
-func FuzzEngineEquivalence(f *testing.F) {
+// FuzzCollectiveEquivalence fuzzes the job shape — rank count, node
+// count, message size, noise seed/probability, compute skew — and
+// asserts the batched collectives stay byte-identical to the reference.
+func FuzzCollectiveEquivalence(f *testing.F) {
 	f.Add(uint8(4), uint8(2), uint16(64), uint8(0), uint8(1))
 	f.Add(uint8(7), uint8(3), uint16(1), uint8(50), uint8(3))
 	f.Add(uint8(1), uint8(1), uint16(512), uint8(10), uint8(0))
@@ -398,22 +381,22 @@ func FuzzEngineEquivalence(f *testing.F) {
 		c.NoiseProb = float64(noise%101) / 100
 		c.NoiseDuration = units.Microsecond
 		ml := int(msgLen)%1024 + 1
-		body := func(r *Rank) error {
+		body := func(r *Rank, cs *collSet) error {
 			r.Compute(vecWork(100 * (1 + r.ID()%(int(skew)+1))))
 			buf := make([]float64, ml)
 			for i := range buf {
 				buf[i] = float64(r.ID()*ml + i)
 			}
-			r.Allreduce(buf, OpSum)
+			cs.Allreduce(r, buf, OpSum)
 			if p > 1 {
 				partner := (r.ID() + p/2) % p
 				r.SendFloats(partner, 5, buf[:1+ml/2])
 				r.RecvFloats((r.ID()-p/2+p)%p, 5)
 			}
-			r.Barrier()
+			cs.Barrier(r)
 			return nil
 		}
-		assertEngineEquivalent(t, c, true, body)
+		assertCollectiveEquivalent(t, c, true, body)
 	})
 }
 

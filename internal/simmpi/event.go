@@ -1,11 +1,11 @@
 package simmpi
 
-// The discrete-event engine (JobConfig.Engine == EngineEvent).
+// The discrete-event engine: the one way simmpi executes a job.
 //
 // All ranks of a job are driven by a single-threaded event loop. Rank
 // bodies still run on goroutines — Go has no first-class continuations —
 // but exactly one of them is runnable at any instant: the loop hands a
-// rank the execution token, the rank runs until it blocks (an empty-box
+// rank the execution token, the rank runs until it blocks (an empty-route
 // Recv, a world collective, a Split) or finishes, and hands the token
 // back. The loop then pops the next runnable rank from a binary-heap
 // ready queue keyed on (virtual time, rank, sequence).
@@ -16,8 +16,9 @@ package simmpi
 // max(receiver clock, stamp). Any scheduling that runs a receive after
 // its matching send therefore produces bit-identical results — the
 // event loop's ordering is a real-time optimisation, never a semantic
-// choice. The differential suite in engine_test.go holds both engines
-// to that promise.
+// choice. The same rule lets world collectives run batched: the
+// differential suite in engine_test.go holds every batched collective to
+// the byte-identical output of its point-to-point reference algorithm.
 //
 // Three things make this engine fast at 10⁴–10⁵ ranks:
 //
@@ -25,7 +26,7 @@ package simmpi
 //     collective_batch.go): when all p ranks have parked at the same
 //     collective, the loop replays each rank's exact per-rank message
 //     sequence in a dependency-valid cross-rank order, eliminating the
-//     ~2·p·log p goroutine context switches per collective.
+//     ~2·p·log p token handoffs per collective.
 //   - Identical messages collapse onto shared symmetric state: the
 //     point-to-point model is a pure function of (hop count, bytes), so
 //     the engine memoises prices and the p equal-size transfers of a
@@ -45,7 +46,7 @@ type rankState uint8
 
 const (
 	stateReady rankState = iota // in the ready heap (or running)
-	stateRecv                   // parked on an empty mailbox
+	stateRecv                   // parked on an empty route
 	stateColl                   // parked at a world collective
 	stateSplit                  // parked at a Split rendezvous
 	stateDone                   // body returned (or unwound)
@@ -232,7 +233,7 @@ type eventEngine struct {
 }
 
 // runEventLoop executes body on every rank under the discrete-event
-// engine. It is the event-engine half of runRanks.
+// loop (see runRanks).
 func runEventLoop(j *job, ranks []*Rank, body func(*Rank) error) error {
 	p := len(ranks)
 	e := &eventEngine{
@@ -415,28 +416,27 @@ func (e *eventEngine) runCollective() {
 }
 
 // splitWait implements the Split rendezvous (comm.go): non-last
-// arrivers park; the last arriver — done is already closed when it gets
-// here — wakes everyone and continues without yielding. Splits
-// serialise globally (a rank cannot reach its next Split before every
-// rank passed the current one), so one parked list suffices.
-func (e *eventEngine) splitWait(r *Rank, done <-chan struct{}) {
-	select {
-	case <-done:
-		for _, id := range e.splitParked {
-			e.push(id, e.ranks[id].clock.Now())
-		}
-		e.splitParked = e.splitParked[:0]
-	default:
+// arrivers park; the last arriver wakes everyone and continues without
+// yielding. Splits serialise globally (a rank cannot reach its next
+// Split before every rank passed the current one), so one parked list
+// suffices.
+func (e *eventEngine) splitWait(r *Rank, last bool) {
+	if !last {
 		e.state[r.id] = stateSplit
 		e.splitParked = append(e.splitParked, r.id)
 		e.park(r)
+		return
 	}
+	for _, id := range e.splitParked {
+		e.push(id, e.ranks[id].clock.Now())
+	}
+	e.splitParked = e.splitParked[:0]
 }
 
 // abort reports why the loop stalled — a rank's error if one occurred,
 // otherwise a deadlock diagnosis — and unwinds every parked goroutine
-// so nothing leaks. (The goroutine engine hangs forever on the same
-// programs; erroring out is the stricter behaviour.)
+// so nothing leaks: a job that can never finish returns an error
+// instead of hanging.
 func (e *eventEngine) abort() error {
 	var err error
 	for _, rerr := range e.errs {

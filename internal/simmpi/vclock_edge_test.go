@@ -1,11 +1,10 @@
 package simmpi
 
-// Virtual-time edge cases, exercised identically under both engines:
-// simultaneous events at equal virtual time across ranks, the
-// (Start, Rank) tie-break in the merged timeline, the (time, rank, seq)
-// tie-break in the event engine's ready heap, and zero-duration Elapse.
-// These are the cases where a sloppy engine would let real-time
-// scheduling leak into results.
+// Virtual-time edge cases: simultaneous events at equal virtual time
+// across ranks, the (Start, Rank) tie-break in the merged timeline, the
+// (time, rank, seq) tie-break in the engine's ready heap, and
+// zero-duration Elapse. These are the cases where a sloppy engine would
+// let real-time scheduling leak into results.
 
 import (
 	"fmt"
@@ -14,20 +13,19 @@ import (
 	"a64fxbench/internal/vclock"
 )
 
-// vclockEdgeCases is the table shared by both engines. Every body is
-// deterministic and leans on events landing at exactly equal virtual
-// times.
+// vclockEdgeCases is the edge-case table. Every body is deterministic
+// and leans on events landing at exactly equal virtual times.
 var vclockEdgeCases = []struct {
 	name  string
 	procs int
 	nodes int
-	body  func(r *Rank) error
+	body  collBody
 }{
 	{
 		// All ranks send to rank 0 having done zero work: every send
 		// starts at exactly t=0 on every rank.
 		name: "simultaneous-sends-at-zero", procs: 5, nodes: 1,
-		body: func(r *Rank) error {
+		body: func(r *Rank, _ *collSet) error {
 			if r.ID() == 0 {
 				for src := 1; src < r.Size(); src++ {
 					r.RecvFloats(src, 1)
@@ -40,18 +38,18 @@ var vclockEdgeCases = []struct {
 	},
 	{
 		// Zero-duration Elapse must advance nothing and change nothing,
-		// under either engine, including between sends.
+		// including between sends.
 		name: "zero-duration-elapse", procs: 4, nodes: 2,
-		body: func(r *Rank) error {
+		body: func(r *Rank, cs *collSet) error {
 			before := r.Now()
 			r.Elapse(0)
 			if r.Now() != before {
 				return fmt.Errorf("Elapse(0) moved the clock: %v -> %v", before, r.Now())
 			}
 			r.Elapse(0)
-			r.Barrier()
+			cs.Barrier(r)
 			r.Elapse(0)
-			if got := r.AllreduceScalar(1, OpSum); got != float64(r.Size()) {
+			if got := cs.allreduceScalar(r, 1, OpSum); got != float64(r.Size()) {
 				return fmt.Errorf("allreduce after zero elapse: %v", got)
 			}
 			return nil
@@ -61,7 +59,7 @@ var vclockEdgeCases = []struct {
 		// Zero-byte, zero-compute ping-pong chains: every message on a
 		// single node shares latency, so whole fronts of events tie.
 		name: "tied-event-fronts", procs: 6, nodes: 1,
-		body: func(r *Rank) error {
+		body: func(r *Rank, _ *collSet) error {
 			p := r.Size()
 			for step := 0; step < 3; step++ {
 				r.Send((r.ID()+1)%p, 70+step, nil, 0)
@@ -74,11 +72,11 @@ var vclockEdgeCases = []struct {
 		// Equal-time collective entry: identical work on every rank, so
 		// all p ranks hit the collective at the same virtual instant.
 		name: "equal-time-collective", procs: 8, nodes: 4,
-		body: func(r *Rank) error {
+		body: func(r *Rank, cs *collSet) error {
 			r.Compute(vecWork(1000))
-			r.Barrier()
+			cs.Barrier(r)
 			buf := []float64{1}
-			r.Allreduce(buf, OpSum)
+			cs.Allreduce(r, buf, OpSum)
 			if buf[0] != float64(r.Size()) {
 				return fmt.Errorf("allreduce got %v", buf)
 			}
@@ -87,47 +85,45 @@ var vclockEdgeCases = []struct {
 	},
 }
 
+// TestVclockEdgeCasesAcrossEngines runs every edge case through both the
+// batched collectives and the point-to-point reference oracle.
 func TestVclockEdgeCasesAcrossEngines(t *testing.T) {
 	t.Parallel()
 	for _, tc := range vclockEdgeCases {
 		t.Run(tc.name, func(t *testing.T) {
 			t.Parallel()
-			assertEngineEquivalent(t, cfg(tc.procs, tc.nodes), true, tc.body)
+			assertCollectiveEquivalent(t, cfg(tc.procs, tc.nodes), true, tc.body)
 		})
 	}
 }
 
 // TestTimelineTieBreak pins the merged-trace ordering contract: events
-// with equal Start times appear in ascending rank order, under both
-// engines.
+// with equal Start times appear in ascending rank order.
 func TestTimelineTieBreak(t *testing.T) {
 	t.Parallel()
-	for _, eng := range []Engine{EngineGoroutine, EngineEvent} {
-		c := cfg(4, 1)
-		c.Engine = eng
-		sink := &MemorySink{}
-		c.Sink = sink
-		_, err := Run(c, func(r *Rank) error {
-			r.Compute(vecWork(100)) // identical on every rank: equal Start
-			return nil
-		})
-		if err != nil {
-			t.Fatal(err)
+	c := cfg(4, 1)
+	sink := &MemorySink{}
+	c.Sink = sink
+	_, err := Run(c, func(r *Rank) error {
+		r.Compute(vecWork(100)) // identical on every rank: equal Start
+		return nil
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	var last vclock.Time
+	lastRank := -1
+	for _, e := range sink.Events {
+		if e.Kind != EvCompute {
+			continue
 		}
-		var last vclock.Time
-		lastRank := -1
-		for _, e := range sink.Events {
-			if e.Kind != EvCompute {
-				continue
-			}
-			if e.Start < last {
-				t.Fatalf("%s: timeline not Start-ordered", eng)
-			}
-			if e.Start == last && e.Rank <= lastRank {
-				t.Fatalf("%s: equal-Start events not rank-ordered: rank %d after %d", eng, e.Rank, lastRank)
-			}
-			last, lastRank = e.Start, e.Rank
+		if e.Start < last {
+			t.Fatal("timeline not Start-ordered")
 		}
+		if e.Start == last && e.Rank <= lastRank {
+			t.Fatalf("equal-Start events not rank-ordered: rank %d after %d", e.Rank, lastRank)
+		}
+		last, lastRank = e.Start, e.Rank
 	}
 }
 
@@ -172,28 +168,24 @@ func TestEvHeapOrdering(t *testing.T) {
 }
 
 // TestZeroDurationElapseAccounting pins Elapse(0) at the vclock level
-// as the engines see it: no time, no busy, no wait.
+// as the engine sees it: no time, no busy, no wait.
 func TestZeroDurationElapseAccounting(t *testing.T) {
 	t.Parallel()
-	for _, eng := range []Engine{EngineGoroutine, EngineEvent} {
-		c := cfg(2, 1)
-		c.Engine = eng
-		rep, err := Run(c, func(r *Rank) error {
-			for i := 0; i < 5; i++ {
-				r.Elapse(0)
-			}
-			return nil
-		})
-		if err != nil {
-			t.Fatal(err)
+	rep, err := Run(cfg(2, 1), func(r *Rank) error {
+		for i := 0; i < 5; i++ {
+			r.Elapse(0)
 		}
-		if rep.Makespan != 0 {
-			t.Fatalf("%s: Elapse(0)s produced makespan %v", eng, rep.Makespan)
-		}
-		for _, rr := range rep.Ranks {
-			if rr.Busy != 0 || rr.Wait != 0 {
-				t.Fatalf("%s: rank %d accounted busy=%v wait=%v", eng, rr.Rank, rr.Busy, rr.Wait)
-			}
+		return nil
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if rep.Makespan != 0 {
+		t.Fatalf("Elapse(0)s produced makespan %v", rep.Makespan)
+	}
+	for _, rr := range rep.Ranks {
+		if rr.Busy != 0 || rr.Wait != 0 {
+			t.Fatalf("rank %d accounted busy=%v wait=%v", rr.Rank, rr.Busy, rr.Wait)
 		}
 	}
 }

@@ -67,14 +67,10 @@ func Lookup(id string) (*core.Experiment, error) {
 // artifact-affecting projection of the options (core.OptionsKey):
 // observability settings never change artifact contents, so a traced
 // and an untraced execution of the same experiment are interchangeable
-// as far as the cache is concerned. The engine IS part of the key even
-// though engines are bit-identical in output: a differential sweep that
-// asks for both engines must actually execute both, not serve the
-// second request from the first engine's cached artifact.
+// as far as the cache is concerned.
 type cacheKey struct {
 	id  string
 	opt core.OptionsKey
-	eng simmpi.Engine
 }
 
 // cacheEntry is a single-flight slot: the first requester runs the
@@ -206,7 +202,7 @@ func (e *Engine) runOne(ctx context.Context, id string, opt core.Options) Result
 		}
 		return res
 	}
-	entry, owner := e.entryFor(cacheKey{id, opt.ArtifactKey(), opt.Engine})
+	entry, owner := e.entryFor(cacheKey{id, opt.ArtifactKey()})
 	if !owner {
 		// Someone else is (or was) computing this key; wait for it.
 		span.SetAttr("cached", true)

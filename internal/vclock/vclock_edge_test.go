@@ -3,7 +3,7 @@ package vclock
 // Edge cases the discrete-event engine leans on: zero-duration
 // advances, advancing exactly to the current instant, and equal-time
 // comparisons. A clock that drifted (or accounted) on any of these
-// would silently diverge the two simmpi engines.
+// would let event ordering leak into simmpi's results.
 
 import (
 	"testing"
