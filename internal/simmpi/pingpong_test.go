@@ -49,23 +49,26 @@ func pingPongMallocs(t *testing.T, iters int) uint64 {
 // fixed job-setup allocations; the bound is deliberately loose against
 // incidental runtime allocations but far below one alloc per message —
 // the regression this guards against (per-route channels, per-message
-// boxes) costs hundreds per thousand round trips.
+// boxes) costs hundreds per thousand round trips. The subtest is named
+// after the discrete-event engine it exercises.
 func TestPingPongAllocGuard(t *testing.T) {
 	if raceEnabled {
 		t.Skip("race-detector instrumentation allocates per channel operation")
 	}
-	const short, long = 200, 5200
-	base := pingPongMallocs(t, short)
-	full := pingPongMallocs(t, long)
-	var extra uint64
-	if full > base {
-		extra = full - base
-	}
-	perK := float64(extra) / float64(long-short) * 1000
-	t.Logf("%d extra mallocs over %d round trips (%.1f per 1000)", extra, long-short, perK)
-	if perK > 100 { // 0.1 allocs per round trip
-		t.Fatalf("%.1f allocations per 1000 ping-pong round trips; route queues are leaking again", perK)
-	}
+	t.Run("event", func(t *testing.T) {
+		const short, long = 200, 5200
+		base := pingPongMallocs(t, short)
+		full := pingPongMallocs(t, long)
+		var extra uint64
+		if full > base {
+			extra = full - base
+		}
+		perK := float64(extra) / float64(long-short) * 1000
+		t.Logf("%d extra mallocs over %d round trips (%.1f per 1000)", extra, long-short, perK)
+		if perK > 100 { // 0.1 allocs per round trip
+			t.Fatalf("%.1f allocations per 1000 ping-pong round trips; route queues are leaking again", perK)
+		}
+	})
 }
 
 // BenchmarkPingPong reports ns and allocs per ping-pong round trip
