@@ -185,11 +185,12 @@ type Experiment = core.Experiment
 // Artifact is a completed experiment result.
 type Artifact = core.Artifact
 
-// Options tunes experiment execution: Quick for smoke runs, Trace to
-// stream every simulated job's event timeline into a TraceSink, Profile
-// to ask the sweep engine for an in-memory timeline, Counters to meter
-// every simulated job with the virtual PMU. Observability options never
-// change artifact contents.
+// Options tunes experiment execution: Quick for smoke runs, Machine for
+// machine-parameterized experiments, and the embedded Instrumentation —
+// Trace to stream every simulated job's event timeline into a
+// TraceSink, Counters to meter every job with the virtual PMU,
+// Congestion and Model to change how jobs are priced. Observability
+// settings never change artifact contents.
 type Options = core.Options
 
 // OptionsKey is the comparable projection of Options onto the fields
@@ -264,10 +265,11 @@ func LoadCounterSnapshot(path string) (*CounterSnapshot, error) {
 	return metrics.LoadSnapshot(path)
 }
 
-// Instrumentation bundles the observability and network-pricing options
-// (Trace, Congestion, Counters) every benchmark Config embeds — set the
-// fields once instead of wiring three knobs per benchmark.
-type Instrumentation = core.Instrumentation
+// Instrumentation is the one set of per-run settings — trace sink,
+// congestion pricing, virtual PMU, pricing model, telemetry span — that
+// Options and every benchmark Config embed and hand unchanged to each
+// simulated job.
+type Instrumentation = simmpi.Instrumentation
 
 // Request is the unified, serializable experiment-execution descriptor:
 // what the CLI builds from flags and the serve daemon decodes from a

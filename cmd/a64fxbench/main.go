@@ -200,19 +200,11 @@ var commands = []command{
 		},
 	},
 	cmdFunc{
-		name: "calibrate", synopsis: "calibrate <machine>",
-		describe: "refit a machine's efficiency table against its declared anchors",
-		minArgs:  1,
-		run: func(_ context.Context, _ sweepConfig, args []string) error {
-			return calibrateCmd(args[0])
-		},
-	},
-	cmdFunc{
-		name: "validate", synopsis: "validate [spec.json|dir ...]",
-		describe: "self-check against the paper's values; with args, validate machine specs",
+		name: "validate", synopsis: "validate",
+		describe: "self-check against the paper's values",
 		run: func(_ context.Context, _ sweepConfig, args []string) error {
 			if len(args) > 0 {
-				return validateSpecPaths(args)
+				return fmt.Errorf("validate takes no arguments; check spec files with `a64fxbench machines validate <spec.json|dir> ...`")
 			}
 			return validateCmd()
 		},

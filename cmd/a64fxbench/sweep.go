@@ -95,10 +95,22 @@ func runSweep(ctx context.Context, out, errw io.Writer, ids []string, cfg sweepC
 	if err != nil {
 		return err
 	}
-	opt.Profile = cfg.profile
 	eng := sweep.New(cfg.jobs)
 	eng.FailFast = cfg.failFast
-	results := eng.Run(ctx, req.IDs, opt)
+	var results []sweep.Result
+	if cfg.profile {
+		// Collect runs each distinct id once; map its results back onto
+		// the requested ids so artifacts still render in input order.
+		byID := map[string]sweep.Result{}
+		for _, r := range eng.Collect(ctx, req.IDs, opt) {
+			byID[r.ID] = r
+		}
+		for _, id := range req.IDs {
+			results = append(results, byID[id])
+		}
+	} else {
+		results = eng.Run(ctx, req.IDs, opt)
+	}
 
 	for _, r := range results {
 		if r.Err != nil {

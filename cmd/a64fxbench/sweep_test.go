@@ -84,6 +84,19 @@ func TestRunSweepFormats(t *testing.T) {
 	}
 }
 
+// TestMachineCommandsLiveUnderMachines: spec validation and calibration
+// are reachable only as `machines validate` and `machines calibrate`.
+func TestMachineCommandsLiveUnderMachines(t *testing.T) {
+	t.Parallel()
+	if findCommand("calibrate") != nil {
+		t.Error("top-level calibrate still registered")
+	}
+	err := findCommand("validate").Run(context.Background(), sweepConfig{}, []string{"spec.json"})
+	if err == nil || !strings.Contains(err.Error(), "machines validate") {
+		t.Errorf("validate with arguments should point at machines validate, got %v", err)
+	}
+}
+
 func TestRunSweepCancelled(t *testing.T) {
 	t.Parallel()
 	// A sweep interrupted before any experiment fails has only skipped

@@ -150,7 +150,7 @@ func Run(cfg Config) (Result, error) {
 		RankModel:      func(int) *perfmodel.CostModel { return model },
 		Label:          fmt.Sprintf("castep %s c=%d", sys.ID, procs),
 	}
-	cfg.Instrumentation.Apply(&job)
+	job.Instrumentation = cfg.Instrumentation
 
 	// The wavefunction transpose: each SCF cycle needs all-to-all
 	// communication of grid data among the band groups. Only the block

@@ -37,11 +37,11 @@ var _ = registerExt(&Experiment{
 			},
 		}
 		sys := arch.MustGet(arch.A64FX)
-		congested := opt.Instr()
+		congested := opt.Instrumentation
 		congested.Congestion = true
 		for _, nodes := range nodeCounts {
 			free, err := hpcg.Run(hpcg.Config{
-				System: sys, Nodes: nodes, Iterations: iters, Instrumentation: opt.Instr(),
+				System: sys, Nodes: nodes, Iterations: iters, Instrumentation: opt.Instrumentation,
 			})
 			if err != nil {
 				return nil, err

@@ -9,10 +9,8 @@ import (
 	"sort"
 	"strings"
 
-	"a64fxbench/internal/metrics"
 	"a64fxbench/internal/perfmodel"
 	"a64fxbench/internal/simmpi"
-	"a64fxbench/internal/telemetry"
 )
 
 // Kind distinguishes tables from figures.
@@ -39,32 +37,17 @@ type Experiment struct {
 	Run func(opt Options) (*Artifact, error)
 }
 
-// Options tunes an experiment execution. Only fields covered by
-// ArtifactKey may change the produced artifact; observability fields
-// (Trace, Profile, Counters) must be result-neutral.
+// Options tunes an experiment execution. Experiment Run functions hand
+// the embedded simmpi.Instrumentation unchanged to every simulated job
+// they run. Only fields covered by ArtifactKey — Quick, Machine and the
+// instrumentation's Congestion and Model — may change the produced
+// artifact; Trace, Counters and Telemetry observe without changing it.
+// The defaults (contention-free network, roofline model) are what the
+// golden artifacts pin.
 type Options struct {
 	// Quick reduces simulated iteration counts for fast smoke runs;
 	// rates and shapes are unchanged (the simulation is steady-state).
 	Quick bool
-	// Congestion enables contention-aware interconnect pricing for every
-	// multi-node job the experiment runs (see simmpi.JobConfig). Off by
-	// default: the contention-free model is what the golden artifacts
-	// pin. Single-node results never change either way.
-	Congestion bool
-	// Trace, when non-nil, receives the event timelines of every
-	// simulated job the experiment runs (each bracketed by job markers;
-	// see simmpi.TraceSink). Tracing never changes artifact contents.
-	Trace simmpi.TraceSink
-	// Profile asks the executor (the sweep engine) to collect an
-	// in-memory timeline for post-run analysis even when Trace is nil.
-	// Like Trace, it never changes artifact contents.
-	Profile bool
-	// Counters enables the virtual PMU for every simulated job the
-	// experiment runs (see simmpi.JobConfig.Counters). Like Trace and
-	// Profile it is an observability field: it never changes artifact
-	// contents (phase times are evaluated through the same model terms)
-	// and is excluded from the cache/digest key.
-	Counters *metrics.Config
 	// Machine names the target machine for machine-parameterized
 	// experiments (the ext-machine suite runs its single-node
 	// microbenchmarks on it). Paper artifacts ignore it — their system
@@ -72,34 +55,7 @@ type Options struct {
 	// only through the experiments that read it. Empty means the
 	// experiment's own default (A64FX).
 	Machine string
-	// Model selects the compute-phase pricing model for every simulated
-	// job: the calibrated roofline (the empty default, what every golden
-	// artifact pins) or the ECM memory-hierarchy model
-	// (perfmodel.ModelECM). The model changes simulated results, so it
-	// is part of ArtifactKey — ECM artifacts get their own cache and
-	// golden slots while stock roofline digests stay byte-identical.
-	Model perfmodel.Model
-	// Telemetry, when non-nil, is the parent span under which this
-	// execution's simulated jobs record their phase spans (the sweep
-	// engine sets one per-artifact span; the serve daemon's request
-	// root is its ancestor). Observability only: never part of
-	// ArtifactKey, never changes artifact contents.
-	Telemetry *telemetry.Span
-}
-
-// Instrumentation is the shared observability/network-pricing bundle
-// (Trace, Congestion, Counters) that every benchmark Config embeds; the
-// alias re-exports simmpi.Instrumentation at the experiment layer so
-// callers construct one type whether they target a benchmark directly
-// or an experiment through Options.
-type Instrumentation = simmpi.Instrumentation
-
-// Instr projects the options onto the Instrumentation bundle the
-// benchmark Configs embed. Experiment Run functions pass it through
-// verbatim so every simulated job carries the sweep's instrumentation.
-func (o Options) Instr() Instrumentation {
-	return Instrumentation{Trace: o.Trace, Congestion: o.Congestion,
-		Counters: o.Counters, Model: o.Model, Telemetry: o.Telemetry}
+	simmpi.Instrumentation
 }
 
 // OptionsKey is the comparable projection of Options onto the fields

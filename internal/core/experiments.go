@@ -144,7 +144,7 @@ var _ = register(&Experiment{
 			res, err := hpcg.Run(hpcg.Config{
 				System: arch.MustGet(r.sys), Nodes: 1,
 				Iterations: iters, Optimised: r.optimised,
-				Instrumentation: opt.Instr(),
+				Instrumentation: opt.Instrumentation,
 			})
 			if err != nil {
 				return nil, err
@@ -194,7 +194,7 @@ var _ = register(&Experiment{
 				res, err := hpcg.Run(hpcg.Config{
 					System: arch.MustGet(id), Nodes: nodes,
 					Iterations: iters, Optimised: optimised,
-					Instrumentation: opt.Instr(),
+					Instrumentation: opt.Instrumentation,
 				})
 				if err != nil {
 					return nil, err
@@ -232,7 +232,7 @@ var _ = register(&Experiment{
 		for _, id := range []arch.ID{arch.A64FX, arch.NGIO, arch.Fulhame} {
 			res, err := minikab.Run(minikab.Config{
 				System: arch.MustGet(id), Nodes: 1, RanksPerNode: 1,
-				Iterations: iters, Instrumentation: opt.Instr(),
+				Iterations: iters, Instrumentation: opt.Instrumentation,
 			})
 			if err != nil {
 				return nil, err
@@ -288,7 +288,7 @@ var _ = register(&Experiment{
 			res, err := minikab.Run(minikab.Config{
 				System: arch.MustGet(arch.A64FX), Nodes: 2,
 				RanksPerNode: c.rpn, ThreadsPerRank: c.tpr, Iterations: iters,
-				Instrumentation: opt.Instr(),
+				Instrumentation: opt.Instrumentation,
 			})
 			if err != nil {
 				return nil, err
@@ -328,7 +328,7 @@ var _ = register(&Experiment{
 		for _, nodes := range []int{2, 4, 6, 8} {
 			cfg := minikab.BestA64FXConfig(nodes)
 			cfg.Iterations = iters
-			cfg.Instrumentation = opt.Instr()
+			cfg.Instrumentation = opt.Instrumentation
 			res, err := minikab.Run(cfg)
 			if err != nil {
 				return nil, err
@@ -342,7 +342,7 @@ var _ = register(&Experiment{
 		for _, nodes := range []int{1, 2, 3, 4, 5, 6} {
 			cfg := minikab.FulhameConfig(nodes)
 			cfg.Iterations = iters
-			cfg.Instrumentation = opt.Instr()
+			cfg.Instrumentation = opt.Instrumentation
 			res, err := minikab.Run(cfg)
 			if err != nil {
 				return nil, err
@@ -382,11 +382,11 @@ var _ = register(&Experiment{
 		type pair struct{ plain, fast float64 }
 		meas := map[arch.ID]pair{}
 		for _, id := range ids {
-			p, err := nekbone.Run(nekbone.Config{System: arch.MustGet(id), Nodes: 1, Iterations: iters, Instrumentation: opt.Instr()})
+			p, err := nekbone.Run(nekbone.Config{System: arch.MustGet(id), Nodes: 1, Iterations: iters, Instrumentation: opt.Instrumentation})
 			if err != nil {
 				return nil, err
 			}
-			f, err := nekbone.Run(nekbone.Config{System: arch.MustGet(id), Nodes: 1, Iterations: iters, FastMath: true, Instrumentation: opt.Instr()})
+			f, err := nekbone.Run(nekbone.Config{System: arch.MustGet(id), Nodes: 1, Iterations: iters, FastMath: true, Instrumentation: opt.Instrumentation})
 			if err != nil {
 				return nil, err
 			}
@@ -446,7 +446,7 @@ var _ = register(&Experiment{
 				}
 				res, err := nekbone.Run(nekbone.Config{
 					System: sys, Nodes: 1, CoresPerNode: c, Iterations: iters,
-					Instrumentation: opt.Instr(),
+					Instrumentation: opt.Instrumentation,
 				})
 				if err != nil {
 					return nil, err
@@ -483,13 +483,13 @@ var _ = register(&Experiment{
 		}
 		for _, id := range []arch.ID{arch.A64FX, arch.Fulhame, arch.ARCHER} {
 			sys := arch.MustGet(id)
-			base, err := nekbone.Run(nekbone.Config{System: sys, Nodes: 1, Iterations: iters, FastMath: true, Instrumentation: opt.Instr()})
+			base, err := nekbone.Run(nekbone.Config{System: sys, Nodes: 1, Iterations: iters, FastMath: true, Instrumentation: opt.Instrumentation})
 			if err != nil {
 				return nil, err
 			}
 			var cells []Cell
 			for i, nodes := range []int{2, 4, 8, 16} {
-				res, err := nekbone.Run(nekbone.Config{System: sys, Nodes: nodes, Iterations: iters, FastMath: true, Instrumentation: opt.Instr()})
+				res, err := nekbone.Run(nekbone.Config{System: sys, Nodes: nodes, Iterations: iters, FastMath: true, Instrumentation: opt.Instrumentation})
 				if err != nil {
 					return nil, err
 				}
@@ -557,7 +557,7 @@ var _ = register(&Experiment{
 		for _, id := range arch.IDs() {
 			var cells []Cell
 			for _, nodes := range nodeCounts {
-				res, err := cosa.Run(cosa.Config{System: arch.MustGet(id), Nodes: nodes, Case: tc, Instrumentation: opt.Instr()})
+				res, err := cosa.Run(cosa.Config{System: arch.MustGet(id), Nodes: nodes, Case: tc, Instrumentation: opt.Instrumentation})
 				if err != nil {
 					cells = append(cells, txt("(OOM)"))
 					continue
@@ -594,7 +594,7 @@ var _ = register(&Experiment{
 		}
 		meas := map[arch.ID]castep.Result{}
 		for _, id := range arch.IDs() {
-			res, err := castep.Run(castep.Config{System: arch.MustGet(id), Cycles: cycles, Instrumentation: opt.Instr()})
+			res, err := castep.Run(castep.Config{System: arch.MustGet(id), Cycles: cycles, Instrumentation: opt.Instrumentation})
 			if err != nil {
 				return nil, err
 			}
@@ -650,7 +650,7 @@ var _ = register(&Experiment{
 					cells = append(cells, val(nan, nan, "%.3f"))
 					continue
 				}
-				res, err := castep.Run(castep.Config{System: sys, Cores: c, Cycles: cycles, Instrumentation: opt.Instr()})
+				res, err := castep.Run(castep.Config{System: sys, Cores: c, Cycles: cycles, Instrumentation: opt.Instrumentation})
 				if err != nil {
 					return nil, err
 				}
@@ -696,7 +696,7 @@ var _ = register(&Experiment{
 		for _, id := range []arch.ID{arch.A64FX, arch.Cirrus, arch.NGIO, arch.Fulhame} {
 			var cells []Cell
 			for i, nodes := range []int{1, 2, 4, 8} {
-				res, err := opensbli.Run(opensbli.Config{System: arch.MustGet(id), Nodes: nodes, Case: tc, Instrumentation: opt.Instr()})
+				res, err := opensbli.Run(opensbli.Config{System: arch.MustGet(id), Nodes: nodes, Case: tc, Instrumentation: opt.Instrumentation})
 				if err != nil {
 					return nil, err
 				}

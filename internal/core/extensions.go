@@ -114,7 +114,7 @@ var _ = registerExt(&Experiment{
 				return nil, err
 			}
 			_ = base
-			res, err := hpcg.Run(hpcg.Config{System: sys, Nodes: 8, Iterations: iters, Instrumentation: opt.Instr()})
+			res, err := hpcg.Run(hpcg.Config{System: sys, Nodes: 8, Iterations: iters, Instrumentation: opt.Instrumentation})
 			if err != nil {
 				return nil, err
 			}
@@ -180,7 +180,7 @@ func nekboneRunWithNoise(sys *arch.System, nodes, iters int, noise float64, opt 
 	// essential loop compactly instead.
 	res, err := nekbone.RunWithNoise(nekbone.Config{
 		System: sys, Nodes: nodes, Iterations: iters, FastMath: true,
-		Instrumentation: opt.Instr(),
+		Instrumentation: opt.Instrumentation,
 	}, noise, units.Duration(30*units.Millisecond))
 	if err != nil {
 		return 0, err
@@ -208,7 +208,7 @@ var _ = registerExt(&Experiment{
 			Columns: []string{"Runtime (s)", "vs measured A64FX"},
 		}
 		base := arch.MustGet(arch.A64FX)
-		meas, err := opensbli.Run(opensbli.Config{System: base, Nodes: 1, Case: tc, Instrumentation: opt.Instr()})
+		meas, err := opensbli.Run(opensbli.Config{System: base, Nodes: 1, Case: tc, Instrumentation: opt.Instrumentation})
 		if err != nil {
 			return nil, err
 		}
@@ -243,13 +243,13 @@ var _ = registerExt(&Experiment{
 				if err != nil {
 					return nil, err
 				}
-				res, err := opensbli.Run(opensbli.Config{System: sys, Nodes: 1, Case: tc, Instrumentation: opt.Instr()})
+				res, err := opensbli.Run(opensbli.Config{System: sys, Nodes: 1, Case: tc, Instrumentation: opt.Instrumentation})
 				if err != nil {
 					return nil, err
 				}
 				sec = res.Seconds
 			case 2:
-				res, err := opensbli.Run(opensbli.Config{System: arch.MustGet(arch.NGIO), Nodes: 1, Case: tc, Instrumentation: opt.Instr()})
+				res, err := opensbli.Run(opensbli.Config{System: arch.MustGet(arch.NGIO), Nodes: 1, Case: tc, Instrumentation: opt.Instrumentation})
 				if err != nil {
 					return nil, err
 				}

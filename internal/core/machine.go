@@ -75,19 +75,19 @@ var _ = registerExt(&Experiment{
 		}
 		row("ping-pong 8B latency µs", val(pp[0].HalfRoundTrip.Seconds()*1e6, anchorLat, "%.3f"))
 
-		h, err := hpcg.Run(hpcg.Config{System: sys, Nodes: 1, Iterations: iters, Instrumentation: opt.Instr()})
+		h, err := hpcg.Run(hpcg.Config{System: sys, Nodes: 1, Iterations: iters, Instrumentation: opt.Instrumentation})
 		if err != nil {
 			return nil, err
 		}
 		row("HPCG 1-node GFLOP/s", val(h.GFLOPs, nan, "%.2f"))
 
-		nb, err := nekbone.Run(nekbone.Config{System: sys, Nodes: 1, Iterations: iters, Instrumentation: opt.Instr()})
+		nb, err := nekbone.Run(nekbone.Config{System: sys, Nodes: 1, Iterations: iters, Instrumentation: opt.Instrumentation})
 		if err != nil {
 			return nil, err
 		}
 		row("Nekbone 1-node GFLOP/s", val(nb.GFLOPs, nan, "%.2f"))
 
-		nbf, err := nekbone.Run(nekbone.Config{System: sys, Nodes: 1, Iterations: iters, FastMath: true, Instrumentation: opt.Instr()})
+		nbf, err := nekbone.Run(nekbone.Config{System: sys, Nodes: 1, Iterations: iters, FastMath: true, Instrumentation: opt.Instrumentation})
 		if err != nil {
 			return nil, err
 		}

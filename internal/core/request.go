@@ -11,6 +11,7 @@ import (
 	"a64fxbench/internal/arch"
 	"a64fxbench/internal/metrics"
 	"a64fxbench/internal/perfmodel"
+	"a64fxbench/internal/simmpi"
 	"a64fxbench/internal/spec"
 	"a64fxbench/internal/units"
 )
@@ -204,15 +205,16 @@ func (r Request) normalized(strictIDs bool) (Request, error) {
 }
 
 // Options projects the request onto the experiment options. The
-// instrumentation carriers (Trace, Profile, Counters) stay nil — they
-// are owned by the operation executing the request (trace attaches a
-// sink, counters a PMU config), not by the serializable descriptor.
+// observation carriers (Trace, Counters, Telemetry) stay nil — they are
+// owned by the operation executing the request (trace attaches a sink,
+// counters a PMU config), not by the serializable descriptor.
 func (r Request) Options() (Options, error) {
 	model, err := perfmodel.ParseModel(r.Model)
 	if err != nil {
 		return Options{}, err
 	}
-	return Options{Quick: r.Quick, Congestion: r.Congestion, Machine: r.Machine, Model: model}, nil
+	return Options{Quick: r.Quick, Machine: r.Machine,
+		Instrumentation: simmpi.Instrumentation{Congestion: r.Congestion, Model: model}}, nil
 }
 
 // CounterConfig builds the PMU configuration the counters operation

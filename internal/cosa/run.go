@@ -135,7 +135,7 @@ func Run(cfg Config) (Result, error) {
 		NoiseDuration:  units.Duration(30 * units.Millisecond),
 		Label:          fmt.Sprintf("cosa %s n=%d", sys.ID, cfg.Nodes),
 	}
-	cfg.Instrumentation.Apply(&job)
+	job.Instrumentation = cfg.Instrumentation
 
 	rep, err := simmpi.Run(job, func(r *simmpi.Rank) error {
 		myBlocks := part.Part(r.ID())

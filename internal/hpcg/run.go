@@ -191,7 +191,7 @@ func Run(cfg Config) (Result, error) {
 		Fabric:         sys.NewFabric(cfg.Nodes),
 		Label:          fmt.Sprintf("hpcg %s n=%d %dx%dx%d", sys.ID, cfg.Nodes, cfg.NX, cfg.NY, cfg.NZ),
 	}
-	cfg.Instrumentation.Apply(&job)
+	job.Instrumentation = cfg.Instrumentation
 
 	levelName := make([]string, cfg.Levels)
 	for l := range levelName {

@@ -181,7 +181,7 @@ func Run(cfg Config) (Result, error) {
 		Fabric:         sys.NewFabric(cfg.Nodes),
 		Label:          fmt.Sprintf("minikab %s n=%d r=%d t=%d", sys.ID, cfg.Nodes, cfg.RanksPerNode, cfg.ThreadsPerRank),
 	}
-	cfg.Instrumentation.Apply(&job)
+	job.Instrumentation = cfg.Instrumentation
 
 	rep, err := simmpi.Run(job, func(r *simmpi.Rank) error {
 		const tagHalo = 11

@@ -152,7 +152,7 @@ func RunWithNoise(cfg Config, noiseProb float64, noiseDur units.Duration) (Resul
 		NoiseDuration:  noiseDur,
 		Label:          fmt.Sprintf("nekbone %s n=%d c=%d", sys.ID, cfg.Nodes, cfg.CoresPerNode),
 	}
-	cfg.Instrumentation.Apply(&job)
+	job.Instrumentation = cfg.Instrumentation
 
 	haloBytes := units.Bytes(facePoints * 8)
 	rep, err := simmpi.Run(job, func(r *simmpi.Rank) error {

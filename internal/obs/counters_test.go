@@ -31,10 +31,12 @@ func countedFourRankJobModel(t *testing.T, pm perfmodel.Model) (obs.JobTrace, si
 		Procs: 4, Nodes: 2, ThreadsPerRank: 1,
 		RankModel: func(int) *perfmodel.CostModel { return model },
 		Fabric:    sys.NewFabric(2),
-		Sink:      sink,
-		Counters:  &metrics.Config{Period: 50 * units.Microsecond},
-		Model:     pm,
 		Label:     "counted-4rank",
+		Instrumentation: simmpi.Instrumentation{
+			Trace:    sink,
+			Counters: &metrics.Config{Period: 50 * units.Microsecond},
+			Model:    pm,
+		},
 	}
 	work := perfmodel.WorkProfile{
 		Class: perfmodel.SpMV,

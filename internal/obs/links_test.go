@@ -21,11 +21,10 @@ func congestedJob(t *testing.T) *simmpi.MemorySink {
 	sink := &simmpi.MemorySink{}
 	cfg := simmpi.JobConfig{
 		Procs: 8, Nodes: 8, ThreadsPerRank: 1,
-		RankModel:  func(int) *perfmodel.CostModel { return model },
-		Fabric:     sys.NewFabric(8),
-		Congestion: true,
-		Sink:       sink,
-		Label:      "congested-8rank",
+		RankModel:       func(int) *perfmodel.CostModel { return model },
+		Fabric:          sys.NewFabric(8),
+		Label:           "congested-8rank",
+		Instrumentation: simmpi.Instrumentation{Congestion: true, Trace: sink},
 	}
 	_, err := simmpi.Run(cfg, func(r *simmpi.Rank) error {
 		// Fan-in: every rank eagerly sends to rank 0, contending its

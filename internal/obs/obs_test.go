@@ -22,10 +22,10 @@ func fourRankJob(t *testing.T) (*simmpi.MemorySink, simmpi.Report) {
 	sink := &simmpi.MemorySink{}
 	cfg := simmpi.JobConfig{
 		Procs: 4, Nodes: 2, ThreadsPerRank: 1,
-		RankModel: func(int) *perfmodel.CostModel { return model },
-		Fabric:    sys.NewFabric(2),
-		Sink:      sink,
-		Label:     "golden-4rank",
+		RankModel:       func(int) *perfmodel.CostModel { return model },
+		Fabric:          sys.NewFabric(2),
+		Label:           "golden-4rank",
+		Instrumentation: simmpi.Instrumentation{Trace: sink},
 	}
 	work := perfmodel.WorkProfile{
 		Class: perfmodel.VectorOp,

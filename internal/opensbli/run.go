@@ -117,7 +117,7 @@ func Run(cfg Config) (Result, error) {
 		NoiseDuration:  units.Duration(30 * units.Millisecond),
 		Label:          fmt.Sprintf("opensbli %s n=%d g=%d", sys.ID, cfg.Nodes, tc.Grid),
 	}
-	cfg.Instrumentation.Apply(&job)
+	job.Instrumentation = cfg.Instrumentation
 
 	stageName := [3]string{"rk3-stage-0", "rk3-stage-1", "rk3-stage-2"}
 	rep, err := simmpi.Run(job, func(r *simmpi.Rank) error {

@@ -71,27 +71,25 @@ func WriteTrace(ctx context.Context, w io.Writer, req core.Request) error {
 	if err != nil {
 		return err
 	}
-	var sink simmpi.TraceSink
-	mem := &simmpi.MemorySink{}
+	eng := sweep.New(1)
 	switch req.Format {
 	case "text", "":
-		// Streams as the simulation runs; nothing is buffered.
-		sink = obs.NewTextSink(w)
+		// Streams each job as it completes; nothing is buffered.
+		sink := obs.NewTextSink(w)
+		eng.SinkFor = func(string) simmpi.TraceSink { return sink }
+		if res := eng.Run(ctx, req.IDs[:1], opt)[0]; res.Err != nil {
+			return res.Err
+		}
+		return sink.Close()
 	case "chrome", "json":
-		sink = mem
 	default:
 		return fmt.Errorf("trace: unknown format %q (want text, chrome or json)", req.Format)
 	}
-	eng := sweep.New(1)
-	eng.SinkFor = func(string) simmpi.TraceSink { return sink }
-	res := eng.Run(ctx, req.IDs[:1], opt)[0]
+	res := eng.Collect(ctx, req.IDs[:1], opt)[0]
 	if res.Err != nil {
 		return res.Err
 	}
-	if sink != mem {
-		return sink.Close()
-	}
-	jobs := obs.SplitJobs(mem.Events)
+	jobs := obs.SplitJobs(res.Timeline)
 	if req.Format == "chrome" {
 		return obs.WriteChrome(w, jobs)
 	}
@@ -132,14 +130,11 @@ func WriteLinks(ctx context.Context, w io.Writer, req core.Request) error {
 		return err
 	}
 	opt.Congestion = true
-	mem := &simmpi.MemorySink{}
-	eng := sweep.New(1)
-	eng.SinkFor = func(string) simmpi.TraceSink { return mem }
-	res := eng.Run(ctx, req.IDs[:1], opt)[0]
+	res := sweep.New(1).Collect(ctx, req.IDs[:1], opt)[0]
 	if res.Err != nil {
 		return res.Err
 	}
-	jobs := obs.SplitJobs(mem.Events)
+	jobs := obs.SplitJobs(res.Timeline)
 	if req.Format == "json" {
 		reports := make([]linkReport, 0, len(jobs))
 		for _, jt := range jobs {
@@ -199,9 +194,13 @@ func WriteCounters(ctx context.Context, w io.Writer, req core.Request, workers i
 		}
 		return snap.WriteJSON(w)
 	case "text", "", "csv":
-		jobs, err := runCounted(ctx, eng, req.IDs, opt)
-		if err != nil {
+		results := eng.Collect(ctx, req.IDs, opt)
+		if err := sweep.FirstError(results); err != nil {
 			return err
+		}
+		var jobs []obs.JobTrace
+		for _, r := range results {
+			jobs = append(jobs, obs.SplitJobs(r.Timeline)...)
 		}
 		if req.Format == "csv" {
 			return obs.WriteCounterCSV(w, jobs)
@@ -222,36 +221,4 @@ func WriteCounters(ctx context.Context, w io.Writer, req core.Request, workers i
 	default:
 		return fmt.Errorf("counters: unknown format %q (want text, json or csv)", req.Format)
 	}
-}
-
-// runCounted executes the (deduplicated) ids with per-id memory sinks
-// and returns every simulated job's trace in id order.
-func runCounted(ctx context.Context, eng *sweep.Engine, ids []string, opt core.Options) ([]obs.JobTrace, error) {
-	uniq := make([]string, 0, len(ids))
-	seen := map[string]bool{}
-	for _, id := range ids {
-		if !seen[id] {
-			seen[id] = true
-			uniq = append(uniq, id)
-		}
-	}
-	sinks := make(map[string]*simmpi.MemorySink, len(uniq))
-	for _, id := range uniq {
-		sinks[id] = &simmpi.MemorySink{}
-	}
-	eng.SinkFor = func(id string) simmpi.TraceSink {
-		if s, ok := sinks[id]; ok {
-			return s
-		}
-		return nil
-	}
-	results := eng.Run(ctx, uniq, opt)
-	if err := sweep.FirstError(results); err != nil {
-		return nil, err
-	}
-	var jobs []obs.JobTrace
-	for _, id := range uniq {
-		jobs = append(jobs, obs.SplitJobs(sinks[id].Events)...)
-	}
-	return jobs, nil
 }

@@ -52,7 +52,7 @@ func (r *Rank) nextFlowSeq(dst, tag int) int {
 func recordAndSolve(cfg JobConfig, body func(*Rank) error, jobSpan *telemetry.Span) (*congestion.Solution, error) {
 	recSpan := jobSpan.Child("replay-record")
 	recCfg := cfg
-	recCfg.Sink = nil     // the recording pass is never traced
+	recCfg.Trace = nil    // the recording pass is never traced
 	recCfg.Counters = nil // ... and never counted: only pass two's times are real
 	ranks, err := runRanks(recCfg, body, &congestState{recording: true})
 	recSpan.Fail(err)

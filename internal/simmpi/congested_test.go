@@ -41,8 +41,8 @@ func TestCongestionSlowsOverlappingSends(t *testing.T) {
 	mk := func(congested bool) Report {
 		rep, err := Run(JobConfig{
 			Procs: 8, Nodes: 8, RankModel: testModel,
-			Fabric:     congFabric(&topo.Torus{Dims: []int{8}}),
-			Congestion: congested,
+			Fabric:          congFabric(&topo.Torus{Dims: []int{8}}),
+			Instrumentation: Instrumentation{Congestion: congested},
 		}, fanIn)
 		if err != nil {
 			t.Fatal(err)
@@ -76,7 +76,7 @@ func TestCongestionSingleNodeUnchanged(t *testing.T) {
 	}
 	run := func(congested bool) Report {
 		rep, err := Run(JobConfig{
-			Procs: 4, Nodes: 1, RankModel: testModel, Congestion: congested,
+			Procs: 4, Nodes: 1, RankModel: testModel, Instrumentation: Instrumentation{Congestion: congested},
 		}, body)
 		if err != nil {
 			t.Fatal(err)
@@ -98,8 +98,8 @@ func TestCongestedRunsAreDeterministic(t *testing.T) {
 	run := func() Report {
 		rep, err := Run(JobConfig{
 			Procs: 16, Nodes: 8, RankModel: testModel,
-			Fabric:     congFabric(topo.NewTofuD(8)),
-			Congestion: true,
+			Fabric:          congFabric(topo.NewTofuD(8)),
+			Instrumentation: Instrumentation{Congestion: true},
 		}, func(r *Rank) error {
 			buf := make([]float64, 1<<12)
 			for i := range buf {
@@ -131,8 +131,8 @@ func TestCongestionPreservesData(t *testing.T) {
 		var got float64
 		_, err := Run(JobConfig{
 			Procs: 8, Nodes: 4, RankModel: testModel,
-			Fabric:     congFabric(&topo.Torus{Dims: []int{4}}),
-			Congestion: congested,
+			Fabric:          congFabric(&topo.Torus{Dims: []int{4}}),
+			Instrumentation: Instrumentation{Congestion: congested},
 		}, func(r *Rank) error {
 			v := r.AllreduceScalar(float64(r.ID()+1), OpSum)
 			if r.ID() == 0 {
@@ -157,7 +157,7 @@ func slowdown(t *testing.T, f *netmodel.Fabric, procs, nodes int, body func(*Ran
 	run := func(congested bool) units.Duration {
 		rep, err := Run(JobConfig{
 			Procs: procs, Nodes: nodes, RankModel: testModel,
-			Fabric: f, Congestion: congested,
+			Fabric: f, Instrumentation: Instrumentation{Congestion: congested},
 		}, body)
 		if err != nil {
 			t.Fatal(err)
@@ -225,8 +225,8 @@ func TestLinkEventsReachSink(t *testing.T) {
 	sink := &MemorySink{}
 	_, err := Run(JobConfig{
 		Procs: 8, Nodes: 8, RankModel: testModel,
-		Fabric:     congFabric(&topo.Torus{Dims: []int{8}}),
-		Congestion: true, Sink: sink, Label: "cong",
+		Fabric: congFabric(&topo.Torus{Dims: []int{8}}),
+		Label:  "cong", Instrumentation: Instrumentation{Congestion: true, Trace: sink},
 	}, fanIn)
 	if err != nil {
 		t.Fatal(err)

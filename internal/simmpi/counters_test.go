@@ -38,9 +38,8 @@ func countedJobModel(t *testing.T, cfg *metrics.Config, model perfmodel.Model) s
 		RankModel: func(int) *perfmodel.CostModel { return rankModel },
 		Fabric:    sys.NewFabric(2),
 		NoiseProb: 0.2, NoiseDuration: 5 * units.Microsecond,
-		Counters: cfg,
-		Model:    model,
-		Label:    "counted-6rank",
+		Label:           "counted-6rank",
+		Instrumentation: simmpi.Instrumentation{Counters: cfg, Model: model},
 	}
 	spmv := perfmodel.WorkProfile{Class: perfmodel.SpMV, Flops: 2 * units.MFlop, Bytes: 12 * units.MiB}
 	gemm := perfmodel.WorkProfile{Class: perfmodel.SmallGEMM, Flops: 40 * units.MFlop, Bytes: 2 * units.MiB}

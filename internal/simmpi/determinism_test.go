@@ -48,9 +48,9 @@ func runTracedHPCG(t *testing.T) hpcgOutcome {
 	sink := &simmpi.MemorySink{}
 	cfg := simmpi.JobConfig{
 		Procs: procs, Nodes: nodes, ThreadsPerRank: 1,
-		RankModel: func(int) *perfmodel.CostModel { return model },
-		Fabric:    sys.NewFabric(nodes),
-		Sink:      sink,
+		RankModel:       func(int) *perfmodel.CostModel { return model },
+		Fabric:          sys.NewFabric(nodes),
+		Instrumentation: simmpi.Instrumentation{Trace: sink},
 	}
 	b := make([]float64, nx*ny*nz)
 	for i := range b {

@@ -47,7 +47,7 @@ func runDigest(t *testing.T, c JobConfig, cs *collSet, traced bool, body collBod
 	var sink *MemorySink
 	if traced {
 		sink = &MemorySink{}
-		c.Sink = sink
+		c.Trace = sink
 	}
 	rep, err := Run(c, func(r *Rank) error { return body(r, cs) })
 	if err != nil {

@@ -64,49 +64,12 @@ type JobConfig struct {
 	// paper's Table VII values.
 	NoiseProb     float64
 	NoiseDuration units.Duration
-	// Congestion switches inter-node message pricing to the
-	// contention-aware two-pass replay: the job first runs contention-
-	// free with tracing off while recording every inter-node flow, the
-	// congestion package solves per-flow dilations by max-min fair
-	// sharing over the topology's routed links, and the job then re-runs
-	// with each message's serialization term stretched by its flow's
-	// dilation. Deterministic bodies see identical data in both passes,
-	// so results stay bit-reproducible; only virtual times change.
-	// Single-node jobs are never congested (shared memory is priced
-	// separately), so their results are exactly those of the default.
-	Congestion bool
-	// Counters enables the virtual PMU: every rank accumulates the
-	// metrics registry's counters (flops by class, cache-level traffic,
-	// stall attribution, per-peer messages, collective time) and samples
-	// them in virtual time at the configured period. The job report then
-	// carries Report.Counters, and traced jobs additionally stream
-	// EvCounter / EvCounterSample events. Nil — the default — disables
-	// the PMU entirely; it costs nothing and changes no results either
-	// way (phase times are evaluated through the same model terms).
-	Counters *metrics.Config
-	// Sink receives the job's event timeline (compute phases, sends,
-	// receives, noise, region annotations). When nil — the default —
-	// tracing is off and costs nothing. Events are streamed to the sink
-	// after the job completes, merged across ranks in deterministic
-	// (Start, Rank) order and bracketed by EvJobBegin/EvJobEnd markers;
-	// the sink is NOT closed, so one sink can observe a sequence of jobs.
-	Sink TraceSink
 	// Label names the job in trace output (EvJobBegin/EvJobEnd markers);
 	// empty defaults to "job p=<Procs>".
 	Label string
-	// Model selects the analytic model pricing compute phases: the
-	// calibrated roofline (the empty default) or the ECM memory-
-	// hierarchy model (perfmodel.ModelECM). The model changes simulated
-	// results, so it is part of every artifact's identity
-	// (core.OptionsKey.Model).
-	Model perfmodel.Model
-	// Telemetry, when non-nil, is the parent span the runtime hangs the
-	// job's phase spans under: setup, the congestion record/solve
-	// passes, the run pass, report assembly, and the job's virtual
-	// makespan (a virtual-clock span). Nil — the default — records
-	// nothing and costs nothing; telemetry never changes simulated
-	// results.
-	Telemetry *telemetry.Span
+	// Instrumentation carries the job's trace sink, congestion pricing,
+	// PMU, compute-pricing model and telemetry span.
+	Instrumentation
 }
 
 // validate normalises and checks the configuration.
@@ -726,7 +689,7 @@ func Run(cfg JobConfig, body func(*Rank) error) (Report, error) {
 		rep.Counters = jc
 	}
 
-	if cfg.Sink != nil {
+	if cfg.Trace != nil {
 		// Merge per-rank logs into one deterministic stream, ordered by
 		// virtual time and rank.
 		var tl Timeline
@@ -734,13 +697,13 @@ func Run(cfg JobConfig, body func(*Rank) error) (Report, error) {
 			tl = append(tl, r.events...)
 		}
 		sortTimeline(tl)
-		cfg.Sink.Record(Event{Kind: EvJobBegin, Rank: -1, Node: -1, Peer: -1, Name: label})
+		cfg.Trace.Record(Event{Kind: EvJobBegin, Rank: -1, Node: -1, Peer: -1, Name: label})
 		for _, e := range tl {
-			cfg.Sink.Record(e)
+			cfg.Trace.Record(e)
 		}
-		emitLinkEvents(cfg.Sink, rep.Links)
-		emitCounterEvents(cfg.Sink, &rep)
-		cfg.Sink.Record(Event{
+		emitLinkEvents(cfg.Trace, rep.Links)
+		emitCounterEvents(cfg.Trace, &rep)
+		cfg.Trace.Record(Event{
 			Kind: EvJobEnd, Rank: -1, Node: -1, Peer: -1, Name: label,
 			Start: vclock.Time(rep.Makespan), Duration: rep.Makespan,
 		})

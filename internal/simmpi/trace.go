@@ -212,7 +212,7 @@ func sortTimeline(tl Timeline) {
 
 // record appends an event when tracing is on.
 func (r *Rank) record(e Event) {
-	if r.job.cfg.Sink == nil {
+	if r.job.cfg.Trace == nil {
 		return
 	}
 	e.Rank = r.id
@@ -232,7 +232,7 @@ type regionFrame struct {
 // is a complete no-op — annotations cost nothing in untraced runs and
 // never touch the virtual clock or statistics.
 func (r *Rank) Region(name string) {
-	if r.job.cfg.Sink == nil {
+	if r.job.cfg.Trace == nil {
 		return
 	}
 	now := r.clock.Now()
@@ -243,7 +243,7 @@ func (r *Rank) Region(name string) {
 // EndRegion closes the innermost open region. No-op when tracing is off;
 // panics on an unmatched EndRegion in a traced run.
 func (r *Rank) EndRegion() {
-	if r.job.cfg.Sink == nil {
+	if r.job.cfg.Trace == nil {
 		return
 	}
 	if len(r.regions) == 0 {

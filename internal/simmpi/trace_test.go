@@ -25,7 +25,7 @@ func TestTraceTimeline(t *testing.T) {
 	t.Parallel()
 	sink := &MemorySink{}
 	c := cfg(2, 2)
-	c.Sink = sink
+	c.Trace = sink
 	c.Label = "trace-test"
 	_, err := Run(c, func(r *Rank) error {
 		r.Compute(perfmodel.WorkProfile{Class: perfmodel.VectorOp, Flops: units.MFlop})
@@ -114,7 +114,7 @@ func TestTraceNoise(t *testing.T) {
 	t.Parallel()
 	sink := &MemorySink{}
 	c := cfg(1, 1)
-	c.Sink = sink
+	c.Trace = sink
 	c.NoiseProb = 1.0
 	c.NoiseDuration = units.Second
 	_, err := Run(c, func(r *Rank) error {
@@ -139,7 +139,7 @@ func TestRegions(t *testing.T) {
 	t.Parallel()
 	sink := &MemorySink{}
 	c := cfg(2, 1)
-	c.Sink = sink
+	c.Trace = sink
 	_, err := Run(c, func(r *Rank) error {
 		r.Region("outer")
 		r.Region("inner")
@@ -194,7 +194,7 @@ func TestRegions(t *testing.T) {
 func TestEndRegionUnmatchedPanics(t *testing.T) {
 	t.Parallel()
 	c := cfg(1, 1)
-	c.Sink = &MemorySink{}
+	c.Trace = &MemorySink{}
 	_, err := Run(c, func(r *Rank) error {
 		r.EndRegion()
 		return nil
@@ -209,7 +209,7 @@ func TestMultipleJobsOneSink(t *testing.T) {
 	sink := &MemorySink{}
 	for i := 0; i < 2; i++ {
 		c := cfg(1, 1)
-		c.Sink = sink
+		c.Trace = sink
 		if _, err := Run(c, func(r *Rank) error {
 			r.Compute(perfmodel.WorkProfile{Class: perfmodel.VectorOp, Flops: units.MFlop})
 			return nil

@@ -103,7 +103,7 @@ func TestTimelineTieBreak(t *testing.T) {
 	t.Parallel()
 	c := cfg(4, 1)
 	sink := &MemorySink{}
-	c.Sink = sink
+	c.Trace = sink
 	_, err := Run(c, func(r *Rank) error {
 		r.Compute(vecWork(100)) // identical on every rank: equal Start
 		return nil

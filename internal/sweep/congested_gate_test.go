@@ -6,6 +6,7 @@ import (
 	"testing"
 
 	"a64fxbench/internal/core"
+	"a64fxbench/internal/simmpi"
 	"a64fxbench/internal/sweep/golden"
 )
 
@@ -20,7 +21,7 @@ var congestedIDs = []string{"hpcg-weak", "table4", "ext-network"}
 // max-min solve or the replay leaks goroutine-scheduling order.
 func TestCongestedSweepIsDeterministic(t *testing.T) {
 	t.Parallel()
-	opt := core.Options{Quick: true, Congestion: true}
+	opt := core.Options{Quick: true, Instrumentation: simmpi.Instrumentation{Congestion: true}}
 	seqEng := New(1)
 	seq := seqEng.Run(context.Background(), congestedIDs, opt)
 	parEng := New(8)
@@ -50,7 +51,7 @@ func TestCongestionOptionKeysTheCache(t *testing.T) {
 	if free.Err != nil {
 		t.Fatal(free.Err)
 	}
-	cong := eng.Run(context.Background(), []string{"table4"}, core.Options{Quick: true, Congestion: true})[0]
+	cong := eng.Run(context.Background(), []string{"table4"}, core.Options{Quick: true, Instrumentation: simmpi.Instrumentation{Congestion: true}})[0]
 	if cong.Err != nil {
 		t.Fatal(cong.Err)
 	}
@@ -61,7 +62,7 @@ func TestCongestionOptionKeysTheCache(t *testing.T) {
 		t.Error("congestion left the multi-node table4 artifact byte-identical")
 	}
 	// Same options again: now it may (and must) hit its own slot.
-	again := eng.Run(context.Background(), []string{"table4"}, core.Options{Quick: true, Congestion: true})[0]
+	again := eng.Run(context.Background(), []string{"table4"}, core.Options{Quick: true, Instrumentation: simmpi.Instrumentation{Congestion: true}})[0]
 	if again.Err != nil {
 		t.Fatal(again.Err)
 	}

@@ -3,20 +3,20 @@ package sweep
 import (
 	"context"
 	"fmt"
+	"slices"
 	"sort"
 	"strconv"
 
 	"a64fxbench/internal/core"
 	"a64fxbench/internal/metrics"
 	"a64fxbench/internal/obs"
-	"a64fxbench/internal/simmpi"
 )
 
 // CounterSnapshot runs the given experiments with the virtual PMU
 // enabled and flattens every counted job into one canonical metrics
 // snapshot — the unit the regression sentinel diffs run against run.
 //
-// Each unique id runs once (duplicates coalesce); every job an
+// Each unique id runs once through Engine.Collect; every job an
 // experiment simulates contributes its makespan, counter totals, and
 // derived rates under the key prefix "<id>/<job#> <label>". The
 // snapshot is sorted and ready for WriteJSON; results are returned for
@@ -31,33 +31,7 @@ func CounterSnapshot(ctx context.Context, eng *Engine, ids []string, opt core.Op
 	}
 	cfg := opt.Counters.Sanitized()
 	opt.Counters = &cfg
-
-	// Deduplicate ids: counted runs bypass the cache, so a duplicate
-	// would re-run the experiment into the same sink and interleave
-	// streams across workers.
-	uniq := make([]string, 0, len(ids))
-	seen := map[string]bool{}
-	for _, id := range ids {
-		if !seen[id] {
-			seen[id] = true
-			uniq = append(uniq, id)
-		}
-	}
-	sinks := make(map[string]*simmpi.MemorySink, len(uniq))
-	for _, id := range uniq {
-		sinks[id] = &simmpi.MemorySink{}
-	}
-	// A private engine mirrors the caller's settings without clobbering
-	// a shared SinkFor (and without polluting the caller's cache with
-	// nothing — counted runs bypass it anyway).
-	run := &Engine{Workers: eng.Workers, FailFast: eng.FailFast,
-		SinkFor: func(id string) simmpi.TraceSink {
-			if s, ok := sinks[id]; ok {
-				return s
-			}
-			return nil
-		}}
-	results := run.Run(ctx, uniq, opt)
+	results := eng.Collect(ctx, ids, opt)
 
 	snap := metrics.NewSnapshot(map[string]string{
 		"quick":      strconv.FormatBool(opt.Quick),
@@ -69,16 +43,15 @@ func CounterSnapshot(ctx context.Context, eng *Engine, ids []string, opt core.Op
 		// snapshots disagree here.
 		"model": string(opt.ArtifactKey().Model),
 	})
-	order := make([]string, len(uniq))
-	copy(order, uniq)
-	sort.Strings(order)
-	for _, id := range order {
-		for j, jt := range obs.SplitJobs(sinks[id].Events) {
+	byID := slices.Clone(results)
+	sort.Slice(byID, func(i, j int) bool { return byID[i].ID < byID[j].ID })
+	for _, r := range byID {
+		for j, jt := range obs.SplitJobs(r.Timeline) {
 			cr := obs.BuildCounterReport(jt, obs.A64FXPeaks(jt))
 			if cr == nil {
 				continue
 			}
-			prefix := fmt.Sprintf("%s/%03d %s", id, j, jt.Label)
+			prefix := fmt.Sprintf("%s/%03d %s", r.ID, j, jt.Label)
 			obs.AppendCounterEntries(snap, prefix, cr)
 		}
 	}

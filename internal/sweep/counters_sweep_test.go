@@ -60,27 +60,36 @@ func TestCounterSnapshotDeterministicAcrossWorkers(t *testing.T) {
 }
 
 // TestCountersArtifactNeutral pins Options.Counters as an observability
-// field: the artifact of a counted run must be byte-identical to the
-// uncounted (cached-path) one.
+// field: the artifact of a counted run, executed with sinks attached,
+// must be byte-identical to the uncounted (cached-path) one. Without a
+// sink the counts have nowhere to go, so that run is a cache hit.
 func TestCountersArtifactNeutral(t *testing.T) {
 	t.Parallel()
+	ctx := context.Background()
 	eng := New(2)
 	ids := []string{"table3", "fig2"}
-	plain := eng.Run(context.Background(), ids, core.Options{Quick: true})
-	counted := eng.Run(context.Background(), ids, core.Options{
-		Quick:    true,
-		Counters: &metrics.Config{},
-	})
+	plain := eng.Run(ctx, ids, core.Options{Quick: true})
+	opt := core.Options{Quick: true}
+	opt.Counters = &metrics.Config{}
+	counted := eng.Collect(ctx, ids, opt)
 	for i, id := range ids {
 		if plain[i].Err != nil || counted[i].Err != nil {
 			t.Fatalf("%s: %v / %v", id, plain[i].Err, counted[i].Err)
 		}
 		if counted[i].Cached {
-			t.Errorf("%s: counted run hit the cache — it must bypass it", id)
+			t.Errorf("%s: counted run with a sink hit the cache — it must execute", id)
 		}
 		if !bytes.Equal(golden.Canonical(plain[i].Artifact), golden.Canonical(counted[i].Artifact)) {
 			t.Errorf("%s: counters changed the artifact (digest %s vs %s)",
 				id, golden.Digest(counted[i].Artifact), golden.Digest(plain[i].Artifact))
+		}
+	}
+	for i, r := range eng.Run(ctx, ids, opt) {
+		if r.Err != nil {
+			t.Fatalf("%s: %v", r.ID, r.Err)
+		}
+		if !r.Cached || r.Artifact != plain[i].Artifact {
+			t.Errorf("%s: Counters without a sink missed the cache", r.ID)
 		}
 	}
 }

@@ -9,6 +9,7 @@ import (
 
 	"a64fxbench/internal/core"
 	"a64fxbench/internal/perfmodel"
+	"a64fxbench/internal/simmpi"
 	"a64fxbench/internal/sweep/golden"
 )
 
@@ -39,7 +40,7 @@ func ecmArtifacts(t *testing.T) map[string]*core.Artifact {
 	ecmOnce.Do(func() {
 		eng := New(1)
 		results := eng.Run(context.Background(), ecmIDs(),
-			core.Options{Quick: true, Model: perfmodel.ModelECM})
+			core.Options{Quick: true, Instrumentation: simmpi.Instrumentation{Model: perfmodel.ModelECM}})
 		ecmArts = map[string]*core.Artifact{}
 		for _, r := range results {
 			if r.Err != nil {
@@ -111,7 +112,7 @@ func TestECMParallelMatchesSequential(t *testing.T) {
 	seq := ecmArtifacts(t)
 	eng := New(8)
 	results := eng.Run(context.Background(), ecmIDs(),
-		core.Options{Quick: true, Model: perfmodel.ModelECM})
+		core.Options{Quick: true, Instrumentation: simmpi.Instrumentation{Model: perfmodel.ModelECM}})
 	for _, r := range results {
 		if r.Err != nil {
 			t.Fatalf("%s: %v", r.ID, r.Err)

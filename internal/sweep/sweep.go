@@ -40,8 +40,7 @@ type Result struct {
 	// Cached reports whether the artifact came from the engine's cache.
 	Cached bool
 	// Timeline is the in-memory event log of every simulated job the
-	// experiment ran, collected when Options.Profile was set (and no
-	// external sink claimed the events). Nil otherwise.
+	// experiment ran. Only Collect sets it.
 	Timeline simmpi.Timeline
 }
 
@@ -129,6 +128,40 @@ func (e *Engine) workerCount(n int) int {
 // experiments that have not started; their results carry the context
 // error.
 func (e *Engine) Run(ctx context.Context, ids []string, opt core.Options) []Result {
+	return e.run(ctx, ids, opt, func(i int) simmpi.TraceSink {
+		if e.SinkFor == nil {
+			return nil
+		}
+		return e.SinkFor(ids[i])
+	})
+}
+
+// Collect is the observed-run path: it runs each distinct id once, in
+// first-seen order, with a fresh in-memory sink, and returns one Result
+// per distinct id whose Timeline holds every event the experiment's
+// jobs emitted (on failure, those of the jobs that completed). The
+// sinks replace opt.Trace and SinkFor, so collected runs always execute
+// and never touch the cache. Workers and FailFast apply as in Run.
+func (e *Engine) Collect(ctx context.Context, ids []string, opt core.Options) []Result {
+	uniq := make([]string, 0, len(ids))
+	seen := map[string]bool{}
+	for _, id := range ids {
+		if !seen[id] {
+			seen[id] = true
+			uniq = append(uniq, id)
+		}
+	}
+	sinks := make([]simmpi.MemorySink, len(uniq))
+	results := e.run(ctx, uniq, opt, func(i int) simmpi.TraceSink { return &sinks[i] })
+	for i := range results {
+		results[i].Timeline = sinks[i].Events
+	}
+	return results
+}
+
+// run executes ids on the worker pool; sinkFor(i) supplies the trace
+// sink of ids[i] (nil leaves opt.Trace in place).
+func (e *Engine) run(ctx context.Context, ids []string, opt core.Options, sinkFor func(i int) simmpi.TraceSink) []Result {
 	results := make([]Result, len(ids))
 	if len(ids) == 0 {
 		return results
@@ -143,7 +176,7 @@ func (e *Engine) Run(ctx context.Context, ids []string, opt core.Options) []Resu
 		go func() {
 			defer wg.Done()
 			for i := range queue {
-				results[i] = e.runOne(ctx, ids[i], opt)
+				results[i] = e.runOne(ctx, ids[i], opt, sinkFor(i))
 				if results[i].Err != nil && e.FailFast {
 					cancel(fmt.Errorf("sweep: %s failed: %w", ids[i], results[i].Err))
 				}
@@ -158,8 +191,9 @@ func (e *Engine) Run(ctx context.Context, ids []string, opt core.Options) []Resu
 	return results
 }
 
-// runOne executes (or fetches from cache) a single experiment.
-func (e *Engine) runOne(ctx context.Context, id string, opt core.Options) Result {
+// runOne executes (or fetches from cache) a single experiment; a
+// non-nil sink replaces opt.Trace.
+func (e *Engine) runOne(ctx context.Context, id string, opt core.Options, sink simmpi.TraceSink) Result {
 	start := time.Now()
 	if err := ctx.Err(); err != nil {
 		return Result{ID: id, Err: err}
@@ -167,42 +201,29 @@ func (e *Engine) runOne(ctx context.Context, id string, opt core.Options) Result
 	// Per-artifact telemetry: one span per requested id, a child of
 	// whatever span the caller carried in ctx (the serve daemon's
 	// request, or nothing — every method on a nil span is a no-op).
-	// Unlike Trace/Profile/Counters, telemetry does NOT bypass the
-	// artifact cache: spans describe this request's path, and "served
-	// from cache" is itself the story — hits are annotated cached=true
-	// and simply carry no job spans, because nothing executed.
+	// Telemetry does NOT bypass the artifact cache: spans describe this
+	// request's path, and "served from cache" is itself the story — hits
+	// are annotated cached=true and simply carry no job spans, because
+	// nothing executed.
 	span := telemetry.SpanFrom(ctx).Child("artifact:" + id)
 	defer span.End()
 	opt.Telemetry = span
-	if e.SinkFor != nil {
-		if s := e.SinkFor(id); s != nil {
-			opt.Trace = s
-		}
+	if sink != nil {
+		opt.Trace = sink
 	}
-	// Observed runs bypass the cache in both directions: a sink must see
-	// the events of this execution (a cached artifact has none, and a
-	// counted run's PMU stream lives in the events too), and the artifact
-	// of a bypass run must not displace the single-flight slot other
-	// workers may be waiting on.
-	if opt.Trace != nil || opt.Profile || opt.Counters != nil {
-		var mem *simmpi.MemorySink
-		if opt.Profile {
-			mem = &simmpi.MemorySink{}
-			if opt.Trace != nil {
-				opt.Trace = teeSink{opt.Trace, mem}
-			} else {
-				opt.Trace = mem
-			}
-		}
+	// A run with a trace sink bypasses the cache in both directions: the
+	// sink must see the events of this execution (a cached artifact has
+	// none), and the artifact of a bypass run must not displace the
+	// single-flight slot other workers may be waiting on. Nothing else
+	// outside the key changes an artifact; Counters without a sink has
+	// nowhere to report, so it shares the cache.
+	if opt.Trace != nil {
 		art, err := runExperiment(id, opt)
 		span.Fail(err)
-		res := Result{ID: id, Artifact: art, Err: err, Elapsed: time.Since(start)}
-		if mem != nil {
-			res.Timeline = mem.Events
-		}
-		return res
+		return Result{ID: id, Artifact: art, Err: err, Elapsed: time.Since(start)}
 	}
-	entry, owner := e.entryFor(cacheKey{id, opt.ArtifactKey()})
+	key := cacheKey{id, opt.ArtifactKey()}
+	entry, owner := e.entryFor(key)
 	if !owner {
 		// Someone else is (or was) computing this key; wait for it.
 		span.SetAttr("cached", true)
@@ -220,26 +241,14 @@ func (e *Engine) runOne(ctx context.Context, id string, opt core.Options) Result
 	span.Fail(err)
 	entry.art, entry.err = art, err
 	close(entry.ready)
-	return Result{ID: id, Artifact: art, Err: err, Elapsed: time.Since(start)}
-}
-
-// teeSink duplicates a traced run's event stream into the profile
-// collector without disturbing the caller's sink.
-type teeSink struct {
-	a, b simmpi.TraceSink
-}
-
-func (t teeSink) Record(e simmpi.Event) {
-	t.a.Record(e)
-	t.b.Record(e)
-}
-
-func (t teeSink) Close() error {
-	err := t.a.Close()
-	if err2 := t.b.Close(); err == nil {
-		err = err2
+	if err != nil {
+		// Failures are not cached: waiters already on this flight get
+		// the error, later callers run the experiment again.
+		e.mu.Lock()
+		delete(e.cache, key)
+		e.mu.Unlock()
 	}
-	return err
+	return Result{ID: id, Artifact: art, Err: err, Elapsed: time.Since(start)}
 }
 
 // entryFor returns the cache slot for key and whether the caller owns the

@@ -2,8 +2,10 @@ package sweep
 
 import (
 	"context"
+	"errors"
 	"strings"
 	"sync"
+	"sync/atomic"
 	"testing"
 
 	"a64fxbench/internal/core"
@@ -185,6 +187,44 @@ func TestPerExperimentTiming(t *testing.T) {
 	}
 	if results[0].Elapsed <= 0 {
 		t.Error("want a positive per-experiment elapsed time")
+	}
+}
+
+// flakyCalls counts executions of the ext-test-flaky experiment.
+var flakyCalls atomic.Int32
+
+// TestFailureIsNotCached: an experiment that fails once must run again
+// on the next request instead of replaying the failure from the cache.
+func TestFailureIsNotCached(t *testing.T) {
+	const id = "ext-test-flaky"
+	flakyCalls.Store(0)
+	if _, err := core.GetExtension(id); err != nil {
+		if err := core.RegisterExtension(&core.Experiment{
+			ID: id, Title: "fails on its first call", Kind: core.Table,
+			Run: func(core.Options) (*core.Artifact, error) {
+				if flakyCalls.Add(1) == 1 {
+					return nil, errors.New("transient failure")
+				}
+				return &core.Artifact{ID: id, Title: "fails on its first call", Kind: core.Table}, nil
+			},
+		}); err != nil {
+			t.Fatal(err)
+		}
+	}
+	eng := New(1)
+	ctx := context.Background()
+	if first := eng.Run(ctx, []string{id}, core.Options{})[0]; first.Err == nil {
+		t.Fatal("first call should fail")
+	}
+	second := eng.Run(ctx, []string{id}, core.Options{})[0]
+	if second.Err != nil {
+		t.Fatalf("second call replayed the failure: %v", second.Err)
+	}
+	if second.Cached {
+		t.Error("second call must execute, not come from the cache")
+	}
+	if third := eng.Run(ctx, []string{id}, core.Options{})[0]; !third.Cached {
+		t.Error("a success must still be cached")
 	}
 }
 

@@ -3,7 +3,6 @@ package sweep
 import (
 	"bytes"
 	"context"
-	"sync"
 	"testing"
 
 	"a64fxbench/internal/core"
@@ -15,49 +14,36 @@ import (
 // trace in memory.
 var tracedIDs = []string{"table3", "table5"}
 
-// renderSinks renders every per-id memory sink to its text timeline.
-func renderSinks(t *testing.T, sinks map[string]*simmpi.MemorySink) map[string]string {
+// renderTimeline renders a collected timeline in the text format.
+func renderTimeline(t *testing.T, tl simmpi.Timeline) string {
 	t.Helper()
-	out := map[string]string{}
-	for id, s := range sinks {
-		var b bytes.Buffer
-		if _, err := s.Events.WriteTo(&b); err != nil {
-			t.Fatal(err)
-		}
-		out[id] = b.String()
+	var b bytes.Buffer
+	if _, err := tl.WriteTo(&b); err != nil {
+		t.Fatal(err)
 	}
-	return out
+	return b.String()
 }
 
-// runTraced sweeps tracedIDs with a per-id sink on the given worker
-// count and returns each id's rendered trace.
+// runTraced collects tracedIDs on the given worker count and returns
+// each id's rendered trace.
 func runTraced(t *testing.T, workers int) map[string]string {
 	t.Helper()
-	eng := New(workers)
-	var mu sync.Mutex
-	sinks := map[string]*simmpi.MemorySink{}
-	eng.SinkFor = func(id string) simmpi.TraceSink {
-		mu.Lock()
-		defer mu.Unlock()
-		s := &simmpi.MemorySink{}
-		sinks[id] = s
-		return s
-	}
-	results := eng.Run(context.Background(), tracedIDs, core.Options{Quick: true})
-	for _, r := range results {
+	out := map[string]string{}
+	for _, r := range New(workers).Collect(context.Background(), tracedIDs, core.Options{Quick: true}) {
 		if r.Err != nil {
 			t.Fatalf("%s: %v", r.ID, r.Err)
 		}
 		if r.Cached {
 			t.Fatalf("%s: traced run served from cache", r.ID)
 		}
+		out[r.ID] = renderTimeline(t, r.Timeline)
 	}
-	return renderSinks(t, sinks)
+	return out
 }
 
-// TestTracedSweepParallelDeterministic is the ISSUE's byte-identity
-// gate: an 8-worker traced sweep must produce exactly the trace stream
-// of a sequential one, per experiment.
+// TestTracedSweepParallelDeterministic is the byte-identity gate: an
+// 8-worker traced sweep must produce exactly the trace stream of a
+// sequential one, per experiment.
 func TestTracedSweepParallelDeterministic(t *testing.T) {
 	seq := runTraced(t, 1)
 	par := runTraced(t, 8)
@@ -72,8 +58,8 @@ func TestTracedSweepParallelDeterministic(t *testing.T) {
 	}
 }
 
-// TestTraceBypassesCache checks the cache discipline around observed
-// runs: a traced execution neither reads nor writes the cache, and the
+// TestTraceBypassesCache checks the cache discipline around traced runs:
+// a traced execution neither reads nor writes the cache, and the
 // artifacts it produces are identical to the untraced ones.
 func TestTraceBypassesCache(t *testing.T) {
 	ctx := context.Background()
@@ -81,20 +67,30 @@ func TestTraceBypassesCache(t *testing.T) {
 	opt := core.Options{Quick: true}
 	eng := New(1)
 
-	// Prime the cache with an untraced run.
-	r1 := eng.Run(ctx, []string{id}, opt)[0]
+	// Traced first, through Options.Trace: it must not fill the cache.
+	traced := opt
+	traced.Trace = &simmpi.MemorySink{}
+	r1 := eng.Run(ctx, []string{id}, traced)[0]
 	if r1.Err != nil {
 		t.Fatal(r1.Err)
 	}
-
-	// Traced: must re-execute and must observe events.
-	sink := &simmpi.MemorySink{}
-	eng.SinkFor = func(string) simmpi.TraceSink { return sink }
 	r2 := eng.Run(ctx, []string{id}, opt)[0]
 	if r2.Err != nil {
 		t.Fatal(r2.Err)
 	}
 	if r2.Cached {
+		t.Error("a traced run wrote the cache")
+	}
+
+	// Traced again, through SinkFor, with the cache primed: it must
+	// re-execute and observe events.
+	sink := &simmpi.MemorySink{}
+	eng.SinkFor = func(string) simmpi.TraceSink { return sink }
+	r3 := eng.Run(ctx, []string{id}, opt)[0]
+	if r3.Err != nil {
+		t.Fatal(r3.Err)
+	}
+	if r3.Cached {
 		t.Error("traced run was served from the cache")
 	}
 	if len(sink.Events) == 0 {
@@ -102,18 +98,17 @@ func TestTraceBypassesCache(t *testing.T) {
 	}
 
 	// Untraced again: still a cache hit (tracing didn't evict), and the
-	// traced artifact matches the cached one (trace invariance).
+	// traced artifacts match the cached one (trace invariance).
 	eng.SinkFor = nil
-	r3 := eng.Run(ctx, []string{id}, opt)[0]
-	if r3.Err != nil {
-		t.Fatal(r3.Err)
+	r4 := eng.Run(ctx, []string{id}, opt)[0]
+	if r4.Err != nil {
+		t.Fatal(r4.Err)
 	}
-	if !r3.Cached {
+	if !r4.Cached {
 		t.Error("untraced rerun missed the cache after a traced run")
 	}
-	for _, pair := range [][2]*core.Artifact{{r1.Artifact, r2.Artifact}, {r1.Artifact, r3.Artifact}} {
-		a, b := renderJSON(t, pair[0]), renderJSON(t, pair[1])
-		if a != b {
+	for _, r := range []Result{r1, r3, r4} {
+		if renderJSON(t, r.Artifact) != renderJSON(t, r2.Artifact) {
 			t.Error("artifact changed across traced/untraced executions")
 		}
 	}
@@ -128,43 +123,51 @@ func renderJSON(t *testing.T, a *core.Artifact) string {
 	return buf.String()
 }
 
-// TestProfileCollectsTimeline checks that Options.Profile attaches an
-// in-memory collector and surfaces the events on the Result without
-// changing the artifact.
-func TestProfileCollectsTimeline(t *testing.T) {
+// TestCollectTimelines checks the observed-run path: Collect runs each
+// distinct id once with its own sink, returns the timelines in
+// first-seen order, never touches the cache, honours FailFast, and
+// leaves the artifacts unchanged.
+func TestCollectTimelines(t *testing.T) {
 	ctx := context.Background()
-	id := "table5"
-	eng := New(1)
-	plain := eng.Run(ctx, []string{id}, core.Options{Quick: true})[0]
+	opt := core.Options{Quick: true}
+	eng := New(2)
+	plain := eng.Run(ctx, []string{"table5"}, opt)[0]
 	if plain.Err != nil {
 		t.Fatal(plain.Err)
 	}
 	if plain.Timeline != nil {
-		t.Error("unprofiled run carries a timeline")
-	}
-	prof := eng.Run(ctx, []string{id}, core.Options{Quick: true, Profile: true})[0]
-	if prof.Err != nil {
-		t.Fatal(prof.Err)
-	}
-	if len(prof.Timeline) == 0 {
-		t.Fatal("profiled run collected no events")
-	}
-	if prof.Cached {
-		t.Error("profiled run was served from the cache")
-	}
-	if renderJSON(t, plain.Artifact) != renderJSON(t, prof.Artifact) {
-		t.Error("profiling changed the artifact")
+		t.Error("Run result carries a timeline")
 	}
 
-	// Profile plus an external sink: both get the full stream.
-	sink := &simmpi.MemorySink{}
-	eng.SinkFor = func(string) simmpi.TraceSink { return sink }
-	both := eng.Run(ctx, []string{id}, core.Options{Quick: true, Profile: true})[0]
-	if both.Err != nil {
-		t.Fatal(both.Err)
+	got := eng.Collect(ctx, []string{"table5", "table3", "table5"}, opt)
+	if len(got) != 2 || got[0].ID != "table5" || got[1].ID != "table3" {
+		t.Fatalf("want one result per distinct id in first-seen order, got %d", len(got))
 	}
-	if len(both.Timeline) != len(sink.Events) {
-		t.Errorf("tee mismatch: profile saw %d events, sink saw %d",
-			len(both.Timeline), len(sink.Events))
+	for _, r := range got {
+		if r.Err != nil {
+			t.Fatal(r.Err)
+		}
+		if len(r.Timeline) == 0 {
+			t.Errorf("%s: collected no events", r.ID)
+		}
+		if r.Cached {
+			t.Errorf("%s: collected run was served from the cache", r.ID)
+		}
+	}
+	if renderJSON(t, plain.Artifact) != renderJSON(t, got[0].Artifact) {
+		t.Error("collecting changed the artifact")
+	}
+	// Each id's timeline is its own: collecting table5 alone yields the
+	// same stream.
+	alone := eng.Collect(ctx, []string{"table5"}, opt)[0]
+	if renderTimeline(t, alone.Timeline) != renderTimeline(t, got[0].Timeline) {
+		t.Error("table5's timeline depends on what it was collected with")
+	}
+
+	ff := New(1)
+	ff.FailFast = true
+	res := ff.Collect(ctx, []string{"nosuch", "table1"}, opt)
+	if res[0].Err == nil || !res[1].Skipped() {
+		t.Errorf("FailFast: want a failure then a skip, got %v / %v", res[0].Err, res[1].Err)
 	}
 }
