@@ -50,9 +50,9 @@ type Config struct {
 	Cycles int
 	// Case is the workload; zero value means PaperTiN.
 	Case TiNCase
-	// Instrumentation bundles the shared observability and
-	// network-pricing options (Trace, Congestion, Counters) every
-	// benchmark carries; see simmpi.Instrumentation. CASTEP runs on a
+	// Instrumentation carries the run settings (trace sink,
+	// congestion, counters, model, telemetry) into every simulated
+	// job unchanged; see simmpi.Instrumentation. CASTEP runs on a
 	// single node, so Congestion never changes its results.
 	simmpi.Instrumentation
 }

@@ -52,9 +52,9 @@ type Config struct {
 	Nodes int
 	// Case is the workload; zero value means PaperTestCase.
 	Case TestCase
-	// Instrumentation bundles the shared observability and
-	// network-pricing options (Trace, Congestion, Counters) every
-	// benchmark carries; see simmpi.Instrumentation.
+	// Instrumentation carries the run settings (trace sink,
+	// congestion, counters, model, telemetry) into every simulated
+	// job unchanged; see simmpi.Instrumentation.
 	simmpi.Instrumentation
 }
 

@@ -50,9 +50,9 @@ type Config struct {
 	Iterations int
 	// Matrix is the workload; zero value means Benchmark1.
 	Matrix MatrixSpec
-	// Instrumentation bundles the shared observability and
-	// network-pricing options (Trace, Congestion, Counters) every
-	// benchmark carries; see simmpi.Instrumentation.
+	// Instrumentation carries the run settings (trace sink,
+	// congestion, counters, model, telemetry) into every simulated
+	// job unchanged; see simmpi.Instrumentation.
 	simmpi.Instrumentation
 }
 

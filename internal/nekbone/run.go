@@ -30,9 +30,9 @@ type Config struct {
 	// FastMath enables the aggressive-compiler mode (-Kfast; Table VI's
 	// "fast math" column).
 	FastMath bool
-	// Instrumentation bundles the shared observability and
-	// network-pricing options (Trace, Congestion, Counters) every
-	// benchmark carries; see simmpi.Instrumentation.
+	// Instrumentation carries the run settings (trace sink,
+	// congestion, counters, model, telemetry) into every simulated
+	// job unchanged; see simmpi.Instrumentation.
 	simmpi.Instrumentation
 }
 
