@@ -101,9 +101,12 @@ func GetSystem(id SystemID) (*System, error) { return arch.Get(id) }
 // SystemIDs lists the five IDs in the paper's order.
 func SystemIDs() []SystemID { return arch.IDs() }
 
-// DeriveSystem registers a new system modelled on an existing one,
-// inheriting its calibration; mutate may adjust any hardware field. Use
-// it for what-if studies (e.g. an A64FX with DDR4 in place of HBM2).
+// DeriveSystem returns a new system modelled on a registered one: a
+// copy with its own memory domains and calibration tables, so mutate
+// may adjust any field without touching the base. Nothing is
+// registered; the system is a value the caller passes to the
+// benchmarks. Use it for what-if studies (e.g. an A64FX with DDR4 in
+// place of HBM2).
 func DeriveSystem(base SystemID, newID SystemID, mutate func(*System)) (*System, error) {
 	return arch.Derive(base, newID, mutate)
 }
@@ -132,40 +135,30 @@ type (
 func ParseMachineSpec(data []byte) (*MachineSpec, error) { return spec.Parse(data) }
 
 // Machines lists every registered machine (the embedded Table-I five
-// plus any loaded or inline-registered specs) in registration order.
+// plus any specs loaded or registered through this API) in
+// registration order. Inline request specs are never registered.
 func Machines() []*Machine { return spec.Machines() }
 
 // GetMachine looks a registered machine up by name.
 func GetMachine(name string) (*Machine, bool) { return spec.Get(name) }
 
-// RegisterMachineSpec resolves (overlays included), compiles and
-// registers a machine spec, making it a runnable System. Registration
-// is idempotent by content digest; a same-name spec with different
-// content is an error.
+// RegisterMachineSpec resolves (overlays included), compiles and adds
+// a machine spec to the machine registry, and returns it as a System;
+// GetSystem and the -machine flag then find it by name for the life of
+// the process. Registration is idempotent by content digest; a
+// same-name spec with different content is an error.
 func RegisterMachineSpec(s *MachineSpec) (*System, error) {
 	m, err := spec.Default.AddSpec(s, "api")
 	if err != nil {
 		return nil, err
 	}
-	return arch.RegisterMachine(m)
+	return arch.FromMachine(m), nil
 }
 
 // LoadMachineSpecs loads every *.json machine spec in dir (overlays may
-// reference machines from other files in the same directory) and
-// registers each as a runnable System — the library form of the CLI's
-// -specs flag.
-func LoadMachineSpecs(dir string) ([]*Machine, error) {
-	machines, err := spec.LoadDir(dir)
-	if err != nil {
-		return nil, err
-	}
-	for _, m := range machines {
-		if _, err := arch.RegisterMachine(m); err != nil {
-			return nil, err
-		}
-	}
-	return machines, nil
-}
+// reference machines from other files in the same directory) into the
+// machine registry — the library form of the CLI's -specs flag.
+func LoadMachineSpecs(dir string) ([]*Machine, error) { return spec.LoadDir(dir) }
 
 // Calibrate refits a machine's efficiency table against its declared
 // anchor measurements, reducing the fit to two free parameters (a

@@ -8,7 +8,6 @@ import (
 	"sort"
 	"strings"
 
-	"a64fxbench/internal/arch"
 	"a64fxbench/internal/micro"
 	"a64fxbench/internal/perfmodel"
 	"a64fxbench/internal/spec"
@@ -181,7 +180,6 @@ func calibrateCmd(name string) error {
 			cal.LatencyModel.Seconds()*1e6, cal.LatencyAnchor.Seconds()*1e6)
 	}
 	fmt.Printf("\n  %-16s %-22s %-22s\n", "kernel class", "declared (comp/mem)", "refit (comp/mem)")
-	declared := arch.Efficiencies(arch.ID(cal.Machine))
 	var classes []string
 	for k := range cal.Eff {
 		classes = append(classes, k.String())
@@ -189,7 +187,7 @@ func calibrateCmd(name string) error {
 	sort.Strings(classes)
 	for _, cn := range classes {
 		k, _ := perfmodel.ParseKernelClass(cn)
-		d, r := declared[k], cal.Eff[k]
+		d, r := m.Efficiency[k], cal.Eff[k]
 		fmt.Printf("  %-16s %.4f / %.4f        %.4f / %.4f\n", cn, d.Compute, d.Memory, r.Compute, r.Memory)
 	}
 	if e := cal.MaxScaleError(); e > 0.01 {
@@ -201,20 +199,11 @@ func calibrateCmd(name string) error {
 
 // loadSpecs loads a machine-spec directory (the -specs flag, or the
 // A64FXBENCH_SPECS environment variable when the flag is unset) into
-// the default registry and registers every machine as a runnable
-// system.
+// the machine registry.
 func loadSpecs(dir string) error {
 	if dir == "" {
 		return nil
 	}
-	machines, err := spec.LoadDir(dir)
-	if err != nil {
-		return err
-	}
-	for _, m := range machines {
-		if _, err := arch.RegisterMachine(m); err != nil {
-			return err
-		}
-	}
-	return nil
+	_, err := spec.LoadDir(dir)
+	return err
 }

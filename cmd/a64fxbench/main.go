@@ -4,26 +4,11 @@
 //
 // Usage:
 //
-//	a64fxbench list                 list all experiments
-//	a64fxbench sysinfo              print the machine models (Table I)
-//	a64fxbench run <id> [...]       run experiments (e.g. table3 fig4)
-//	a64fxbench all                  run everything in paper order
-//	a64fxbench trace <id>           export one experiment's event trace
-//	a64fxbench counters [id ...]    run with the virtual PMU, export counters
-//	a64fxbench diff <old> <new>     compare counter snapshots (regression gate)
-//	a64fxbench serve                run the sweep-as-a-service HTTP daemon
+//	a64fxbench [flags] <command> [args] [flags]
 //
-// Flags:
-//
-//	-quick      reduce simulated iteration counts (fast smoke runs)
-//	-compare    show paper-vs-measured deltas beside each value
-//	-j N        run up to N experiments concurrently (default GOMAXPROCS)
-//	-profile    print per-job observability summaries after each artifact
-//	-format     text/chart/json/csv for run; text/chrome/json for trace
-//	-o FILE     write trace output to FILE instead of stdout
-//
-// Flags may appear before or after the command and its arguments
-// (`a64fxbench trace fig3 -format=chrome` works).
+// `a64fxbench -h` lists every command and flag. Flags may appear
+// before or after the command and its arguments (`a64fxbench trace
+// fig3 -format=chrome` works).
 package main
 
 import (

@@ -1,17 +1,13 @@
 package arch
 
 import (
-	"fmt"
 	"math"
-	"sync/atomic"
 	"testing"
 
 	"a64fxbench/internal/perfmodel"
+	"a64fxbench/internal/spec"
 	"a64fxbench/internal/units"
 )
-
-// deriveSeq makes registry IDs minted by tests unique across -count reruns.
-var deriveSeq atomic.Int64
 
 // TestTableISpecs pins the registry to the paper's Table I.
 func TestTableISpecs(t *testing.T) {
@@ -88,21 +84,20 @@ func TestMustGetPanics(t *testing.T) {
 
 func TestAllOrder(t *testing.T) {
 	t.Parallel()
-	// Other tests may register derived systems concurrently, so assert
-	// the ordering invariant rather than an exact count: the five paper
-	// systems lead in IDs() order, and anything after them is sorted.
-	all := All()
-	if len(all) < 5 {
-		t.Fatalf("All() returned %d systems, want at least 5", len(all))
+	// All is the machine registry in registration order: the five paper
+	// systems lead in IDs() order.
+	all, names := All(), spec.Names()
+	if len(all) != len(names) || len(all) < 5 {
+		t.Fatalf("All() returned %d systems, the registry holds %d (want at least 5)", len(all), len(names))
 	}
 	for i, id := range IDs() {
 		if all[i].ID != id {
 			t.Errorf("All()[%d] = %s, want %s", i, all[i].ID, id)
 		}
 	}
-	for i := 6; i < len(all); i++ {
-		if all[i-1].ID >= all[i].ID {
-			t.Errorf("derived systems out of order: %s before %s", all[i-1].ID, all[i].ID)
+	for i, name := range names {
+		if string(all[i].ID) != name {
+			t.Errorf("All()[%d] = %s, registry order has %s", i, all[i].ID, name)
 		}
 	}
 }
@@ -283,68 +278,60 @@ func TestFabricConstruction(t *testing.T) {
 
 func TestCalibrationAccessors(t *testing.T) {
 	t.Parallel()
-	if Efficiencies(A64FX) == nil {
-		t.Error("Efficiencies(A64FX) missing")
+	a, n := MustGet(A64FX), MustGet(NGIO)
+	if a.Eff == nil {
+		t.Error("A64FX efficiency table missing")
 	}
-	if FastMathGains(A64FX) == nil {
-		t.Error("FastMathGains(A64FX) missing")
+	if a.FastMathGain == nil {
+		t.Error("A64FX fast-math table missing")
 	}
 	// The A64FX fast-math gain on SmallGEMM is the Table VI anchor: the
 	// end-to-end Nekbone gain is 312.34/175.74 ≈ 1.78, which needs a
 	// larger per-kernel gain once the non-ax phases are accounted for.
-	if g := FastMathGains(A64FX)[perfmodel.SmallGEMM]; g < 1.78 || g > 2.6 {
+	if g := a.FastMathGain[perfmodel.SmallGEMM]; g < 1.78 || g > 2.6 {
 		t.Errorf("A64FX SmallGEMM gain = %v, outside calibrated range", g)
 	}
 	// NGIO loses performance with fast math (Table VI).
-	if g := FastMathGains(NGIO)[perfmodel.SmallGEMM]; g >= 1 {
+	if g := n.FastMathGain[perfmodel.SmallGEMM]; g >= 1 {
 		t.Errorf("NGIO SmallGEMM gain = %v, want <1", g)
 	}
 }
 
 func TestDerive(t *testing.T) {
 	t.Parallel()
-	// Unique per invocation so -count=N reruns in one process don't
-	// collide in the global registry.
-	did := ID(fmt.Sprintf("A64FX-test-derive-%d", deriveSeq.Add(1)))
+	const did ID = "A64FX-test-derive"
 	d, err := Derive(A64FX, did, func(s *System) {
 		s.Node.Domains[0].PeakBandwidth *= 2
+		s.Eff[perfmodel.StencilFD] = perfmodel.Efficiency{Compute: 1, Memory: 1}
 	})
 	if err != nil {
 		t.Fatal(err)
 	}
 	base := MustGet(A64FX)
 	// Mutation applied to the copy only.
+	if d.ID != did {
+		t.Errorf("derived ID = %s, want %s", d.ID, did)
+	}
 	if d.Node.Domains[0].PeakBandwidth != 2*base.Node.Domains[0].PeakBandwidth {
 		t.Error("mutation missing on derived system")
 	}
 	if base.Node.Domains[0].PeakBandwidth == d.Node.Domains[0].PeakBandwidth {
-		t.Error("base system mutated")
+		t.Error("base memory domains mutated")
+	}
+	if base.Eff[perfmodel.StencilFD] == d.Eff[perfmodel.StencilFD] {
+		t.Error("base calibration mutated")
 	}
 	// Calibration inherited.
-	if len(d.CostModel().Eff) == 0 {
-		t.Error("derived system has no calibration")
+	if d.Eff[perfmodel.SpMV] != base.Eff[perfmodel.SpMV] || len(d.CostModel().FastMathGain) == 0 {
+		t.Error("derived system did not inherit the base calibration")
 	}
-	// Registered and retrievable.
-	if got := MustGet(did); got != d {
-		t.Error("derived system not registered")
-	}
-	// Duplicates rejected.
-	if _, err := Derive(A64FX, did, nil); err == nil {
-		t.Error("duplicate derive should fail")
+	// A derived system is a value: the registry never sees it.
+	if _, err := Get(did); err == nil {
+		t.Error("derived system was registered")
 	}
 	if _, err := Derive("nonexistent", "x", nil); err == nil {
 		t.Error("unknown base should fail")
 	}
-}
-
-func TestSetEfficienciesGuard(t *testing.T) {
-	t.Parallel()
-	defer func() {
-		if recover() == nil {
-			t.Error("overwriting base calibration should panic")
-		}
-	}()
-	SetEfficiencies(A64FX, nil)
 }
 
 func TestNUMASpanningPenalty(t *testing.T) {

@@ -6,45 +6,17 @@ import (
 	"a64fxbench/internal/spec"
 )
 
-// The registry is spec-backed: the five Table-I systems load from the
-// embedded machine specs at init, and any machine a user declares in
-// JSON (spec files, inline request specs) registers through the same
-// path. Specs are the data source; System stays the model-facing view.
+// The machine registry is spec.Default: the five Table-I systems are
+// its embedded specs, and `-specs DIR` loads extend it. This package
+// keeps no registry of its own — Get, MustGet and All read spec.Default
+// through FromMachine, and derived systems (Derive) are plain values.
 
-// machineSpecs records the compiled spec behind each spec-backed
-// system, keyed by ID; guarded by regMu with the other registry maps.
-var machineSpecs = map[ID]*spec.Machine{}
-
-func init() {
-	for _, m := range spec.Embedded() {
-		if _, err := RegisterMachine(m); err != nil {
-			panic("arch: embedded spec: " + err.Error())
-		}
-	}
-}
-
-// RegisterMachine installs a compiled machine spec as a System,
-// including its calibration tables. Registration is idempotent by spec
-// digest: the same machine registers once, while a same-name machine
-// with different content is an error — names stay injective to specs
-// for the process lifetime, so artifact caches may key on the name.
-func RegisterMachine(m *spec.Machine) (*System, error) {
-	regMu.Lock()
-	defer regMu.Unlock()
-	id := ID(m.Name())
-	if s, ok := systems[id]; ok {
-		prev, specBacked := machineSpecs[id]
-		if specBacked && prev.Digest() == m.Digest() {
-			return s, nil
-		}
-		if specBacked {
-			return nil, fmt.Errorf("arch: machine %q already registered with a different spec (digest %.12s vs %.12s)",
-				id, prev.Digest(), m.Digest())
-		}
-		return nil, fmt.Errorf("arch: machine %q collides with a non-spec system of the same name", id)
-	}
-	s := &System{
-		ID:                id,
+// FromMachine returns the System view of a compiled machine spec. The
+// system shares the machine's memory domains and calibration tables,
+// which are immutable once compiled.
+func FromMachine(m *spec.Machine) *System {
+	return &System{
+		ID:                ID(m.Name()),
 		Description:       m.Spec.Description,
 		Processor:         m.Spec.Processor,
 		Microarch:         m.Spec.Microarch,
@@ -56,19 +28,37 @@ func RegisterMachine(m *spec.Machine) (*System, error) {
 		MaxNodes:          m.Spec.MaxNodes,
 		Node:              m.Node,
 		NewFabric:         m.NewFabric,
+		Eff:               m.Efficiency,
+		FastMathGain:      m.FastMathGain,
 	}
-	efficiencies[id] = m.Efficiency
-	fastMathGains[id] = m.FastMathGain
-	machineSpecs[id] = m
-	registerLocked(s)
-	return s, nil
 }
 
-// MachineSpec returns the compiled spec behind a spec-backed system;
-// ok is false for systems created by Derive or legacy registration.
-func MachineSpec(id ID) (*spec.Machine, bool) {
-	regMu.RLock()
-	defer regMu.RUnlock()
-	m, ok := machineSpecs[id]
-	return m, ok
+// Get returns the registered machine with the given ID as a System.
+func Get(id ID) (*System, error) {
+	m, ok := spec.Get(string(id))
+	if !ok {
+		return nil, fmt.Errorf("arch: unknown system %q", id)
+	}
+	return FromMachine(m), nil
+}
+
+// MustGet is Get for known-constant IDs; it panics on failure.
+func MustGet(id ID) *System {
+	s, err := Get(id)
+	if err != nil {
+		panic(err)
+	}
+	return s
+}
+
+// All returns every registered machine as a System, in registration
+// order: the five Table-I systems in the paper's column order, then any
+// machines loaded since.
+func All() []*System {
+	machines := spec.Machines()
+	out := make([]*System, len(machines))
+	for i, m := range machines {
+		out[i] = FromMachine(m)
+	}
+	return out
 }

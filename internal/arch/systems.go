@@ -4,15 +4,14 @@
 // structure (CMGs on the A64FX, sockets elsewhere) and interconnect that
 // the performance model needs.
 //
-// It also carries the Table II toolchain metadata and the calibrated
-// per-kernel efficiency tables (calibration.go) that turn hardware
-// capability into achievable rates.
+// It also carries the Table II toolchain metadata, and every System
+// carries its own calibrated per-kernel efficiency tables that turn
+// hardware capability into achievable rates.
 package arch
 
 import (
 	"fmt"
-	"sort"
-	"sync"
+	"maps"
 
 	"a64fxbench/internal/netmodel"
 	"a64fxbench/internal/perfmodel"
@@ -62,6 +61,24 @@ type System struct {
 	// NewFabric constructs the interconnect model for a job of the
 	// given node count.
 	NewFabric func(nodes int) *netmodel.Fabric
+	// Eff is the calibrated efficiency table: the fraction of the
+	// node's capability each kernel class achieves with the paper's
+	// toolchains (Table II) — the only free parameters of the
+	// performance model (DESIGN.md §4). The calibration anchors:
+	//   - Table III (single-node HPCG) pins SymGS/SpMV memory efficiency.
+	//   - Table V (single-core minikab) pins single-stream SpMV behaviour.
+	//   - Table VI (Nekbone ± fast math) pins SmallGEMM compute efficiency
+	//     and the Fujitsu -Kfast gain (and the slight fast-math *loss* on
+	//     NGIO: 127.19 → 90.37 GFLOP/s).
+	//   - Table IX (CASTEP) pins FFT/LargeGEMM efficiency.
+	//   - Table X (OpenSBLI) pins the StencilFD penalty on the A64FX.
+	// Systems read from the registry share their machine spec's table,
+	// which is immutable; Derive gives a copy its own.
+	Eff map[perfmodel.KernelClass]perfmodel.Efficiency
+	// FastMathGain is the multiplicative compute-efficiency gain per
+	// kernel class under the aggressive compiler mode (-Kfast on the
+	// Fujitsu toolchain, -ffast-math/-Ofast elsewhere).
+	FastMathGain map[perfmodel.KernelClass]float64
 }
 
 // CoresPerNode reports the user-visible cores per node.
@@ -84,12 +101,7 @@ func (s *System) PeakNodeGFlops() float64 { return s.Node.PeakFlops.GFLOPs() }
 
 // CostModel builds the calibrated roofline model for this system's nodes.
 func (s *System) CostModel() *perfmodel.CostModel {
-	eff, gains := calibration(s.ID)
-	return &perfmodel.CostModel{
-		Node:         s.Node,
-		Eff:          eff,
-		FastMathGain: gains,
-	}
+	return &perfmodel.CostModel{Node: s.Node, Eff: s.Eff, FastMathGain: s.FastMathGain}
 }
 
 // PerRankCapability returns the slice of a node's capability that one MPI
@@ -159,146 +171,33 @@ func (s *System) PerRankCapability(ranksPerNode, threadsPerRank int) perfmodel.N
 // PerRankModel builds a calibrated cost model for one rank's share of a
 // node under the given process/thread layout.
 func (s *System) PerRankModel(ranksPerNode, threadsPerRank int) *perfmodel.CostModel {
-	return s.PerRankModelWith(nil, nil, ranksPerNode, threadsPerRank)
-}
-
-// PerRankModelWith is PerRankModel with explicit calibration tables in
-// place of the system's registered ones (nil eff means "use the
-// registered calibration"). The calibration protocol iterates candidate
-// tables through this without ever touching the registry.
-func (s *System) PerRankModelWith(eff map[perfmodel.KernelClass]perfmodel.Efficiency, gains map[perfmodel.KernelClass]float64, ranksPerNode, threadsPerRank int) *perfmodel.CostModel {
-	if eff == nil {
-		eff, gains = calibration(s.ID)
-	}
 	return &perfmodel.CostModel{
 		Node:         s.PerRankCapability(ranksPerNode, threadsPerRank),
-		Eff:          eff,
-		FastMathGain: gains,
+		Eff:          s.Eff,
+		FastMathGain: s.FastMathGain,
 	}
 }
 
-// Derive registers a new system modelled on an existing one: the base
-// system's description and calibration are copied, then mutate may adjust
-// any field (memory domains, clock, interconnect, ...). This is the
-// entry point for ablation studies — e.g. "A64FX with DDR4 instead of
-// HBM2" — which inherit the base machine's kernel efficiencies.
+// Derive returns a new system modelled on the registered system base:
+// a copy renamed to newID, whose memory domains and calibration tables
+// are its own, so mutate may adjust any field (memory domains, clock,
+// interconnect, efficiencies, ...) without touching the base. This is
+// the entry point for ablation studies — e.g. "A64FX with DDR4 instead
+// of HBM2" — which inherit the base machine's kernel efficiencies.
+// Nothing is registered: the derived system lives as long as its caller
+// holds it.
 func Derive(base ID, newID ID, mutate func(*System)) (*System, error) {
-	regMu.Lock()
-	defer regMu.Unlock()
-	return deriveLocked(base, newID, mutate, nil)
-}
-
-// DeriveOrGet returns the already-registered system newID, or atomically
-// derives it from base as Derive would. When eff is non-nil it becomes
-// the new system's calibration table, installed under the same lock so no
-// concurrent reader ever observes the system with the base calibration.
-// Concurrency-safe: two goroutines racing to create the same ablation
-// system both receive the one registered copy.
-func DeriveOrGet(base ID, newID ID, mutate func(*System), eff map[perfmodel.KernelClass]perfmodel.Efficiency) (*System, error) {
-	regMu.Lock()
-	defer regMu.Unlock()
-	if s, ok := systems[newID]; ok {
-		return s, nil
-	}
-	return deriveLocked(base, newID, mutate, eff)
-}
-
-// deriveLocked implements Derive; regMu must be held.
-func deriveLocked(base ID, newID ID, mutate func(*System), eff map[perfmodel.KernelClass]perfmodel.Efficiency) (*System, error) {
-	b, ok := systems[base]
-	if !ok {
-		return nil, fmt.Errorf("arch: unknown system %q", base)
-	}
-	if _, dup := systems[newID]; dup {
-		return nil, fmt.Errorf("arch: system %q already exists", newID)
+	b, err := Get(base)
+	if err != nil {
+		return nil, err
 	}
 	s := *b
 	s.ID = newID
-	// Deep-copy the memory domains so mutations don't alias the base.
 	s.Node.Domains = append([]perfmodel.MemoryDomain(nil), b.Node.Domains...)
+	s.Eff = maps.Clone(b.Eff)
+	s.FastMathGain = maps.Clone(b.FastMathGain)
 	if mutate != nil {
 		mutate(&s)
 	}
-	if eff != nil {
-		efficiencies[newID] = eff
-		fastMathGains[newID] = fastMathGains[base]
-	} else if _, ok := efficiencies[newID]; !ok {
-		// Share the base calibration under the new ID.
-		efficiencies[newID] = efficiencies[base]
-		fastMathGains[newID] = fastMathGains[base]
-	}
-	registerLocked(&s)
 	return &s, nil
 }
-
-// systems holds the registry, keyed by ID. regMu guards it together with
-// the calibration maps in calibration.go: the five base systems are
-// registered at init, but ablation studies (Derive) extend all three maps
-// at run time, possibly from concurrent sweep workers.
-var (
-	regMu   sync.RWMutex
-	systems = map[ID]*System{}
-)
-
-func register(s *System) *System {
-	regMu.Lock()
-	defer regMu.Unlock()
-	return registerLocked(s)
-}
-
-func registerLocked(s *System) *System {
-	if _, dup := systems[s.ID]; dup {
-		panic("arch: duplicate system " + string(s.ID))
-	}
-	systems[s.ID] = s
-	return s
-}
-
-// Get returns the system with the given ID.
-func Get(id ID) (*System, error) {
-	regMu.RLock()
-	s, ok := systems[id]
-	regMu.RUnlock()
-	if !ok {
-		return nil, fmt.Errorf("arch: unknown system %q", id)
-	}
-	return s, nil
-}
-
-// MustGet is Get for known-constant IDs; it panics on failure.
-func MustGet(id ID) *System {
-	s, err := Get(id)
-	if err != nil {
-		panic(err)
-	}
-	return s
-}
-
-// All returns every registered system in the paper's column order, then
-// any extras sorted by name.
-func All() []*System {
-	regMu.RLock()
-	defer regMu.RUnlock()
-	var out []*System
-	seen := map[ID]bool{}
-	for _, id := range IDs() {
-		if s, ok := systems[id]; ok {
-			out = append(out, s)
-			seen[id] = true
-		}
-	}
-	var rest []*System
-	for id, s := range systems {
-		if !seen[id] {
-			rest = append(rest, s)
-		}
-	}
-	sort.Slice(rest, func(i, j int) bool { return rest[i].ID < rest[j].ID })
-	return append(out, rest...)
-}
-
-// The five machines of the study are no longer hard-coded here: they
-// load from the embedded machine specs in internal/spec/specs/*.json
-// (machines.go), the same declarative format users extend with
-// `-specs DIR`. A neutrality test pins the loaded systems bit-for-bit
-// against the paper's Table-I values.

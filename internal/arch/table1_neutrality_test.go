@@ -16,6 +16,11 @@ import (
 // so every committed golden digest stays byte-identical. The literals
 // below are the pre-spec tables, frozen.
 
+// eff is shorthand for an Efficiency literal.
+func eff(compute, memory float64) perfmodel.Efficiency {
+	return perfmodel.Efficiency{Compute: compute, Memory: memory}
+}
+
 func legacyDomains(n int, cores int, peak, perCore units.ByteRate, capacity units.Bytes) []perfmodel.MemoryDomain {
 	out := make([]perfmodel.MemoryDomain, n)
 	for i := range out {
@@ -277,9 +282,11 @@ func TestSpecReproducesTable1(t *testing.T) {
 				t.Fatal(err)
 			}
 			// Compare everything except the fabric constructor (a func)
+			// and the calibration tables (TestSpecReproducesCalibration)
 			// field-for-field; floats must be identical, not close.
 			gotCmp, wantCmp := *got, *want
 			gotCmp.NewFabric, wantCmp.NewFabric = nil, nil
+			gotCmp.Eff, gotCmp.FastMathGain = nil, nil
 			if !reflect.DeepEqual(gotCmp, wantCmp) {
 				t.Errorf("spec-loaded system differs from legacy literal:\n got: %+v\nwant: %+v", gotCmp, wantCmp)
 			}
@@ -303,15 +310,16 @@ func TestSpecReproducesTable1(t *testing.T) {
 	}
 }
 
-// TestSpecReproducesCalibration pins the installed calibration tables
+// TestSpecReproducesCalibration pins each system's calibration tables
 // against the frozen literals, exactly.
 func TestSpecReproducesCalibration(t *testing.T) {
 	t.Parallel()
 	for _, id := range IDs() {
-		if got, want := Efficiencies(id), legacyEfficiencies[id]; !reflect.DeepEqual(got, want) {
+		s := MustGet(id)
+		if got, want := s.Eff, legacyEfficiencies[id]; !reflect.DeepEqual(got, want) {
 			t.Errorf("%s: efficiency table differs from legacy literal:\n got: %v\nwant: %v", id, got, want)
 		}
-		if got, want := FastMathGains(id), legacyFastMathGains[id]; !reflect.DeepEqual(got, want) {
+		if got, want := s.FastMathGain, legacyFastMathGains[id]; !reflect.DeepEqual(got, want) {
 			t.Errorf("%s: fast-math table differs from legacy literal:\n got: %v\nwant: %v", id, got, want)
 		}
 	}

@@ -11,6 +11,7 @@ import (
 
 	"a64fxbench/internal/perfmodel"
 	"a64fxbench/internal/simmpi"
+	"a64fxbench/internal/spec"
 )
 
 // Kind distinguishes tables from figures.
@@ -48,13 +49,14 @@ type Options struct {
 	// Quick reduces simulated iteration counts for fast smoke runs;
 	// rates and shapes are unchanged (the simulation is steady-state).
 	Quick bool
-	// Machine names the target machine for machine-parameterized
+	// Machine is the target machine for machine-parameterized
 	// experiments (the ext-machine suite runs its single-node
-	// microbenchmarks on it). Paper artifacts ignore it — their system
-	// sets are fixed by the paper — so it participates in ArtifactKey
-	// only through the experiments that read it. Empty means the
-	// experiment's own default (A64FX).
-	Machine string
+	// microbenchmarks on it): a registered machine, or a request's
+	// inline spec compiled for that request alone. Paper artifacts
+	// ignore it — their system sets are fixed by the paper — so it
+	// participates in ArtifactKey only through the experiments that
+	// read it. Nil means the experiment's own default (A64FX).
+	Machine *spec.Machine
 	simmpi.Instrumentation
 }
 
@@ -65,8 +67,10 @@ type Options struct {
 type OptionsKey struct {
 	Quick      bool
 	Congestion bool
-	Machine    string
-	Model      perfmodel.Model
+	// Machine is the target machine's spec digest ("" for the
+	// default), so two specs that share a name never share a slot.
+	Machine string
+	Model   perfmodel.Model
 }
 
 // ArtifactKey projects the options onto their artifact-affecting fields.
@@ -76,7 +80,11 @@ func (o Options) ArtifactKey() OptionsKey {
 	if model == "" {
 		model = perfmodel.ModelRoofline
 	}
-	return OptionsKey{Quick: o.Quick, Congestion: o.Congestion, Machine: o.Machine, Model: model}
+	key := OptionsKey{Quick: o.Quick, Congestion: o.Congestion, Model: model}
+	if o.Machine != nil {
+		key.Machine = o.Machine.Digest()
+	}
+	return key
 }
 
 // Cell is one measured value with an optional paper reference.

@@ -92,7 +92,6 @@ var _ = registerExt(&Experiment{
 					"so fabric choice moves the result by only a few percent at this scale",
 			},
 		}
-		base := arch.MustGet(arch.A64FX)
 		fabrics := []struct {
 			name string
 			from arch.ID
@@ -105,15 +104,13 @@ var _ = registerExt(&Experiment{
 		}
 		var ref float64
 		for _, f := range fabrics {
-			sysID := arch.ID("A64FX+" + f.name)
 			donor := arch.MustGet(f.from)
-			sys, err := arch.DeriveOrGet(arch.A64FX, sysID, func(s *arch.System) {
+			sys, err := arch.Derive(arch.A64FX, arch.ID("A64FX+"+f.name), func(s *arch.System) {
 				s.NewFabric = donor.NewFabric
-			}, nil)
+			})
 			if err != nil {
 				return nil, err
 			}
-			_ = base
 			res, err := hpcg.Run(hpcg.Config{System: sys, Nodes: 8, Iterations: iters, Instrumentation: opt.Instrumentation})
 			if err != nil {
 				return nil, err
@@ -172,12 +169,11 @@ var _ = registerExt(&Experiment{
 	},
 })
 
-// nekboneRunWithNoise runs the metered Nekbone loop with an explicit
-// noise probability, bypassing the benchmark's calibrated default.
+// nekboneRunWithNoise runs fast-math Nekbone through nekbone.RunWithNoise
+// with an explicit noise probability in place of the benchmark's
+// calibrated default (noise lives in the job, not the system, so a
+// derived system cannot carry it), and returns the runtime in seconds.
 func nekboneRunWithNoise(sys *arch.System, nodes, iters int, noise float64, opt Options) (float64, error) {
-	// Reuse the public benchmark but override noise via a derived
-	// system is not possible (noise lives in the job); replicate the
-	// essential loop compactly instead.
 	res, err := nekbone.RunWithNoise(nekbone.Config{
 		System: sys, Nodes: nodes, Iterations: iters, FastMath: true,
 		Instrumentation: opt.Instrumentation,
@@ -208,6 +204,7 @@ var _ = registerExt(&Experiment{
 			Columns: []string{"Runtime (s)", "vs measured A64FX"},
 		}
 		base := arch.MustGet(arch.A64FX)
+		ngio := arch.MustGet(arch.NGIO)
 		meas, err := opensbli.Run(opensbli.Config{System: base, Nodes: 1, Case: tc, Instrumentation: opt.Instrumentation})
 		if err != nil {
 			return nil, err
@@ -220,9 +217,9 @@ var _ = registerExt(&Experiment{
 			label string
 			eff   perfmodel.Efficiency
 		}{
-			{"A64FX as measured (generated code)", arch.Efficiencies(arch.A64FX)[perfmodel.StencilFD]},
-			{"A64FX at COSA-kernel efficiency", arch.Efficiencies(arch.A64FX)[perfmodel.FluxFV]},
-			{"NGIO as measured (for reference)", arch.Efficiencies(arch.NGIO)[perfmodel.StencilFD]},
+			{"A64FX as measured (generated code)", base.Eff[perfmodel.StencilFD]},
+			{"A64FX at COSA-kernel efficiency", base.Eff[perfmodel.FluxFV]},
+			{"NGIO as measured (for reference)", ngio.Eff[perfmodel.StencilFD]},
 		}
 		for i, r := range rows {
 			var sec float64
@@ -230,16 +227,9 @@ var _ = registerExt(&Experiment{
 			case 0:
 				sec = meas.Seconds
 			case 1:
-				sysID := arch.ID("A64FX-goodstencil")
-				// Patched calibration copy, installed atomically with
-				// the derived system so concurrent sweep workers never
-				// observe it with the base StencilFD efficiency.
-				eff := make(map[perfmodel.KernelClass]perfmodel.Efficiency)
-				for k, v := range arch.Efficiencies(arch.A64FX) {
-					eff[k] = v
-				}
-				eff[perfmodel.StencilFD] = r.eff
-				sys, err := arch.DeriveOrGet(arch.A64FX, sysID, nil, eff)
+				sys, err := arch.Derive(arch.A64FX, "A64FX-goodstencil", func(s *arch.System) {
+					s.Eff[perfmodel.StencilFD] = r.eff
+				})
 				if err != nil {
 					return nil, err
 				}
@@ -249,7 +239,7 @@ var _ = registerExt(&Experiment{
 				}
 				sec = res.Seconds
 			case 2:
-				res, err := opensbli.Run(opensbli.Config{System: arch.MustGet(arch.NGIO), Nodes: 1, Case: tc, Instrumentation: opt.Instrumentation})
+				res, err := opensbli.Run(opensbli.Config{System: ngio, Nodes: 1, Case: tc, Instrumentation: opt.Instrumentation})
 				if err != nil {
 					return nil, err
 				}

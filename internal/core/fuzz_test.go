@@ -3,11 +3,14 @@ package core
 import (
 	"encoding/json"
 	"testing"
+
+	"a64fxbench/internal/spec"
 )
 
 // FuzzDecodeRequest hardens the HTTP request decoder: DecodeRequest must
-// never panic, and an accepted request, re-marshalled and decoded again,
-// must normalize to the same Digest (the serve cache key).
+// never panic, must never grow the machine registry (inline specs are
+// request-scoped), and an accepted request, re-marshalled and decoded
+// again, must normalize to the same Digest (the serve cache key).
 func FuzzDecodeRequest(f *testing.F) {
 	for _, seed := range []string{
 		`{"ids":["table1","fig3"],"quick":true,"congestion":true,"format":"json","compare":true,"period_ns":50000}`,
@@ -29,7 +32,11 @@ func FuzzDecodeRequest(f *testing.F) {
 		f.Add([]byte(seed))
 	}
 	f.Fuzz(func(t *testing.T, data []byte) {
+		machines := len(spec.Names())
 		req, err := ParseRequest(data)
+		if got := len(spec.Names()); got != machines {
+			t.Fatalf("decoding %s changed the registry from %d to %d machines", data, machines, got)
+		}
 		if err != nil {
 			return
 		}

@@ -7,17 +7,18 @@ import (
 	"a64fxbench/internal/hpcg"
 	"a64fxbench/internal/micro"
 	"a64fxbench/internal/nekbone"
+	"a64fxbench/internal/spec"
 	"a64fxbench/internal/units"
 )
 
 // ext-machine runs the calibrated single-node probe suite on any
-// registered machine — embedded Table-I system, `-specs DIR` load, or a
-// spec passed by value in the request. It is the machine-parameterized
+// machine — embedded Table-I system, `-specs DIR` load, or a spec
+// passed by value in the request. It is the machine-parameterized
 // experiment: Options.Machine picks the target (default A64FX), and the
-// machine name is part of ArtifactKey, so artifacts for different
-// machines never share a cache slot. When the machine is spec-backed,
-// its declared anchors appear in the paper-reference column so drift is
-// visible in the standard comparison rendering.
+// machine's digest is part of ArtifactKey, so artifacts for different
+// machines never share a cache slot. The machine's declared anchors
+// appear in the paper-reference column so drift is visible in the
+// standard comparison rendering.
 var _ = registerExt(&Experiment{
 	ID:    "ext-machine",
 	Title: "Machine probe: single-node suite on a declared machine",
@@ -27,31 +28,25 @@ var _ = registerExt(&Experiment{
 		"Nekbone on the machine named by the request (default A64FX). " +
 		"Declared spec anchors fill the reference column.",
 	Run: func(opt Options) (*Artifact, error) {
-		name := opt.Machine
-		if name == "" {
-			name = string(arch.A64FX)
+		m := opt.Machine
+		if m == nil {
+			m, _ = spec.Get(string(arch.A64FX)) // embedded, always registered
 		}
-		sys, err := arch.Get(arch.ID(name))
-		if err != nil {
-			return nil, err
-		}
+		sys := arch.FromMachine(m)
 		iters := 10
 		if opt.Quick {
 			iters = 3
 		}
 		a := &Artifact{
-			ID: "ext-machine", Title: fmt.Sprintf("Single-node probe suite on %s", name), Kind: Table,
+			ID: "ext-machine", Title: fmt.Sprintf("Single-node probe suite on %s", m.Name()), Kind: Table,
 			Columns: []string{"value"},
 			Notes: []string{
 				"reference values are the machine spec's declared anchors, not paper measurements",
 			},
 		}
-		anchorTriad, anchorPeak, anchorLat := nan, nan, nan
-		if m, ok := arch.MachineSpec(sys.ID); ok {
-			anchorTriad = float64(m.Anchors.TriadBandwidth) / 1e9
-			anchorPeak = float64(m.Anchors.PeakFlops) / 1e9
-			anchorLat = m.Anchors.Latency.Seconds() * 1e6
-		}
+		anchorTriad := float64(m.Anchors.TriadBandwidth) / 1e9
+		anchorPeak := float64(m.Anchors.PeakFlops) / 1e9
+		anchorLat := m.Anchors.Latency.Seconds() * 1e6
 		row := func(label string, c Cell) {
 			a.RowLabels = append(a.RowLabels, label)
 			a.Cells = append(a.Cells, []Cell{c})

@@ -8,7 +8,6 @@ import (
 	"io"
 	"strings"
 
-	"a64fxbench/internal/arch"
 	"a64fxbench/internal/metrics"
 	"a64fxbench/internal/perfmodel"
 	"a64fxbench/internal/simmpi"
@@ -19,8 +18,10 @@ import (
 // Request is the one serializable descriptor of an experiment execution.
 // The CLI builds it from flags, the serve daemon decodes it from JSON,
 // and both hand it to the same executors — so a curl request and a
-// command line are provably the same object. Every field is plain data:
-// a Request can be logged, hashed (Digest) and replayed.
+// command line are provably the same object. Every exported field is
+// plain data: a Request can be logged, hashed (Digest) and replayed.
+// Normalization also resolves the target machine, which Options hands
+// to the experiments.
 //
 // The zero value plus one id is a valid request: the full default run of
 // that experiment.
@@ -59,10 +60,17 @@ type Request struct {
 	// Spec carries a full machine spec by value (the same JSON shape as
 	// a spec file, overlays included), so a serve client can run against
 	// a what-if machine without any file on the server. Normalization
-	// strictly parses, compiles and registers it; the canonical form
-	// participates in Digest, so a custom-spec request is cacheable and
-	// digest-distinct from every stock machine.
+	// strictly parses and compiles it against the registry without
+	// registering it: the machine exists for this request only, and a
+	// name it shares with a registered machine must carry that
+	// machine's digest. The canonical form participates in Digest, so a
+	// custom-spec request is cacheable and digest-distinct from every
+	// stock machine and from any other spec of the same name.
 	Spec json.RawMessage `json:"spec,omitempty"`
+
+	// machine is the compiled target machine Normalized resolved from
+	// Machine and Spec; nil for the default.
+	machine *spec.Machine
 }
 
 // DecodeRequest reads one JSON-encoded Request from r under strict
@@ -172,12 +180,10 @@ func (r Request) normalized(strictIDs bool) (Request, error) {
 	if out.PeriodNS < 0 {
 		return Request{}, fmt.Errorf("request: negative counter period %dns", out.PeriodNS)
 	}
+	out.machine = nil
 	if len(out.Spec) > 0 {
-		m, err := spec.Default.AddBytes(out.Spec, "request")
+		m, err := spec.Default.Compile(out.Spec)
 		if err != nil {
-			return Request{}, fmt.Errorf("request: %w", err)
-		}
-		if _, err := arch.RegisterMachine(m); err != nil {
 			return Request{}, fmt.Errorf("request: %w", err)
 		}
 		if out.Machine != "" && out.Machine != m.Name() {
@@ -188,32 +194,31 @@ func (r Request) normalized(strictIDs bool) (Request, error) {
 		// Canonical bytes so requests that differ only in JSON
 		// whitespace or key order digest (and cache) identically.
 		out.Spec = m.Spec.Canonical()
-	}
-	if out.Machine != "" {
+		out.machine = m
+	} else if out.Machine != "" {
 		m, ok := spec.Get(out.Machine)
 		if !ok {
 			return Request{}, fmt.Errorf("request: unknown machine %q (valid: %s)",
 				out.Machine, strings.Join(spec.Names(), " "))
 		}
-		// Make sure the named machine is runnable as a system too (a
-		// `-specs DIR` load registers into the spec registry first).
-		if _, err := arch.RegisterMachine(m); err != nil {
-			return Request{}, fmt.Errorf("request: %w", err)
-		}
+		out.machine = m
 	}
 	return out, nil
 }
 
-// Options projects the request onto the experiment options. The
-// observation carriers (Trace, Counters, Telemetry) stay nil — they are
-// owned by the operation executing the request (trace attaches a sink,
-// counters a PMU config), not by the serializable descriptor.
+// Options projects the normalized request onto the experiment options.
+// The observation carriers (Trace, Counters, Telemetry) stay nil — they
+// are owned by the operation executing the request (trace attaches a
+// sink, counters a PMU config), not by the serializable descriptor.
 func (r Request) Options() (Options, error) {
 	model, err := perfmodel.ParseModel(r.Model)
 	if err != nil {
 		return Options{}, err
 	}
-	return Options{Quick: r.Quick, Machine: r.Machine,
+	if r.machine == nil && (r.Machine != "" || len(r.Spec) > 0) {
+		return Options{}, fmt.Errorf("request: machine %q is unresolved; normalize the request first", r.Machine)
+	}
+	return Options{Quick: r.Quick, Machine: r.machine,
 		Instrumentation: simmpi.Instrumentation{Congestion: r.Congestion, Model: model}}, nil
 }
 

@@ -5,6 +5,8 @@ import (
 	"errors"
 	"strings"
 	"testing"
+
+	"a64fxbench/internal/spec"
 )
 
 func TestRequestRoundTrip(t *testing.T) {
@@ -186,8 +188,8 @@ func TestRequestMachineAndSpec(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if opt.Machine != "A64FX" {
-		t.Fatalf("Options.Machine = %q, want A64FX", opt.Machine)
+	if stock, _ := spec.Get("A64FX"); opt.Machine != stock {
+		t.Fatalf("Options.Machine = %v, want the registered A64FX", opt.Machine)
 	}
 
 	if _, err := norm(`{"ids":["table1"],"machine":"NoSuchBox"}`); err == nil ||
@@ -227,5 +229,28 @@ func TestRequestMachineAndSpec(t *testing.T) {
 	if _, err := norm(`{"ids":["table1"],"spec":{"base":"A64FX","name":"ReqTest-B","node":{"domain_bandwidth":"300 GB"}}}`); err == nil ||
 		!strings.Contains(err.Error(), "node.domain_bandwidth") {
 		t.Fatalf("bad inline spec should name the field, got %v", err)
+	}
+
+	// An inline spec may take a registered name only with that
+	// machine's digest.
+	stock, _ := spec.Get("A64FX")
+	if _, err := norm(`{"ids":["table1"],"spec":` + string(stock.Spec.Canonical()) + `}`); err != nil {
+		t.Fatalf("inline copy of the registered A64FX rejected: %v", err)
+	}
+	var changed map[string]any
+	if err := json.Unmarshal(stock.Spec.Canonical(), &changed); err != nil {
+		t.Fatal(err)
+	}
+	changed["clock_ghz"] = 1.9
+	if _, err := norm(`{"ids":["table1"],"spec":` + mustJSON(t, changed) + `}`); err == nil ||
+		!strings.Contains(err.Error(), "different spec") {
+		t.Fatalf("inline spec rebinding the name A64FX should be rejected, got %v", err)
+	}
+
+	// Inline specs, accepted or rejected, never join the registry.
+	for _, name := range []string{"ReqTest-A", "ReqTest-B"} {
+		if _, ok := spec.Get(name); ok {
+			t.Errorf("inline machine %s was registered", name)
+		}
 	}
 }

@@ -27,11 +27,6 @@ import (
 // the format's reach is memory bound — and reports the achieved
 // node-level flop rate.
 func PeakFlops(sys *arch.System) (units.FlopRate, error) {
-	return PeakFlopsWith(sys, nil, nil)
-}
-
-// PeakFlopsWith is PeakFlops with an explicit calibration table.
-func PeakFlopsWith(sys *arch.System, eff map[perfmodel.KernelClass]perfmodel.Efficiency, gains map[perfmodel.KernelClass]float64) (units.FlopRate, error) {
 	if sys == nil {
 		return 0, fmt.Errorf("micro: system is required")
 	}
@@ -48,7 +43,7 @@ func PeakFlopsWith(sys *arch.System, eff map[perfmodel.KernelClass]perfmodel.Eff
 		Bytes: units.Bytes(flopsPerRank / intensity),
 		Calls: 1,
 	}
-	model := sys.PerRankModelWith(eff, gains, c, 1)
+	model := sys.PerRankModel(c, 1)
 	job := simmpi.JobConfig{
 		Procs: c, Nodes: 1, ThreadsPerRank: 1,
 		RankModel: func(int) *perfmodel.CostModel { return model },
@@ -75,7 +70,7 @@ func PeakFlopsWith(sys *arch.System, eff map[perfmodel.KernelClass]perfmodel.Eff
 // hard-coded fraction of peak.
 func TriadExpectation(sys *arch.System) (lo, hi units.ByteRate) {
 	em := 0.60 // perfmodel's fallback memory efficiency
-	if e, ok := arch.Efficiencies(sys.ID)[perfmodel.VectorOp]; ok && e.Memory > 0 {
+	if e, ok := sys.Eff[perfmodel.VectorOp]; ok && e.Memory > 0 {
 		em = e.Memory
 	}
 	hi = units.ByteRate(float64(sys.Node.PlacementBandwidth(sys.Node.Cores)) * em)
@@ -160,15 +155,18 @@ func fitScale(target, maxScale float64, measure func(s float64) (float64, error)
 	return s, nil
 }
 
-// Calibrate registers the machine (idempotently) and refits its
-// efficiency table against the declared anchors.
+// Calibrate refits the machine's efficiency table against its declared
+// anchors. It registers nothing: candidate tables run on copies of the
+// machine's System.
 func Calibrate(m *spec.Machine) (*Calibration, error) {
 	if m == nil {
 		return nil, fmt.Errorf("micro: machine is required")
 	}
-	sys, err := arch.RegisterMachine(m)
-	if err != nil {
-		return nil, err
+	sys := arch.FromMachine(m)
+	withEff := func(eff map[perfmodel.KernelClass]perfmodel.Efficiency) *arch.System {
+		s := *sys
+		s.Eff = eff
+		return &s
 	}
 	cores := []int{m.CoresPerNode()}
 
@@ -183,7 +181,7 @@ func Calibrate(m *spec.Machine) (*Calibration, error) {
 	}
 
 	ms, err := fitScale(float64(m.Anchors.TriadBandwidth), maxMem, func(s float64) (float64, error) {
-		res, err := StreamTriadWith(sys, scaleTable(m.Efficiency, 1, s), m.FastMathGain, cores)
+		res, err := StreamTriad(withEff(scaleTable(m.Efficiency, 1, s)), cores)
 		if err != nil {
 			return 0, err
 		}
@@ -193,7 +191,7 @@ func Calibrate(m *spec.Machine) (*Calibration, error) {
 		return nil, err
 	}
 	cs, err := fitScale(float64(m.Anchors.PeakFlops), maxComp, func(s float64) (float64, error) {
-		rate, err := PeakFlopsWith(sys, scaleTable(m.Efficiency, s, 1), m.FastMathGain)
+		rate, err := PeakFlops(withEff(scaleTable(m.Efficiency, s, 1)))
 		return float64(rate), err
 	})
 	if err != nil {
@@ -209,12 +207,12 @@ func Calibrate(m *spec.Machine) (*Calibration, error) {
 		LatencyAnchor: m.Anchors.Latency,
 		Eff:           scaleTable(m.Efficiency, cs, ms),
 	}
-	triad, err := StreamTriadWith(sys, cal.Eff, m.FastMathGain, cores)
+	triad, err := StreamTriad(withEff(cal.Eff), cores)
 	if err != nil {
 		return nil, err
 	}
 	cal.TriadModel = triad[0].Bandwidth
-	peak, err := PeakFlopsWith(sys, cal.Eff, m.FastMathGain)
+	peak, err := PeakFlops(withEff(cal.Eff))
 	if err != nil {
 		return nil, err
 	}

@@ -27,8 +27,7 @@ func TestCalibrateEmbeddedSelfConsistent(t *testing.T) {
 				t.Errorf("fitted scales (mem %.6f, comp %.6f) deviate %.4f from 1, want < 1%%",
 					cal.MemoryScale, cal.ComputeScale, got)
 			}
-			committed := arch.Efficiencies(arch.ID(m.Name()))
-			for class, want := range committed {
+			for class, want := range m.Efficiency {
 				got := cal.Eff[class]
 				if relErr(got.Compute, want.Compute) > 0.01 || relErr(got.Memory, want.Memory) > 0.01 {
 					t.Errorf("%s: refit %v differs from committed %v by > 1%%", class, got, want)
@@ -101,7 +100,7 @@ func TestPeakFlopsIsComputeBound(t *testing.T) {
 		if err != nil {
 			t.Fatalf("%s: %v", id, err)
 		}
-		ceiling := float64(sys.Node.PeakFlops) * arch.Efficiencies(id)[perfmodel.LargeGEMM].Compute
+		ceiling := float64(sys.Node.PeakFlops) * sys.Eff[perfmodel.LargeGEMM].Compute
 		if float64(got) > ceiling {
 			t.Errorf("%s: peak kernel %.1f GF/s above calibrated ceiling %.1f", id, float64(got)/1e9, ceiling/1e9)
 		}

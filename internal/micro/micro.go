@@ -28,13 +28,6 @@ type StreamResult struct {
 // each count. Array length follows STREAM rules (much larger than
 // cache).
 func StreamTriad(sys *arch.System, coreCounts []int) ([]StreamResult, error) {
-	return StreamTriadWith(sys, nil, nil, coreCounts)
-}
-
-// StreamTriadWith is StreamTriad with an explicit calibration table in
-// place of the system's registered one (nil = registered). The
-// calibration fit iterates candidate tables through this.
-func StreamTriadWith(sys *arch.System, eff map[perfmodel.KernelClass]perfmodel.Efficiency, gains map[perfmodel.KernelClass]float64, coreCounts []int) ([]StreamResult, error) {
 	if sys == nil {
 		return nil, fmt.Errorf("micro: system is required")
 	}
@@ -52,7 +45,7 @@ func StreamTriadWith(sys *arch.System, eff map[perfmodel.KernelClass]perfmodel.E
 			Bytes: units.Bytes(3 * 8 * per), // two loads + one store
 			Calls: 1,
 		}
-		model := sys.PerRankModelWith(eff, gains, c, 1)
+		model := sys.PerRankModel(c, 1)
 		job := simmpi.JobConfig{
 			Procs: c, Nodes: 1, ThreadsPerRank: 1,
 			RankModel: func(int) *perfmodel.CostModel { return model },

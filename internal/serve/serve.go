@@ -416,11 +416,11 @@ func errBody(err error) []byte {
 }
 
 // handleMachines serves the machine-spec registry: GET /v1/machines
-// lists every registered machine (embedded, -specs loads, and any spec
-// a request registered by value); GET /v1/machines?name=X returns X's
-// resolved canonical spec, which round-trips through the decoder — a
-// client can fetch a stock machine, patch it, and post the result back
-// inline in a /v1/run request.
+// lists every registered machine (the embedded five and -specs loads;
+// a request's inline spec is never registered, so it never appears);
+// GET /v1/machines?name=X returns X's resolved canonical spec, which
+// round-trips through the decoder — a client can fetch a stock machine,
+// patch it, and post the result back inline in a /v1/run request.
 func (s *Server) handleMachines(w http.ResponseWriter, r *http.Request) {
 	start := time.Now()
 	code := s.serveMachines(w, r)

@@ -1,10 +1,13 @@
 package serve
 
 import (
+	"bytes"
 	"context"
 	"encoding/json"
+	"fmt"
 	"net/http"
 	"net/http/httptest"
+	"reflect"
 	"strings"
 	"sync"
 	"sync/atomic"
@@ -12,6 +15,7 @@ import (
 	"time"
 
 	"a64fxbench/internal/core"
+	"a64fxbench/internal/spec"
 )
 
 // The test extension: a registry-resident experiment whose executions
@@ -343,6 +347,75 @@ func TestHealthzReportsRegistries(t *testing.T) {
 	if body.Status != "ok" || body.Experiments != len(core.List()) || body.Extensions != len(core.Extensions()) {
 		t.Fatalf("healthz = %+v; want ok with %d experiments, %d extensions",
 			body, len(core.List()), len(core.Extensions()))
+	}
+}
+
+// TestInlineSpecsAreRequestScoped: an inline spec is the machine of its
+// own request and nothing else. Many distinct inline machines leave the
+// registry, /v1/machines and healthz as they were, and a name reused
+// with new content runs the new content, byte-equal to what a fresh
+// daemon answers.
+func TestInlineSpecsAreRequestScoped(t *testing.T) {
+	t.Parallel()
+	h := New(Config{}).Handler()
+	get := func(path string) []byte {
+		t.Helper()
+		rec := httptest.NewRecorder()
+		h.ServeHTTP(rec, httptest.NewRequest("GET", path, nil))
+		if rec.Code != http.StatusOK {
+			t.Fatalf("GET %s: code %d", path, rec.Code)
+		}
+		return rec.Body.Bytes()
+	}
+	healthzMachines := func() int {
+		t.Helper()
+		var body struct {
+			Machines int `json:"machines"`
+		}
+		if err := json.Unmarshal(get("/v1/healthz"), &body); err != nil {
+			t.Fatalf("healthz body: %v", err)
+		}
+		return body.Machines
+	}
+	inline := func(name string, gbps int) string {
+		return fmt.Sprintf(`{"ids":["ext-machine"],"quick":true,"spec":{"base":"A64FX","name":%q,"node":{"domain_bandwidth":"%d GB/s"}}}`, name, gbps)
+	}
+	run := func(h http.Handler, body string) []byte {
+		t.Helper()
+		rec := post(h, "/v1/run", body)
+		if rec.Code != http.StatusOK {
+			t.Fatalf("run %s: code %d, body %s", body, rec.Code, rec.Body.String())
+		}
+		return rec.Body.Bytes()
+	}
+	names, machines, healthz := spec.Names(), get("/v1/machines"), healthzMachines()
+
+	for i := 0; i < 200; i++ {
+		name := fmt.Sprintf("scoped-%d", i)
+		if body := run(h, inline(name, 100+i)); !bytes.Contains(body, []byte("suite on "+name)) {
+			t.Fatalf("%s: body does not name its machine:\n%s", name, body)
+		}
+	}
+	if got := spec.Names(); !reflect.DeepEqual(got, names) {
+		t.Errorf("registry names changed: %v, want %v", got, names)
+	}
+	if got := get("/v1/machines"); !bytes.Equal(got, machines) {
+		t.Errorf("/v1/machines changed:\n%s\nwant\n%s", got, machines)
+	}
+	if got := healthzMachines(); got != healthz {
+		t.Errorf("healthz machines = %d, want %d", got, healthz)
+	}
+
+	// One name, two machines: each request runs its own spec.
+	slow, fast := inline("scoped-twin", 150), inline("scoped-twin", 250)
+	slowBody, fastBody := run(h, slow), run(h, fast)
+	if bytes.Equal(slowBody, fastBody) {
+		t.Fatal("same-name inline specs with different bandwidths returned one body")
+	}
+	for body, got := range map[string][]byte{slow: slowBody, fast: fastBody} {
+		if want := run(New(Config{}).Handler(), body); !bytes.Equal(got, want) {
+			t.Errorf("request %s differs from a fresh daemon's answer:\n%s\nwant\n%s", body, got, want)
+		}
 	}
 }
 

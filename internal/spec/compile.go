@@ -12,8 +12,8 @@ import (
 )
 
 // Machine is a compiled, validated spec: the hardware capability and
-// calibration tables in the model's native types, ready to register
-// with internal/arch. A Machine is immutable once built.
+// calibration tables in the model's native types, which internal/arch
+// reads as a System. A Machine is immutable once built.
 type Machine struct {
 	// Spec is the resolved source descriptor (no overlay indirection).
 	Spec Spec

@@ -6,9 +6,9 @@ import (
 )
 
 // The five Table-I machines ship as embedded spec files — the same
-// format users load with -specs DIR. internal/arch seeds its registry
-// from these; a neutrality test pins them bit-for-bit against the
-// paper's values. Regenerate anchors with `go run ./internal/spec/gen`.
+// format users load with -specs DIR. They seed the Default registry,
+// which internal/arch reads; a neutrality test pins them bit-for-bit
+// against the paper's values. Regenerate anchors with `go run ./internal/spec/gen`.
 //
 //go:embed specs/*.json
 var specFS embed.FS

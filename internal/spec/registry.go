@@ -10,15 +10,18 @@ import (
 )
 
 // Registry holds compiled machines by name. The Default registry is
-// seeded with the five embedded Table-I machines at init; `-specs DIR`
-// and inline request specs extend it at run time, possibly from
-// concurrent serve handlers, so every method is lock-guarded.
+// seeded with the five embedded Table-I machines at init, and `-specs
+// DIR` extends it; it is the process's only machine registry. Inline
+// request specs are compiled against it (Compile) but never added, so
+// they live only as long as their request. Every method is
+// lock-guarded, as serve handlers read it concurrently.
 //
 // Registration is idempotent by digest: adding the same spec twice
 // returns the one registered Machine, while a same-name spec with
-// different content is an error naming both sources — machine names
-// stay injective to spec digests for the lifetime of the process,
-// which is what lets caches key artifacts by machine name.
+// different content is an error naming both sources, and so is
+// compiling one. A registered name therefore always means one spec;
+// caches still key artifacts by digest, because two inline specs may
+// share a name.
 type Registry struct {
 	mu     sync.RWMutex
 	byName map[string]*Machine
@@ -35,7 +38,7 @@ func NewRegistry() *Registry {
 var Default = NewRegistry()
 
 // Add registers a compiled machine, recording where it came from
-// ("embedded", "file:<path>", "inline", ...).
+// ("embedded", "file:<path>", "api", ...).
 func (r *Registry) Add(m *Machine, source string) (*Machine, error) {
 	r.mu.Lock()
 	defer r.mu.Unlock()
@@ -43,12 +46,8 @@ func (r *Registry) Add(m *Machine, source string) (*Machine, error) {
 }
 
 func (r *Registry) addLocked(m *Machine, source string) (*Machine, error) {
-	if prev, ok := r.byName[m.Name()]; ok {
-		if prev.Digest() == m.Digest() {
-			return prev, nil
-		}
-		return nil, fmt.Errorf("spec: machine %q already registered from %s with a different spec (digest %.12s vs %.12s)",
-			m.Name(), r.source[m.Name()], prev.Digest(), m.Digest())
+	if prev, err := r.registeredLocked(m); prev != nil || err != nil {
+		return prev, err
 	}
 	r.byName[m.Name()] = m
 	r.source[m.Name()] = source
@@ -56,9 +55,22 @@ func (r *Registry) addLocked(m *Machine, source string) (*Machine, error) {
 	return m, nil
 }
 
-// AddBytes strictly parses raw, resolves any overlay against the
-// registry, compiles and registers the result.
-func (r *Registry) AddBytes(raw []byte, source string) (*Machine, error) {
+// registeredLocked returns the machine registered under m's name (nil
+// when there is none); a registered machine whose digest differs from
+// m's is an error. r.mu must be held.
+func (r *Registry) registeredLocked(m *Machine) (*Machine, error) {
+	prev, ok := r.byName[m.Name()]
+	if !ok || prev.Digest() == m.Digest() {
+		return prev, nil
+	}
+	return nil, fmt.Errorf("spec: machine %q already registered from %s with a different spec (digest %.12s vs %.12s)",
+		m.Name(), r.source[m.Name()], prev.Digest(), m.Digest())
+}
+
+// Compile strictly parses raw, resolves any overlay against the
+// registry and compiles the result without registering it. A machine
+// that takes a registered name must be that machine: same digest.
+func (r *Registry) Compile(raw []byte) (*Machine, error) {
 	s, err := Parse(raw)
 	if err != nil {
 		return nil, err
@@ -68,6 +80,20 @@ func (r *Registry) AddBytes(raw []byte, source string) (*Machine, error) {
 		return nil, err
 	}
 	m, err := resolved.Compile()
+	if err != nil {
+		return nil, err
+	}
+	r.mu.RLock()
+	defer r.mu.RUnlock()
+	if _, err := r.registeredLocked(m); err != nil {
+		return nil, err
+	}
+	return m, nil
+}
+
+// AddBytes compiles raw (Compile) and registers the result.
+func (r *Registry) AddBytes(raw []byte, source string) (*Machine, error) {
+	m, err := r.Compile(raw)
 	if err != nil {
 		return nil, err
 	}

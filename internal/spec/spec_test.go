@@ -173,6 +173,22 @@ func TestRegistryIdempotence(t *testing.T) {
 		!strings.Contains(err.Error(), "different spec") {
 		t.Errorf("conflicting same-name spec should error, got %v", err)
 	}
+
+	// Compile holds a spec to the same rule without registering it.
+	if _, err := reg.Compile(conflicting.Spec.Canonical()); err == nil ||
+		!strings.Contains(err.Error(), "different spec") {
+		t.Errorf("compiling a conflicting same-name spec should error, got %v", err)
+	}
+	if m, err := reg.Compile(a.Spec.Canonical()); err != nil || m.Digest() != a.Digest() {
+		t.Errorf("compiling the registered spec = %v, %v; want its digest", m, err)
+	}
+	fresh, err := reg.Compile([]byte(`{"base":"A64FX","name":"Compiled-only","clock_ghz":1.9}`))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, ok := reg.Get(fresh.Name()); ok || len(reg.Names()) != 1 {
+		t.Errorf("Compile registered %q: registry holds %v", fresh.Name(), reg.Names())
+	}
 }
 
 // TestLoadDir: files load in sorted order, and an overlay may reference

@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"context"
 	"flag"
+	"fmt"
 	"path/filepath"
 	"testing"
 
@@ -74,5 +75,31 @@ func TestParallelMatchesSequential(t *testing.T) {
 	}
 	if len(results) != len(seq) {
 		t.Errorf("parallel sweep produced %d artifacts, sequential %d", len(results), len(seq))
+	}
+}
+
+// TestInlineSpecsStayInTheirRequest: an inline request spec is compiled
+// for its request and registered nowhere, so a request whose machine
+// borrows the name of an ablation's derived system cannot reach that
+// ablation. The test is not parallel, so the requests normalize before
+// any other test in the process runs ext-network or ext-stencil.
+func TestInlineSpecsStayInTheirRequest(t *testing.T) {
+	for _, name := range []string{"A64FX+Aries", "A64FX-goodstencil"} {
+		body := fmt.Sprintf(`{"ids":["ext-machine"],"quick":true,"spec":{"base":"A64FX","name":%q,"node":{"domain_bandwidth":"50 GB/s"}}}`, name)
+		if _, err := core.ParseRequest([]byte(body)); err != nil {
+			t.Fatalf("inline spec %s: %v", name, err)
+		}
+	}
+	want, err := golden.Load(manifestPath)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, r := range New(1).Run(context.Background(), []string{"ext-network", "ext-stencil"}, core.Options{Quick: true}) {
+		if r.Err != nil {
+			t.Fatalf("%s: %v", r.ID, r.Err)
+		}
+		if got := golden.Digest(r.Artifact); got != want[r.ID] {
+			t.Errorf("%s: digest %s after inline specs, golden %s", r.ID, got, want[r.ID])
+		}
 	}
 }
