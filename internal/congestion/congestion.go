@@ -12,30 +12,36 @@
 // saturates, freezes the flows crossing it at their fair share, removes
 // that capacity, and repeats. The fluid schedule is re-solved at every
 // flow arrival and departure, so a flow's effective bandwidth varies
-// over its lifetime exactly as the set of competitors changes.
+// over its lifetime exactly as the set of competitors changes. Each
+// event indexes its active flows by link, so a round visits only the
+// flows on that round's bottleneck links.
 //
 // The result per flow is a dilation factor D ≥ 1 — the ratio of its
 // fluid completion time to the time it would take alone at its
-// bottleneck-link bandwidth. The runtime multiplies the serialization
-// term of the LogGP price by D on a replayed run (see simmpi). The
-// solver is deterministic: flows are processed in (start time, flow
-// key) order, links are interned in first-use order, and no map
-// iteration ever reaches an output.
+// bottleneck-link bandwidth — returned positionally, one per input flow.
+// The runtime multiplies the serialization term of the LogGP price by D
+// on a replayed run (see simmpi). One fluid pass yields the dilations
+// and every link's totals; only a request for utilization series
+// (Config.SeriesLinks) replays the schedule a second time to bucket
+// them. The solver is deterministic: flows are processed in (start
+// time, flow key) order, links are interned in first-use order, and no
+// map iteration ever reaches an output.
 package congestion
 
 import (
+	"cmp"
 	"math"
-	"sort"
+	"slices"
 
 	"a64fxbench/internal/topo"
 	"a64fxbench/internal/units"
 	"a64fxbench/internal/vclock"
 )
 
-// FlowKey identifies one message flow across the two passes of a
-// congested run: the (src, dst, tag) route plus a per-route sequence
-// number in the sender's program order. SPMD bodies re-issue the same
-// keys on replay, which is what lets the replay look its dilation up.
+// FlowKey identifies one message flow: the (src, dst, tag) route and
+// the sender's per-rank send index. Keys only order flows that start
+// together; a flow's place in the input, not its key, is how its
+// dilation is returned.
 type FlowKey struct {
 	Src, Dst, Tag, Seq int
 }
@@ -67,50 +73,30 @@ type Config struct {
 	// Buckets is the utilization-series resolution (default 64).
 	Buckets int
 	// SeriesLinks bounds how many of the busiest links carry a
-	// utilization series (default 16).
+	// utilization series. Zero builds none, which saves replaying the
+	// fluid schedule to bucket it.
 	SeriesLinks int
 }
 
 // Solution is the outcome of a solve: per-flow dilations and the
 // per-link accounting behind them.
 type Solution struct {
-	dil map[FlowKey]float64
+	// Dilations holds one slowdown factor ≥ 1 per input flow, in input
+	// order. Zero-byte, intra-node and unconstrained flows dilate by
+	// exactly 1, so they price identically to the contention-free path.
+	Dilations []float64
 	// Links is the per-link contention report (never nil).
 	Links *LinkReport
-}
-
-// Dilation returns the flow's slowdown factor, ≥ 1. Unknown keys (and a
-// nil solution) dilate by exactly 1, so replayed messages the recorder
-// never saw — zero-byte or intra-node — price identically to the
-// contention-free path.
-func (s *Solution) Dilation(k FlowKey) float64 {
-	if s == nil {
-		return 1
-	}
-	if d, ok := s.dil[k]; ok {
-		return d
-	}
-	return 1
-}
-
-// MaxDilation reports the largest per-flow slowdown in the solution.
-func (s *Solution) MaxDilation() float64 {
-	worst := 1.0
-	if s == nil {
-		return worst
-	}
-	for _, d := range s.dil {
-		if d > worst {
-			worst = d
-		}
-	}
-	return worst
+	// Events counts the fluid schedule's events: the instants at which
+	// flows arrive or finish and the max-min rates are re-solved.
+	Events int
 }
 
 // model is the prepared fluid-simulation input: filtered flows in
 // deterministic order with interned, capacitated routes.
 type model struct {
-	flows    []Flow
+	in       []int32 // input index of each modelled flow, in (start, key) order
+	start    vclock.Time
 	startSec []float64
 	bytes    []float64
 	routes   [][]int32
@@ -118,36 +104,35 @@ type model struct {
 	cap      []float64 // bytes/sec per link id, all > 0
 	minCap   float64
 	totals   linkTotals
+	events   int
 }
 
 // Solve routes the flows, plays them through the fluid max-min sharing
 // simulation and returns dilations plus the link report.
 func Solve(cfg Config, flows []Flow) *Solution {
-	s := &Solution{dil: map[FlowKey]float64{}, Links: &LinkReport{}}
+	s := &Solution{Dilations: make([]float64, len(flows)), Links: &LinkReport{}}
+	for i := range s.Dilations {
+		s.Dilations[i] = 1
+	}
 	if cfg.Topo == nil || cfg.Capacity == nil {
 		return s
 	}
-	fs := make([]Flow, 0, len(flows))
-	for _, f := range flows {
+	order := make([]int32, 0, len(flows))
+	for i, f := range flows {
 		if f.Bytes > 0 && f.SrcNode != f.DstNode {
-			fs = append(fs, f)
+			order = append(order, int32(i))
 		}
 	}
-	if len(fs) == 0 {
+	if len(order) == 0 {
 		return s
 	}
-	sort.Slice(fs, func(i, j int) bool {
-		if fs[i].Start != fs[j].Start {
-			return fs[i].Start < fs[j].Start
-		}
-		return flowKeyLess(fs[i].Key, fs[j].Key)
-	})
+	slices.SortFunc(order, func(a, b int32) int { return compareFlows(&flows[a], &flows[b]) })
 
-	m := buildModel(cfg, fs)
+	m := buildModel(cfg, flows, order)
 	finish := m.run(nil)
 
 	// Dilation = fluid duration over the alone-at-bottleneck duration.
-	for i := range m.flows {
+	for i, in := range m.in {
 		minCap := math.Inf(1)
 		for _, l := range m.routes[i] {
 			if m.cap[l] < minCap {
@@ -161,42 +146,42 @@ func Solve(cfg Config, flows []Flow) *Solution {
 		if ideal <= 0 {
 			continue
 		}
-		d := (finish[i] - m.startSec[i]) / ideal
-		if d > 1 {
-			m.setDilation(s, i, d)
+		if d := (finish[i] - m.startSec[i]) / ideal; d > 1 {
+			s.Dilations[in] = d
 		}
 	}
+	s.Events = m.events
 	s.Links = m.report(cfg, finish)
 	return s
 }
 
-// setDilation records one flow's dilation.
-func (m *model) setDilation(s *Solution, i int, d float64) {
-	s.dil[m.flows[i].Key] = d
+// compareFlows orders flows by start time, then key.
+func compareFlows(a, b *Flow) int {
+	if c := cmp.Compare(a.Start, b.Start); c != 0 {
+		return c
+	}
+	if c := cmp.Compare(a.Key.Src, b.Key.Src); c != 0 {
+		return c
+	}
+	if c := cmp.Compare(a.Key.Dst, b.Key.Dst); c != 0 {
+		return c
+	}
+	if c := cmp.Compare(a.Key.Tag, b.Key.Tag); c != 0 {
+		return c
+	}
+	return cmp.Compare(a.Key.Seq, b.Key.Seq)
 }
 
-// flowKeyLess orders flow keys lexicographically.
-func flowKeyLess(a, b FlowKey) bool {
-	if a.Src != b.Src {
-		return a.Src < b.Src
-	}
-	if a.Dst != b.Dst {
-		return a.Dst < b.Dst
-	}
-	if a.Tag != b.Tag {
-		return a.Tag < b.Tag
-	}
-	return a.Seq < b.Seq
-}
-
-// buildModel interns every flow's capacitated route. Links are numbered
-// in first-use order over the sorted flows, so ids are deterministic.
-func buildModel(cfg Config, fs []Flow) *model {
+// buildModel interns the capacitated route of every flow that order
+// lists. Links are numbered in first-use order over the sorted flows, so
+// ids are deterministic.
+func buildModel(cfg Config, flows []Flow, order []int32) *model {
 	m := &model{
-		flows:    fs,
-		startSec: make([]float64, len(fs)),
-		bytes:    make([]float64, len(fs)),
-		routes:   make([][]int32, len(fs)),
+		in:       order,
+		start:    flows[order[0]].Start,
+		startSec: make([]float64, len(order)),
+		bytes:    make([]float64, len(order)),
+		routes:   make([][]int32, len(order)),
 		minCap:   math.Inf(1),
 	}
 	ids := map[topo.Link]int32{}
@@ -226,7 +211,8 @@ func buildModel(cfg Config, fs []Flow) *model {
 	type pairKey struct{ a, b int }
 	pairRoutes := map[pairKey][]int32{}
 	var buf []topo.Link
-	for i, f := range fs {
+	for i, in := range order {
+		f := &flows[in]
 		m.startSec[i] = f.Start.Seconds()
 		m.bytes[i] = float64(f.Bytes)
 		pk := pairKey{f.SrcNode, f.DstNode}
@@ -272,10 +258,10 @@ type linkTotals struct {
 
 // run plays the fluid max-min schedule and returns every flow's finish
 // time (seconds). The accounting of the most recent run is kept on
-// m.totals; seg, when non-nil, additionally observes every per-link
-// integration step (used to build bucketed utilization series).
+// m.totals and m.events; seg, when non-nil, additionally observes every
+// per-link integration step (used to build bucketed utilization series).
 func (m *model) run(seg segFunc) []float64 {
-	n := len(m.flows)
+	n := len(m.in)
 	nl := len(m.links)
 	m.totals = linkTotals{
 		busy:  make([]float64, nl),
@@ -283,27 +269,36 @@ func (m *model) run(seg segFunc) []float64 {
 		flows: make([]int64, nl),
 		peak:  make([]int32, nl),
 	}
+	m.events = 0
 	finish := make([]float64, n)
 	rem := append([]float64(nil), m.bytes...)
 	rates := make([]float64, n)
 	frozen := make([]bool, n)
-	active := make([]int, 0, 64)
+	active := make([]int32, 0, 64)
 
 	cnt := make([]int32, nl)     // active flows per link (incremental)
 	cntWork := make([]int32, nl) // waterfill working copy
 	capLeft := make([]float64, nl)
 	rateSum := make([]float64, nl)
-	stamp := make([]int, nl)  // touched-set membership, by generation
-	bstamp := make([]int, nl) // bottleneck marks, by generation
-	gen, bgen := 0, 0
+	stamp := make([]int, nl) // touched-set membership, by generation
+	gen := 0
 	touched := make([]int32, 0, 256)
+	// The link→flow adjacency of one event: the active flows crossing
+	// link l are adj[adjEnd[l]-cnt[l] : adjEnd[l]]. routeLinks is its
+	// size, the route length summed over active flows.
+	adjEnd := make([]int32, nl)
+	adj := make([]int32, 0, 256)
+	routeLinks := 0
+	live := make([]int32, 0, 256) // touched links that may still carry unfrozen flows
+	bottlenecks := make([]int32, 0, 16)
 
 	const epsBytes = 1e-3
 	i := 0
 	t := m.startSec[0]
 	for i < n || len(active) > 0 {
 		for i < n && m.startSec[i] <= t {
-			active = append(active, i)
+			active = append(active, int32(i))
+			routeLinks += len(m.routes[i])
 			for _, l := range m.routes[i] {
 				cnt[l]++
 				m.totals.flows[l]++
@@ -317,11 +312,15 @@ func (m *model) run(seg segFunc) []float64 {
 			t = m.startSec[i]
 			continue
 		}
+		m.events++
 
 		// Waterfill: progressively freeze flows at the fair share of
-		// their first-saturating link.
+		// their first-saturating link. One pass over the active routes
+		// resets the touched links and lays out the adjacency.
 		gen++
 		touched = touched[:0]
+		adj = slices.Grow(adj[:0], routeLinks)[:routeLinks]
+		var next int32
 		unfrozen := len(active)
 		for _, f := range active {
 			frozen[f] = false
@@ -338,52 +337,58 @@ func (m *model) run(seg segFunc) []float64 {
 					capLeft[l] = m.cap[l]
 					cntWork[l] = cnt[l]
 					rateSum[l] = 0
+					adjEnd[l] = next
+					next += cnt[l]
 					touched = append(touched, l)
 				}
+				adj[adjEnd[l]] = f
+				adjEnd[l]++
 			}
 		}
+		live = append(live[:0], touched...)
 		for unfrozen > 0 {
 			share := math.Inf(1)
-			for _, l := range touched {
-				if cntWork[l] > 0 {
-					if s := capLeft[l] / float64(cntWork[l]); s < share {
-						share = s
-					}
+			w := 0
+			for _, l := range live {
+				if cntWork[l] == 0 {
+					continue // all its flows have frozen
+				}
+				live[w] = l
+				w++
+				if s := capLeft[l] / float64(cntWork[l]); s < share {
+					share = s
 				}
 			}
+			live = live[:w]
 			if share <= 0 {
 				// Float residue from near-tied bottlenecks; keep the
 				// schedule moving at a negligible rate.
 				share = m.minCap * 1e-9
 			}
-			bgen++
-			for _, l := range touched {
-				if cntWork[l] > 0 && capLeft[l]/float64(cntWork[l]) <= share {
-					bstamp[l] = bgen
+			// Every link at the fair share saturates this round; all
+			// their unfrozen flows freeze at it. Freezing subtracts the
+			// same share everywhere, so the order flows freeze in does
+			// not change any rate or remaining capacity.
+			bottlenecks = bottlenecks[:0]
+			for _, l := range live {
+				if capLeft[l]/float64(cntWork[l]) <= share {
+					bottlenecks = append(bottlenecks, l)
 				}
 			}
-			for _, f := range active {
-				if frozen[f] {
-					continue
-				}
-				hit := false
-				for _, l := range m.routes[f] {
-					if bstamp[l] == bgen {
-						hit = true
-						break
+			for _, b := range bottlenecks {
+				for _, f := range adj[adjEnd[b]-cnt[b] : adjEnd[b]] {
+					if frozen[f] {
+						continue
 					}
-				}
-				if !hit {
-					continue
-				}
-				rates[f], frozen[f] = share, true
-				unfrozen--
-				for _, l := range m.routes[f] {
-					capLeft[l] -= share
-					if capLeft[l] < 0 {
-						capLeft[l] = 0
+					rates[f], frozen[f] = share, true
+					unfrozen--
+					for _, l := range m.routes[f] {
+						capLeft[l] -= share
+						if capLeft[l] < 0 {
+							capLeft[l] = 0
+						}
+						cntWork[l]--
 					}
-					cntWork[l]--
 				}
 			}
 		}
@@ -432,6 +437,7 @@ func (m *model) run(seg segFunc) []float64 {
 		for _, f := range active {
 			if rem[f] <= epsBytes {
 				finish[f] = t
+				routeLinks -= len(m.routes[f])
 				for _, l := range m.routes[f] {
 					cnt[l]--
 				}

@@ -1,7 +1,9 @@
 package congestion
 
 import (
-	"sort"
+	"cmp"
+	"slices"
+	"strings"
 
 	"a64fxbench/internal/topo"
 	"a64fxbench/internal/units"
@@ -28,7 +30,7 @@ type LinkStats struct {
 	// over capacity×busy, in [0, 1].
 	Util float64 `json:"util"`
 	// Series is the bucketed utilization over the report window (only
-	// the busiest links carry one; see Config.SeriesLinks).
+	// the busiest Config.SeriesLinks links carry one).
 	Series []float64 `json:"series,omitempty"`
 }
 
@@ -57,11 +59,12 @@ func (r *LinkReport) MaxPeakFlows() int {
 	return worst
 }
 
-// report assembles the LinkReport from the totals of the completed run,
-// re-running the fluid schedule once more to bucket the busiest links'
-// utilization over the now-known window.
+// report assembles the LinkReport from the totals of the completed run.
+// When cfg.SeriesLinks asks for utilization series, it re-runs the fluid
+// schedule once more to bucket the busiest links over the now-known
+// window.
 func (m *model) report(cfg Config, finish []float64) *LinkReport {
-	rep := &LinkReport{Start: m.flows[0].Start}
+	rep := &LinkReport{Start: m.start}
 	t0 := m.startSec[0]
 	t1 := t0
 	for _, f := range finish {
@@ -71,33 +74,31 @@ func (m *model) report(cfg Config, finish []float64) *LinkReport {
 	}
 	rep.Span = units.DurationFromSeconds(t1 - t0)
 
+	names := make([]string, len(m.links))
 	order := make([]int, len(m.links))
 	for i := range order {
 		order[i] = i
+		names[i] = m.links[i].String()
 	}
-	sort.Slice(order, func(a, b int) bool {
-		la, lb := order[a], order[b]
-		if m.totals.busy[la] != m.totals.busy[lb] {
-			return m.totals.busy[la] > m.totals.busy[lb]
+	slices.SortFunc(order, func(la, lb int) int {
+		if c := cmp.Compare(m.totals.busy[lb], m.totals.busy[la]); c != 0 {
+			return c
 		}
-		if m.totals.bytes[la] != m.totals.bytes[lb] {
-			return m.totals.bytes[la] > m.totals.bytes[lb]
+		if c := cmp.Compare(m.totals.bytes[lb], m.totals.bytes[la]); c != 0 {
+			return c
 		}
-		return m.links[la].String() < m.links[lb].String()
+		return strings.Compare(names[la], names[lb])
 	})
 
 	buckets := cfg.Buckets
 	if buckets <= 0 {
 		buckets = 64
 	}
-	seriesLinks := cfg.SeriesLinks
-	if seriesLinks <= 0 {
-		seriesLinks = 16
-	}
 	bw := (t1 - t0) / float64(buckets)
-	series := map[int32][]float64{}
-	if bw > 0 {
-		for i := 0; i < len(order) && i < seriesLinks; i++ {
+	var series map[int32][]float64
+	if bw > 0 && cfg.SeriesLinks > 0 {
+		series = map[int32][]float64{}
+		for i := 0; i < len(order) && i < cfg.SeriesLinks; i++ {
 			series[int32(order[i])] = make([]float64, buckets)
 		}
 		m.run(func(l int32, segT0, dt, bytes float64) {
@@ -131,7 +132,7 @@ func (m *model) report(cfg Config, finish []float64) *LinkReport {
 	for _, id := range order {
 		ls := LinkStats{
 			Link:      m.links[id],
-			Name:      m.links[id].String(),
+			Name:      names[id],
 			Capacity:  units.ByteRate(m.cap[id]),
 			Bytes:     units.Bytes(m.totals.bytes[id] + 0.5),
 			Busy:      units.DurationFromSeconds(m.totals.busy[id]),

@@ -3,6 +3,7 @@ package congestion
 import (
 	"math"
 	"reflect"
+	"slices"
 	"testing"
 
 	"a64fxbench/internal/topo"
@@ -33,7 +34,7 @@ func TestSoloFlowNoDilation(t *testing.T) {
 	sol := Solve(Config{Topo: ring(8), Capacity: flat(1e6)}, []Flow{
 		{Key: key(0, 1, 7, 0), SrcNode: 0, DstNode: 1, Start: 0, Bytes: 1e6},
 	})
-	approx(t, "solo dilation", sol.Dilation(key(0, 1, 7, 0)), 1)
+	approx(t, "solo dilation", sol.Dilations[0], 1)
 	if len(sol.Links.Links) != 1 {
 		t.Fatalf("want 1 contended link, got %v", sol.Links.Links)
 	}
@@ -54,8 +55,8 @@ func TestTwoFlowsShareFairly(t *testing.T) {
 		{Key: key(1, 9, 1, 0), SrcNode: 0, DstNode: 1, Start: 0, Bytes: 1e6},
 	}
 	sol := Solve(Config{Topo: ring(8), Capacity: flat(1e6)}, flows)
-	approx(t, "flow A dilation", sol.Dilation(flows[0].Key), 2)
-	approx(t, "flow B dilation", sol.Dilation(flows[1].Key), 2)
+	approx(t, "flow A dilation", sol.Dilations[0], 2)
+	approx(t, "flow B dilation", sol.Dilations[1], 2)
 	ls := sol.Links.Links[0]
 	if ls.Flows != 2 || ls.PeakFlows != 2 {
 		t.Errorf("flows = %d peak = %d, want 2/2", ls.Flows, ls.PeakFlows)
@@ -71,10 +72,10 @@ func TestDisjointFlowsDontInteract(t *testing.T) {
 		{Key: key(4, 5, 1, 0), SrcNode: 4, DstNode: 5, Start: 0, Bytes: 1e6},
 	}
 	sol := Solve(Config{Topo: ring(8), Capacity: flat(1e6)}, flows)
-	approx(t, "A", sol.Dilation(flows[0].Key), 1)
-	approx(t, "B", sol.Dilation(flows[1].Key), 1)
-	if sol.MaxDilation() != 1 {
-		t.Errorf("max dilation = %v, want 1", sol.MaxDilation())
+	approx(t, "A", sol.Dilations[0], 1)
+	approx(t, "B", sol.Dilations[1], 1)
+	if worst := slices.Max(sol.Dilations); worst != 1 {
+		t.Errorf("max dilation = %v, want 1", worst)
 	}
 }
 
@@ -99,11 +100,11 @@ func TestMaxMinWaterfilling(t *testing.T) {
 	sol := Solve(Config{Topo: ring(8), Capacity: cap}, flows)
 	// A: ideal 1s at 1 MB/s, runs at 0.5 MB/s until B finishes — but B
 	// finishes with A (same share, same bytes): both take 2s.
-	approx(t, "A dilation", sol.Dilation(flows[0].Key), 2)
-	approx(t, "B dilation", sol.Dilation(flows[1].Key), 2)
+	approx(t, "A dilation", sol.Dilations[0], 2)
+	approx(t, "B dilation", sol.Dilations[1], 2)
 	// C: ideal 0.1s at 10 MB/s; shares with B at 9.5 MB/s until its
 	// 1e6 bytes finish at t = 1/9.5e6 s, i.e. dilation 10/9.5.
-	approx(t, "C dilation", sol.Dilation(flows[2].Key), 10.0/9.5)
+	approx(t, "C dilation", sol.Dilations[2], 10.0/9.5)
 }
 
 func TestStaggeredArrivalsDilatePartially(t *testing.T) {
@@ -118,8 +119,8 @@ func TestStaggeredArrivalsDilatePartially(t *testing.T) {
 		{Key: key(1, 0, 1, 0), SrcNode: 0, DstNode: 1, Start: vclock.Time(5e8), Bytes: 1e6},
 	}
 	sol := Solve(Config{Topo: ring(8), Capacity: flat(1e6)}, flows)
-	approx(t, "A dilation", sol.Dilation(flows[0].Key), 1.5)
-	approx(t, "B dilation", sol.Dilation(flows[1].Key), 1.5)
+	approx(t, "A dilation", sol.Dilations[0], 1.5)
+	approx(t, "B dilation", sol.Dilations[1], 1.5)
 	approx(t, "span", sol.Links.Span.Seconds(), 2.0)
 	ls := sol.Links.Links[0]
 	approx(t, "busy", ls.Busy.Seconds(), 2.0)
@@ -139,10 +140,10 @@ func TestInjectionCapacityAddsHostLinks(t *testing.T) {
 		{Key: key(1, 0, 1, 0), SrcNode: 0, DstNode: 7, Start: 0, Bytes: 1e6},
 	}
 	noInj := Solve(Config{Topo: ring(8), Capacity: flat(1e6)}, flows)
-	approx(t, "no injection cap", noInj.MaxDilation(), 1)
+	approx(t, "no injection cap", slices.Max(noInj.Dilations), 1)
 	inj := Solve(Config{Topo: ring(8), Capacity: flat(1e6), InjectionCapacity: 1e6}, flows)
-	approx(t, "injection-shared A", inj.Dilation(flows[0].Key), 2)
-	approx(t, "injection-shared B", inj.Dilation(flows[1].Key), 2)
+	approx(t, "injection-shared A", inj.Dilations[0], 2)
+	approx(t, "injection-shared B", inj.Dilations[1], 2)
 }
 
 func TestZeroByteAndIntraNodeFlowsIgnored(t *testing.T) {
@@ -154,7 +155,8 @@ func TestZeroByteAndIntraNodeFlowsIgnored(t *testing.T) {
 	if len(sol.Links.Links) != 0 {
 		t.Errorf("want empty report, got %v", sol.Links.Links)
 	}
-	approx(t, "zero-byte", sol.Dilation(key(0, 0, 1, 0)), 1)
+	approx(t, "zero-byte", sol.Dilations[0], 1)
+	approx(t, "intra-node", sol.Dilations[1], 1)
 }
 
 func TestSolveDeterministicUnderPermutation(t *testing.T) {
@@ -169,11 +171,15 @@ func TestSolveDeterministicUnderPermutation(t *testing.T) {
 		{Key: key(0, 4, 1, 1), SrcNode: 0, DstNode: 4, Start: vclock.Time(2e8), Bytes: 2e5},
 	}
 	cfg := Config{Topo: ring(8), Capacity: flat(1e6), InjectionCapacity: 8e5}
-	ref := Solve(cfg, append([]Flow(nil), base...))
-	perm := []Flow{base[4], base[2], base[0], base[3], base[1]}
-	got := Solve(cfg, perm)
-	for _, f := range base {
-		approx(t, "dilation "+f.Key.string(), got.Dilation(f.Key), ref.Dilation(f.Key))
+	ref := Solve(cfg, base)
+	perm := []int{4, 2, 0, 3, 1}
+	permuted := make([]Flow, len(perm))
+	for i, j := range perm {
+		permuted[i] = base[j]
+	}
+	got := Solve(cfg, permuted)
+	for i, j := range perm {
+		approx(t, "dilation "+base[j].Key.string(), got.Dilations[i], ref.Dilations[j])
 	}
 	if !reflect.DeepEqual(ref.Links, got.Links) {
 		t.Errorf("link reports differ under input permutation:\n%+v\nvs\n%+v", ref.Links, got.Links)
@@ -210,9 +216,9 @@ func TestDilatedFlowsConserveWork(t *testing.T) {
 	if ls.Busy.Seconds() < total/1e6-1e-9 {
 		t.Errorf("busy %v shorter than serialization bound %v", ls.Busy.Seconds(), total/1e6)
 	}
-	for _, f := range flows {
-		if d := sol.Dilation(f.Key); d < 1 {
-			t.Errorf("dilation %v < 1 for %+v", d, f.Key)
+	for i, d := range sol.Dilations {
+		if d < 1 {
+			t.Errorf("dilation %v < 1 for %+v", d, flows[i].Key)
 		}
 	}
 }

@@ -1,6 +1,8 @@
 package simmpi
 
 import (
+	"fmt"
+
 	"a64fxbench/internal/congestion"
 	"a64fxbench/internal/telemetry"
 	"a64fxbench/internal/units"
@@ -8,48 +10,93 @@ import (
 
 // Congestion support: the runtime prices inter-node messages against
 // link-level contention with a two-pass replay. Pass one runs the body
-// contention-free (tracing off) and records every inter-node flow with a
-// deterministic key — (src rank, dst rank, tag, per-route sequence
-// number), all derived from program order, never from goroutine
-// scheduling. The congestion package routes the flows over the fabric's
-// topology and solves a max-min fair (waterfilling) fluid schedule,
-// yielding one dilation factor ≥ 1 per flow. Pass two re-runs the same
-// body; each send looks up its flow's dilation by re-deriving the same
-// key and stretches its serialization term accordingly. Because bodies
-// are data-deterministic, both passes issue identical flow keys; a key
-// the solution has never seen dilates by exactly 1.
+// contention-free (tracing off) and records every inter-node send that
+// carries bytes, numbering each rank's sends in program order. The
+// congestion package routes the flows over the fabric's topology and
+// solves a max-min fair (waterfilling) fluid schedule in one pass,
+// returning one dilation factor ≥ 1 per flow, positionally. Pass two
+// re-runs the same body; rank r's k-th such send reads the dilation of
+// the flow recorded as rank r's k-th and stretches its serialization
+// term by it. Bodies are data-deterministic, so both passes issue the
+// same sends; a send that differs from its recording in destination,
+// tag or size, or that pass one never made, fails the job. Only traced
+// jobs have the solver bucket per-link utilization series, which the
+// link heatmap plots.
+
+// seriesLinks is how many of the busiest links a traced congested job
+// reports a utilization series for.
+const seriesLinks = 16
 
 // congestState selects the replay mode of one pass.
 type congestState struct {
 	// recording marks pass one: price contention-free, log flows.
 	recording bool
-	// sol holds pass two's solved dilations (nil while recording).
-	sol *congestion.Solution
+
+	// Pass two: flows[off[r]+k] is rank r's k-th recorded send, and
+	// sol.Dilations[off[r]+k] its dilation. off has one entry per rank
+	// plus a final total.
+	flows []congestion.Flow
+	off   []int
+	sol   *congestion.Solution
+	// err is the first send that diverged from its recording.
+	err error
 }
 
-// flowRoute keys a rank's per-(destination, tag) send counters.
-type flowRoute struct {
-	dst, tag int
-}
-
-// nextFlowSeq returns this rank's program-order sequence number for the
-// next send on (dst, tag). Both passes call it for every inter-node
-// send, so the numbering is identical across passes.
-func (r *Rank) nextFlowSeq(dst, tag int) int {
-	if r.flowSeq == nil {
-		r.flowSeq = make(map[flowRoute]int)
+// congestedPrice prices an inter-node send of a congested run. While
+// recording it logs the flow and prices it contention-free; on replay it
+// checks the send against its recording and applies its dilation.
+func (r *Rank) congestedPrice(cs *congestState, dst, tag, dstNode int, bytes units.Bytes) units.Duration {
+	if cs.recording {
+		r.flows = append(r.flows, congestion.Flow{
+			Key:     congestion.FlowKey{Src: r.id, Dst: dst, Tag: tag, Seq: len(r.flows)},
+			SrcNode: r.node, DstNode: dstNode, Start: r.clock.Now(), Bytes: bytes,
+		})
+		return r.eng.price(r.node, dstNode, bytes)
 	}
-	k := flowRoute{dst: dst, tag: tag}
-	s := r.flowSeq[k]
-	r.flowSeq[k] = s + 1
-	return s
+	k := r.replayed
+	r.replayed++
+	i := cs.off[r.id] + k
+	if i >= cs.off[r.id+1] {
+		cs.diverged(fmt.Errorf("simmpi: congestion replay diverged: rank %d send %d (%d B to rank %d, tag %d) is beyond the %d sends recorded",
+			r.id, k, bytes, dst, tag, cs.off[r.id+1]-cs.off[r.id]))
+		return r.eng.price(r.node, dstNode, bytes)
+	}
+	if f := &cs.flows[i]; f.Key.Dst != dst || f.Key.Tag != tag || f.Bytes != bytes {
+		cs.diverged(fmt.Errorf("simmpi: congestion replay diverged: rank %d send %d is %d B to rank %d, tag %d; recorded %d B to rank %d, tag %d",
+			r.id, k, bytes, dst, tag, f.Bytes, f.Key.Dst, f.Key.Tag))
+		return r.eng.price(r.node, dstNode, bytes)
+	}
+	return r.job.cfg.Fabric.PointToPointDilated(r.node, dstNode, bytes, cs.sol.Dilations[i])
+}
+
+// diverged keeps the first replay divergence.
+func (cs *congestState) diverged(err error) {
+	if cs.err == nil {
+		cs.err = err
+	}
+}
+
+// replayErr reports why pass two did not replay pass one: the first
+// diverging send, or else the first rank that made fewer sends than it
+// recorded.
+func (cs *congestState) replayErr(ranks []*Rank) error {
+	if cs.err != nil {
+		return cs.err
+	}
+	for _, r := range ranks {
+		if want := cs.off[r.id+1] - cs.off[r.id]; r.replayed != want {
+			return fmt.Errorf("simmpi: congestion replay diverged: rank %d send %d never happened (%d sends recorded)",
+				r.id, r.replayed, want)
+		}
+	}
+	return nil
 }
 
 // recordAndSolve runs the contention-free recording pass and solves the
-// flow schedule over the fabric's routed links. jobSpan (nil-safe)
-// receives one span per replay phase: the recording pass and the
-// max-min fair solve.
-func recordAndSolve(cfg JobConfig, body func(*Rank) error, jobSpan *telemetry.Span) (*congestion.Solution, error) {
+// flow schedule over the fabric's routed links, returning pass two's
+// replay state. jobSpan (nil-safe) receives one span per replay phase:
+// the recording pass and the max-min fair solve.
+func recordAndSolve(cfg JobConfig, body func(*Rank) error, jobSpan *telemetry.Span) (*congestState, error) {
 	recSpan := jobSpan.Child("replay-record")
 	recCfg := cfg
 	recCfg.Trace = nil    // the recording pass is never traced
@@ -60,19 +107,31 @@ func recordAndSolve(cfg JobConfig, body func(*Rank) error, jobSpan *telemetry.Sp
 	if err != nil {
 		return nil, err
 	}
-	var flows []congestion.Flow
+	cs := &congestState{off: make([]int, len(ranks)+1)}
+	for i, r := range ranks {
+		cs.off[i+1] = cs.off[i] + len(r.flows)
+	}
+	cs.flows = make([]congestion.Flow, 0, cs.off[len(ranks)])
 	for _, r := range ranks {
-		flows = append(flows, r.flows...)
+		cs.flows = append(cs.flows, r.flows...)
 	}
 	solveSpan := jobSpan.Child("replay-solve")
-	solveSpan.SetAttr("flows", len(flows))
 	defer solveSpan.End()
 	f := cfg.Fabric
-	return congestion.Solve(congestion.Config{
+	solve := congestion.Config{
 		Topo:              f.Topo,
 		Capacity:          f.LinkCapacity,
 		InjectionCapacity: f.InjectionBandwidth,
-	}, flows), nil
+	}
+	if cfg.Trace != nil {
+		solve.SeriesLinks = seriesLinks
+	}
+	solveSpan.SetAttr("flows", len(cs.flows))
+	cs.sol = congestion.Solve(solve, cs.flows)
+	solveSpan.SetAttr("links", len(cs.sol.Links.Links))
+	solveSpan.SetAttr("events", cs.sol.Events)
+	solveSpan.SetAttr("series", solve.SeriesLinks > 0)
+	return cs, nil
 }
 
 // emitLinkEvents streams a congestion report's per-link summaries (and

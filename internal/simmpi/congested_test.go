@@ -2,9 +2,11 @@ package simmpi
 
 import (
 	"reflect"
+	"regexp"
 	"testing"
 
 	"a64fxbench/internal/netmodel"
+	"a64fxbench/internal/telemetry"
 	"a64fxbench/internal/topo"
 	"a64fxbench/internal/units"
 )
@@ -257,5 +259,106 @@ func TestLinkEventsReachSink(t *testing.T) {
 	}
 	if !endSeen {
 		t.Error("no EvJobEnd marker")
+	}
+}
+
+// TestCongestedReplayDivergenceFails drives bodies that read a counter
+// shared by both passes, so pass two's sends differ from the ones pass
+// one recorded. Replay looks dilations up by send position, so each
+// kind of divergence must fail the job, not borrow another flow's
+// dilation.
+func TestCongestedReplayDivergenceFails(t *testing.T) {
+	t.Parallel()
+	cases := []struct {
+		name string
+		// exchange reports how many ring exchanges a rank makes and
+		// their size, given whether this is the replay pass.
+		exchange func(replay bool) (rounds, floats int)
+		want     string // regexp
+	}{
+		{"size", func(replay bool) (int, int) {
+			if replay {
+				return 2, 2048
+			}
+			return 2, 1024
+		}, `^simmpi: congestion replay diverged: rank \d send 0 is 16384 B to rank \d, tag 3; recorded 8192 B to rank \d, tag 3$`},
+		{"overrun", func(replay bool) (int, int) {
+			if replay {
+				return 3, 1024
+			}
+			return 2, 1024
+		}, `^simmpi: congestion replay diverged: rank \d send 2 \(8192 B to rank \d, tag 3\) is beyond the 2 sends recorded$`},
+		{"underrun", func(replay bool) (int, int) {
+			if replay {
+				return 1, 1024
+			}
+			return 2, 1024
+		}, `^simmpi: congestion replay diverged: rank 0 send 1 never happened \(2 sends recorded\)$`},
+	}
+	for _, tc := range cases {
+		t.Run(tc.name, func(t *testing.T) {
+			t.Parallel()
+			const p = 4
+			calls := 0 // rank bodies run one at a time, so no lock
+			_, err := Run(JobConfig{
+				Procs: p, Nodes: p, RankModel: testModel,
+				Fabric:          congFabric(&topo.Torus{Dims: []int{p}}),
+				Instrumentation: Instrumentation{Congestion: true},
+			}, func(r *Rank) error {
+				calls++
+				rounds, n := tc.exchange(calls > p)
+				for i := 0; i < rounds; i++ {
+					r.SendFloats((r.ID()+1)%p, 3, make([]float64, n))
+					r.RecvFloats((r.ID()-1+p)%p, 3)
+				}
+				return nil
+			})
+			if err == nil || !regexp.MustCompile(tc.want).MatchString(err.Error()) {
+				t.Fatalf("err = %v, want match for %s", err, tc.want)
+			}
+		})
+	}
+}
+
+// TestReplaySolveSpanAttrs pins what the replay-solve span tells a slow
+// request's reader: the solve's size (flows, contended links, fluid
+// events) and whether it built utilization series, which only a traced
+// job does.
+func TestReplaySolveSpanAttrs(t *testing.T) {
+	t.Parallel()
+	for _, traced := range []bool{false, true} {
+		tr := telemetry.NewTrace("req", "request")
+		inst := Instrumentation{Congestion: true, Telemetry: tr.Root()}
+		if traced {
+			inst.Trace = &MemorySink{}
+		}
+		rep, err := Run(JobConfig{
+			Procs: 8, Nodes: 8, RankModel: testModel, Label: "fan-in",
+			Fabric: congFabric(&topo.Torus{Dims: []int{8}}), Instrumentation: inst,
+		}, fanIn)
+		if err != nil {
+			t.Fatal(err)
+		}
+		tr.Finish()
+		solve := tr.Tree().Find("replay-solve")
+		if solve == nil {
+			t.Fatal("no replay-solve span")
+		}
+		want := map[string]any{"flows": 7, "links": len(rep.Links.Links), "series": traced}
+		for k, v := range want {
+			if solve.Attrs[k] != v {
+				t.Errorf("traced=%v: replay-solve %s = %v, want %v", traced, k, solve.Attrs[k], v)
+			}
+		}
+		if ev, _ := solve.Attrs["events"].(int); ev < 1 {
+			t.Errorf("traced=%v: replay-solve events = %v, want ≥ 1", traced, solve.Attrs["events"])
+		}
+		hasSeries := false
+		for _, l := range rep.Links.Links {
+			hasSeries = hasSeries || l.Series != nil
+		}
+		if hasSeries != traced {
+			t.Errorf("traced=%v: link report carries series = %v", traced, hasSeries)
+		}
 	}
 }

@@ -31,7 +31,9 @@ type Instrumentation struct {
 	// sharing over the topology's routed links, and the job then re-runs
 	// with each message's serialization term stretched by its flow's
 	// dilation. Deterministic bodies see identical data in both passes,
-	// so results stay bit-reproducible; only virtual times change.
+	// so results stay bit-reproducible; only virtual times change. A
+	// body whose inter-node sends differ between the passes fails the
+	// job.
 	// Single-node jobs are never congested (shared memory is priced
 	// separately), so their results are exactly those of the default.
 	Congestion bool

@@ -177,11 +177,11 @@ type Rank struct {
 	pmu       *metrics.RankPMU
 	collDepth int
 
-	// Congestion-replay state (see congested.go): flowSeq numbers this
-	// rank's sends per (dst, tag) in program order so both passes derive
-	// identical flow keys; flows is the recording pass's log.
-	flowSeq map[flowRoute]int
-	flows   []congestion.Flow
+	// Congestion-replay state (see congested.go): flows is the recording
+	// pass's log of this rank's inter-node sends, in program order;
+	// replayed counts the sends pass two has priced from it.
+	flows    []congestion.Flow
+	replayed int
 }
 
 // ID returns the rank number in [0, Size).
@@ -329,19 +329,8 @@ func (r *Rank) sendFloatsCore(dst, tag int, data []float64, bytes units.Bytes) m
 	dstNode := r.job.cfg.NodeOf(dst)
 	sendAt := r.clock.Now()
 	var total units.Duration
-	if cs := r.job.congest; cs != nil && dstNode != r.node {
-		k := congestion.FlowKey{Src: r.id, Dst: dst, Tag: tag, Seq: r.nextFlowSeq(dst, tag)}
-		if cs.recording {
-			total = f.PointToPoint(r.node, dstNode, bytes)
-			if bytes > 0 {
-				r.flows = append(r.flows, congestion.Flow{
-					Key: k, SrcNode: r.node, DstNode: dstNode,
-					Start: sendAt, Bytes: bytes,
-				})
-			}
-		} else {
-			total = f.PointToPointDilated(r.node, dstNode, bytes, cs.sol.Dilation(k))
-		}
+	if cs := r.job.congest; cs != nil && dstNode != r.node && bytes > 0 {
+		total = r.congestedPrice(cs, dst, tag, dstNode, bytes)
 	} else {
 		// Contention-free pricing is a pure function of (hops, bytes);
 		// the engine memoises it (see eventEngine.price).
@@ -596,7 +585,9 @@ type Report struct {
 	// Ranks holds per-rank results, indexed by rank.
 	Ranks []RankResult
 	// Links is the per-link contention accounting of a congestion-
-	// enabled multi-node run; nil otherwise.
+	// enabled multi-node run; nil otherwise. It comes from the one fluid
+	// solve of the run; only a traced run's links also carry utilization
+	// series (the busiest links, for the heatmap).
 	Links *congestion.LinkReport
 	// Counters is the virtual PMU's accounting — final per-rank counter
 	// vectors, sampled virtual-time series, and per-peer traffic —
@@ -634,15 +625,17 @@ func Run(cfg JobConfig, body func(*Rank) error) (Report, error) {
 	jobSpan.SetAttr("nodes", cfg.Nodes)
 	var cs *congestState
 	if cfg.Congestion && cfg.Nodes > 1 {
-		sol, err := recordAndSolve(cfg, body, jobSpan)
-		if err != nil {
+		var err error
+		if cs, err = recordAndSolve(cfg, body, jobSpan); err != nil {
 			jobSpan.Fail(err)
 			return Report{}, err
 		}
-		cs = &congestState{sol: sol}
 	}
 	runSpan := jobSpan.Child("run-pass")
 	ranks, err := runRanks(cfg, body, cs)
+	if err == nil && cs != nil {
+		err = cs.replayErr(ranks)
+	}
 	runSpan.Fail(err)
 	runSpan.End()
 	if err != nil {
