@@ -170,7 +170,7 @@ func TestSolveDeterministicUnderPermutation(t *testing.T) {
 		{Key: key(3, 7, 2, 1), SrcNode: 3, DstNode: 7, Start: vclock.Time(2e8), Bytes: 9e5},
 		{Key: key(0, 4, 1, 1), SrcNode: 0, DstNode: 4, Start: vclock.Time(2e8), Bytes: 2e5},
 	}
-	cfg := Config{Topo: ring(8), Capacity: flat(1e6), InjectionCapacity: 8e5}
+	cfg := Config{Topo: ring(8), Capacity: flat(1e6), InjectionCapacity: 8e5, SeriesLinks: 16}
 	ref := Solve(cfg, base)
 	perm := []int{4, 2, 0, 3, 1}
 	permuted := make([]Flow, len(perm))
