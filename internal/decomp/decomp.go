@@ -149,7 +149,10 @@ func Exchange(r *simmpi.Rank, g Grid3D, spec HaloSpec, tag int) {
 		nbr  int
 		face Face
 	}
-	var posts []pending
+	// At most one receive per face: a fixed array keeps the pending list
+	// off the heap.
+	var posts [NumFaces]pending
+	n := 0
 	// Post all sends first (eager), then drain receives — the standard
 	// deadlock-free ordering.
 	for f := XMinus; f < NumFaces; f++ {
@@ -159,9 +162,10 @@ func Exchange(r *simmpi.Rank, g Grid3D, spec HaloSpec, tag int) {
 		}
 		bytes := FaceBytes(f, spec.NX, spec.NY, spec.NZ, spec.Width, spec.Elem)
 		r.Send(nbr, tag+int(f), nil, bytes)
-		posts = append(posts, pending{nbr, f})
+		posts[n] = pending{nbr, f}
+		n++
 	}
-	for _, p := range posts {
+	for _, p := range posts[:n] {
 		// The neighbour sent its matching opposite face with the
 		// opposite face's tag.
 		r.Recv(p.nbr, tag+int(opposite(p.face)))

@@ -1,6 +1,7 @@
 package decomp
 
 import (
+	"runtime"
 	"testing"
 	"testing/quick"
 
@@ -172,6 +173,45 @@ func TestExchangeByteAccounting(t *testing.T) {
 	}
 	if rep.TotalMsgs != 2 {
 		t.Errorf("msgs = %d, want 2", rep.TotalMsgs)
+	}
+}
+
+// TestExchangeAllocGuard pins steady-state allocations of a halo
+// exchange: on a 2×2×2 grid every rank posts three faces per call, and a
+// heap-grown pending list would cost three allocations each time. A long
+// run minus a short one cancels the fixed job-setup allocations.
+func TestExchangeAllocGuard(t *testing.T) {
+	if raceEnabled {
+		t.Skip("race-detector instrumentation allocates per channel operation")
+	}
+	g := Grid3D{PX: 2, PY: 2, PZ: 2}
+	spec := HaloSpec{NX: 8, NY: 8, NZ: 8, Width: 1, Elem: 8}
+	mallocs := func(iters int) uint64 {
+		runtime.GC()
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		_, err := simmpi.Run(testJob(g.Size(), 2), func(r *simmpi.Rank) error {
+			for it := 0; it < iters; it++ {
+				Exchange(r, g, spec, 0)
+			}
+			return nil
+		})
+		runtime.ReadMemStats(&after)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return after.Mallocs - before.Mallocs
+	}
+	const short, long = 50, 1050
+	base, full := mallocs(short), mallocs(long)
+	var extra uint64
+	if full > base {
+		extra = full - base
+	}
+	perCall := float64(extra) / float64((long-short)*g.Size())
+	t.Logf("%d extra mallocs over %d calls (%.4f per call)", extra, (long-short)*g.Size(), perCall)
+	if perCall > 0.1 {
+		t.Fatalf("%.3f allocations per Exchange call; the halo exchange is allocating again", perCall)
 	}
 }
 

@@ -20,6 +20,11 @@ package simmpi
 // Message slots: within one round of every algorithm the send→recv
 // pairing is a bijection (each rank receives at most one message), so a
 // single scratch slice indexed by receiver replaces per-route queues.
+// Likewise each rank sends at most one message per round, so the copy a
+// rank sends of a buffer that folds overwrite in place (Allreduce,
+// Reduce, ReduceScatter's halving) comes from one reusable buffer per
+// sender (sendCopy), read before that sender's next round; only copies
+// that reach a caller as a result are freshly allocated.
 //
 // The valid cross-rank orders used below:
 //   - round-based exchanges (barrier, allreduce doubling, allgather
@@ -92,9 +97,18 @@ func (e *eventEngine) scratch() {
 		e.starts = make([]vclock.Time, p)
 		e.starts2 = make([]vclock.Time, p)
 		e.blocks = make([][]float64, p)
+		e.sendBufs = make([][]float64, p)
 		e.ints = make([]int, p)
 		e.lims = make([]int, p)
 	}
+}
+
+// sendCopy copies buf into rank id's reusable send buffer and returns
+// the copy. It stays valid until id's next sendCopy, which every
+// algorithm here issues only after the copy's receiver has folded it.
+func (e *eventEngine) sendCopy(id int, buf []float64) []float64 {
+	e.sendBufs[id] = append(e.sendBufs[id][:0], buf...)
+	return e.sendBufs[id]
 }
 
 // beginAll/endAll replicate each rank's collBegin/collEnd bracket. The
@@ -195,7 +209,7 @@ func batchAllreduce(e *eventEngine, args []collArgs) {
 	for id := 0; id < 2*rem; id += 2 {
 		buf := args[id].buf
 		e.slots[id+1] = rs[id].sendFloatsCore(id+1, tagReduce,
-			append([]float64(nil), buf...), units.Bytes(8*len(buf)))
+			e.sendCopy(id, buf), units.Bytes(8*len(buf)))
 	}
 	for id := 1; id < 2*rem; id += 2 {
 		other := rs[id].recvFloatsCore(e.slots[id], id-1, tagReduce)
@@ -221,7 +235,7 @@ func batchAllreduce(e *eventEngine, args []collArgs) {
 			}
 			buf := args[id].buf
 			e.slots[partner] = rs[id].sendFloatsCore(partner, tag,
-				append([]float64(nil), buf...), units.Bytes(8*len(buf)))
+				e.sendCopy(id, buf), units.Bytes(8*len(buf)))
 		}
 		for id := 0; id < p; id++ {
 			nid := arNewID(id, rem)
@@ -244,7 +258,7 @@ func batchAllreduce(e *eventEngine, args []collArgs) {
 	for id := 1; id < 2*rem; id += 2 {
 		buf := args[id].buf
 		e.slots[id-1] = rs[id].sendFloatsCore(id-1, tagReduce+2,
-			append([]float64(nil), buf...), units.Bytes(8*len(buf)))
+			e.sendCopy(id, buf), units.Bytes(8*len(buf)))
 	}
 	for id := 0; id < 2*rem; id += 2 {
 		got := rs[id].recvFloatsCore(e.slots[id], id+1, tagReduce+2)
@@ -301,7 +315,7 @@ func batchReduceTree(e *eventEngine, args []collArgs, root, tag int) {
 			dst := (v&^mask + root) % p
 			buf := args[id].buf
 			e.slots[dst] = rs[id].sendFloatsCore(dst, tag,
-				append([]float64(nil), buf...), units.Bytes(8*len(buf)))
+				e.sendCopy(id, buf), units.Bytes(8*len(buf)))
 		}
 		// Receivers: active ranks with the bit clear and a live partner.
 		for v := 0; v+mask < p; v += 2 * mask {
@@ -434,7 +448,7 @@ func batchReduceScatter(e *eventEngine, args []collArgs, res []any) {
 				sLo, sHi = mid, e.lims[id]
 			}
 			e.slots[partner] = r.sendFloatsCore(partner, tag,
-				append([]float64(nil), e.blocks[id][sLo:sHi]...), units.Bytes(8*(sHi-sLo)))
+				e.sendCopy(id, e.blocks[id][sLo:sHi]), units.Bytes(8*(sHi-sLo)))
 		}
 		for id, r := range rs {
 			partner := id ^ mask

@@ -14,8 +14,10 @@ import (
 	"crypto/sha256"
 	"encoding/json"
 	"fmt"
+	"runtime"
 	"strings"
 	"testing"
+	"time"
 
 	"a64fxbench/internal/metrics"
 	"a64fxbench/internal/perfmodel"
@@ -360,6 +362,56 @@ func TestEventEngineDeadlockDetection(t *testing.T) {
 	})
 	if err == nil || !strings.Contains(err.Error(), "collective mismatch") {
 		t.Fatalf("want collective mismatch, got %v", err)
+	}
+	// A root mismatch panics inside the batched executor, which runs on
+	// the last arriver's goroutine: the panic must become the job's
+	// error, and every parked rank must be unwound.
+	roots := map[string]func(r *Rank){
+		"Bcast":  func(r *Rank) { r.Bcast(r.ID()%2, []float64{1}) },
+		"Reduce": func(r *Rank) { r.Reduce(r.ID()%2, []float64{1}, OpSum) },
+	}
+	for name, call := range roots {
+		_, err = Run(cfg(4, 2), func(r *Rank) error {
+			call(r)
+			return nil
+		})
+		if err == nil || !strings.Contains(err.Error(), "root mismatch") {
+			t.Fatalf("%s: want root mismatch, got %v", name, err)
+		}
+	}
+}
+
+// TestEventEngineAbortUnwindsRanks: a job that fails — a deadlock, or a
+// panic in the batched executor on the last arriver's goroutine — must
+// unwind every parked rank goroutine, so a long-lived caller that keeps
+// going after the error leaks nothing. Not parallel: it counts the
+// process's goroutines.
+func TestEventEngineAbortUnwindsRanks(t *testing.T) {
+	bodies := map[string]func(r *Rank) error{
+		"deadlock": func(r *Rank) error {
+			if r.ID() > 0 {
+				r.Recv(0, 99) // never sent
+			}
+			return nil
+		},
+		"root mismatch": func(r *Rank) error {
+			r.Reduce(r.ID()%3, []float64{1}, OpSum)
+			return nil
+		},
+	}
+	for name, body := range bodies {
+		before := runtime.NumGoroutine()
+		if _, err := Run(cfg(16, 4), body); err == nil {
+			t.Fatalf("%s: want an error", name)
+		}
+		// The last rank goroutine exits just after handing the token back.
+		deadline := time.Now().Add(5 * time.Second)
+		for runtime.NumGoroutine() > before && time.Now().Before(deadline) {
+			time.Sleep(time.Millisecond)
+		}
+		if n := runtime.NumGoroutine(); n > before {
+			t.Fatalf("%s: %d goroutines after the failed job, %d before", name, n, before)
+		}
 	}
 }
 

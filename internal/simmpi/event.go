@@ -2,20 +2,23 @@ package simmpi
 
 // The discrete-event engine: the one way simmpi executes a job.
 //
-// All ranks of a job are driven by a single-threaded event loop. Rank
-// bodies still run on goroutines — Go has no first-class continuations —
-// but exactly one of them is runnable at any instant: the loop hands a
-// rank the execution token, the rank runs until it blocks (an empty-route
-// Recv, a world collective, a Split) or finishes, and hands the token
-// back. The loop then pops the next runnable rank from a binary-heap
-// ready queue keyed on (virtual time, rank, sequence).
+// All ranks of a job share one execution token. Rank bodies run on
+// goroutines — Go has no first-class continuations — but exactly one of
+// them holds the token at any instant. A rank runs until it blocks (an
+// empty-route Recv, a world collective, a Split) or finishes, and then
+// passes the token on itself (handoff): it pops the next runnable rank
+// from a binary-heap ready queue keyed on (virtual time, rank, sequence)
+// and resumes it with one channel send. No loop goroutine sits between
+// two ranks, so a dispatch costs one goroutine switch. runEventLoop only
+// starts the first rank and waits for the ranks to report that nothing
+// is runnable.
 //
 // Correctness rests on the conservative virtual-time rule (see package
 // vclock): every inter-rank coupling happens through a message stamped
 // with its availability time, and a receive completes at
 // max(receiver clock, stamp). Any scheduling that runs a receive after
 // its matching send therefore produces bit-identical results — the
-// event loop's ordering is a real-time optimisation, never a semantic
+// ready queue's ordering is a real-time optimisation, never a semantic
 // choice. The same rule lets world collectives run batched: the
 // differential suite in engine_test.go holds every batched collective to
 // the byte-identical output of its point-to-point reference algorithm.
@@ -23,16 +26,18 @@ package simmpi
 // Three things make this engine fast at 10⁴–10⁵ ranks:
 //
 //   - World collectives are executed as one batched event (see
-//     collective_batch.go): when all p ranks have parked at the same
-//     collective, the loop replays each rank's exact per-rank message
-//     sequence in a dependency-valid cross-rank order, eliminating the
-//     ~2·p·log p token handoffs per collective.
+//     collective_batch.go): the last rank to park at a collective
+//     replays every rank's exact per-rank message sequence in a
+//     dependency-valid cross-rank order, eliminating the ~2·p·log p
+//     token handoffs per collective.
 //   - Identical messages collapse onto shared symmetric state: the
 //     point-to-point model is a pure function of (hop count, bytes), so
 //     the engine memoises prices and the p equal-size transfers of a
 //     collective round cost a handful of model evaluations instead of p.
-//   - The ready queue is an alloc-free slice-backed binary heap, and
-//     rank goroutines are spawned lazily on first dispatch.
+//   - Steady-state dispatch allocates nothing: the ready queue is a
+//     slice-backed binary heap, route queues reuse their backing arrays,
+//     collective rounds copy through per-rank reusable buffers, and rank
+//     goroutines are spawned lazily on first dispatch.
 
 import (
 	"fmt"
@@ -41,7 +46,7 @@ import (
 	"a64fxbench/internal/vclock"
 )
 
-// rankState is where a rank currently is, from the loop's point of view.
+// rankState is where a rank currently is, from the engine's point of view.
 type rankState uint8
 
 const (
@@ -174,24 +179,28 @@ func routeKey(src, tag int) uint64 {
 	return uint64(uint32(src))<<32 | uint64(uint32(tag))
 }
 
-// engineKilled unwinds a parked rank goroutine when the loop aborts;
-// the runner recognises it and exits without recording an error.
+// engineKilled unwinds a parked rank goroutine when a stalled job is
+// aborted; the runner recognises it and exits without recording an error.
 type engineKilled struct{}
 
-// eventEngine is the per-job state of the discrete-event loop. It is
-// mutated by the loop goroutine and by whichever rank goroutine holds
-// the execution token — never by two goroutines at once, so it needs no
-// locks.
+// eventEngine is the per-job state of the discrete-event engine. It is
+// mutated only by the goroutine that holds the execution token — a rank
+// goroutine, or runEventLoop before the first dispatch and once the
+// ranks report that nothing is runnable — so it needs no locks: every
+// token transfer is a channel operation, which orders one holder's
+// writes before the next holder's reads.
 type eventEngine struct {
 	j     *job
 	ranks []*Rank
 	body  func(*Rank) error
 
-	// Token handoff: the loop resumes rank i by sending on resume[i];
-	// a rank hands the token back by sending on yield (when it parks
-	// or finishes). Both are unbuffered, so the handoff is a rendezvous.
+	// Token handoff: a rank passes the token to parked rank i by sending
+	// on resume[i] (buffered, so the sender never waits for the receiver
+	// to reach its receive), or by starting i's goroutine if it has not
+	// run yet. A rank that finds nothing runnable sends on idle instead,
+	// returning the token to runEventLoop.
 	resume  []chan struct{}
-	yield   chan struct{}
+	idle    chan struct{}
 	started []bool
 	state   []rankState
 
@@ -217,13 +226,15 @@ type eventEngine struct {
 	splitParked []int
 
 	// Scratch for the batched collective executor (collective_batch.go);
-	// allocated once at first use, reused for every collective.
-	slots   []message
-	starts  []vclock.Time
-	starts2 []vclock.Time
-	blocks  [][]float64
-	ints    []int
-	lims    []int
+	// allocated once at first use, reused for every collective. sendBufs
+	// backs sendCopy.
+	slots    []message
+	starts   []vclock.Time
+	starts2  []vclock.Time
+	blocks   [][]float64
+	sendBufs [][]float64
+	ints     []int
+	lims     []int
 
 	prices map[uint64]units.Duration
 
@@ -232,8 +243,10 @@ type eventEngine struct {
 	aborted bool
 }
 
-// runEventLoop executes body on every rank under the discrete-event
-// loop (see runRanks).
+// runEventLoop executes body on every rank (see runRanks). It starts
+// the first rank and waits for the one idle signal: from there on the
+// ranks hand the token to each other. If ranks remain unfinished when
+// nothing is runnable, the job has stalled and is aborted.
 func runEventLoop(j *job, ranks []*Rank, body func(*Rank) error) error {
 	p := len(ranks)
 	e := &eventEngine{
@@ -241,7 +254,7 @@ func runEventLoop(j *job, ranks []*Rank, body func(*Rank) error) error {
 		ranks:    ranks,
 		body:     body,
 		resume:   make([]chan struct{}, p),
-		yield:    make(chan struct{}),
+		idle:     make(chan struct{}),
 		started:  make([]bool, p),
 		state:    make([]rankState, p),
 		routes:   make([]map[uint64]*msgQueue, p),
@@ -253,18 +266,13 @@ func runEventLoop(j *job, ranks []*Rank, body func(*Rank) error) error {
 	e.ready.a = make([]evItem, 0, p)
 	for i := range ranks {
 		ranks[i].eng = e
-		e.resume[i] = make(chan struct{})
+		e.resume[i] = make(chan struct{}, 1)
 		e.push(i, 0)
 	}
-	for e.done < p {
-		if e.collIn == p {
-			e.runCollective()
-			continue
-		}
-		if e.ready.len() == 0 {
-			return e.abort()
-		}
-		e.dispatch(e.ready.pop().rank)
+	e.start(e.ready.pop().rank)
+	<-e.idle
+	if e.done < p {
+		return e.abort()
 	}
 	for _, err := range e.errs {
 		if err != nil {
@@ -281,20 +289,43 @@ func (e *eventEngine) push(i int, at vclock.Time) {
 	e.seq++
 }
 
-// dispatch hands the execution token to rank i and blocks until it
-// comes back (the rank parked or finished).
-func (e *eventEngine) dispatch(i int) {
-	if !e.started[i] {
-		e.started[i] = true
-		go e.runner(e.ranks[i])
-	} else {
-		e.resume[i] <- struct{}{}
-	}
-	<-e.yield
+// start launches rank i's goroutine, handing it the token.
+func (e *eventEngine) start(i int) {
+	e.started[i] = true
+	go e.runner(e.ranks[i])
 }
 
-// runner is a rank goroutine: it owns the token on entry and whenever
-// park returns, and surrenders it exactly once on exit.
+// handoff passes the token on from rank self, which is parking or has
+// finished. If every rank has arrived at a world collective, self (the
+// last arriver) runs it first. It then resumes the next ready rank, or
+// reports true without switching if that rank is self; with nothing
+// runnable it returns the token to runEventLoop. Once handoff returns
+// false the caller no longer holds the token and must not touch engine
+// state.
+func (e *eventEngine) handoff(self int) bool {
+	if e.collIn == len(e.ranks) {
+		e.runCollective()
+	}
+	if e.ready.len() == 0 {
+		e.idle <- struct{}{}
+		return false
+	}
+	next := e.ready.pop().rank
+	switch {
+	case next == self:
+		return true
+	case !e.started[next]:
+		e.start(next)
+	default:
+		e.resume[next] <- struct{}{}
+	}
+	return false
+}
+
+// runner is a rank goroutine: it holds the token on entry and whenever
+// park returns, and passes it on exactly once on exit. A panic — from
+// the body or from a batched collective this rank executed — becomes
+// the rank's error.
 func (e *eventEngine) runner(r *Rank) {
 	defer func() {
 		if p := recover(); p != nil {
@@ -304,17 +335,19 @@ func (e *eventEngine) runner(r *Rank) {
 		}
 		e.state[r.id] = stateDone
 		e.done++
-		e.yield <- struct{}{}
+		e.handoff(r.id)
 	}()
 	if err := e.body(r); err != nil {
 		e.errs[r.id] = err
 	}
 }
 
-// park surrenders the token and blocks until the loop resumes this
-// rank. Must be called from r's own goroutine while it holds the token.
+// park passes the token on and blocks until some rank resumes this one.
+// Must be called from r's own goroutine while it holds the token.
 func (e *eventEngine) park(r *Rank) {
-	e.yield <- struct{}{}
+	if e.handoff(r.id) {
+		return
+	}
 	<-e.resume[r.id]
 	if e.aborted {
 		panic(engineKilled{})
@@ -403,12 +436,15 @@ func (e *eventEngine) collective(r *Rank, a collArgs) any {
 }
 
 // runCollective fires once every rank has parked at the same world
-// collective: the batched executor replays each rank's exact message
-// sequence, then all ranks become runnable at their post-collective
-// clocks.
+// collective, on the goroutine of the last arriver: the batched executor
+// replays each rank's exact message sequence, then all ranks become
+// runnable at their post-collective clocks. collIn is reset first, so if
+// the executor panics (say, on a root mismatch) the arriver's runner
+// turns the panic into its error and its exit handoff finds a stalled
+// job instead of running the collective again.
 func (e *eventEngine) runCollective() {
-	runBatched(e, e.collKind, e.collArgs, e.collRes)
 	e.collIn = 0
+	runBatched(e, e.collKind, e.collArgs, e.collRes)
 	for i, r := range e.ranks {
 		e.collArgs[i] = collArgs{}
 		e.push(i, r.clock.Now())
@@ -433,10 +469,11 @@ func (e *eventEngine) splitWait(r *Rank, last bool) {
 	e.splitParked = e.splitParked[:0]
 }
 
-// abort reports why the loop stalled — a rank's error if one occurred,
+// abort reports why the job stalled — a rank's error if one occurred,
 // otherwise a deadlock diagnosis — and unwinds every parked goroutine
 // so nothing leaks: a job that can never finish returns an error
-// instead of hanging.
+// instead of hanging. runEventLoop holds the token here; each unwound
+// rank's exit handoff finds nothing runnable and returns it.
 func (e *eventEngine) abort() error {
 	var err error
 	for _, rerr := range e.errs {
@@ -462,7 +499,7 @@ func (e *eventEngine) abort() error {
 	for i := range e.ranks {
 		if e.started[i] && e.state[i] != stateDone {
 			e.resume[i] <- struct{}{}
-			<-e.yield
+			<-e.idle
 		}
 	}
 	return err

@@ -1,9 +1,11 @@
 package simmpi
 
-// Allocation guard for point-to-point messaging: a steady-state
-// ping-pong exchange must not allocate per message. The engine's
+// Allocation guards: steady-state point-to-point messaging and world
+// collectives must not allocate per message or per round. The engine's
 // arena-backed route queues (event.go) reuse their backing arrays once
-// drained, and float payloads travel unboxed; these tests pin that.
+// drained, float payloads travel unboxed, and collective rounds copy
+// through per-rank reusable buffers (collective_batch.go); these tests
+// pin that.
 
 import (
 	"runtime"
@@ -30,25 +32,37 @@ func pingPong(iters int) error {
 	return err
 }
 
-// pingPongMallocs returns the process malloc count a ping-pong of iters
-// round trips took.
-func pingPongMallocs(t *testing.T, iters int) uint64 {
+// mallocs returns the process malloc count run took.
+func mallocs(t *testing.T, run func() error) uint64 {
 	t.Helper()
 	runtime.GC()
 	var before, after runtime.MemStats
 	runtime.ReadMemStats(&before)
-	if err := pingPong(iters); err != nil {
+	if err := run(); err != nil {
 		t.Fatal(err)
 	}
 	runtime.ReadMemStats(&after)
 	return after.Mallocs - before.Mallocs
 }
 
+// steadyAllocs returns the allocations per iteration of run beyond its
+// fixed cost. Differencing a long run against a short one cancels the
+// fixed job-setup allocations.
+func steadyAllocs(t *testing.T, short, long int, run func(iters int) error) float64 {
+	t.Helper()
+	base := mallocs(t, func() error { return run(short) })
+	full := mallocs(t, func() error { return run(long) })
+	var extra uint64
+	if full > base {
+		extra = full - base
+	}
+	return float64(extra) / float64(long-short)
+}
+
 // TestPingPongAllocGuard pins steady-state allocations per ping-pong
-// round trip. Differencing a long run against a short one cancels the
-// fixed job-setup allocations; the bound is deliberately loose against
-// incidental runtime allocations but far below one alloc per message —
-// the regression this guards against (per-route channels, per-message
+// round trip. The bound is deliberately loose against incidental
+// runtime allocations but far below one alloc per message — the
+// regression this guards against (per-route channels, per-message
 // boxes) costs hundreds per thousand round trips. The subtest is named
 // after the discrete-event engine it exercises.
 func TestPingPongAllocGuard(t *testing.T) {
@@ -56,19 +70,57 @@ func TestPingPongAllocGuard(t *testing.T) {
 		t.Skip("race-detector instrumentation allocates per channel operation")
 	}
 	t.Run("event", func(t *testing.T) {
-		const short, long = 200, 5200
-		base := pingPongMallocs(t, short)
-		full := pingPongMallocs(t, long)
-		var extra uint64
-		if full > base {
-			extra = full - base
-		}
-		perK := float64(extra) / float64(long-short) * 1000
-		t.Logf("%d extra mallocs over %d round trips (%.1f per 1000)", extra, long-short, perK)
+		perK := steadyAllocs(t, 200, 5200, pingPong) * 1000
+		t.Logf("%.1f mallocs per 1000 round trips", perK)
 		if perK > 100 { // 0.1 allocs per round trip
 			t.Fatalf("%.1f allocations per 1000 ping-pong round trips; route queues are leaking again", perK)
 		}
 	})
+}
+
+// TestCollectiveAllocGuard pins steady-state allocations of the
+// solvers' per-iteration reductions at p = 48, a non-power-of-two size
+// that exercises all three recursive-doubling phases. A per-round copy
+// of the folded buffer costs about 4 allocations per rank per
+// collective; the bound is 0.1.
+func TestCollectiveAllocGuard(t *testing.T) {
+	if raceEnabled {
+		t.Skip("race-detector instrumentation allocates per channel operation")
+	}
+	const p = 48
+	bodies := []struct {
+		name string
+		body func(r *Rank, iters int)
+	}{
+		{"Allreduce", func(r *Rank, iters int) {
+			buf := make([]float64, 8)
+			for i := 0; i < iters; i++ {
+				r.Allreduce(buf, OpSum)
+			}
+		}},
+		{"AllreduceScalar", func(r *Rank, iters int) {
+			v := float64(r.ID())
+			for i := 0; i < iters; i++ {
+				v = r.AllreduceScalar(v, OpMax)
+			}
+		}},
+	}
+	for _, b := range bodies {
+		t.Run(b.name, func(t *testing.T) {
+			perColl := steadyAllocs(t, 20, 520, func(iters int) error {
+				_, err := Run(cfg(p, 4), func(r *Rank) error {
+					b.body(r, iters)
+					return nil
+				})
+				return err
+			})
+			perRank := perColl / p
+			t.Logf("%.3f mallocs per collective (%.4f per rank)", perColl, perRank)
+			if perRank > 0.1 {
+				t.Fatalf("%.3f allocations per rank per %s; collective rounds are allocating again", perRank, b.name)
+			}
+		})
+	}
 }
 
 // BenchmarkPingPong reports ns and allocs per ping-pong round trip

@@ -177,6 +177,10 @@ type Rank struct {
 	pmu       *metrics.RankPMU
 	collDepth int
 
+	// scalar backs AllreduceScalar's one-element buffer, so the
+	// per-iteration dot products of the solvers allocate nothing.
+	scalar [1]float64
+
 	// Congestion-replay state (see congested.go): flows is the recording
 	// pass's log of this rank's inter-node sends, in program order;
 	// replayed counts the sends pass two has priced from it.
@@ -482,9 +486,9 @@ func (r *Rank) Allreduce(buf []float64, op Op) {
 
 // AllreduceScalar reduces a single value across ranks.
 func (r *Rank) AllreduceScalar(v float64, op Op) float64 {
-	buf := []float64{v}
-	r.Allreduce(buf, op)
-	return buf[0]
+	r.scalar[0] = v
+	r.Allreduce(r.scalar[:], op)
+	return r.scalar[0]
 }
 
 // Bcast distributes root's buf to every rank via a binomial tree and
@@ -709,7 +713,8 @@ func Run(cfg JobConfig, body func(*Rank) error) (Report, error) {
 	return rep, nil
 }
 
-// runRanks executes body on every rank under the event loop and returns the ranks with their final clocks and logs. cs selects the
+// runRanks executes body on every rank under the event engine and
+// returns the ranks with their final clocks and logs. cs selects the
 // congestion-replay mode (nil = contention-free pricing).
 func runRanks(cfg JobConfig, body func(*Rank) error, cs *congestState) ([]*Rank, error) {
 	j := &job{cfg: cfg, congest: cs, splits: map[int]*splitState{}, splitSeq: map[int]int{}}
