@@ -300,8 +300,8 @@ func NewServer(cfg ServerConfig) *Server { return serve.New(cfg) }
 // Server is the daemon; Handler() is its mountable http.Handler.
 type Server = serve.Server
 
-// ServerConfig tunes the daemon's concurrency, queue depth and response
-// cache.
+// ServerConfig tunes the daemon's execution concurrency and queue depth
+// and sets its request logger.
 type ServerConfig = serve.Config
 
 // Experiments lists every table and figure of the paper's evaluation in

@@ -137,24 +137,10 @@ var commands = []command{
 		},
 	},
 	cmdFunc{
-		name: "enginebench", synopsis: "enginebench [baseline.json]",
-		describe: "measure engine ranks/sec and allocs/msg; gate allocs against a baseline snapshot (-o)",
-		run: func(_ context.Context, cfg sweepConfig, args []string) error {
-			return enginebenchCmd(cfg, args)
-		},
-	},
-	cmdFunc{
 		name: "serve", synopsis: "serve",
 		describe: "run the sweep-as-a-service HTTP daemon (-addr, -j, -queue)",
 		run: func(ctx context.Context, cfg sweepConfig, _ []string) error {
 			return serveCmd(ctx, cfg)
-		},
-	},
-	cmdFunc{
-		name: "servebench", synopsis: "servebench [baseline.json]",
-		describe: "load-test the serving layer; gate against a baseline snapshot (-o)",
-		run: func(_ context.Context, cfg sweepConfig, args []string) error {
-			return servebenchCmd(cfg, args)
 		},
 	},
 	cmdFunc{

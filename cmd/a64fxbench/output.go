@@ -10,8 +10,8 @@ import (
 // even if fn panics — and a write error from fn wins over the close
 // error, but a failed close on an otherwise clean run is still reported
 // (a buffered write that never hit the disk is a real failure). Every
-// exporting command (trace, links, counters, enginebench, servebench)
-// funnels through this one helper.
+// exporting command (trace, links, counters) funnels through this one
+// helper.
 func withOutput(cfg sweepConfig, fn func(w io.Writer) error) (err error) {
 	if cfg.out == "" {
 		return fn(os.Stdout)

@@ -86,10 +86,14 @@ func TestRunSweepFormats(t *testing.T) {
 
 // TestMachineCommandsLiveUnderMachines: spec validation and calibration
 // are reachable only as `machines validate` and `machines calibrate`.
+// The retired benchmark commands stay unregistered too: their gates are
+// package tests now.
 func TestMachineCommandsLiveUnderMachines(t *testing.T) {
 	t.Parallel()
-	if findCommand("calibrate") != nil {
-		t.Error("top-level calibrate still registered")
+	for _, name := range []string{"calibrate", "enginebench", "servebench"} {
+		if findCommand(name) != nil {
+			t.Errorf("top-level %s still registered", name)
+		}
 	}
 	err := findCommand("validate").Run(context.Background(), sweepConfig{}, []string{"spec.json"})
 	if err == nil || !strings.Contains(err.Error(), "machines validate") {

@@ -10,8 +10,8 @@ import "a64fxbench/internal/arch"
 // yields the 100k-rank smoke scenario (100,032 ranks).
 //
 // The same scenario backs BenchmarkEngineRanksPerSec, the 100k-rank
-// smoke test, and the `a64fxbench enginebench` CI gate, so the recorded
-// ranks/sec numbers are comparable across all three.
+// smoke test and the allocation gate (TestEngineAllocsPerMsg in
+// internal/simmpi), so their numbers are comparable.
 func ScaleConfig(sys *arch.System, nodes int) Config {
 	return Config{
 		System: sys, Nodes: nodes,

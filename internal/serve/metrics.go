@@ -49,40 +49,6 @@ func (h *histogram) observe(seconds float64) {
 	h.total++
 }
 
-// quantile estimates the q-th quantile (0..1) by linear interpolation
-// within the bucket that holds the target rank — the same estimate a
-// Prometheus histogram_quantile() would produce from the exposition.
-// Observations in the +Inf bucket clamp to the largest finite bound.
-func (h *histogram) quantile(q float64) float64 {
-	if h.total == 0 {
-		return 0
-	}
-	if q < 0 {
-		q = 0
-	}
-	if q > 1 {
-		q = 1
-	}
-	target := q * float64(h.total)
-	var cum uint64
-	for i, c := range h.counts {
-		cum += c
-		if float64(cum) < target || c == 0 {
-			continue
-		}
-		if i >= len(h.bounds) { // +Inf bucket
-			return h.bounds[len(h.bounds)-1]
-		}
-		lo := 0.0
-		if i > 0 {
-			lo = h.bounds[i-1]
-		}
-		frac := (target - float64(cum-c)) / float64(c)
-		return lo + (h.bounds[i]-lo)*frac
-	}
-	return h.bounds[len(h.bounds)-1]
-}
-
 // escapeLabel escapes a Prometheus label value: backslash, double quote
 // and newline, exactly the three escapes the text exposition defines
 // (fmt's %q would also escape characters Prometheus wants verbatim).
@@ -182,35 +148,6 @@ func (m *Metrics) ObserveStage(stage string, d time.Duration) {
 		m.stages[stage] = h
 	}
 	h.observe(d.Seconds())
-}
-
-// StageQuantiles estimates the given quantiles (0..1) of a stage's
-// latency in seconds, interpolated from the histogram buckets; all
-// zeros when the stage has no observations. servebench uses it for its
-// per-stage p50/p90/p99 report.
-func (m *Metrics) StageQuantiles(stage string, qs ...float64) []float64 {
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	out := make([]float64, len(qs))
-	h := m.stages[stage]
-	if h == nil {
-		return out
-	}
-	for i, q := range qs {
-		out[i] = h.quantile(q)
-	}
-	return out
-}
-
-// StageCount returns the number of observations a stage's histogram
-// holds.
-func (m *Metrics) StageCount(stage string) uint64 {
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	if h := m.stages[stage]; h != nil {
-		return h.total
-	}
-	return 0
 }
 
 // CountersSnapshot captures the daemon's counter/gauge state as a flat

@@ -370,28 +370,3 @@ func TestPrometheusHistogramMonotonic(t *testing.T) {
 		}
 	}
 }
-
-// TestHistogramQuantileBounds pins the quantile estimator: results must
-// be monotone in q and bounded by the bucket holding the observations.
-func TestHistogramQuantileBounds(t *testing.T) {
-	t.Parallel()
-	rng := rand.New(rand.NewSource(42))
-	h := newHistogram(stageBuckets)
-	for i := 0; i < 1000; i++ {
-		h.observe(rng.Float64() * 0.002) // 0..2ms
-	}
-	prev := -1.0
-	for _, q := range []float64{0, 0.1, 0.25, 0.5, 0.75, 0.9, 0.99, 1} {
-		v := h.quantile(q)
-		if v < prev {
-			t.Fatalf("quantile(%g) = %g < quantile at lower q (%g)", q, v, prev)
-		}
-		if v < 0 || v > 0.0025 {
-			t.Fatalf("quantile(%g) = %g outside the populated bucket range", q, v)
-		}
-		prev = v
-	}
-	if got := newHistogram(latencyBuckets).quantile(0.5); got != 0 {
-		t.Fatalf("empty histogram quantile = %g, want 0", got)
-	}
-}

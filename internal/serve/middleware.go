@@ -97,11 +97,11 @@ func stageDurations(n *telemetry.SpanNode) map[string]time.Duration {
 }
 
 // withTelemetry wraps the mux with the request-identity and tracing
-// middleware: every /v1 response gets an X-Request-ID; unless telemetry
-// is disabled, each /v1 request also gets a root span whose children
-// are the stage spans the handlers open, and on completion the tree is
-// folded into the stage histograms, offered to the flight recorder and
-// emitted as one structured log line.
+// middleware: every /v1 response gets an X-Request-ID and each /v1
+// request a root span whose children are the stage spans the handlers
+// open. On completion the tree is folded into the stage histograms,
+// offered to the flight recorder and emitted as one structured log
+// line.
 func (s *Server) withTelemetry(next http.Handler) http.Handler {
 	return http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
 		if !strings.HasPrefix(r.URL.Path, "/v1/") {
@@ -114,11 +114,6 @@ func (s *Server) withTelemetry(next http.Handler) http.Handler {
 		}
 		w.Header().Set("X-Request-ID", id)
 		sw := &statusWriter{ResponseWriter: w}
-		if s.cfg.DisableTelemetry {
-			next.ServeHTTP(sw, r)
-			return
-		}
-
 		start := time.Now()
 		tr := telemetry.NewTrace(id, "request "+r.URL.Path)
 		root := tr.Root()

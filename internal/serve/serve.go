@@ -35,24 +35,22 @@ type Config struct {
 	// QueueDepth is how many admitted executions may wait for a free
 	// execution slot before new work is rejected with 429 (≤ 0 means 64).
 	QueueDepth int
-	// CacheEntries caps the response cache, evicting oldest-first
-	// (≤ 0 means 4096).
-	CacheEntries int
-	// SlowRequests is how many of the slowest requests the flight
-	// recorder retains for /v1/debug/slow (≤ 0 means 32).
-	SlowRequests int
-	// ErroredRequests is the flight recorder's ring size for requests
-	// that finished with status ≥ 400 (≤ 0 means 64).
-	ErroredRequests int
 	// Logger, when non-nil, receives one structured line per /v1
 	// request (request id, op, status, cache state, per-stage
 	// durations). Nil disables request logging.
 	Logger *slog.Logger
-	// DisableTelemetry turns off per-request span collection, the
-	// flight recorder and request logging; responses still carry
-	// X-Request-ID. servebench uses it to price the span layer.
-	DisableTelemetry bool
 }
+
+const (
+	// cacheEntries caps the response cache, evicting oldest-first.
+	cacheEntries = 4096
+	// slowRequests is how many of the slowest requests the flight
+	// recorder retains for /v1/debug/slow.
+	slowRequests = 32
+	// erroredRequests is the flight recorder's ring size for requests
+	// that finished with status ≥ 400.
+	erroredRequests = 64
+)
 
 func (c Config) withDefaults() Config {
 	if c.MaxConcurrent <= 0 {
@@ -60,9 +58,6 @@ func (c Config) withDefaults() Config {
 	}
 	if c.QueueDepth <= 0 {
 		c.QueueDepth = 64
-	}
-	if c.CacheEntries <= 0 {
-		c.CacheEntries = 4096
 	}
 	return c
 }
@@ -109,7 +104,7 @@ func New(cfg Config) *Server {
 		eng:    sweep.New(cfg.Workers),
 		flight: newFlightGroup(),
 		met:    newMetrics(),
-		rec:    telemetry.NewRecorder(cfg.SlowRequests, cfg.ErroredRequests),
+		rec:    telemetry.NewRecorder(slowRequests, erroredRequests),
 		logger: cfg.Logger,
 		mux:    http.NewServeMux(),
 		sem:    make(chan struct{}, cfg.MaxConcurrent),
@@ -139,7 +134,7 @@ func (s *Server) Handler() http.Handler { return s.withTelemetry(s.mux) }
 // Recorder exposes the slow-request flight recorder (tests).
 func (s *Server) Recorder() *telemetry.Recorder { return s.rec }
 
-// Metrics exposes the server's instrumentation (tests, servebench).
+// Metrics exposes the server's instrumentation (tests).
 func (s *Server) Metrics() *Metrics { return s.met }
 
 // cacheGet / cachePut implement the digest-keyed response cache. Only
@@ -158,7 +153,7 @@ func (s *Server) cachePut(key string, r *response) {
 	if _, dup := s.cache[key]; dup {
 		return
 	}
-	for len(s.cache) >= s.cfg.CacheEntries && len(s.order) > 0 {
+	for len(s.cache) >= cacheEntries && len(s.order) > 0 {
 		delete(s.cache, s.order[0])
 		s.order = s.order[1:]
 	}

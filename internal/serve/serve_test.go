@@ -8,6 +8,7 @@ import (
 	"net/http"
 	"net/http/httptest"
 	"reflect"
+	"slices"
 	"strings"
 	"sync"
 	"sync/atomic"
@@ -154,6 +155,39 @@ func TestResponseCacheAndHeaders(t *testing.T) {
 	sweepRec := post(h, "/v1/sweep", body)
 	if sweepRec.Code != 200 || sweepRec.Header().Get("X-Cache") != "miss" {
 		t.Fatalf("sweep with run's digest: code %d, X-Cache %q; want 200 miss", sweepRec.Code, sweepRec.Header().Get("X-Cache"))
+	}
+}
+
+// TestResponseCacheEviction fills the response cache one past its cap:
+// the oldest key is evicted and the rest stay. Putting a key that is
+// already cached changes neither its entry nor the eviction order.
+func TestResponseCacheEviction(t *testing.T) {
+	t.Parallel()
+	srv := New(Config{})
+	key := func(i int) string { return fmt.Sprintf("run:%d", i) }
+	for i := 0; i <= cacheEntries; i++ {
+		srv.cachePut(key(i), &response{status: http.StatusOK})
+	}
+	if _, ok := srv.cacheGet(key(0)); ok {
+		t.Fatal("the oldest key survived an insert past the cap")
+	}
+	for i := 1; i <= cacheEntries; i++ {
+		if _, ok := srv.cacheGet(key(i)); !ok {
+			t.Fatalf("key %d evicted; only the oldest should go", i)
+		}
+	}
+
+	first, _ := srv.cacheGet(key(1))
+	order := slices.Clone(srv.order)
+	srv.cachePut(key(1), &response{status: http.StatusOK})
+	if got, _ := srv.cacheGet(key(1)); got != first {
+		t.Fatal("a duplicate put replaced the cached entry")
+	}
+	if len(srv.cache) != cacheEntries {
+		t.Fatalf("a duplicate put left %d entries, want %d", len(srv.cache), cacheEntries)
+	}
+	if !slices.Equal(srv.order, order) {
+		t.Fatal("a duplicate put changed the eviction order")
 	}
 }
 

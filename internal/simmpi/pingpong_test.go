@@ -66,7 +66,7 @@ func steadyAllocs(t *testing.T, short, long int, run func(iters int) error) floa
 // boxes) costs hundreds per thousand round trips. The subtest is named
 // after the discrete-event engine it exercises.
 func TestPingPongAllocGuard(t *testing.T) {
-	if raceEnabled {
+	if RaceEnabled {
 		t.Skip("race-detector instrumentation allocates per channel operation")
 	}
 	t.Run("event", func(t *testing.T) {
@@ -84,7 +84,7 @@ func TestPingPongAllocGuard(t *testing.T) {
 // of the folded buffer costs about 4 allocations per rank per
 // collective; the bound is 0.1.
 func TestCollectiveAllocGuard(t *testing.T) {
-	if raceEnabled {
+	if RaceEnabled {
 		t.Skip("race-detector instrumentation allocates per channel operation")
 	}
 	const p = 48

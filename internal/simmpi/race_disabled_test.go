@@ -2,4 +2,4 @@
 
 package simmpi
 
-const raceEnabled = false
+const RaceEnabled = false
