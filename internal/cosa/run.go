@@ -140,6 +140,11 @@ func Run(cfg Config) (Result, error) {
 	rep, err := simmpi.Run(job, func(r *simmpi.Rank) error {
 		myBlocks := part.Part(r.ID())
 		const tagHalo = 13
+		// Halo exchange: blocks are distributed contiguously, so
+		// inter-process traffic is with adjacent ranks in the active
+		// set. Idle ranks join the exchange with no halos.
+		active := part.ActiveParts()
+		halos := decomp.ChainHalos(r.ID(), active, tagHalo, haloBytes)
 		for it := 0; it < tc.Iterations; it++ {
 			r.Region("hb-iter")
 			// Work for all owned blocks.
@@ -148,25 +153,14 @@ func Run(cfg Config) (Result, error) {
 				r.Compute(blockWork.Scale(int64(myBlocks)))
 				r.EndRegion()
 			}
-			// Halo exchange: blocks are distributed contiguously, so
-			// inter-process traffic is with adjacent ranks in the
-			// active set.
-			active := part.ActiveParts()
-			if r.ID() < active && active > 1 {
-				r.Region("halo")
-				if r.ID() > 0 {
-					r.Send(r.ID()-1, tagHalo, nil, haloBytes)
+			if active > 1 {
+				if r.ID() < active {
+					r.Region("halo")
 				}
-				if r.ID() < active-1 {
-					r.Send(r.ID()+1, tagHalo, nil, haloBytes)
+				r.NeighborExchange(halos)
+				if r.ID() < active {
+					r.EndRegion()
 				}
-				if r.ID() > 0 {
-					r.Recv(r.ID()-1, tagHalo)
-				}
-				if r.ID() < active-1 {
-					r.Recv(r.ID()+1, tagHalo)
-				}
-				r.EndRegion()
 			}
 			// Residual-monitoring reduction each iteration.
 			r.AllreduceScalar(0, simmpi.OpMax)

@@ -1,6 +1,8 @@
 // Package decomp provides the regular domain decompositions the
 // benchmarks share: 1D/2D/3D process grids, neighbour identification, and
-// face-halo exchange over the simmpi runtime.
+// face-halo exchange over the simmpi runtime. Exchange is a collective:
+// it runs as one simmpi neighbourhood exchange, so every rank of the job
+// must call it.
 package decomp
 
 import (
@@ -139,61 +141,73 @@ type HaloSpec struct {
 
 // Exchange performs a six-face halo exchange for the given rank on the
 // grid: each existing neighbour receives this rank's face and supplies its
-// own. Wire sizes are declared exactly; payloads are placeholder slices
-// (the runtime meters bytes, not payload length). The tag parameter
-// separates concurrent exchanges.
+// own. Wire sizes are declared exactly; halos carry no payload (the
+// runtime meters bytes, not data). The exchange is one
+// simmpi.Rank.NeighborExchange, a collective over the whole job: every
+// rank of the job must call Exchange, in the same sequence. The tag
+// parameter separates the face tags of successive exchanges.
 func Exchange(r *simmpi.Rank, g Grid3D, spec HaloSpec, tag int) {
 	r.Region("halo")
 	defer r.EndRegion()
-	type pending struct {
-		nbr  int
-		face Face
-	}
-	// At most one receive per face: a fixed array keeps the pending list
-	// off the heap.
-	var posts [NumFaces]pending
+	// At most one halo per face: a fixed array keeps the list off the
+	// heap. Each face goes out with its own tag, and the neighbour's
+	// matching opposite face comes back with the opposite face's tag.
+	var halos [NumFaces]simmpi.Halo
 	n := 0
-	// Post all sends first (eager), then drain receives — the standard
-	// deadlock-free ordering.
-	for f := XMinus; f < NumFaces; f++ {
-		nbr := neighborOf(g, r.ID(), f)
+	for f, nbr := range g.Neighbors(r.ID()) {
 		if nbr < 0 {
 			continue
 		}
-		bytes := FaceBytes(f, spec.NX, spec.NY, spec.NZ, spec.Width, spec.Elem)
-		r.Send(nbr, tag+int(f), nil, bytes)
-		posts[n] = pending{nbr, f}
+		face := Face(f)
+		halos[n] = simmpi.Halo{
+			Peer:    nbr,
+			SendTag: tag + int(face),
+			RecvTag: tag + int(opposite(face)),
+			Bytes:   FaceBytes(face, spec.NX, spec.NY, spec.NZ, spec.Width, spec.Elem),
+		}
 		n++
 	}
-	for _, p := range posts[:n] {
-		// The neighbour sent its matching opposite face with the
-		// opposite face's tag.
-		r.Recv(p.nbr, tag+int(opposite(p.face)))
-	}
+	r.NeighborExchange(halos[:n])
 }
 
-// neighborOf computes the neighbour across a face (all six handled).
-func neighborOf(g Grid3D, rank int, f Face) int {
+// ChainHalos returns rank's halos in a 1D chain of the first n ranks:
+// one to each adjacent rank of the chain, sent and received with tag.
+// Ranks at or beyond n are idle and get none, but must still join the
+// exchange.
+func ChainHalos(rank, n, tag int, bytes units.Bytes) []simmpi.Halo {
+	var halos []simmpi.Halo
+	if rank > 0 && rank < n {
+		halos = append(halos, simmpi.Halo{Peer: rank - 1, SendTag: tag, RecvTag: tag, Bytes: bytes})
+	}
+	if rank < n-1 {
+		halos = append(halos, simmpi.Halo{Peer: rank + 1, SendTag: tag, RecvTag: tag, Bytes: bytes})
+	}
+	return halos
+}
+
+// Neighbors returns the rank across each face, indexed by Face, with -1
+// where the face lies on the grid boundary. It decodes the rank's grid
+// coordinates once for all six faces.
+func (g Grid3D) Neighbors(rank int) [NumFaces]int {
 	x, y, z := g.Coords(rank)
-	switch f {
-	case XMinus:
-		return g.Rank(x-1, y, z)
-	case XPlus:
-		return g.Rank(x+1, y, z)
-	case YMinus:
-		return g.Rank(x, y-1, z)
-	case YPlus:
-		return g.Rank(x, y+1, z)
-	case ZMinus:
-		return g.Rank(x, y, z-1)
-	case ZPlus:
-		return g.Rank(x, y, z+1)
+	return [NumFaces]int{
+		XMinus: g.Rank(x-1, y, z),
+		XPlus:  g.Rank(x+1, y, z),
+		YMinus: g.Rank(x, y-1, z),
+		YPlus:  g.Rank(x, y+1, z),
+		ZMinus: g.Rank(x, y, z-1),
+		ZPlus:  g.Rank(x, y, z+1),
 	}
-	panic("decomp: invalid face")
 }
 
-// NeighborAcross is the exported form of neighborOf.
-func (g Grid3D) NeighborAcross(rank int, f Face) int { return neighborOf(g, rank, f) }
+// NeighborAcross returns the rank across face f, or -1 on the grid
+// boundary.
+func (g Grid3D) NeighborAcross(rank int, f Face) int {
+	if f < XMinus || f >= NumFaces {
+		panic("decomp: invalid face")
+	}
+	return g.Neighbors(rank)[f]
+}
 
 // opposite returns the facing face.
 func opposite(f Face) Face {
@@ -218,8 +232,8 @@ func opposite(f Face) Face {
 // a rank — useful for load metrics in tests.
 func (g Grid3D) CountInteriorNeighbors(rank int) int {
 	n := 0
-	for f := XMinus; f < NumFaces; f++ {
-		if neighborOf(g, rank, f) >= 0 {
+	for _, nbr := range g.Neighbors(rank) {
+		if nbr >= 0 {
 			n++
 		}
 	}

@@ -92,6 +92,27 @@ func TestNeighborAcross(t *testing.T) {
 	}
 }
 
+func TestChainHalos(t *testing.T) {
+	t.Parallel()
+	// A chain over the first 3 of 5 ranks: the ends have one neighbour,
+	// the middle two, and ranks 3 and 4 are idle.
+	want := [][]int{{1}, {0, 2}, {1}, nil, nil}
+	for rank, peers := range want {
+		halos := ChainHalos(rank, 3, 9, 64)
+		if len(halos) != len(peers) {
+			t.Fatalf("rank %d: %d halos, want peers %v", rank, len(halos), peers)
+		}
+		for i, h := range halos {
+			if h.Peer != peers[i] || h.SendTag != 9 || h.RecvTag != 9 || h.Bytes != 64 {
+				t.Errorf("rank %d halo %d = %+v, want peer %d, tags 9, 64 B", rank, i, h, peers[i])
+			}
+		}
+	}
+	if halos := ChainHalos(0, 1, 9, 64); len(halos) != 0 {
+		t.Errorf("a one-rank chain has halos %+v", halos)
+	}
+}
+
 func TestFaceBytes(t *testing.T) {
 	t.Parallel()
 	// X faces of a 4×5×6 block with width 1 and 8-byte cells: 5·6·8.

@@ -200,9 +200,10 @@ func Run(cfg Config) (Result, error) {
 	rep, err := simmpi.Run(job, func(r *simmpi.Rank) error {
 		fine := levels[0]
 		tagBase := 0
-		// Tags are reset every iteration so channel routes are reused
-		// across iterations; the exchange sequence is identical on all
-		// ranks (SPMD), so tags always match.
+		// Each exchange of an iteration gets its own block of face tags,
+		// reset every iteration so the trace carries the same tags each
+		// time. Halos match only within one exchange, and the exchange
+		// sequence is identical on all ranks (SPMD), so tags always match.
 		nextTag := func() int { tagBase += 8; return tagBase }
 		// One CG iteration of HPCG, repeated.
 		for it := 0; it < cfg.Iterations; it++ {

@@ -4,6 +4,7 @@ import (
 	"fmt"
 
 	"a64fxbench/internal/arch"
+	"a64fxbench/internal/decomp"
 	"a64fxbench/internal/perfmodel"
 	"a64fxbench/internal/simmpi"
 	"a64fxbench/internal/units"
@@ -185,21 +186,11 @@ func Run(cfg Config) (Result, error) {
 
 	rep, err := simmpi.Run(job, func(r *simmpi.Rank) error {
 		const tagHalo = 11
+		// 1D plane decomposition: halo with ±1 neighbours.
+		halos := decomp.ChainHalos(r.ID(), r.Size(), tagHalo, haloBytes)
 		exchange := func() {
-			// 1D plane decomposition: halo with ±1 neighbours.
 			r.Region("halo-exchange")
-			if r.ID() > 0 {
-				r.Send(r.ID()-1, tagHalo, nil, haloBytes)
-			}
-			if r.ID() < r.Size()-1 {
-				r.Send(r.ID()+1, tagHalo, nil, haloBytes)
-			}
-			if r.ID() > 0 {
-				r.Recv(r.ID()-1, tagHalo)
-			}
-			if r.ID() < r.Size()-1 {
-				r.Recv(r.ID()+1, tagHalo)
-			}
+			r.NeighborExchange(halos)
 			r.EndRegion()
 		}
 		for it := 0; it < cfg.Iterations; it++ {

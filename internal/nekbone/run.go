@@ -157,6 +157,18 @@ func RunWithNoise(cfg Config, noiseProb float64, noiseDur units.Duration) (Resul
 	haloBytes := units.Bytes(facePoints * 8)
 	rep, err := simmpi.Run(job, func(r *simmpi.Rank) error {
 		const tagHalo = 7
+		// One halo per existing face neighbour: face f goes out with
+		// tag tagHalo+f and the neighbour's facing face comes back with
+		// its own tag (faces pair as (0,1), (2,3), (4,5)).
+		var faces [decomp.NumFaces]simmpi.Halo
+		n := 0
+		for f, nbr := range grid.Neighbors(r.ID()) {
+			if nbr >= 0 {
+				faces[n] = simmpi.Halo{Peer: nbr, SendTag: tagHalo + f, RecvTag: tagHalo + (f ^ 1), Bytes: haloBytes}
+				n++
+			}
+		}
+		halos := faces[:n]
 		for it := 0; it < cfg.Iterations; it++ {
 			// One CG iteration of Nekbone: ax + dssum + 2 reductions
 			// + 3 vector updates.
@@ -167,17 +179,7 @@ func RunWithNoise(cfg Config, noiseProb float64, noiseDur units.Duration) (Resul
 			// dssum: local gather-scatter plus neighbour exchange.
 			r.Region("dssum")
 			r.Compute(dssum)
-			for f := decomp.XMinus; f < decomp.NumFaces; f++ {
-				if nbr := grid.NeighborAcross(r.ID(), f); nbr >= 0 {
-					r.Send(nbr, tagHalo+int(f), nil, haloBytes)
-				}
-			}
-			for f := decomp.XMinus; f < decomp.NumFaces; f++ {
-				if nbr := grid.NeighborAcross(r.ID(), f); nbr >= 0 {
-					opp := f ^ 1 // faces pair as (0,1),(2,3),(4,5)
-					r.Recv(nbr, tagHalo+int(opp))
-				}
-			}
+			r.NeighborExchange(halos)
 			r.EndRegion()
 			r.Compute(dot) // p·Ap
 			r.AllreduceScalar(0, simmpi.OpSum)

@@ -1,7 +1,8 @@
 package simmpi
 
-// Batched world collectives: the only implementation of the eight world
-// collectives.
+// Batched world collectives: the only implementation of the nine world
+// collectives — the eight classic ones and the neighbourhood (halo)
+// exchange.
 //
 // When all p ranks have parked at the same collective, the functions
 // here execute it as one event: each rank's exact per-rank operation
@@ -17,14 +18,16 @@ package simmpi
 // oracle (collective_ref_test.go) that the differential suite in
 // engine_test.go compares every batched collective against.
 //
-// Message slots: within one round of every algorithm the send→recv
-// pairing is a bijection (each rank receives at most one message), so a
-// single scratch slice indexed by receiver replaces per-route queues.
-// Likewise each rank sends at most one message per round, so the copy a
-// rank sends of a buffer that folds overwrite in place (Allreduce,
-// Reduce, ReduceScatter's halving) comes from one reusable buffer per
-// sender (sendCopy), read before that sender's next round; only copies
-// that reach a caller as a result are freshly allocated.
+// Message slots: within one round of every classic algorithm the
+// send→recv pairing is a bijection (each rank receives at most one
+// message), so a single scratch slice indexed by receiver replaces
+// per-route queues. Likewise each rank sends at most one message per
+// round, so the copy a rank sends of a buffer that folds overwrite in
+// place (Allreduce, Reduce, ReduceScatter's halving) comes from one
+// reusable buffer per sender (sendCopy), read before that sender's next
+// round; only copies that reach a caller as a result are freshly
+// allocated. A halo exchange has no such bijection: its messages wait in
+// one reusable buffer, grouped by sender (batchNeighbor).
 //
 // The valid cross-rank orders used below:
 //   - round-based exchanges (barrier, allreduce doubling, allgather
@@ -32,7 +35,11 @@ package simmpi
 //     then all receives;
 //   - trees (bcast, reduce): nodes in depth order — increasing virtual
 //     rank for bcast, mask-ascending sender/receiver rounds for reduce;
-//   - the ExScan chain: ranks in ascending order.
+//   - the ExScan chain: ranks in ascending order;
+//   - the halo exchange: every rank's sends, then every rank's
+//     receives. Each rank of the hand-rolled loop posts all its sends
+//     before its first receive, so this keeps every rank's program
+//     order.
 
 import (
 	"fmt"
@@ -54,6 +61,7 @@ const (
 	collAlltoall
 	collReduceScatter
 	collExScan
+	collNeighbor
 )
 
 func (k collKind) String() string {
@@ -74,6 +82,8 @@ func (k collKind) String() string {
 		return "ReduceScatter"
 	case collExScan:
 		return "ExScan"
+	case collNeighbor:
+		return "NeighborExchange"
 	}
 	return fmt.Sprintf("collKind(%d)", int(k))
 }
@@ -87,6 +97,7 @@ type collArgs struct {
 	out     []float64   // Allgather output, pre-filled with own block
 	mat     [][]float64 // Alltoall send blocks
 	recvMat [][]float64 // Alltoall receive blocks, pre-filled with own block
+	halos   []Halo      // NeighborExchange halo list
 }
 
 // scratch (re)sizes the executor's per-rank scratch arrays.
@@ -100,6 +111,7 @@ func (e *eventEngine) scratch() {
 		e.sendBufs = make([][]float64, p)
 		e.ints = make([]int, p)
 		e.lims = make([]int, p)
+		e.sentOff = make([]int, p+1)
 	}
 }
 
@@ -149,6 +161,8 @@ func runBatched(e *eventEngine, kind collKind, args []collArgs, res []any) {
 		batchReduceScatter(e, args, res)
 	case collExScan:
 		batchExScan(e, args, res)
+	case collNeighbor:
+		batchNeighbor(e, args)
 	}
 }
 
@@ -501,4 +515,57 @@ func batchExScan(e *eventEngine, args []collArgs, res []any) {
 		res[id] = out
 	}
 	e.endAll(metrics.CollExScan, e.starts)
+}
+
+// haloMsg is one message of a halo exchange, kept under its sender; dst
+// is -1 once a receive has matched it.
+type haloMsg struct {
+	dst, tag int
+	m        message
+}
+
+// batchNeighbor runs a halo exchange: every rank's sends, in rank order
+// and each rank's halo order, then every rank's receives. Rank id's
+// messages are e.sent[e.sentOff[id]:e.sentOff[id+1]], in send order, and
+// a receive takes the first unmatched one its peer addressed to it with
+// its tag — the FIFO matching of a point-to-point route. There is no
+// collBegin/collEnd bracket: halo time is not collective time.
+func batchNeighbor(e *eventEngine, args []collArgs) {
+	rs, p := e.ranks, len(e.ranks)
+	n := 0
+	for id := range rs {
+		n += len(args[id].halos)
+	}
+	if cap(e.sent) < n {
+		e.sent = make([]haloMsg, 0, n)
+	}
+	off, sent := e.sentOff, e.sent[:0]
+	for id, r := range rs {
+		off[id] = len(sent)
+		for _, h := range args[id].halos {
+			if h.Peer < 0 || h.Peer >= p {
+				panic(fmt.Sprintf("simmpi: NeighborExchange: rank %d names peer %d outside [0, %d) (send tag %d, recv tag %d)",
+					id, h.Peer, p, h.SendTag, h.RecvTag))
+			}
+			sent = append(sent, haloMsg{dst: h.Peer, tag: h.SendTag,
+				m: r.sendFloatsCore(h.Peer, h.SendTag, nil, h.Bytes)})
+		}
+	}
+	off[p] = len(sent)
+	e.sent = sent
+	for id, r := range rs {
+		for _, h := range args[id].halos {
+			from := sent[off[h.Peer]:off[h.Peer+1]]
+			k := 0
+			for k < len(from) && (from[k].dst != id || from[k].tag != h.RecvTag) {
+				k++
+			}
+			if k == len(from) {
+				panic(fmt.Sprintf("simmpi: NeighborExchange: rank %d expects tag %d from peer %d, which sent it no such message in this exchange",
+					id, h.RecvTag, h.Peer))
+			}
+			r.recvFloatsCore(from[k].m, h.Peer, h.RecvTag)
+			from[k].dst = -1
+		}
+	}
 }

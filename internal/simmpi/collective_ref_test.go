@@ -5,24 +5,25 @@ package simmpi
 // Send/Recv path of the event loop. Each function performs exactly the
 // per-rank message sequence, buffer copies and reduction folds that the
 // matching batch* executor in collective_batch.go replays, inside the
-// same collBegin/collEnd bracket, so a job run with these in place of the
-// Rank methods must produce a byte-identical report and trace (see
-// engine_test.go).
+// same collBegin/collEnd bracket (the halo exchange has none), so a job
+// run with these in place of the Rank methods must produce a
+// byte-identical report and trace (see engine_test.go).
 
 import "a64fxbench/internal/metrics"
 
-// collSet is one implementation of the eight world collectives. Test
+// collSet is one implementation of the nine world collectives. Test
 // bodies call collectives through it so the same body can run against
 // the batched executor and against the reference oracle.
 type collSet struct {
-	Barrier       func(r *Rank)
-	Allreduce     func(r *Rank, buf []float64, op Op)
-	Bcast         func(r *Rank, root int, buf []float64) []float64
-	Reduce        func(r *Rank, root int, buf []float64, op Op)
-	Allgather     func(r *Rank, contrib []float64) []float64
-	Alltoall      func(r *Rank, send [][]float64) [][]float64
-	ReduceScatter func(r *Rank, buf []float64, op Op) []float64
-	ExScan        func(r *Rank, buf []float64, op Op) []float64
+	Barrier          func(r *Rank)
+	Allreduce        func(r *Rank, buf []float64, op Op)
+	Bcast            func(r *Rank, root int, buf []float64) []float64
+	Reduce           func(r *Rank, root int, buf []float64, op Op)
+	Allgather        func(r *Rank, contrib []float64) []float64
+	Alltoall         func(r *Rank, send [][]float64) [][]float64
+	ReduceScatter    func(r *Rank, buf []float64, op Op) []float64
+	ExScan           func(r *Rank, buf []float64, op Op) []float64
+	NeighborExchange func(r *Rank, halos []Halo)
 }
 
 // allreduceScalar is Rank.AllreduceScalar over a collSet.
@@ -35,24 +36,26 @@ func (c *collSet) allreduceScalar(r *Rank, v float64, op Op) float64 {
 // batchedColls are the production collectives; refColls the oracle.
 var (
 	batchedColls = &collSet{
-		Barrier:       (*Rank).Barrier,
-		Allreduce:     (*Rank).Allreduce,
-		Bcast:         (*Rank).Bcast,
-		Reduce:        (*Rank).Reduce,
-		Allgather:     (*Rank).Allgather,
-		Alltoall:      (*Rank).Alltoall,
-		ReduceScatter: (*Rank).ReduceScatter,
-		ExScan:        (*Rank).ExScan,
+		Barrier:          (*Rank).Barrier,
+		Allreduce:        (*Rank).Allreduce,
+		Bcast:            (*Rank).Bcast,
+		Reduce:           (*Rank).Reduce,
+		Allgather:        (*Rank).Allgather,
+		Alltoall:         (*Rank).Alltoall,
+		ReduceScatter:    (*Rank).ReduceScatter,
+		ExScan:           (*Rank).ExScan,
+		NeighborExchange: (*Rank).NeighborExchange,
 	}
 	refColls = &collSet{
-		Barrier:       refBarrier,
-		Allreduce:     refAllreduce,
-		Bcast:         refBcast,
-		Reduce:        refReduce,
-		Allgather:     refAllgather,
-		Alltoall:      refAlltoall,
-		ReduceScatter: refReduceScatter,
-		ExScan:        refExScan,
+		Barrier:          refBarrier,
+		Allreduce:        refAllreduce,
+		Bcast:            refBcast,
+		Reduce:           refReduce,
+		Allgather:        refAllgather,
+		Alltoall:         refAlltoall,
+		ReduceScatter:    refReduceScatter,
+		ExScan:           refExScan,
+		NeighborExchange: refNeighborExchange,
 	}
 )
 
@@ -288,4 +291,16 @@ func refExScan(r *Rank, buf []float64, op Op) []float64 {
 		r.SendFloats(r.id+1, tagScan, next)
 	}
 	return out
+}
+
+// refNeighborExchange is the hand-rolled halo loop the applications ran
+// before NeighborExchange: every send in halo order, then every receive,
+// through the point-to-point routes. There is no collective bracket.
+func refNeighborExchange(r *Rank, halos []Halo) {
+	for _, h := range halos {
+		r.Send(h.Peer, h.SendTag, nil, h.Bytes)
+	}
+	for _, h := range halos {
+		r.Recv(h.Peer, h.RecvTag)
+	}
 }

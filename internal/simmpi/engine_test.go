@@ -215,6 +215,7 @@ var engineBodies = []struct {
 		cs.Barrier(r)
 		return nil
 	}},
+	{"halo-exchange", 1, haloExchangeBody},
 	{"many-to-one", 2, func(r *Rank, _ *collSet) error {
 		if r.ID() == 0 {
 			for src := 1; src < r.Size(); src++ {
@@ -229,6 +230,72 @@ var engineBodies = []struct {
 		}
 		return nil
 	}},
+}
+
+// haloExchangeBody drives NeighborExchange through the halo shapes the
+// applications use and the matching rules they rely on, with compute
+// skew between exchanges. Halos carry no payload, so the digest — every
+// send and receive event's peer, tag, bytes and time — is the check.
+func haloExchangeBody(r *Rank, cs *collSet) error {
+	id, p := r.ID(), r.Size()
+	// decomp-style 3D faces on the most cubic grid: face f's message
+	// goes out with tag 10+f and the neighbour's opposite face comes
+	// back with tag 10+(f^1). Bytes differ per sender and face.
+	pz, py := 1, 1
+	for a := 1; a*a*a <= p; a++ {
+		if p%a == 0 {
+			pz = a
+		}
+	}
+	q := p / pz
+	for b := pz; b*b <= q; b++ {
+		if q%b == 0 {
+			py = b
+		}
+	}
+	px := q / py
+	x, y, z := id%px, id/px%py, id/(px*py)
+	var faces []Halo
+	for f, d := range [6][3]int{{-1, 0, 0}, {1, 0, 0}, {0, -1, 0}, {0, 1, 0}, {0, 0, -1}, {0, 0, 1}} {
+		nx, ny, nz := x+d[0], y+d[1], z+d[2]
+		if nx < 0 || nx >= px || ny < 0 || ny >= py || nz < 0 || nz >= pz {
+			continue
+		}
+		faces = append(faces, Halo{Peer: nx + px*(ny+py*nz), SendTag: 10 + f, RecvTag: 10 + (f ^ 1),
+			Bytes: units.Bytes(64 * (1 + (id*7+f)%5))})
+	}
+	// A 1D chain over the first half of the ranks; the trailing ranks
+	// are idle and pass no halos, as COSA's do.
+	active := (p + 1) / 2
+	var chain []Halo
+	if id < active {
+		if id > 0 {
+			chain = append(chain, Halo{Peer: id - 1, SendTag: 20, RecvTag: 20, Bytes: 96})
+		}
+		if id < active-1 {
+			chain = append(chain, Halo{Peer: id + 1, SendTag: 20, RecvTag: 20, Bytes: units.Bytes(40 * (id + 1))})
+		}
+	}
+	// Pairs id, id^1: two halos to one peer with different tags and
+	// sizes, each received in the opposite order to its send; then two
+	// messages on one (peer, tag), which must match first-in first-out.
+	var swapped, fifo []Halo
+	if partner := id ^ 1; partner < p {
+		swapped = []Halo{
+			{Peer: partner, SendTag: 30, RecvTag: 31, Bytes: units.Bytes(8 + id)},
+			{Peer: partner, SendTag: 31, RecvTag: 30, Bytes: units.Bytes(4096 + 8*id)},
+		}
+		fifo = []Halo{
+			{Peer: partner, SendTag: 40, RecvTag: 40, Bytes: units.Bytes(16 * (id + 1))},
+			{Peer: partner, SendTag: 40, RecvTag: 40, Bytes: units.Bytes(2048 + id)},
+		}
+	}
+	for it, halos := range [][]Halo{faces, chain, swapped, fifo, faces} {
+		r.Compute(vecWork(100 * (1 + (id*(it+3))%7)))
+		cs.NeighborExchange(r, halos)
+	}
+	r.Elapse(2 * units.Microsecond)
+	return nil
 }
 
 // engineSizes covers the algorithmic corner cases: 1 (no-op
@@ -258,12 +325,16 @@ func TestEngineEquivalence(t *testing.T) {
 	}
 }
 
-// TestEngineEquivalenceOptions crosses the all-collectives body with the
-// full option matrix: tracing, counters, congestion, noise, and all at
-// once.
+// TestEngineEquivalenceOptions crosses the all-collectives and
+// halo-exchange bodies with the full option matrix: tracing, counters,
+// congestion, noise, and all at once.
 func TestEngineEquivalenceOptions(t *testing.T) {
 	t.Parallel()
-	body := engineBodies[1].body // all-collectives
+	// The all-collectives subtests keep their unprefixed names.
+	bodies := []struct {
+		prefix string
+		body   collBody
+	}{{"", engineBodies[1].body}, {"halo-exchange/", haloExchangeBody}}
 	opts := []struct {
 		name   string
 		mutate func(*JobConfig)
@@ -286,14 +357,16 @@ func TestEngineEquivalenceOptions(t *testing.T) {
 			c.NoiseDuration = 2 * units.Microsecond
 		}, true},
 	}
-	for _, o := range opts {
-		for _, sz := range []struct{ procs, nodes int }{{6, 2}, {8, 4}} {
-			t.Run(fmt.Sprintf("%s/p%d_n%d", o.name, sz.procs, sz.nodes), func(t *testing.T) {
-				t.Parallel()
-				c := cfg(sz.procs, sz.nodes)
-				o.mutate(&c)
-				assertCollectiveEquivalent(t, c, o.traced, body)
-			})
+	for _, b := range bodies {
+		for _, o := range opts {
+			for _, sz := range []struct{ procs, nodes int }{{6, 2}, {8, 4}} {
+				t.Run(fmt.Sprintf("%s%s/p%d_n%d", b.prefix, o.name, sz.procs, sz.nodes), func(t *testing.T) {
+					t.Parallel()
+					c := cfg(sz.procs, sz.nodes)
+					o.mutate(&c)
+					assertCollectiveEquivalent(t, c, o.traced, b.body)
+				})
+			}
 		}
 	}
 }
@@ -363,6 +436,53 @@ func TestEventEngineDeadlockDetection(t *testing.T) {
 	if err == nil || !strings.Contains(err.Error(), "collective mismatch") {
 		t.Fatalf("want collective mismatch, got %v", err)
 	}
+	_, err = Run(cfg(4, 2), func(r *Rank) error {
+		if r.ID()%2 == 0 {
+			r.NeighborExchange([]Halo{{Peer: r.ID() + 1, SendTag: 1, RecvTag: 1, Bytes: 8}})
+		} else {
+			r.AllreduceScalar(1, OpSum)
+		}
+		return nil
+	})
+	if err == nil || !strings.Contains(err.Error(), "collective mismatch") {
+		t.Fatalf("halo vs allreduce: want collective mismatch, got %v", err)
+	}
+	// A bad halo list panics inside the batched executor; the error
+	// names the faulty rank, its peer and the tag, whichever rank
+	// arrived last.
+	badHalos := []struct {
+		name  string
+		halos func(r *Rank) []Halo
+		want  []string
+	}{
+		{"tag never sent", func(r *Rank) []Halo {
+			recv := 5
+			if r.ID() == 2 {
+				recv = 99
+			}
+			return []Halo{{Peer: r.ID() ^ 1, SendTag: 5, RecvTag: recv, Bytes: 8}}
+		}, []string{"rank 2", "peer 3", "tag 99"}},
+		{"peer out of range", func(r *Rank) []Halo {
+			if r.ID() == 1 {
+				return []Halo{{Peer: 4, SendTag: 6, RecvTag: 7, Bytes: 8}}
+			}
+			return nil
+		}, []string{"rank 1", "peer 4", "tag 6"}},
+	}
+	for _, bh := range badHalos {
+		_, err = Run(cfg(4, 2), func(r *Rank) error {
+			r.NeighborExchange(bh.halos(r))
+			return nil
+		})
+		if err == nil {
+			t.Fatalf("%s: want an error", bh.name)
+		}
+		for _, w := range bh.want {
+			if !strings.Contains(err.Error(), w) {
+				t.Fatalf("%s: error %q does not name %q", bh.name, err, w)
+			}
+		}
+	}
 	// A root mismatch panics inside the batched executor, which runs on
 	// the last arriver's goroutine: the panic must become the job's
 	// error, and every parked rank must be unwound.
@@ -382,10 +502,10 @@ func TestEventEngineDeadlockDetection(t *testing.T) {
 }
 
 // TestEventEngineAbortUnwindsRanks: a job that fails — a deadlock, or a
-// panic in the batched executor on the last arriver's goroutine — must
-// unwind every parked rank goroutine, so a long-lived caller that keeps
-// going after the error leaks nothing. Not parallel: it counts the
-// process's goroutines.
+// panic in the batched executor on the last arriver's goroutine (a root
+// mismatch, an unmatched halo receive) — must unwind every parked rank
+// goroutine, so a long-lived caller that keeps going after the error
+// leaks nothing. Not parallel: it counts the process's goroutines.
 func TestEventEngineAbortUnwindsRanks(t *testing.T) {
 	bodies := map[string]func(r *Rank) error{
 		"deadlock": func(r *Rank) error {
@@ -396,6 +516,10 @@ func TestEventEngineAbortUnwindsRanks(t *testing.T) {
 		},
 		"root mismatch": func(r *Rank) error {
 			r.Reduce(r.ID()%3, []float64{1}, OpSum)
+			return nil
+		},
+		"unmatched halo": func(r *Rank) error {
+			r.NeighborExchange([]Halo{{Peer: (r.ID() + 1) % r.Size(), SendTag: 1, RecvTag: 2, Bytes: 8}})
 			return nil
 		},
 	}
@@ -418,6 +542,9 @@ func TestEventEngineAbortUnwindsRanks(t *testing.T) {
 // FuzzCollectiveEquivalence fuzzes the job shape — rank count, node
 // count, message size, noise seed/probability, compute skew — and
 // asserts the batched collectives stay byte-identical to the reference.
+// The halo exchange's shift (each rank trades with id±shift) comes from
+// the skew, so the fuzzer also draws self-halos (shift = p) and two
+// halos to one peer (shift = p/2).
 func FuzzCollectiveEquivalence(f *testing.F) {
 	f.Add(uint8(4), uint8(2), uint16(64), uint8(0), uint8(1))
 	f.Add(uint8(7), uint8(3), uint16(1), uint8(50), uint8(3))
@@ -445,6 +572,11 @@ func FuzzCollectiveEquivalence(f *testing.F) {
 				r.SendFloats(partner, 5, buf[:1+ml/2])
 				r.RecvFloats((r.ID()-p/2+p)%p, 5)
 			}
+			shift := 1 + int(skew)%p
+			cs.NeighborExchange(r, []Halo{
+				{Peer: (r.ID() + shift) % p, SendTag: 3, RecvTag: 4, Bytes: units.Bytes(8 * ml)},
+				{Peer: (r.ID() - shift + p) % p, SendTag: 4, RecvTag: 3, Bytes: units.Bytes(8 * (1 + r.ID()%3))},
+			})
 			cs.Barrier(r)
 			return nil
 		}

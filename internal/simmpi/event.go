@@ -5,13 +5,13 @@ package simmpi
 // All ranks of a job share one execution token. Rank bodies run on
 // goroutines — Go has no first-class continuations — but exactly one of
 // them holds the token at any instant. A rank runs until it blocks (an
-// empty-route Recv, a world collective, a Split) or finishes, and then
-// passes the token on itself (handoff): it pops the next runnable rank
-// from a binary-heap ready queue keyed on (virtual time, rank, sequence)
-// and resumes it with one channel send. No loop goroutine sits between
-// two ranks, so a dispatch costs one goroutine switch. runEventLoop only
-// starts the first rank and waits for the ranks to report that nothing
-// is runnable.
+// empty-route Recv, a world collective — halo exchanges included — or a
+// Split) or finishes, and then passes the token on itself (handoff): it
+// pops the next runnable rank from a binary-heap ready queue keyed on
+// (virtual time, rank, sequence) and resumes it with one channel send.
+// No loop goroutine sits between two ranks, so a dispatch costs one
+// goroutine switch. runEventLoop only starts the first rank and waits
+// for the ranks to report that nothing is runnable.
 //
 // Correctness rests on the conservative virtual-time rule (see package
 // vclock): every inter-rank coupling happens through a message stamped
@@ -29,14 +29,17 @@ package simmpi
 //     collective_batch.go): the last rank to park at a collective
 //     replays every rank's exact per-rank message sequence in a
 //     dependency-valid cross-rank order, eliminating the ~2·p·log p
-//     token handoffs per collective.
+//     token handoffs per collective. Halo exchanges run the same way
+//     (NeighborExchange), so the applications' face halos never touch
+//     the route tables or park a rank on a receive.
 //   - Identical messages collapse onto shared symmetric state: the
 //     point-to-point model is a pure function of (hop count, bytes), so
 //     the engine memoises prices and the p equal-size transfers of a
 //     collective round cost a handful of model evaluations instead of p.
 //   - Steady-state dispatch allocates nothing: the ready queue is a
 //     slice-backed binary heap, route queues reuse their backing arrays,
-//     collective rounds copy through per-rank reusable buffers, and rank
+//     collective rounds copy through per-rank reusable buffers, halo
+//     exchanges keep their messages in one reusable buffer, and rank
 //     goroutines are spawned lazily on first dispatch.
 
 import (
@@ -227,7 +230,8 @@ type eventEngine struct {
 
 	// Scratch for the batched collective executor (collective_batch.go);
 	// allocated once at first use, reused for every collective. sendBufs
-	// backs sendCopy.
+	// backs sendCopy; sent and sentOff hold a halo exchange's messages,
+	// grouped by sender.
 	slots    []message
 	starts   []vclock.Time
 	starts2  []vclock.Time
@@ -235,6 +239,8 @@ type eventEngine struct {
 	sendBufs [][]float64
 	ints     []int
 	lims     []int
+	sent     []haloMsg
+	sentOff  []int
 
 	prices map[uint64]units.Duration
 

@@ -17,7 +17,10 @@
 // recursive-doubling allreduce, binomial broadcast, ring allgather), so
 // their virtual-time behaviour — including load imbalance arriving at a
 // collective — follows from per-message pricing rather than from a
-// closed-form formula.
+// closed-form formula. Face-halo exchanges are one of them:
+// NeighborExchange posts a rank's halo sends and then its receives,
+// exactly as a hand-rolled Send/Recv loop would, without the per-message
+// routing and scheduling.
 package simmpi
 
 import (
@@ -180,6 +183,9 @@ type Rank struct {
 	// scalar backs AllreduceScalar's one-element buffer, so the
 	// per-iteration dot products of the solvers allocate nothing.
 	scalar [1]float64
+	// halos is NeighborExchange's copy of the caller's halo list, reused
+	// so the caller's list never escapes to the heap.
+	halos []Halo
 
 	// Congestion-replay state (see congested.go): flows is the recording
 	// pass's log of this rank's inter-node sends, in program order;
@@ -560,6 +566,29 @@ func (r *Rank) ExScan(buf []float64, op Op) []float64 {
 		return make([]float64, len(buf))
 	}
 	return r.eng.collective(r, collArgs{kind: collExScan, buf: buf, op: op}).([]float64)
+}
+
+// Halo is one face of a neighbourhood exchange: a message of Bytes sent
+// to Peer with SendTag, and a message Peer sent this rank with RecvTag.
+// Halos carry no payload; the runtime meters bytes only.
+type Halo struct {
+	Peer, SendTag, RecvTag int
+	Bytes                  units.Bytes
+}
+
+// NeighborExchange performs a neighbourhood exchange (MPI's
+// Neighbor_alltoallv): every halo's message is sent, in list order, and
+// then every halo's message is received, in list order, each matched to
+// the first unreceived message of this exchange that its peer sent this
+// rank with RecvTag. It is a world collective: every rank must call it, a rank
+// with no neighbours passing an empty list. Messages match only within
+// one exchange, never against point-to-point traffic, and a message no
+// halo receives is dropped; a receive nothing matches, or a peer outside
+// [0, Size), fails the job. Halo time is not collective time: it stays
+// out of the PMU's collective counters.
+func (r *Rank) NeighborExchange(halos []Halo) {
+	r.halos = append(r.halos[:0], halos...)
+	r.eng.collective(r, collArgs{kind: collNeighbor, halos: r.halos})
 }
 
 // RankResult captures one rank's final accounting.
