@@ -159,7 +159,7 @@ var commands = []command{
 		describe: "per-kernel-class time breakdown",
 		minArgs:  2,
 		run: func(_ context.Context, _ sweepConfig, args []string) error {
-			return profileCmd(args[0], args[1])
+			return profileCmd(os.Stdout, args[0], args[1])
 		},
 	},
 	cmdFunc{

@@ -28,10 +28,11 @@ var update = flag.Bool("update", false, "rewrite testdata/observed.txt with fres
 var observedPath = filepath.Join("testdata", "observed.txt")
 
 // TestObservedOutputs pins the SHA-256 of each observed output — trace
-// exports, link heatmaps, counter reports and the run command's
-// -profile summaries — so a change to how runs are observed cannot
-// silently change what users read. If a change is intended, regenerate
-// with -update and review the digest diff.
+// exports, link heatmaps, counter reports, the run command's -profile
+// summaries and the profile command's kernel-class breakdowns — so a
+// change to how runs are observed cannot silently change what users
+// read. If a change is intended, regenerate with -update and review the
+// digest diff.
 func TestObservedOutputs(t *testing.T) {
 	t.Parallel()
 	ctx := context.Background()
@@ -63,6 +64,9 @@ func TestObservedOutputs(t *testing.T) {
 			return runSweep(ctx, w, io.Discard, []string{"table5", "table3"},
 				sweepConfig{quick: true, jobs: 2, profile: true})
 		},
+	}
+	for _, bench := range []string{"hpcg", "minikab", "nekbone", "cosa", "castep", "opensbli"} {
+		cases["profile-"+bench] = func(w io.Writer) error { return profileCmd(w, bench, "A64FX") }
 	}
 
 	got := golden.Manifest{}

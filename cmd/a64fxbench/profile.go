@@ -2,7 +2,9 @@ package main
 
 import (
 	"fmt"
+	"io"
 	"sort"
+	"strings"
 
 	"a64fxbench"
 	"a64fxbench/internal/arch"
@@ -80,10 +82,10 @@ func microCmd(sysName string) error {
 	return nil
 }
 
-// profileCmd runs one benchmark on one system and prints the per-kernel-
-// class time breakdown — the view the paper attributes to the Fujitsu
-// profiler in its Figure 1 discussion.
-func profileCmd(bench, sysName string) error {
+// profileCmd runs one benchmark on one system and writes the per-kernel-
+// class time breakdown to w — the view the paper attributes to the
+// Fujitsu profiler in its Figure 1 discussion.
+func profileCmd(w io.Writer, bench, sysName string) error {
 	sys, err := arch.Get(arch.ID(sysName))
 	if err != nil {
 		return err
@@ -136,20 +138,22 @@ func profileCmd(bench, sysName string) error {
 		return fmt.Errorf("unknown benchmark %q (hpcg, minikab, nekbone, cosa, castep, opensbli)", bench)
 	}
 
-	fmt.Printf("%s on %s — simulated profile\n", bench, sys.ID)
-	fmt.Printf("  makespan:   %.4f s\n", rep.Seconds())
-	fmt.Printf("  rate:       %.2f GFLOP/s\n", rep.GFLOPs())
-	fmt.Printf("  mean busy:  %.4f s   mean comm wait: %.4f s (%.1f%%)\n",
+	var b strings.Builder
+	fmt.Fprintf(&b, "%s on %s — simulated profile\n", bench, sys.ID)
+	fmt.Fprintf(&b, "  makespan:   %.4f s\n", rep.Seconds())
+	fmt.Fprintf(&b, "  rate:       %.2f GFLOP/s\n", rep.GFLOPs())
+	fmt.Fprintf(&b, "  mean busy:  %.4f s   mean comm wait: %.4f s (%.1f%%)\n",
 		rep.MeanBusy.Seconds(), rep.MeanWait.Seconds(),
 		100*rep.MeanWait.Seconds()/(rep.MeanBusy.Seconds()+rep.MeanWait.Seconds()+1e-30))
-	fmt.Printf("  messages:   %d (%v)\n", rep.TotalMsgs, rep.TotalBytesSent)
+	fmt.Fprintf(&b, "  messages:   %d (%v)\n", rep.TotalMsgs, rep.TotalBytesSent)
 
-	// Aggregate class times across ranks.
-	classTotals := map[perfmodel.KernelClass]float64{}
+	// Aggregate class times across ranks, in rank and class order, so
+	// every sum adds the same terms in the same order on every run.
+	var classTotals [perfmodel.NumKernelClasses]float64
 	var busyTotal float64
 	for _, r := range rep.Ranks {
-		for class, d := range r.Stats.ClassTime {
-			classTotals[class] += d.Seconds()
+		for c, d := range r.Stats.ClassTime {
+			classTotals[c] += d.Seconds()
 			busyTotal += d.Seconds()
 		}
 	}
@@ -159,12 +163,17 @@ func profileCmd(bench, sysName string) error {
 	}
 	var rows []kv
 	for c, s := range classTotals {
-		rows = append(rows, kv{c, s})
+		if s != 0 {
+			rows = append(rows, kv{perfmodel.KernelClass(c), s})
+		}
 	}
-	sort.Slice(rows, func(i, j int) bool { return rows[i].sec > rows[j].sec })
-	fmt.Println("  kernel-class breakdown (all-rank CPU time):")
+	// Slowest class first; rows start in class order and the sort is
+	// stable, so equal times keep class order.
+	sort.SliceStable(rows, func(i, j int) bool { return rows[i].sec > rows[j].sec })
+	b.WriteString("  kernel-class breakdown (all-rank CPU time):\n")
 	for _, r := range rows {
-		fmt.Printf("    %-16s %8.3f s  %5.1f%%\n", r.class, r.sec, 100*r.sec/busyTotal)
+		fmt.Fprintf(&b, "    %-16s %8.3f s  %5.1f%%\n", r.class, r.sec, 100*r.sec/busyTotal)
 	}
-	return nil
+	_, err = io.WriteString(w, b.String())
+	return err
 }

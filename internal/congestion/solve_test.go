@@ -161,7 +161,7 @@ func TestZeroByteAndIntraNodeFlowsIgnored(t *testing.T) {
 
 func TestSolveDeterministicUnderPermutation(t *testing.T) {
 	t.Parallel()
-	// The recorder hands flows over in whatever order rank goroutines
+	// The recorder hands flows over in whatever order the ranks
 	// finished; the solution must not depend on it.
 	base := []Flow{
 		{Key: key(0, 4, 1, 0), SrcNode: 0, DstNode: 4, Start: 0, Bytes: 3e5},

@@ -80,7 +80,7 @@ func ParseModel(s string) (Model, error) {
 // analysis): streaming kernels run near peak in-core, gather-dominated
 // kernels are limited by the load pipes, generated stencil code by
 // instruction overhead.
-var ecmCoreEff = [numKernelClasses]float64{
+var ecmCoreEff = [NumKernelClasses]float64{
 	SpMV:          0.45,
 	SymGS:         0.35,
 	DotProduct:    0.85,
@@ -98,7 +98,7 @@ var ecmCoreEff = [numKernelClasses]float64{
 // used by the ECM model's T_core phase. Unknown classes get a
 // conservative scalar-ish default.
 func ECMCoreEfficiency(c KernelClass) float64 {
-	if c < 0 || c >= numKernelClasses {
+	if c < 0 || c >= NumKernelClasses {
 		return 0.25
 	}
 	return ecmCoreEff[c]

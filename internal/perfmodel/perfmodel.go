@@ -64,7 +64,9 @@ const (
 	GatherScatter
 	// Precond is a lightweight pointwise preconditioner application.
 	Precond
-	numKernelClasses
+	// NumKernelClasses counts the classes above, so arrays indexed by
+	// class can be sized statically.
+	NumKernelClasses
 )
 
 // String names the class for diagnostics and tables.
@@ -99,7 +101,7 @@ func (k KernelClass) String() string {
 
 // KernelClasses lists every class, for table-driven calibration and tests.
 func KernelClasses() []KernelClass {
-	out := make([]KernelClass, numKernelClasses)
+	out := make([]KernelClass, NumKernelClasses)
 	for i := range out {
 		out[i] = KernelClass(i)
 	}
@@ -109,7 +111,7 @@ func KernelClasses() []KernelClass {
 // KernelClassNames lists every class name in declaration order — the
 // valid key set of a machine spec's efficiency table.
 func KernelClassNames() []string {
-	names := make([]string, numKernelClasses)
+	names := make([]string, NumKernelClasses)
 	for i := range names {
 		names[i] = KernelClass(i).String()
 	}
@@ -119,7 +121,7 @@ func KernelClassNames() []string {
 // ParseKernelClass resolves a class name as produced by String (the
 // spelling machine specs use); ok is false for unknown names.
 func ParseKernelClass(name string) (KernelClass, bool) {
-	for i := 0; i < int(numKernelClasses); i++ {
+	for i := 0; i < int(NumKernelClasses); i++ {
 		if KernelClass(i).String() == name {
 			return KernelClass(i), true
 		}
@@ -458,7 +460,7 @@ func (m *CostModel) PhaseBreakdown(w WorkProfile, opt PhaseOptions) PhaseBreakdo
 // volumes, not measurements: dense blocked kernels move far more cache
 // than DRAM traffic, streaming kernels move almost the same at every
 // level, and irregular kernels sit in between.
-var cacheAmp = [numKernelClasses]struct{ l1PerFlop, l2Amp float64 }{
+var cacheAmp = [NumKernelClasses]struct{ l1PerFlop, l2Amp float64 }{
 	SpMV:          {12, 1.5},
 	SymGS:         {12, 1.6},
 	DotProduct:    {8, 1.0},
@@ -476,7 +478,7 @@ var cacheAmp = [numKernelClasses]struct{ l1PerFlop, l2Amp float64 }{
 // L1 traffic per flop, and the L2:DRAM traffic ratio (≥ 1). Unknown
 // classes get a conservative streaming profile.
 func CacheAmplification(c KernelClass) (l1PerFlop, l2Amp float64) {
-	if c < 0 || c >= numKernelClasses {
+	if c < 0 || c >= NumKernelClasses {
 		return 8, 1.0
 	}
 	a := cacheAmp[c]

@@ -108,19 +108,20 @@ func (e *eventEngine) scratch() {
 		e.starts = make([]vclock.Time, p)
 		e.starts2 = make([]vclock.Time, p)
 		e.blocks = make([][]float64, p)
-		e.sendBufs = make([][]float64, p)
 		e.ints = make([]int, p)
 		e.lims = make([]int, p)
 		e.sentOff = make([]int, p+1)
 	}
 }
 
-// sendCopy copies buf into rank id's reusable send buffer and returns
-// the copy. It stays valid until id's next sendCopy, which every
-// algorithm here issues only after the copy's receiver has folded it.
+// sendCopy copies buf into rank id's reusable send buffer (Rank.sendBuf)
+// and returns the copy. It stays valid until id's next sendCopy, which
+// every algorithm here issues only after the copy's receiver has folded
+// it.
 func (e *eventEngine) sendCopy(id int, buf []float64) []float64 {
-	e.sendBufs[id] = append(e.sendBufs[id][:0], buf...)
-	return e.sendBufs[id]
+	r := e.ranks[id]
+	r.sendBuf = append(r.sendBuf[:0], buf...)
+	return r.sendBuf
 }
 
 // beginAll/endAll replicate each rank's collBegin/collEnd bracket. The

@@ -17,7 +17,7 @@ import (
 //
 // Both orders are pure functions of the per-rank accounting, which is
 // itself driven by virtual clocks and program order — so the emitted
-// stream is bit-deterministic across goroutine schedules.
+// stream is bit-deterministic however the ranks are scheduled.
 func emitCounterEvents(sink TraceSink, rep *Report) {
 	jc := rep.Counters
 	if jc == nil || sink == nil {

@@ -1,6 +1,6 @@
 // Determinism stress test: the runtime's core promise is that virtual
-// time is a pure function of the job, independent of how the Go
-// scheduler runs the rank goroutines. This external test package
+// time is a pure function of the job, independent of how the host runs
+// the rank coroutines. This external test package
 // (simmpi_test, so it can import the benchmark codes without a cycle)
 // replays the same distributed HPCG and Nekbone jobs under a range of
 // GOMAXPROCS values and demands bit-identical outcomes every time.

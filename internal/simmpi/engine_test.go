@@ -17,7 +17,6 @@ import (
 	"runtime"
 	"strings"
 	"testing"
-	"time"
 
 	"a64fxbench/internal/metrics"
 	"a64fxbench/internal/perfmodel"
@@ -501,40 +500,60 @@ func TestEventEngineDeadlockDetection(t *testing.T) {
 	}
 }
 
-// TestEventEngineAbortUnwindsRanks: a job that fails — a deadlock, or a
-// panic in the batched executor on the last arriver's goroutine (a root
-// mismatch, an unmatched halo receive) — must unwind every parked rank
-// goroutine, so a long-lived caller that keeps going after the error
-// leaks nothing. Not parallel: it counts the process's goroutines.
+// TestEventEngineAbortUnwindsRanks: Run must leave no rank coroutine
+// behind, whether the job succeeds or fails — by a deadlock, by a rank
+// body that panics while the others are parked at a collective, or by a
+// panic in the batched executor on the last arriver's coroutine (a root
+// mismatch, an unmatched halo receive). Every coroutine has finished or
+// been stopped by the time Run returns, so a long-lived caller that keeps
+// going leaks nothing. Not parallel: it counts the process's goroutines.
 func TestEventEngineAbortUnwindsRanks(t *testing.T) {
-	bodies := map[string]func(r *Rank) error{
-		"deadlock": func(r *Rank) error {
+	cases := []struct {
+		name string
+		body func(r *Rank) error
+		want string // a substring of the job's error; "" if it must succeed
+	}{
+		{"success", func(r *Rank) error {
+			r.Compute(vecWork(100 * (1 + r.ID())))
+			r.AllreduceScalar(1, OpSum)
+			r.SendFloats((r.ID()+1)%r.Size(), 3, []float64{1})
+			r.RecvFloats((r.ID()+r.Size()-1)%r.Size(), 3)
+			r.Barrier()
+			return nil
+		}, ""},
+		{"deadlock", func(r *Rank) error {
 			if r.ID() > 0 {
 				r.Recv(0, 99) // never sent
 			}
 			return nil
-		},
-		"root mismatch": func(r *Rank) error {
+		}, "deadlock"},
+		{"body panic", func(r *Rank) error {
+			if r.ID() == r.Size()-1 {
+				panic("gave up at the allreduce")
+			}
+			r.AllreduceScalar(1, OpSum)
+			return nil
+		}, "rank 15 panicked: gave up at the allreduce"},
+		{"root mismatch", func(r *Rank) error {
 			r.Reduce(r.ID()%3, []float64{1}, OpSum)
 			return nil
-		},
-		"unmatched halo": func(r *Rank) error {
+		}, "root mismatch"},
+		{"unmatched halo", func(r *Rank) error {
 			r.NeighborExchange([]Halo{{Peer: (r.ID() + 1) % r.Size(), SendTag: 1, RecvTag: 2, Bytes: 8}})
 			return nil
-		},
+		}, "NeighborExchange"},
 	}
-	for name, body := range bodies {
+	for _, c := range cases {
 		before := runtime.NumGoroutine()
-		if _, err := Run(cfg(16, 4), body); err == nil {
-			t.Fatalf("%s: want an error", name)
+		_, err := Run(cfg(16, 4), c.body)
+		if c.want == "" && err != nil {
+			t.Fatalf("%s: %v", c.name, err)
 		}
-		// The last rank goroutine exits just after handing the token back.
-		deadline := time.Now().Add(5 * time.Second)
-		for runtime.NumGoroutine() > before && time.Now().Before(deadline) {
-			time.Sleep(time.Millisecond)
+		if c.want != "" && (err == nil || !strings.Contains(err.Error(), c.want)) {
+			t.Fatalf("%s: want an error containing %q, got %v", c.name, c.want, err)
 		}
 		if n := runtime.NumGoroutine(); n > before {
-			t.Fatalf("%s: %d goroutines after the failed job, %d before", name, n, before)
+			t.Fatalf("%s: %d goroutines once Run returned, %d before", c.name, n, before)
 		}
 	}
 }

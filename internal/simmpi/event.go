@@ -2,26 +2,27 @@ package simmpi
 
 // The discrete-event engine: the one way simmpi executes a job.
 //
-// All ranks of a job share one execution token. Rank bodies run on
-// goroutines — Go has no first-class continuations — but exactly one of
-// them holds the token at any instant. A rank runs until it blocks (an
-// empty-route Recv, a world collective — halo exchanges included — or a
-// Split) or finishes, and then passes the token on itself (handoff): it
-// pops the next runnable rank from a binary-heap ready queue keyed on
-// (virtual time, rank, sequence) and resumes it with one channel send.
-// No loop goroutine sits between two ranks, so a dispatch costs one
-// goroutine switch. runEventLoop only starts the first rank and waits
-// for the ranks to report that nothing is runnable.
+// Every rank body runs as a coroutine (iter.Pull), and one dispatch loop,
+// runEventLoop, resumes them: it pops a rank from a FIFO run queue and
+// calls that rank's next, which returns when the rank parks — at an
+// empty-route Recv, a world collective (halo exchanges included) or a
+// Split — or when its body returns. A coroutine switch hands the thread
+// over directly and never enters the Go scheduler, so a dispatch costs
+// the same at any GOMAXPROCS, and exactly one rank or the loop runs at
+// any instant.
 //
 // Correctness rests on the conservative virtual-time rule (see package
 // vclock): every inter-rank coupling happens through a message stamped
 // with its availability time, and a receive completes at
 // max(receiver clock, stamp). Any scheduling that runs a receive after
-// its matching send therefore produces bit-identical results — the
-// ready queue's ordering is a real-time optimisation, never a semantic
-// choice. The same rule lets world collectives run batched: the
-// differential suite in engine_test.go holds every batched collective to
-// the byte-identical output of its point-to-point reference algorithm.
+// its matching send therefore produces bit-identical results — the run
+// order is never a semantic choice — so the run queue is a plain FIFO:
+// ranks run in the order they became runnable. Only the running rank
+// pushes (a send that wakes a parked receiver, the last arrival at a
+// collective or Split), so that order is deterministic as well. The same
+// rule lets world collectives run batched: the differential suite in
+// engine_test.go holds every batched collective to the byte-identical
+// output of its point-to-point reference algorithm.
 //
 // Three things make this engine fast at 10⁴–10⁵ ranks:
 //
@@ -29,21 +30,22 @@ package simmpi
 //     collective_batch.go): the last rank to park at a collective
 //     replays every rank's exact per-rank message sequence in a
 //     dependency-valid cross-rank order, eliminating the ~2·p·log p
-//     token handoffs per collective. Halo exchanges run the same way
+//     dispatches per collective. Halo exchanges run the same way
 //     (NeighborExchange), so the applications' face halos never touch
 //     the route tables or park a rank on a receive.
 //   - Identical messages collapse onto shared symmetric state: the
 //     point-to-point model is a pure function of (hop count, bytes), so
 //     the engine memoises prices and the p equal-size transfers of a
 //     collective round cost a handful of model evaluations instead of p.
-//   - Steady-state dispatch allocates nothing: the ready queue is a
-//     slice-backed binary heap, route queues reuse their backing arrays,
+//   - Steady-state dispatch allocates nothing: the run queue is a fixed
+//     ring of p rank ids, route queues reuse their backing arrays,
 //     collective rounds copy through per-rank reusable buffers, halo
 //     exchanges keep their messages in one reusable buffer, and rank
-//     goroutines are spawned lazily on first dispatch.
+//     coroutines are created lazily on first dispatch.
 
 import (
 	"fmt"
+	"iter"
 
 	"a64fxbench/internal/units"
 	"a64fxbench/internal/vclock"
@@ -53,76 +55,47 @@ import (
 type rankState uint8
 
 const (
-	stateReady rankState = iota // in the ready heap (or running)
+	stateReady rankState = iota // queued, running, or not yet started
 	stateRecv                   // parked on an empty route
 	stateColl                   // parked at a world collective
 	stateSplit                  // parked at a Split rendezvous
 	stateDone                   // body returned (or unwound)
 )
 
-// evItem is one ready-queue entry: rank `rank` becomes runnable at
-// virtual time `at`. seq breaks (at, rank) ties in insertion order —
-// with unique ranks per entry it is belt-and-braces, but it pins the
-// ordering contract down to a total order.
-type evItem struct {
-	at   vclock.Time
-	rank int
-	seq  uint64
+// runQueue is the FIFO of runnable rank ids: a ring of capacity p. That
+// suffices because a rank is queued at most once — only a parked rank is
+// pushed, and it cannot park again until the loop has popped and run it.
+type runQueue struct {
+	ids     []int
+	head, n int
 }
 
-// evHeap is a slice-backed binary min-heap of evItems ordered by
-// (at, rank, seq). It never allocates beyond its high-water mark.
-type evHeap struct {
-	a []evItem
+func (q *runQueue) push(i int) {
+	t := q.head + q.n
+	if t >= len(q.ids) {
+		t -= len(q.ids)
+	}
+	q.ids[t] = i
+	q.n++
 }
 
-func (h *evHeap) len() int { return len(h.a) }
-
-func evLess(x, y evItem) bool {
-	if x.at != y.at {
-		return x.at < y.at
+func (q *runQueue) pop() int {
+	i := q.ids[q.head]
+	q.head++
+	if q.head == len(q.ids) {
+		q.head = 0
 	}
-	if x.rank != y.rank {
-		return x.rank < y.rank
-	}
-	return x.seq < y.seq
+	q.n--
+	return i
 }
 
-func (h *evHeap) push(it evItem) {
-	h.a = append(h.a, it)
-	i := len(h.a) - 1
-	for i > 0 {
-		parent := (i - 1) / 2
-		if !evLess(h.a[i], h.a[parent]) {
-			break
-		}
-		h.a[i], h.a[parent] = h.a[parent], h.a[i]
-		i = parent
-	}
-}
-
-func (h *evHeap) pop() evItem {
-	top := h.a[0]
-	last := len(h.a) - 1
-	h.a[0] = h.a[last]
-	h.a = h.a[:last]
-	i := 0
-	for {
-		l, r := 2*i+1, 2*i+2
-		small := i
-		if l < last && evLess(h.a[l], h.a[small]) {
-			small = l
-		}
-		if r < last && evLess(h.a[r], h.a[small]) {
-			small = r
-		}
-		if small == i {
-			break
-		}
-		h.a[i], h.a[small] = h.a[small], h.a[i]
-		i = small
-	}
-	return top
+// coroutine is one rank body suspended between dispatches: next resumes
+// it until it parks or returns, stop unwinds it, and yield — held by the
+// body's own side — suspends it. next is nil until the first dispatch.
+type coroutine struct {
+	next  func() (struct{}, bool)
+	stop  func()
+	yield func(struct{}) bool
 }
 
 // msgQueue is a FIFO of in-flight messages on one (src, dst, tag) route.
@@ -182,33 +155,25 @@ func routeKey(src, tag int) uint64 {
 	return uint64(uint32(src))<<32 | uint64(uint32(tag))
 }
 
-// engineKilled unwinds a parked rank goroutine when a stalled job is
-// aborted; the runner recognises it and exits without recording an error.
+// engineKilled unwinds a parked rank's coroutine when a stalled job is
+// aborted; the runner recognises it and returns without recording an
+// error.
 type engineKilled struct{}
 
-// eventEngine is the per-job state of the discrete-event engine. It is
-// mutated only by the goroutine that holds the execution token — a rank
-// goroutine, or runEventLoop before the first dispatch and once the
-// ranks report that nothing is runnable — so it needs no locks: every
-// token transfer is a channel operation, which orders one holder's
-// writes before the next holder's reads.
+// eventEngine is the per-job state of the discrete-event engine. Only
+// the running coroutine or the dispatch loop touches it, and a coroutine
+// switch hands the thread over directly — the two never run at once — so
+// it needs no locks.
 type eventEngine struct {
 	j     *job
 	ranks []*Rank
 	body  func(*Rank) error
 
-	// Token handoff: a rank passes the token to parked rank i by sending
-	// on resume[i] (buffered, so the sender never waits for the receiver
-	// to reach its receive), or by starting i's goroutine if it has not
-	// run yet. A rank that finds nothing runnable sends on idle instead,
-	// returning the token to runEventLoop.
-	resume  []chan struct{}
-	idle    chan struct{}
-	started []bool
-	state   []rankState
-
-	ready evHeap
-	seq   uint64
+	// Dispatch: co[i] is rank i's coroutine; ready holds the ranks the
+	// loop resumes next, in the order they became runnable.
+	co    []coroutine
+	state []rankState
+	ready runQueue
 
 	// Point-to-point routing: per-receiver route tables keyed on
 	// (src, tag), so each table stays small and cache-resident at any
@@ -229,54 +194,55 @@ type eventEngine struct {
 	splitParked []int
 
 	// Scratch for the batched collective executor (collective_batch.go);
-	// allocated once at first use, reused for every collective. sendBufs
-	// backs sendCopy; sent and sentOff hold a halo exchange's messages,
-	// grouped by sender.
-	slots    []message
-	starts   []vclock.Time
-	starts2  []vclock.Time
-	blocks   [][]float64
-	sendBufs [][]float64
-	ints     []int
-	lims     []int
-	sent     []haloMsg
-	sentOff  []int
+	// allocated once at first use, reused for every collective. sent and
+	// sentOff hold a halo exchange's messages, grouped by sender.
+	slots   []message
+	starts  []vclock.Time
+	starts2 []vclock.Time
+	blocks  [][]float64
+	ints    []int
+	lims    []int
+	sent    []haloMsg
+	sentOff []int
 
 	prices map[uint64]units.Duration
 
-	errs    []error
-	done    int
-	aborted bool
+	errs []error
+	done int
 }
 
-// runEventLoop executes body on every rank (see runRanks). It starts
-// the first rank and waits for the one idle signal: from there on the
-// ranks hand the token to each other. If ranks remain unfinished when
-// nothing is runnable, the job has stalled and is aborted.
+// runEventLoop executes body on every rank (see runRanks). It is the one
+// dispatch loop: it pops the next runnable rank, starts its coroutine on
+// the first dispatch, and resumes it until it parks or returns. If ranks
+// remain unfinished when nothing is runnable, the job has stalled and is
+// aborted.
 func runEventLoop(j *job, ranks []*Rank, body func(*Rank) error) error {
 	p := len(ranks)
 	e := &eventEngine{
 		j:        j,
 		ranks:    ranks,
 		body:     body,
-		resume:   make([]chan struct{}, p),
-		idle:     make(chan struct{}),
-		started:  make([]bool, p),
+		co:       make([]coroutine, p),
 		state:    make([]rankState, p),
+		ready:    runQueue{ids: make([]int, p)},
 		routes:   make([]map[uint64]*msgQueue, p),
 		collArgs: make([]collArgs, p),
 		collRes:  make([]any, p),
 		prices:   make(map[uint64]units.Duration),
 		errs:     make([]error, p),
 	}
-	e.ready.a = make([]evItem, 0, p)
-	for i := range ranks {
-		ranks[i].eng = e
-		e.resume[i] = make(chan struct{}, 1)
-		e.push(i, 0)
+	for i, r := range ranks {
+		r.eng = e
+		e.ready.push(i)
 	}
-	e.start(e.ready.pop().rank)
-	<-e.idle
+	for e.ready.n > 0 {
+		i := e.ready.pop()
+		c := &e.co[i]
+		if c.next == nil {
+			c.next, c.stop = iter.Pull(e.runner(ranks[i]))
+		}
+		c.next()
+	}
 	if e.done < p {
 		return e.abort()
 	}
@@ -288,74 +254,40 @@ func runEventLoop(j *job, ranks []*Rank, body func(*Rank) error) error {
 	return nil
 }
 
-// push schedules rank i as runnable at virtual time `at`.
-func (e *eventEngine) push(i int, at vclock.Time) {
+// push queues parked rank i to run.
+func (e *eventEngine) push(i int) {
 	e.state[i] = stateReady
-	e.ready.push(evItem{at: at, rank: i, seq: e.seq})
-	e.seq++
+	e.ready.push(i)
 }
 
-// start launches rank i's goroutine, handing it the token.
-func (e *eventEngine) start(i int) {
-	e.started[i] = true
-	go e.runner(e.ranks[i])
-}
-
-// handoff passes the token on from rank self, which is parking or has
-// finished. If every rank has arrived at a world collective, self (the
-// last arriver) runs it first. It then resumes the next ready rank, or
-// reports true without switching if that rank is self; with nothing
-// runnable it returns the token to runEventLoop. Once handoff returns
-// false the caller no longer holds the token and must not touch engine
-// state.
-func (e *eventEngine) handoff(self int) bool {
-	if e.collIn == len(e.ranks) {
-		e.runCollective()
-	}
-	if e.ready.len() == 0 {
-		e.idle <- struct{}{}
-		return false
-	}
-	next := e.ready.pop().rank
-	switch {
-	case next == self:
-		return true
-	case !e.started[next]:
-		e.start(next)
-	default:
-		e.resume[next] <- struct{}{}
-	}
-	return false
-}
-
-// runner is a rank goroutine: it holds the token on entry and whenever
-// park returns, and passes it on exactly once on exit. A panic — from
-// the body or from a batched collective this rank executed — becomes
-// the rank's error.
-func (e *eventEngine) runner(r *Rank) {
-	defer func() {
-		if p := recover(); p != nil {
-			if _, killed := p.(engineKilled); !killed {
-				e.errs[r.id] = fmt.Errorf("rank %d panicked: %v", r.id, p)
+// runner is rank r's coroutine body. It recovers every panic — from the
+// body, from a batched collective this rank executed, or the
+// engineKilled that unwinds it on abort — so next never re-panics on the
+// loop; any panic but engineKilled becomes the rank's error.
+func (e *eventEngine) runner(r *Rank) iter.Seq[struct{}] {
+	return func(yield func(struct{}) bool) {
+		e.co[r.id].yield = yield
+		defer func() {
+			if p := recover(); p != nil {
+				if _, killed := p.(engineKilled); !killed {
+					e.errs[r.id] = fmt.Errorf("rank %d panicked: %v", r.id, p)
+				}
 			}
+			e.state[r.id] = stateDone
+			e.done++
+		}()
+		if err := e.body(r); err != nil {
+			e.errs[r.id] = err
 		}
-		e.state[r.id] = stateDone
-		e.done++
-		e.handoff(r.id)
-	}()
-	if err := e.body(r); err != nil {
-		e.errs[r.id] = err
 	}
 }
 
-// park passes the token on and blocks until some rank resumes this one.
-// Must be called from r's own goroutine while it holds the token.
+// park suspends r's coroutine, returning to the loop, until the loop
+// resumes it. If the loop stops the coroutine instead (abort), yield
+// returns false and park unwinds the rank. Must be called on r's own
+// coroutine, after recording where r waits.
 func (e *eventEngine) park(r *Rank) {
-	if e.handoff(r.id) {
-		return
-	}
-	<-e.resume[r.id]
-	if e.aborted {
+	if !e.co[r.id].yield(struct{}{}) {
 		panic(engineKilled{})
 	}
 }
@@ -377,14 +309,13 @@ func (e *eventEngine) route(src, dst, tag int) *msgQueue {
 }
 
 // post delivers a sent message. Sends never block; if the route's
-// receiver is parked on it, the receiver becomes runnable at the later
-// of its own clock and the message's availability.
+// receiver is parked on it, the receiver becomes runnable.
 func (e *eventEngine) post(src, dst, tag int, m message) {
 	q := e.route(src, dst, tag)
 	q.push(m)
 	if q.waiting {
 		q.waiting = false
-		e.push(dst, vclock.Max(e.ranks[dst].clock.Now(), m.avail))
+		e.push(dst)
 	}
 }
 
@@ -423,18 +354,32 @@ func (e *eventEngine) price(srcNode, dstNode int, bytes units.Bytes) units.Durat
 	return d
 }
 
-// collective parks r at a world collective and returns its per-rank
-// result once all ranks have arrived and the batched executor has run.
-func (e *eventEngine) collective(r *Rank, a collArgs) any {
+// collSlot opens r's arrival at a world collective of the given kind and
+// returns r's argument slot, which the caller fills in place before
+// calling collective.
+func (e *eventEngine) collSlot(r *Rank, kind collKind) *collArgs {
 	if e.collIn == 0 {
-		e.collKind = a.kind
-	} else if a.kind != e.collKind {
+		e.collKind = kind
+	} else if kind != e.collKind {
 		panic(fmt.Sprintf("simmpi: collective mismatch: rank %d entered %s while others are in %s",
-			r.id, a.kind, e.collKind))
+			r.id, kind, e.collKind))
 	}
-	e.collArgs[r.id] = a
+	a := &e.collArgs[r.id]
+	a.kind = kind
+	return a
+}
+
+// collective parks r at the world collective its slot names and returns
+// its per-rank result once all ranks have arrived and the batched
+// executor has run. The last arriver runs the executor on its own
+// coroutine before parking, so an executor panic (a root mismatch, an
+// unmatched halo) becomes that rank's error.
+func (e *eventEngine) collective(r *Rank) any {
 	e.collIn++
 	e.state[r.id] = stateColl
+	if e.collIn == len(e.ranks) {
+		e.runCollective()
+	}
 	e.park(r)
 	res := e.collRes[r.id]
 	e.collRes[r.id] = nil
@@ -442,18 +387,16 @@ func (e *eventEngine) collective(r *Rank, a collArgs) any {
 }
 
 // runCollective fires once every rank has parked at the same world
-// collective, on the goroutine of the last arriver: the batched executor
-// replays each rank's exact message sequence, then all ranks become
-// runnable at their post-collective clocks. collIn is reset first, so if
-// the executor panics (say, on a root mismatch) the arriver's runner
-// turns the panic into its error and its exit handoff finds a stalled
-// job instead of running the collective again.
+// collective: the batched executor replays each rank's exact message
+// sequence, then every rank becomes runnable, in rank order. collIn is
+// reset first, so if the executor panics the job stalls with the
+// arriver's error instead of running the collective again.
 func (e *eventEngine) runCollective() {
 	e.collIn = 0
 	runBatched(e, e.collKind, e.collArgs, e.collRes)
-	for i, r := range e.ranks {
+	for i := range e.ranks {
 		e.collArgs[i] = collArgs{}
-		e.push(i, r.clock.Now())
+		e.push(i)
 	}
 }
 
@@ -470,16 +413,16 @@ func (e *eventEngine) splitWait(r *Rank, last bool) {
 		return
 	}
 	for _, id := range e.splitParked {
-		e.push(id, e.ranks[id].clock.Now())
+		e.push(id)
 	}
 	e.splitParked = e.splitParked[:0]
 }
 
 // abort reports why the job stalled — a rank's error if one occurred,
-// otherwise a deadlock diagnosis — and unwinds every parked goroutine
-// so nothing leaks: a job that can never finish returns an error
-// instead of hanging. runEventLoop holds the token here; each unwound
-// rank's exit handoff finds nothing runnable and returns it.
+// otherwise a deadlock diagnosis — and unwinds every parked coroutine so
+// nothing leaks: a job that can never finish returns an error instead of
+// hanging. Stopping a coroutine makes its pending yield return false, so
+// park panics with engineKilled and the runner returns.
 func (e *eventEngine) abort() error {
 	var err error
 	for _, rerr := range e.errs {
@@ -501,11 +444,9 @@ func (e *eventEngine) abort() error {
 		err = fmt.Errorf("simmpi: event engine deadlock: %d/%d ranks finished, %d parked in a collective, %d on recv, %d in split",
 			e.done, len(e.ranks), e.collIn, inRecv, inSplit)
 	}
-	e.aborted = true
-	for i := range e.ranks {
-		if e.started[i] && e.state[i] != stateDone {
-			e.resume[i] <- struct{}{}
-			<-e.idle
+	for i, c := range e.co {
+		if c.stop != nil && e.state[i] != stateDone {
+			c.stop()
 		}
 	}
 	return err

@@ -1,8 +1,8 @@
 // Package simmpi is a message-passing runtime for simulated parallel
-// jobs: MPI rank bodies run under a single-threaded discrete-event loop
-// (event.go), real data moves between them as messages, and every
-// operation is priced in virtual time by the perfmodel (compute) and
-// netmodel (communication) packages.
+// jobs: MPI rank bodies run as coroutines that one single-threaded
+// discrete-event loop resumes in FIFO order (event.go), real data moves
+// between them as messages, and every operation is priced in virtual
+// time by the perfmodel (compute) and netmodel (communication) packages.
 //
 // The design keeps the classic MPI shape — ranks, tags, point-to-point
 // sends and receives, and collectives — so the benchmark codes read like
@@ -155,8 +155,9 @@ type Stats struct {
 	// internals included).
 	MsgsSent  int64
 	BytesSent units.Bytes
-	// ClassTime breaks busy time down by kernel class.
-	ClassTime map[perfmodel.KernelClass]units.Duration
+	// ClassTime breaks busy time down by kernel class, indexed by
+	// class; a class the rank never computed reads zero.
+	ClassTime [perfmodel.NumKernelClasses]units.Duration
 }
 
 // Rank is one simulated MPI process. The body function owns it; it is not
@@ -165,7 +166,7 @@ type Rank struct {
 	id       int
 	size     int
 	node     int
-	clock    *vclock.Clock
+	clock    vclock.Clock
 	model    *perfmodel.CostModel
 	job      *job
 	eng      *eventEngine
@@ -183,9 +184,17 @@ type Rank struct {
 	// scalar backs AllreduceScalar's one-element buffer, so the
 	// per-iteration dot products of the solvers allocate nothing.
 	scalar [1]float64
+	// sendBuf is the batched executor's reusable copy of what this rank
+	// sends from a buffer that folds overwrite (eventEngine.sendCopy). It
+	// starts on sendInline, so scalar reductions — every reduction the
+	// applications issue — never allocate one.
+	sendBuf    []float64
+	sendInline [1]float64
 	// halos is NeighborExchange's copy of the caller's halo list, reused
-	// so the caller's list never escapes to the heap.
-	halos []Halo
+	// so the caller's list never escapes to the heap. It starts on
+	// haloInline, which holds a 3D face exchange's six halos.
+	halos      []Halo
+	haloInline [6]Halo
 
 	// Congestion-replay state (see congested.go): flows is the recording
 	// pass's log of this rank's inter-node sends, in program order;
@@ -210,14 +219,7 @@ func (r *Rank) Now() vclock.Time { return r.clock.Now() }
 func (r *Rank) Model() *perfmodel.CostModel { return r.model }
 
 // Stats returns a copy of the rank's accumulated statistics.
-func (r *Rank) Stats() Stats {
-	s := r.stats
-	s.ClassTime = make(map[perfmodel.KernelClass]units.Duration, len(r.stats.ClassTime))
-	for k, v := range r.stats.ClassTime {
-		s.ClassTime[k] = v
-	}
-	return s
-}
+func (r *Rank) Stats() Stats { return r.stats }
 
 // Compute executes a metered kernel phase: the rank's clock advances by
 // the modelled phase time.
@@ -265,15 +267,19 @@ func (r *Rank) Compute(w perfmodel.WorkProfile) {
 	start := r.clock.Now()
 	r.clock.Advance(d)
 	r.observe()
-	r.record(Event{
-		Kind: EvCompute, Start: start, Duration: d, Class: w.Class,
-		Peer: -1, Flops: w.Flops, Bytes: w.Bytes,
-	})
+	if r.traced() {
+		r.record(Event{
+			Kind: EvCompute, Start: start, Duration: d, Class: w.Class,
+			Peer: -1, Flops: w.Flops, Bytes: w.Bytes,
+		})
+	}
 	if p := r.job.cfg.NoiseProb; p > 0 {
 		r.noiseSeq++
 		h := splitmix64(uint64(r.id)*0x9E3779B97F4A7C15 + r.noiseSeq)
 		if float64(h>>11)/(1<<53) < p {
-			r.record(Event{Kind: EvNoise, Start: r.clock.Now(), Duration: r.job.cfg.NoiseDuration, Peer: -1})
+			if r.traced() {
+				r.record(Event{Kind: EvNoise, Start: r.clock.Now(), Duration: r.job.cfg.NoiseDuration, Peer: -1})
+			}
 			r.clock.Advance(r.job.cfg.NoiseDuration)
 			if r.pmu != nil {
 				r.pmu.AddTime(metrics.StallNoise, r.job.cfg.NoiseDuration)
@@ -283,9 +289,6 @@ func (r *Rank) Compute(w perfmodel.WorkProfile) {
 	}
 	r.stats.Flops += w.Flops
 	r.stats.MemBytes += w.Bytes
-	if r.stats.ClassTime == nil {
-		r.stats.ClassTime = make(map[perfmodel.KernelClass]units.Duration)
-	}
 	r.stats.ClassTime[w.Class] += d
 }
 
@@ -358,7 +361,9 @@ func (r *Rank) sendFloatsCore(dst, tag int, data []float64, bytes units.Bytes) m
 	}
 	r.stats.MsgsSent++
 	r.stats.BytesSent += bytes
-	r.record(Event{Kind: EvSend, Start: sendAt, Duration: f.SoftwareOverhead / 2, Peer: dst, Tag: tag, Bytes: bytes})
+	if r.traced() {
+		r.record(Event{Kind: EvSend, Start: sendAt, Duration: f.SoftwareOverhead / 2, Peer: dst, Tag: tag, Bytes: bytes})
+	}
 	return message{
 		floats: data,
 		bytes:  bytes,
@@ -389,11 +394,13 @@ func (r *Rank) recvFloatsCore(m message, src, tag int) []float64 {
 		r.pmu.Add(metrics.RecvBytes, float64(m.bytes))
 		r.observe()
 	}
-	r.record(Event{
-		Kind: EvRecv, Start: start,
-		Duration: wait,
-		Peer:     src, Tag: tag, Bytes: m.bytes,
-	})
+	if r.traced() {
+		r.record(Event{
+			Kind: EvRecv, Start: start,
+			Duration: wait,
+			Peer:     src, Tag: tag, Bytes: m.bytes,
+		})
+	}
 	return m.floats
 }
 
@@ -467,7 +474,8 @@ func (r *Rank) collEnd(c metrics.Collective, start vclock.Time) {
 // Barrier synchronises all ranks with a dissemination barrier.
 func (r *Rank) Barrier() {
 	if r.size > 1 {
-		r.eng.collective(r, collArgs{kind: collBarrier})
+		r.eng.collSlot(r, collBarrier)
+		r.eng.collective(r)
 	}
 }
 
@@ -486,7 +494,9 @@ var (
 // standard pre/post folding for non-power-of-two sizes.
 func (r *Rank) Allreduce(buf []float64, op Op) {
 	if r.size > 1 {
-		r.eng.collective(r, collArgs{kind: collAllreduce, buf: buf, op: op})
+		a := r.eng.collSlot(r, collAllreduce)
+		a.buf, a.op = buf, op
+		r.eng.collective(r)
 	}
 }
 
@@ -503,14 +513,18 @@ func (r *Rank) Bcast(root int, buf []float64) []float64 {
 	if r.size == 1 {
 		return buf
 	}
-	return r.eng.collective(r, collArgs{kind: collBcast, buf: buf, root: root}).([]float64)
+	a := r.eng.collSlot(r, collBcast)
+	a.buf, a.root = buf, root
+	return r.eng.collective(r).([]float64)
 }
 
 // Reduce combines buf onto the root (binomial tree). Non-root ranks'
 // buffers are left partially combined, as in MPI.
 func (r *Rank) Reduce(root int, buf []float64, op Op) {
 	if r.size > 1 {
-		r.eng.collective(r, collArgs{kind: collReduce, buf: buf, op: op, root: root})
+		a := r.eng.collSlot(r, collReduce)
+		a.buf, a.op, a.root = buf, op, root
+		r.eng.collective(r)
 	}
 }
 
@@ -523,7 +537,9 @@ func (r *Rank) Allgather(contrib []float64) []float64 {
 	if r.size == 1 {
 		return out
 	}
-	return r.eng.collective(r, collArgs{kind: collAllgather, buf: contrib, out: out}).([]float64)
+	a := r.eng.collSlot(r, collAllgather)
+	a.buf, a.out = contrib, out
+	return r.eng.collective(r).([]float64)
 }
 
 // Alltoall performs a pairwise-exchange all-to-all: send[i] goes to rank
@@ -539,7 +555,9 @@ func (r *Rank) Alltoall(send [][]float64) [][]float64 {
 	if p == 1 {
 		return recv
 	}
-	return r.eng.collective(r, collArgs{kind: collAlltoall, mat: send, recvMat: recv}).([][]float64)
+	a := r.eng.collSlot(r, collAlltoall)
+	a.mat, a.recvMat = send, recv
+	return r.eng.collective(r).([][]float64)
 }
 
 // ReduceScatter reduces buf element-wise across ranks and scatters the
@@ -554,7 +572,9 @@ func (r *Rank) ReduceScatter(buf []float64, op Op) []float64 {
 	if r.size == 1 {
 		return append([]float64(nil), buf...)
 	}
-	return r.eng.collective(r, collArgs{kind: collReduceScatter, buf: buf, op: op}).([]float64)
+	a := r.eng.collSlot(r, collReduceScatter)
+	a.buf, a.op = buf, op
+	return r.eng.collective(r).([]float64)
 }
 
 // ExScan computes the exclusive prefix reduction: rank i receives
@@ -565,7 +585,9 @@ func (r *Rank) ExScan(buf []float64, op Op) []float64 {
 	if r.size == 1 {
 		return make([]float64, len(buf))
 	}
-	return r.eng.collective(r, collArgs{kind: collExScan, buf: buf, op: op}).([]float64)
+	a := r.eng.collSlot(r, collExScan)
+	a.buf, a.op = buf, op
+	return r.eng.collective(r).([]float64)
 }
 
 // Halo is one face of a neighbourhood exchange: a message of Bytes sent
@@ -587,8 +609,10 @@ type Halo struct {
 // [0, Size), fails the job. Halo time is not collective time: it stays
 // out of the PMU's collective counters.
 func (r *Rank) NeighborExchange(halos []Halo) {
+	a := r.eng.collSlot(r, collNeighbor)
 	r.halos = append(r.halos[:0], halos...)
-	r.eng.collective(r, collArgs{kind: collNeighbor, halos: r.halos})
+	a.halos = r.halos
+	r.eng.collective(r)
 }
 
 // RankResult captures one rank's final accounting.
@@ -743,23 +767,24 @@ func Run(cfg JobConfig, body func(*Rank) error) (Report, error) {
 }
 
 // runRanks executes body on every rank under the event engine and
-// returns the ranks with their final clocks and logs. cs selects the
-// congestion-replay mode (nil = contention-free pricing).
+// returns the ranks, allocated as one slab, with their final clocks and
+// logs. cs selects the congestion-replay mode (nil = contention-free
+// pricing).
 func runRanks(cfg JobConfig, body func(*Rank) error, cs *congestState) ([]*Rank, error) {
 	j := &job{cfg: cfg, congest: cs, splits: map[int]*splitState{}, splitSeq: map[int]int{}}
+	slab := make([]Rank, cfg.Procs)
 	ranks := make([]*Rank, cfg.Procs)
 	for i := range ranks {
-		ranks[i] = &Rank{
-			id:    i,
-			size:  cfg.Procs,
-			node:  cfg.NodeOf(i),
-			clock: vclock.NewClock(),
-			model: cfg.RankModel(i),
-			job:   j,
-		}
+		r := &slab[i]
+		r.id, r.size, r.node = i, cfg.Procs, cfg.NodeOf(i)
+		r.model = cfg.RankModel(i)
+		r.job = j
+		r.sendBuf = r.sendInline[:0]
+		r.halos = r.haloInline[:0]
 		if cfg.Counters != nil {
-			ranks[i].pmu = metrics.NewRankPMU(*cfg.Counters, cfg.Procs)
+			r.pmu = metrics.NewRankPMU(*cfg.Counters, cfg.Procs)
 		}
+		ranks[i] = r
 	}
 	return ranks, runEventLoop(j, ranks, body)
 }

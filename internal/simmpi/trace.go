@@ -210,11 +210,12 @@ func sortTimeline(tl Timeline) {
 	})
 }
 
-// record appends an event when tracing is on.
+// traced reports whether the job has a trace sink. Callers of record
+// check it first, so an untraced run never builds an Event.
+func (r *Rank) traced() bool { return r.job.cfg.Trace != nil }
+
+// record appends an event to the rank's log; call it only when traced.
 func (r *Rank) record(e Event) {
-	if r.job.cfg.Trace == nil {
-		return
-	}
 	e.Rank = r.id
 	e.Node = r.node
 	r.events = append(r.events, e)
@@ -232,7 +233,7 @@ type regionFrame struct {
 // is a complete no-op — annotations cost nothing in untraced runs and
 // never touch the virtual clock or statistics.
 func (r *Rank) Region(name string) {
-	if r.job.cfg.Trace == nil {
+	if !r.traced() {
 		return
 	}
 	now := r.clock.Now()
@@ -243,7 +244,7 @@ func (r *Rank) Region(name string) {
 // EndRegion closes the innermost open region. No-op when tracing is off;
 // panics on an unmatched EndRegion in a traced run.
 func (r *Rank) EndRegion() {
-	if r.job.cfg.Trace == nil {
+	if !r.traced() {
 		return
 	}
 	if len(r.regions) == 0 {

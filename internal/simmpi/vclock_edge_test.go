@@ -1,8 +1,7 @@
 package simmpi
 
 // Virtual-time edge cases: simultaneous events at equal virtual time
-// across ranks, the (Start, Rank) tie-break in the merged timeline, the
-// (time, rank, seq) tie-break in the engine's ready heap, and
+// across ranks, the (Start, Rank) tie-break in the merged timeline, and
 // zero-duration Elapse. These are the cases where a sloppy engine would
 // let real-time scheduling leak into results.
 
@@ -124,46 +123,6 @@ func TestTimelineTieBreak(t *testing.T) {
 			t.Fatalf("equal-Start events not rank-ordered: rank %d after %d", e.Rank, lastRank)
 		}
 		last, lastRank = e.Start, e.Rank
-	}
-}
-
-// TestEvHeapOrdering pins the ready queue's total order: virtual time
-// first, then rank, then insertion sequence.
-func TestEvHeapOrdering(t *testing.T) {
-	t.Parallel()
-	var h evHeap
-	var seq uint64
-	push := func(at vclock.Time, rank int) {
-		h.push(evItem{at: at, rank: rank, seq: seq})
-		seq++
-	}
-	// Deliberately shuffled inserts with heavy ties.
-	push(10, 3)
-	push(5, 7)
-	push(10, 1)
-	push(5, 2)
-	push(0, 9)
-	push(10, 1) // duplicate (at, rank): seq must break the tie FIFO
-	push(5, 2)
-	want := []struct {
-		at   vclock.Time
-		rank int
-	}{
-		{0, 9}, {5, 2}, {5, 2}, {5, 7}, {10, 1}, {10, 1}, {10, 3},
-	}
-	var lastSeq uint64
-	for i, w := range want {
-		it := h.pop()
-		if it.at != w.at || it.rank != w.rank {
-			t.Fatalf("pop %d = (%v, r%d), want (%v, r%d)", i, it.at, it.rank, w.at, w.rank)
-		}
-		if i > 0 && it.at == want[i-1].at && it.rank == want[i-1].rank && it.seq < lastSeq {
-			t.Fatalf("pop %d: tie broken against insertion order", i)
-		}
-		lastSeq = it.seq
-	}
-	if h.len() != 0 {
-		t.Fatalf("heap not drained: %d left", h.len())
 	}
 }
 

@@ -2,7 +2,7 @@
 //
 // Every simulated MPI rank owns a Clock that advances only through explicit
 // Advance calls (compute phases) or AdvanceTo calls (synchronisation with
-// messages from other ranks). Because ranks execute as goroutines in real
+// messages from other ranks). Because ranks execute as coroutines in real
 // time but account in virtual time, causality is maintained purely through
 // the message-coupling rule: a receive completes at
 //
@@ -41,7 +41,7 @@ func Max(a, b Time) Time {
 }
 
 // Clock is one simulated rank's notion of time. It is not safe for
-// concurrent use by multiple goroutines; each rank goroutine owns its clock
+// concurrent use by multiple goroutines; each rank owns its clock
 // exclusively, and cross-rank reads happen only through message timestamps.
 type Clock struct {
 	now Time
