@@ -97,12 +97,8 @@ type Collective int
 const (
 	CollBarrier Collective = iota
 	CollAllreduce
-	CollBcast
-	CollReduce
 	CollAllgather
 	CollAlltoall
-	CollReduceScatter
-	CollExScan
 	numCollectives
 )
 
@@ -113,18 +109,10 @@ func (c Collective) String() string {
 		return "barrier"
 	case CollAllreduce:
 		return "allreduce"
-	case CollBcast:
-		return "bcast"
-	case CollReduce:
-		return "reduce"
 	case CollAllgather:
 		return "allgather"
 	case CollAlltoall:
 		return "alltoall"
-	case CollReduceScatter:
-		return "reduce-scatter"
-	case CollExScan:
-		return "exscan"
 	default:
 		return fmt.Sprintf("collective(%d)", int(c))
 	}
@@ -217,7 +205,7 @@ func init() {
 	collByOp = make([]ID, numCollectives)
 	for c := Collective(0); c < numCollectives; c++ {
 		collByOp[c] = register("coll."+c.String()+".ns", "ns", Time,
-			"virtual time inside "+c.String()+" collectives (outermost only)")
+			"virtual time inside "+c.String()+" collectives")
 	}
 	ECML1 = register("ecm.l1.ns", "ns", Time, "ECM register↔L1 transfer phase of compute phases")
 	ECML2 = register("ecm.l2.ns", "ns", Time, "ECM L1↔L2 transfer phase of compute phases")

@@ -99,11 +99,11 @@ func PingPong(sys *arch.System, sizes []units.Bytes) ([]PingPongResult, error) {
 		rep, err := simmpi.Run(job, func(r *simmpi.Rank) error {
 			for i := 0; i < reps; i++ {
 				if r.ID() == 0 {
-					r.Send(1, 5, nil, size)
+					r.Send(1, 5, size)
 					r.Recv(1, 6)
 				} else {
 					r.Recv(0, 5)
-					r.Send(0, 6, nil, size)
+					r.Send(0, 6, size)
 				}
 			}
 			return nil

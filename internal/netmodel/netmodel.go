@@ -1,5 +1,6 @@
-// Package netmodel prices inter-node communication: point-to-point
-// transfers and MPI-style collectives on a given fabric.
+// Package netmodel prices inter-node communication on a given fabric:
+// point-to-point transfers, and one closed-form allreduce for
+// projections beyond the simulated range.
 //
 // The point-to-point model is LogGP-flavoured:
 //
@@ -7,11 +8,12 @@
 //
 // where o_sw is the software/injection overhead of the MPI stack, l_hop
 // the per-hop switch+wire latency, and B the per-link (or injection-
-// limited) bandwidth. Collective costs use the standard algorithm models
-// (binomial broadcast, recursive-doubling allreduce, ring allgather),
-// evaluated at an effective latency derived from the topology's mean hop
-// distance — what a vendor-tuned collective achieves without us modelling
-// per-message routing inside the collective tree.
+// limited) bandwidth. Simulated collectives are priced message by
+// message through this model (package simmpi). The closed-form
+// Allreduce uses the standard algorithm models (recursive doubling,
+// Rabenseifner), evaluated at an effective latency derived from the
+// topology's mean hop distance — what a vendor-tuned collective achieves
+// without us modelling per-message routing inside the collective tree.
 package netmodel
 
 import (
@@ -143,70 +145,6 @@ func (f *Fabric) Allreduce(procs, nodes int, bytes units.Bytes) units.Duration {
 		}
 	}
 	return t
-}
-
-// Barrier prices a barrier across procs/nodes: an allreduce of nothing.
-func (f *Fabric) Barrier(procs, nodes int) units.Duration {
-	return f.Allreduce(procs, nodes, 0)
-}
-
-// Bcast prices a binomial-tree broadcast of `bytes` to `procs` processes on
-// `nodes` nodes.
-func (f *Fabric) Bcast(procs, nodes int, bytes units.Bytes) units.Duration {
-	if procs <= 1 {
-		return 0
-	}
-	var t units.Duration
-	if nodes > 1 {
-		alpha := f.effAlpha(nodes)
-		steps := log2ceil(nodes)
-		t += units.Duration(steps) * (alpha + units.TimeFor(float64(bytes), float64(f.effBandwidth())))
-	}
-	ppn := (procs + max(nodes, 1) - 1) / max(nodes, 1)
-	if ppn > 1 {
-		steps := log2ceil(ppn)
-		t += units.Duration(steps) * (f.SoftwareOverhead/2 + units.TimeFor(float64(bytes), 10e9))
-	}
-	return t
-}
-
-// Allgather prices a ring allgather where each process contributes `bytes`.
-func (f *Fabric) Allgather(procs, nodes int, bytes units.Bytes) units.Duration {
-	if procs <= 1 {
-		return 0
-	}
-	if nodes <= 1 {
-		steps := procs - 1
-		return units.Duration(steps) * (f.SoftwareOverhead/2 + units.TimeFor(float64(bytes), 10e9))
-	}
-	alpha := f.effAlpha(nodes)
-	steps := procs - 1
-	return units.Duration(steps)*alpha +
-		units.TimeFor(float64(bytes)*float64(steps), float64(f.effBandwidth()))
-}
-
-// Alltoall prices a pairwise-exchange all-to-all where each process sends
-// `bytes` to every other process.
-func (f *Fabric) Alltoall(procs, nodes int, bytes units.Bytes) units.Duration {
-	if procs <= 1 {
-		return 0
-	}
-	alpha := f.effAlpha(max(nodes, 2))
-	if nodes <= 1 {
-		alpha = f.SoftwareOverhead / 2
-		steps := procs - 1
-		return units.Duration(steps)*alpha + units.TimeFor(float64(bytes)*float64(steps), 10e9)
-	}
-	steps := procs - 1
-	return units.Duration(steps)*alpha +
-		units.TimeFor(float64(bytes)*float64(steps), float64(f.effBandwidth()))
-}
-
-func max(a, b int) int {
-	if a > b {
-		return a
-	}
-	return b
 }
 
 // Standard fabrics for the five systems. Latency and bandwidth parameters

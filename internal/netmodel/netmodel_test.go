@@ -95,54 +95,6 @@ func TestAllreduceIntraNodeOnly(t *testing.T) {
 	}
 }
 
-func TestBarrier(t *testing.T) {
-	t.Parallel()
-	f := testFabric()
-	if f.Barrier(1, 1) != 0 {
-		t.Error("1-proc barrier should be free")
-	}
-	if f.Barrier(64, 8) <= 0 {
-		t.Error("multi-node barrier must cost time")
-	}
-	if f.Barrier(64, 8) >= f.Allreduce(64, 8, 1*units.MiB) {
-		t.Error("barrier should be cheaper than a 1MB allreduce")
-	}
-}
-
-func TestBcast(t *testing.T) {
-	t.Parallel()
-	f := testFabric()
-	if f.Bcast(1, 1, 1024) != 0 {
-		t.Error("1-proc bcast should be free")
-	}
-	small := f.Bcast(16, 4, 8)
-	big := f.Bcast(16, 4, 1*units.MiB)
-	if big <= small {
-		t.Error("bcast should scale with payload")
-	}
-}
-
-func TestAllgatherAndAlltoall(t *testing.T) {
-	t.Parallel()
-	f := testFabric()
-	if f.Allgather(1, 1, 8) != 0 || f.Alltoall(1, 1, 8) != 0 {
-		t.Error("single-proc collectives should be free")
-	}
-	// All-to-all moves more data than allgather per proc at same size,
-	// but both use (p-1) steps; alltoall ≥ allgather does not generally
-	// hold, so just check positivity and payload monotonicity.
-	if f.Allgather(8, 4, 1024) <= 0 || f.Alltoall(8, 4, 1024) <= 0 {
-		t.Error("collectives must cost time")
-	}
-	if f.Alltoall(8, 4, 1*units.MiB) <= f.Alltoall(8, 4, 1024) {
-		t.Error("alltoall should scale with payload")
-	}
-	// Intra-node paths.
-	if f.Allgather(8, 1, 1024) <= 0 || f.Alltoall(8, 1, 1024) <= 0 {
-		t.Error("intra-node collectives must cost time")
-	}
-}
-
 func TestStandardFabrics(t *testing.T) {
 	t.Parallel()
 	fabrics := []*Fabric{

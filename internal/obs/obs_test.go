@@ -40,7 +40,7 @@ func fourRankJob(t *testing.T) (*simmpi.MemorySink, simmpi.Report) {
 			r.EndRegion()
 			right := (r.ID() + 1) % r.Size()
 			left := (r.ID() - 1 + r.Size()) % r.Size()
-			r.Send(right, 5, nil, 64*units.KiB)
+			r.Send(right, 5, 64*units.KiB)
 			r.Recv(left, 5)
 			r.AllreduceScalar(1, simmpi.OpSum)
 			r.EndRegion()

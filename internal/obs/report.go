@@ -52,19 +52,6 @@ func Analyze(jt JobTrace, peaks Peaks) (*Report, error) {
 	return rep, nil
 }
 
-// AnalyzeAll analyzes every job in a sink's stream.
-func AnalyzeAll(jobs []JobTrace, peaks Peaks) ([]*Report, error) {
-	reps := make([]*Report, 0, len(jobs))
-	for _, jt := range jobs {
-		r, err := Analyze(jt, peaks)
-		if err != nil {
-			return nil, err
-		}
-		reps = append(reps, r)
-	}
-	return reps, nil
-}
-
 // WriteJSON writes the report as indented JSON.
 func (r *Report) WriteJSON(w io.Writer) error {
 	enc := json.NewEncoder(w)

@@ -51,16 +51,6 @@ func WriteArtifacts(w io.Writer, results []sweep.Result, req core.Request) error
 	return nil
 }
 
-// WriteRun executes a single-id run request end to end and writes the
-// rendered artifact bytes to w.
-func WriteRun(ctx context.Context, w io.Writer, eng *sweep.Engine, req core.Request) error {
-	results, err := RunArtifacts(ctx, eng, req)
-	if err != nil {
-		return err
-	}
-	return WriteArtifacts(w, results, req)
-}
-
 // WriteTrace runs the request's one experiment with tracing enabled and
 // exports the event stream: format "text" streams the classic timeline,
 // "chrome" writes a Perfetto-loadable trace-event file, "json" the full

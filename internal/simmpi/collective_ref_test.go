@@ -11,18 +11,14 @@ package simmpi
 
 import "a64fxbench/internal/metrics"
 
-// collSet is one implementation of the nine world collectives. Test
+// collSet is one implementation of the five world collectives. Test
 // bodies call collectives through it so the same body can run against
 // the batched executor and against the reference oracle.
 type collSet struct {
 	Barrier          func(r *Rank)
 	Allreduce        func(r *Rank, buf []float64, op Op)
-	Bcast            func(r *Rank, root int, buf []float64) []float64
-	Reduce           func(r *Rank, root int, buf []float64, op Op)
 	Allgather        func(r *Rank, contrib []float64) []float64
 	Alltoall         func(r *Rank, send [][]float64) [][]float64
-	ReduceScatter    func(r *Rank, buf []float64, op Op) []float64
-	ExScan           func(r *Rank, buf []float64, op Op) []float64
 	NeighborExchange func(r *Rank, halos []Halo)
 }
 
@@ -38,23 +34,15 @@ var (
 	batchedColls = &collSet{
 		Barrier:          (*Rank).Barrier,
 		Allreduce:        (*Rank).Allreduce,
-		Bcast:            (*Rank).Bcast,
-		Reduce:           (*Rank).Reduce,
 		Allgather:        (*Rank).Allgather,
 		Alltoall:         (*Rank).Alltoall,
-		ReduceScatter:    (*Rank).ReduceScatter,
-		ExScan:           (*Rank).ExScan,
 		NeighborExchange: (*Rank).NeighborExchange,
 	}
 	refColls = &collSet{
 		Barrier:          refBarrier,
 		Allreduce:        refAllreduce,
-		Bcast:            refBcast,
-		Reduce:           refReduce,
 		Allgather:        refAllgather,
 		Alltoall:         refAlltoall,
-		ReduceScatter:    refReduceScatter,
-		ExScan:           refExScan,
 		NeighborExchange: refNeighborExchange,
 	}
 )
@@ -70,7 +58,7 @@ func refBarrier(r *Rank) {
 	for k, round := 1, 0; k < p; k, round = k<<1, round+1 {
 		dst := (r.id + k) % p
 		src := (r.id - k + p) % p
-		r.Send(dst, tagBarrier+round, nil, 0)
+		r.Send(dst, tagBarrier+round, 0)
 		r.Recv(src, tagBarrier+round)
 	}
 }
@@ -113,7 +101,8 @@ func refAllreduce(r *Rank, buf []float64, op Op) {
 			} else {
 				partner = partnerNew + rem
 			}
-			other := r.Sendrecv(partner, tagReduce+1+mask, append([]float64(nil), buf...))
+			r.SendFloats(partner, tagReduce+1+mask, append([]float64(nil), buf...))
+			other := r.RecvFloats(partner, tagReduce+1+mask)
 			for i := range buf {
 				buf[i] = op(buf[i], other[i])
 			}
@@ -125,59 +114,6 @@ func refAllreduce(r *Rank, buf []float64, op Op) {
 		copy(buf, r.RecvFloats(id+1, tagReduce+2))
 	case id < 2*rem:
 		r.SendFloats(id-1, tagReduce+2, append([]float64(nil), buf...))
-	}
-}
-
-// refBcast is a binomial tree rooted at root.
-func refBcast(r *Rank, root int, buf []float64) []float64 {
-	p := r.size
-	if p == 1 {
-		return buf
-	}
-	defer r.collEnd(metrics.CollBcast, r.collBegin())
-	// Rotate so the root is virtual rank 0.
-	vrank := (r.id - root + p) % p
-	// Receive from parent (highest set bit), then forward down.
-	if vrank != 0 {
-		mask := 1
-		for mask <= vrank {
-			mask <<= 1
-		}
-		mask >>= 1
-		parent := ((vrank - mask) + root) % p
-		buf = r.RecvFloats(parent, tagBcast)
-	}
-	low := 1
-	for low <= vrank {
-		low <<= 1
-	}
-	for m := low; vrank+m < p; m <<= 1 {
-		child := (vrank + m + root) % p
-		r.SendFloats(child, tagBcast, append([]float64(nil), buf...))
-	}
-	return buf
-}
-
-// refReduce is a binomial combine onto root.
-func refReduce(r *Rank, root int, buf []float64, op Op) {
-	p := r.size
-	if p == 1 {
-		return
-	}
-	defer r.collEnd(metrics.CollReduce, r.collBegin())
-	vrank := (r.id - root + p) % p
-	for mask := 1; mask < p; mask <<= 1 {
-		if vrank&mask != 0 {
-			parent := vrank &^ mask
-			r.SendFloats((parent+root)%p, tagReduce+3, append([]float64(nil), buf...))
-			return
-		}
-		if partner := vrank | mask; partner < p {
-			other := r.RecvFloats((partner+root)%p, tagReduce+3)
-			for i := range buf {
-				buf[i] = op(buf[i], other[i])
-			}
-		}
 	}
 }
 
@@ -218,7 +154,8 @@ func refAlltoall(r *Rank, send [][]float64) [][]float64 {
 	if p&(p-1) == 0 {
 		for step := 1; step < p; step++ {
 			partner := r.id ^ step
-			recv[partner] = r.Sendrecv(partner, tagA2A+step, send[partner])
+			r.SendFloats(partner, tagA2A+step, send[partner])
+			recv[partner] = r.RecvFloats(partner, tagA2A+step)
 		}
 		return recv
 	}
@@ -231,74 +168,12 @@ func refAlltoall(r *Rank, send [][]float64) [][]float64 {
 	return recv
 }
 
-// refReduceScatter is recursive halving for power-of-two sizes, and a
-// nested refReduce to rank 0 plus a linear scatter otherwise.
-func refReduceScatter(r *Rank, buf []float64, op Op) []float64 {
-	p := r.size
-	n := len(buf)
-	blk := n / p
-	if p == 1 {
-		return append([]float64(nil), buf...)
-	}
-	defer r.collEnd(metrics.CollReduceScatter, r.collBegin())
-	work := append([]float64(nil), buf...)
-	if p&(p-1) != 0 {
-		refReduce(r, 0, work, op)
-		if r.id == 0 {
-			for dst := 1; dst < p; dst++ {
-				r.SendFloats(dst, tagRS, work[dst*blk:(dst+1)*blk])
-			}
-			return append([]float64(nil), work[:blk]...)
-		}
-		return r.RecvFloats(0, tagRS)
-	}
-	lo, hi := 0, n
-	for mask := p >> 1; mask >= 1; mask >>= 1 {
-		partner := r.id ^ mask
-		mid := (lo + hi) / 2
-		sendLo, sendHi, keepLo, keepHi := lo, mid, mid, hi
-		if r.id&mask == 0 {
-			sendLo, sendHi, keepLo, keepHi = mid, hi, lo, mid
-		}
-		other := r.Sendrecv(partner, tagRS+1+mask, append([]float64(nil), work[sendLo:sendHi]...))
-		for i := keepLo; i < keepHi; i++ {
-			work[i] = op(work[i], other[i-keepLo])
-		}
-		lo, hi = keepLo, keepHi
-	}
-	return append([]float64(nil), work[lo:hi]...)
-}
-
-// refExScan is a linear pipeline: each rank receives the running prefix
-// from id−1 and forwards it, combined with its own contribution, to id+1.
-func refExScan(r *Rank, buf []float64, op Op) []float64 {
-	if r.size > 1 {
-		defer r.collEnd(metrics.CollExScan, r.collBegin())
-	}
-	out := make([]float64, len(buf))
-	if r.id > 0 {
-		copy(out, r.RecvFloats(r.id-1, tagScan))
-	}
-	if r.id < r.size-1 {
-		next := make([]float64, len(buf))
-		if r.id == 0 {
-			copy(next, buf)
-		} else {
-			for i := range next {
-				next[i] = op(out[i], buf[i])
-			}
-		}
-		r.SendFloats(r.id+1, tagScan, next)
-	}
-	return out
-}
-
 // refNeighborExchange is the hand-rolled halo loop the applications ran
 // before NeighborExchange: every send in halo order, then every receive,
 // through the point-to-point routes. There is no collective bracket.
 func refNeighborExchange(r *Rank, halos []Halo) {
 	for _, h := range halos {
-		r.Send(h.Peer, h.SendTag, nil, h.Bytes)
+		r.Send(h.Peer, h.SendTag, h.Bytes)
 	}
 	for _, h := range halos {
 		r.Recv(h.Peer, h.RecvTag)

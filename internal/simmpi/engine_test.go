@@ -121,24 +121,6 @@ var engineBodies = []struct {
 		if want := p * (p - 1) / 2; buf[0] != want || buf[1] != p {
 			return fmt.Errorf("allreduce got %v", buf)
 		}
-		// Bcast from a non-zero root.
-		root := r.Size() / 2
-		var payload []float64
-		if r.ID() == root {
-			payload = []float64{3.25, -1}
-		} else {
-			payload = []float64{0, 0}
-		}
-		payload = cs.Bcast(r, root, payload)
-		if payload[0] != 3.25 {
-			return fmt.Errorf("bcast got %v", payload)
-		}
-		// Reduce onto a non-zero root.
-		rbuf := []float64{1}
-		cs.Reduce(r, root, rbuf, OpSum)
-		if r.ID() == root && rbuf[0] != p {
-			return fmt.Errorf("reduce got %v", rbuf)
-		}
 		// Allgather.
 		gathered := cs.Allgather(r, []float64{float64(10 * r.ID())})
 		for i, v := range gathered {
@@ -157,35 +139,7 @@ var engineBodies = []struct {
 				return fmt.Errorf("alltoall[%d] = %v", i, blk)
 			}
 		}
-		// ReduceScatter: block i = p * i-th element.
-		rs := make([]float64, r.Size()*2)
-		for i := range rs {
-			rs[i] = float64(i)
-		}
-		mine := cs.ReduceScatter(r, rs, OpSum)
-		if mine[0] != p*float64(2*r.ID()) || mine[1] != p*float64(2*r.ID()+1) {
-			return fmt.Errorf("reducescatter got %v", mine)
-		}
-		// ExScan: prefix sum of rank ids.
-		ex := cs.ExScan(r, []float64{float64(r.ID())}, OpSum)
-		id := float64(r.ID())
-		if want := id * (id - 1) / 2; ex[0] != want {
-			return fmt.Errorf("exscan got %v want %v", ex, want)
-		}
 		r.Elapse(3 * units.Microsecond)
-		return nil
-	}},
-	{"comm-split", 2, func(r *Rank, _ *collSet) error {
-		c := r.Split(r.ID()%2, -r.ID())
-		if got := c.AllreduceScalar(1, OpSum); got != float64(c.Size()) {
-			return fmt.Errorf("split allreduce got %v", got)
-		}
-		c.Barrier()
-		// Second split with a different shape; key reverses the order.
-		c2 := r.Split(r.ID()%3, 0)
-		if got := c2.AllreduceScalar(float64(r.ID()), OpMax); got < float64(r.ID()) {
-			return fmt.Errorf("split2 max got %v", got)
-		}
 		return nil
 	}},
 	{"ring-sendrecv", 2, func(r *Rank, _ *collSet) error {
@@ -299,8 +253,7 @@ func haloExchangeBody(r *Rank, cs *collSet) error {
 
 // engineSizes covers the algorithmic corner cases: 1 (no-op
 // collectives), powers of two, non-powers of two (allreduce folding,
-// alltoall rotation, reduce-scatter's nested reduce), and a multi-node
-// spread.
+// alltoall rotation), and a multi-node spread.
 var engineSizes = []struct {
 	procs, nodes int
 }{
@@ -482,31 +435,15 @@ func TestEventEngineDeadlockDetection(t *testing.T) {
 			}
 		}
 	}
-	// A root mismatch panics inside the batched executor, which runs on
-	// the last arriver's goroutine: the panic must become the job's
-	// error, and every parked rank must be unwound.
-	roots := map[string]func(r *Rank){
-		"Bcast":  func(r *Rank) { r.Bcast(r.ID()%2, []float64{1}) },
-		"Reduce": func(r *Rank) { r.Reduce(r.ID()%2, []float64{1}, OpSum) },
-	}
-	for name, call := range roots {
-		_, err = Run(cfg(4, 2), func(r *Rank) error {
-			call(r)
-			return nil
-		})
-		if err == nil || !strings.Contains(err.Error(), "root mismatch") {
-			t.Fatalf("%s: want root mismatch, got %v", name, err)
-		}
-	}
 }
 
 // TestEventEngineAbortUnwindsRanks: Run must leave no rank coroutine
 // behind, whether the job succeeds or fails — by a deadlock, by a rank
 // body that panics while the others are parked at a collective, or by a
-// panic in the batched executor on the last arriver's coroutine (a root
-// mismatch, an unmatched halo receive). Every coroutine has finished or
-// been stopped by the time Run returns, so a long-lived caller that keeps
-// going leaks nothing. Not parallel: it counts the process's goroutines.
+// panic in the batched executor on the last arriver's coroutine (an
+// unmatched halo receive). Every coroutine has finished or been stopped
+// by the time Run returns, so a long-lived caller that keeps going leaks
+// nothing. Not parallel: it counts the process's goroutines.
 func TestEventEngineAbortUnwindsRanks(t *testing.T) {
 	cases := []struct {
 		name string
@@ -534,10 +471,6 @@ func TestEventEngineAbortUnwindsRanks(t *testing.T) {
 			r.AllreduceScalar(1, OpSum)
 			return nil
 		}, "rank 15 panicked: gave up at the allreduce"},
-		{"root mismatch", func(r *Rank) error {
-			r.Reduce(r.ID()%3, []float64{1}, OpSum)
-			return nil
-		}, "root mismatch"},
 		{"unmatched halo", func(r *Rank) error {
 			r.NeighborExchange([]Halo{{Peer: (r.ID() + 1) % r.Size(), SendTag: 1, RecvTag: 2, Bytes: 8}})
 			return nil

@@ -5,11 +5,11 @@ package simmpi
 // Every rank body runs as a coroutine (iter.Pull), and one dispatch loop,
 // runEventLoop, resumes them: it pops a rank from a FIFO run queue and
 // calls that rank's next, which returns when the rank parks — at an
-// empty-route Recv, a world collective (halo exchanges included) or a
-// Split — or when its body returns. A coroutine switch hands the thread
-// over directly and never enters the Go scheduler, so a dispatch costs
-// the same at any GOMAXPROCS, and exactly one rank or the loop runs at
-// any instant.
+// empty-route Recv or a world collective (halo exchanges included) — or
+// when its body returns. A coroutine switch hands the thread over
+// directly and never enters the Go scheduler, so a dispatch costs the
+// same at any GOMAXPROCS, and exactly one rank or the loop runs at any
+// instant.
 //
 // Correctness rests on the conservative virtual-time rule (see package
 // vclock): every inter-rank coupling happens through a message stamped
@@ -19,8 +19,8 @@ package simmpi
 // order is never a semantic choice — so the run queue is a plain FIFO:
 // ranks run in the order they became runnable. Only the running rank
 // pushes (a send that wakes a parked receiver, the last arrival at a
-// collective or Split), so that order is deterministic as well. The same
-// rule lets world collectives run batched: the differential suite in
+// collective), so that order is deterministic as well. The same rule
+// lets world collectives run batched: the differential suite in
 // engine_test.go holds every batched collective to the byte-identical
 // output of its point-to-point reference algorithm.
 //
@@ -58,7 +58,6 @@ const (
 	stateReady rankState = iota // queued, running, or not yet started
 	stateRecv                   // parked on an empty route
 	stateColl                   // parked at a world collective
-	stateSplit                  // parked at a Split rendezvous
 	stateDone                   // body returned (or unwound)
 )
 
@@ -145,9 +144,8 @@ func (a *queueArena) get() *msgQueue {
 // table — the receiver is implicit in which table is consulted. The
 // packed form keeps route lookups on the runtime's fast integer-map
 // path, which the struct-keyed alternative misses; it requires tags to
-// fit in 32 bits, which every tag in this codebase (user tags, the
-// <= 2^27 internal collective tags, Comm tag bases) does by a wide
-// margin.
+// fit in 32 bits, which every tag in this codebase (user tags and the
+// internal collective tags near 2^20–2^24) does by a wide margin.
 func routeKey(src, tag int) uint64 {
 	if int(uint32(tag)) != tag {
 		panic(fmt.Sprintf("simmpi: tag %d overflows the event engine's 32-bit tag space", tag))
@@ -183,25 +181,19 @@ type eventEngine struct {
 	routes []map[uint64]*msgQueue
 	arena  queueArena
 
-	// World-collective rendezvous: per-rank arguments and results, and
-	// the count of ranks parked in the current collective.
+	// World-collective rendezvous: per-rank arguments, and the count of
+	// ranks parked in the current collective.
 	collArgs []collArgs
-	collRes  []any
 	collIn   int
 	collKind collKind
-
-	// Split rendezvous: ranks parked waiting for the last arriver.
-	splitParked []int
 
 	// Scratch for the batched collective executor (collective_batch.go);
 	// allocated once at first use, reused for every collective. sent and
 	// sentOff hold a halo exchange's messages, grouped by sender.
 	slots   []message
 	starts  []vclock.Time
-	starts2 []vclock.Time
 	blocks  [][]float64
 	ints    []int
-	lims    []int
 	sent    []haloMsg
 	sentOff []int
 
@@ -227,7 +219,6 @@ func runEventLoop(j *job, ranks []*Rank, body func(*Rank) error) error {
 		ready:    runQueue{ids: make([]int, p)},
 		routes:   make([]map[uint64]*msgQueue, p),
 		collArgs: make([]collArgs, p),
-		collRes:  make([]any, p),
 		prices:   make(map[uint64]units.Duration),
 		errs:     make([]error, p),
 	}
@@ -364,26 +355,21 @@ func (e *eventEngine) collSlot(r *Rank, kind collKind) *collArgs {
 		panic(fmt.Sprintf("simmpi: collective mismatch: rank %d entered %s while others are in %s",
 			r.id, kind, e.collKind))
 	}
-	a := &e.collArgs[r.id]
-	a.kind = kind
-	return a
+	return &e.collArgs[r.id]
 }
 
-// collective parks r at the world collective its slot names and returns
-// its per-rank result once all ranks have arrived and the batched
-// executor has run. The last arriver runs the executor on its own
-// coroutine before parking, so an executor panic (a root mismatch, an
-// unmatched halo) becomes that rank's error.
-func (e *eventEngine) collective(r *Rank) any {
+// collective parks r at the world collective its slot names until all
+// ranks have arrived and the batched executor has run; results land in
+// the buffers the slot points at. The last arriver runs the executor on
+// its own coroutine before parking, so an executor panic (an unmatched
+// halo, a peer outside the job) becomes that rank's error.
+func (e *eventEngine) collective(r *Rank) {
 	e.collIn++
 	e.state[r.id] = stateColl
 	if e.collIn == len(e.ranks) {
 		e.runCollective()
 	}
 	e.park(r)
-	res := e.collRes[r.id]
-	e.collRes[r.id] = nil
-	return res
 }
 
 // runCollective fires once every rank has parked at the same world
@@ -393,29 +379,11 @@ func (e *eventEngine) collective(r *Rank) any {
 // arriver's error instead of running the collective again.
 func (e *eventEngine) runCollective() {
 	e.collIn = 0
-	runBatched(e, e.collKind, e.collArgs, e.collRes)
+	runBatched(e, e.collKind, e.collArgs)
 	for i := range e.ranks {
 		e.collArgs[i] = collArgs{}
 		e.push(i)
 	}
-}
-
-// splitWait implements the Split rendezvous (comm.go): non-last
-// arrivers park; the last arriver wakes everyone and continues without
-// yielding. Splits serialise globally (a rank cannot reach its next
-// Split before every rank passed the current one), so one parked list
-// suffices.
-func (e *eventEngine) splitWait(r *Rank, last bool) {
-	if !last {
-		e.state[r.id] = stateSplit
-		e.splitParked = append(e.splitParked, r.id)
-		e.park(r)
-		return
-	}
-	for _, id := range e.splitParked {
-		e.push(id)
-	}
-	e.splitParked = e.splitParked[:0]
 }
 
 // abort reports why the job stalled — a rank's error if one occurred,
@@ -432,17 +400,14 @@ func (e *eventEngine) abort() error {
 		}
 	}
 	if err == nil {
-		var inRecv, inSplit int
+		var inRecv int
 		for _, s := range e.state {
-			switch s {
-			case stateRecv:
+			if s == stateRecv {
 				inRecv++
-			case stateSplit:
-				inSplit++
 			}
 		}
-		err = fmt.Errorf("simmpi: event engine deadlock: %d/%d ranks finished, %d parked in a collective, %d on recv, %d in split",
-			e.done, len(e.ranks), e.collIn, inRecv, inSplit)
+		err = fmt.Errorf("simmpi: event engine deadlock: %d/%d ranks finished, %d parked in a collective, %d on recv",
+			e.done, len(e.ranks), e.collIn, inRecv)
 	}
 	for i, c := range e.co {
 		if c.stop != nil && e.state[i] != stateDone {

@@ -14,7 +14,7 @@
 // World collectives run as one batched event once every rank has
 // arrived (collective_batch.go). Each rank still performs the exact
 // per-rank message sequence of a real algorithm (dissemination barrier,
-// recursive-doubling allreduce, binomial broadcast, ring allgather), so
+// recursive-doubling allreduce, ring allgather, pairwise all-to-all), so
 // their virtual-time behaviour — including load imbalance arriving at a
 // collective — follows from per-message pricing rather than from a
 // closed-form formula. Face-halo exchanges are one of them:
@@ -124,26 +124,20 @@ func (singleNodeTopo) Hops(a, b int) int          { return 0 }
 func (singleNodeTopo) Route(a, b int) []topo.Link { return nil }
 func (singleNodeTopo) MaxNodes() int              { return 1 }
 
-// message is the unit carried between ranks. Float payloads — the
-// overwhelming majority, including every collective internal — travel
-// in the concrete floats field; boxing a slice into `any` costs a heap
-// allocation per message, which at 10⁵ ranks is most of the garbage a
-// job makes. payload carries the rare non-float Send.
+// message is the unit carried between ranks: a float slice (nil for a
+// bytes-only Send), its modelled wire size, and the virtual time it
+// becomes available. The slice travels unboxed, so a message costs no
+// heap allocation.
 type message struct {
-	floats  []float64
-	payload any
-	bytes   units.Bytes
-	avail   vclock.Time
+	floats []float64
+	bytes  units.Bytes
+	avail  vclock.Time
 }
 
 // job is the shared state of a running simulated job.
 type job struct {
 	cfg     JobConfig
 	congest *congestState // nil unless Congestion is on and Nodes > 1
-
-	// Split coordination (see comm.go).
-	splits   map[int]*splitState
-	splitSeq map[int]int
 }
 
 // Stats accumulates one rank's activity.
@@ -176,10 +170,8 @@ type Rank struct {
 	regions  []regionFrame
 
 	// pmu is the rank's virtual performance-counter unit (nil unless
-	// JobConfig.Counters is set); collDepth tracks collective nesting so
-	// only the outermost collective attributes its time.
-	pmu       *metrics.RankPMU
-	collDepth int
+	// JobConfig.Counters is set).
+	pmu *metrics.RankPMU
 
 	// scalar backs AllreduceScalar's one-element buffer, so the
 	// per-iteration dot products of the solvers allocate nothing.
@@ -319,21 +311,12 @@ func (r *Rank) Elapse(d units.Duration) {
 	}
 }
 
-// sendCore prices one outgoing message and performs every per-rank side
-// effect of a send — clock, PMU, statistics, congestion flows, and the
-// trace event — but leaves delivery to the caller. Point-to-point sends
-// and the batched collective executor share it, so a collective costs
-// exactly what the same message sequence sent one by one would.
-func (r *Rank) sendCore(dst, tag int, payload any, bytes units.Bytes) message {
-	m := r.sendFloatsCore(dst, tag, nil, bytes)
-	m.payload = payload
-	return m
-}
-
-// sendFloatsCore is sendCore for float-slice payloads — the dominant
-// case, including every collective internal. Keeping the slice header
-// in the message's concrete floats field avoids the interface-boxing
-// heap allocation that Send pays once per message.
+// sendFloatsCore prices one outgoing message carrying data (nil for a
+// bytes-only send) and performs every per-rank side effect of a send —
+// clock, PMU, statistics, congestion flows, and the trace event — but
+// leaves delivery to the caller. Point-to-point sends and the batched
+// collective executor share it, so a collective costs exactly what the
+// same message sequence sent one by one would.
 func (r *Rank) sendFloatsCore(dst, tag int, data []float64, bytes units.Bytes) message {
 	if dst < 0 || dst >= r.size {
 		panic(fmt.Sprintf("simmpi: send to invalid rank %d (size %d)", dst, r.size))
@@ -371,19 +354,10 @@ func (r *Rank) sendFloatsCore(dst, tag int, data []float64, bytes units.Bytes) m
 	}
 }
 
-// recvCore performs every per-rank side effect of receiving m — the
-// virtual-time jump to its availability, PMU, and the trace event — and
-// returns the payload. The caller has already matched the message.
-func (r *Rank) recvCore(m message, src, tag int) any {
-	r.recvFloatsCore(m, src, tag)
-	if m.floats != nil {
-		return m.floats
-	}
-	return m.payload
-}
-
-// recvFloatsCore is recvCore for float-slice payloads: identical side
-// effects, but the payload stays a concrete []float64 end to end.
+// recvFloatsCore performs every per-rank side effect of receiving m —
+// the virtual-time jump to its availability, PMU, and the trace event —
+// and returns its float slice. The caller has already matched the
+// message.
 func (r *Rank) recvFloatsCore(m message, src, tag int) []float64 {
 	start := r.clock.Now()
 	r.clock.AdvanceTo(m.avail)
@@ -412,22 +386,22 @@ func (r *Rank) fetch(src, tag int) message {
 	return r.eng.await(r, src, tag)
 }
 
-// Send transmits payload to rank dst with the given tag. The payload's
-// ownership passes to the receiver; senders must not mutate it afterwards.
-// bytes is the modelled wire size (callers know their datatype sizes).
-func (r *Rank) Send(dst, tag int, payload any, bytes units.Bytes) {
-	r.eng.post(r.id, dst, tag, r.sendCore(dst, tag, payload, bytes))
+// Send transmits a bytes-only message of the modelled wire size to rank
+// dst with the given tag (callers know their datatype sizes). Sends are
+// eager: Send never blocks.
+func (r *Rank) Send(dst, tag int, bytes units.Bytes) {
+	r.eng.post(r.id, dst, tag, r.sendFloatsCore(dst, tag, nil, bytes))
 }
 
-// Recv blocks until a message from src with the given tag arrives,
-// advances virtual time to its availability, and returns the payload.
-func (r *Rank) Recv(src, tag int) any {
-	return r.recvCore(r.fetch(src, tag), src, tag)
+// Recv blocks until a message from src with the given tag arrives and
+// advances virtual time to its availability.
+func (r *Rank) Recv(src, tag int) {
+	r.recvFloatsCore(r.fetch(src, tag), src, tag)
 }
 
 // SendFloats sends a float64 slice (8 bytes per element on the wire).
-// Unlike Send, the slice is never boxed into an interface, so the send
-// itself does not allocate.
+// The slice's ownership passes to the receiver; senders must not mutate
+// it afterwards.
 func (r *Rank) SendFloats(dst, tag int, data []float64) {
 	r.eng.post(r.id, dst, tag, r.sendFloatsCore(dst, tag, data, units.Bytes(8*len(data))))
 }
@@ -437,36 +411,20 @@ func (r *Rank) RecvFloats(src, tag int) []float64 {
 	return r.recvFloatsCore(r.fetch(src, tag), src, tag)
 }
 
-// Sendrecv exchanges slices with a partner rank without deadlock (sends
-// are buffered/eager). It returns the partner's payload.
-func (r *Rank) Sendrecv(partner, tag int, data []float64) []float64 {
-	r.SendFloats(partner, tag, data)
-	return r.RecvFloats(partner, tag)
-}
-
 // Internal tags for collectives live far above user tags.
 const (
 	tagBarrier = 1 << 20
 	tagReduce  = 1 << 21
-	tagBcast   = 1 << 22
 	tagGather  = 1 << 23
 	tagA2A     = 1 << 24
-	tagRS      = 1 << 25
-	tagScan    = 1 << 26
 )
 
-// collBegin opens a collective for PMU time attribution and returns
-// its start time; collEnd (deferred) closes it. Only the outermost
-// collective attributes — nested ones (e.g. the non-power-of-two
-// ReduceScatter path reducing to a root) are part of their parent.
-func (r *Rank) collBegin() vclock.Time {
-	r.collDepth++
-	return r.clock.Now()
-}
+// collBegin opens a collective for PMU time attribution and returns its
+// start time; collEnd closes it and charges the elapsed time to c.
+func (r *Rank) collBegin() vclock.Time { return r.clock.Now() }
 
 func (r *Rank) collEnd(c metrics.Collective, start vclock.Time) {
-	r.collDepth--
-	if r.pmu != nil && r.collDepth == 0 {
+	if r.pmu != nil {
 		r.pmu.AddTime(metrics.CollTime(c), units.Duration(r.clock.Now()-start))
 	}
 }
@@ -507,27 +465,6 @@ func (r *Rank) AllreduceScalar(v float64, op Op) float64 {
 	return r.scalar[0]
 }
 
-// Bcast distributes root's buf to every rank via a binomial tree and
-// returns the (possibly replaced) slice.
-func (r *Rank) Bcast(root int, buf []float64) []float64 {
-	if r.size == 1 {
-		return buf
-	}
-	a := r.eng.collSlot(r, collBcast)
-	a.buf, a.root = buf, root
-	return r.eng.collective(r).([]float64)
-}
-
-// Reduce combines buf onto the root (binomial tree). Non-root ranks'
-// buffers are left partially combined, as in MPI.
-func (r *Rank) Reduce(root int, buf []float64, op Op) {
-	if r.size > 1 {
-		a := r.eng.collSlot(r, collReduce)
-		a.buf, a.op, a.root = buf, op, root
-		r.eng.collective(r)
-	}
-}
-
 // Allgather concatenates each rank's contribution, in rank order, on all
 // ranks using the ring algorithm. Each contribution must have length n.
 func (r *Rank) Allgather(contrib []float64) []float64 {
@@ -539,7 +476,8 @@ func (r *Rank) Allgather(contrib []float64) []float64 {
 	}
 	a := r.eng.collSlot(r, collAllgather)
 	a.buf, a.out = contrib, out
-	return r.eng.collective(r).([]float64)
+	r.eng.collective(r)
+	return out
 }
 
 // Alltoall performs a pairwise-exchange all-to-all: send[i] goes to rank
@@ -557,37 +495,8 @@ func (r *Rank) Alltoall(send [][]float64) [][]float64 {
 	}
 	a := r.eng.collSlot(r, collAlltoall)
 	a.mat, a.recvMat = send, recv
-	return r.eng.collective(r).([][]float64)
-}
-
-// ReduceScatter reduces buf element-wise across ranks and scatters the
-// result: rank i receives the reduced block i of the p equal blocks of
-// buf (len(buf) must be divisible by p). Power-of-two sizes use the
-// first half of Rabenseifner's allreduce (pairwise exchange with
-// recursive halving); other sizes reduce to rank 0 and scatter.
-func (r *Rank) ReduceScatter(buf []float64, op Op) []float64 {
-	if len(buf)%r.size != 0 {
-		panic(fmt.Sprintf("simmpi: ReduceScatter length %d not divisible by %d ranks", len(buf), r.size))
-	}
-	if r.size == 1 {
-		return append([]float64(nil), buf...)
-	}
-	a := r.eng.collSlot(r, collReduceScatter)
-	a.buf, a.op = buf, op
-	return r.eng.collective(r).([]float64)
-}
-
-// ExScan computes the exclusive prefix reduction: rank i receives
-// op(buf₀, …, buf_{i-1}) element-wise; rank 0 receives zeros (the
-// additive identity — intended for OpSum-style operators). Linear
-// pipeline implementation.
-func (r *Rank) ExScan(buf []float64, op Op) []float64 {
-	if r.size == 1 {
-		return make([]float64, len(buf))
-	}
-	a := r.eng.collSlot(r, collExScan)
-	a.buf, a.op = buf, op
-	return r.eng.collective(r).([]float64)
+	r.eng.collective(r)
+	return recv
 }
 
 // Halo is one face of a neighbourhood exchange: a message of Bytes sent
@@ -771,7 +680,7 @@ func Run(cfg JobConfig, body func(*Rank) error) (Report, error) {
 // logs. cs selects the congestion-replay mode (nil = contention-free
 // pricing).
 func runRanks(cfg JobConfig, body func(*Rank) error, cs *congestState) ([]*Rank, error) {
-	j := &job{cfg: cfg, congest: cs, splits: map[int]*splitState{}, splitSeq: map[int]int{}}
+	j := &job{cfg: cfg, congest: cs}
 	slab := make([]Rank, cfg.Procs)
 	ranks := make([]*Rank, cfg.Procs)
 	for i := range ranks {

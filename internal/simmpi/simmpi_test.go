@@ -181,21 +181,6 @@ func TestElapse(t *testing.T) {
 	}
 }
 
-func TestSendrecvExchange(t *testing.T) {
-	t.Parallel()
-	_, err := Run(cfg(2, 1), func(r *Rank) error {
-		mine := []float64{float64(r.ID())}
-		theirs := r.Sendrecv(1-r.ID(), 3, mine)
-		if theirs[0] != float64(1-r.ID()) {
-			return fmt.Errorf("rank %d got %v", r.ID(), theirs)
-		}
-		return nil
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-}
-
 func TestInvalidRanksPanic(t *testing.T) {
 	t.Parallel()
 	_, err := Run(cfg(2, 1), func(r *Rank) error {
@@ -283,51 +268,6 @@ func TestAllreduceMaxMin(t *testing.T) {
 	})
 	if err != nil {
 		t.Fatal(err)
-	}
-}
-
-func TestBcast(t *testing.T) {
-	t.Parallel()
-	for _, p := range []int{1, 2, 3, 5, 8, 13} {
-		for root := 0; root < p; root += max(1, p/3) {
-			p, root := p, root
-			t.Run(fmt.Sprintf("p=%d root=%d", p, root), func(t *testing.T) {
-				_, err := Run(cfg(p, min(p, 4)), func(r *Rank) error {
-					var buf []float64
-					if r.ID() == root {
-						buf = []float64{3.14, 2.71}
-					}
-					buf = r.Bcast(root, buf)
-					if len(buf) != 2 || buf[0] != 3.14 || buf[1] != 2.71 {
-						return fmt.Errorf("rank %d got %v", r.ID(), buf)
-					}
-					return nil
-				})
-				if err != nil {
-					t.Fatal(err)
-				}
-			})
-		}
-	}
-}
-
-func TestReduce(t *testing.T) {
-	t.Parallel()
-	for _, p := range []int{1, 2, 3, 6, 8} {
-		p := p
-		t.Run(fmt.Sprintf("p=%d", p), func(t *testing.T) {
-			_, err := Run(cfg(p, min(p, 4)), func(r *Rank) error {
-				buf := []float64{1}
-				r.Reduce(0, buf, OpSum)
-				if r.ID() == 0 && buf[0] != float64(p) {
-					return fmt.Errorf("root sum = %v, want %d", buf[0], p)
-				}
-				return nil
-			})
-			if err != nil {
-				t.Fatal(err)
-			}
-		})
 	}
 }
 

@@ -61,7 +61,7 @@ var vclockEdgeCases = []struct {
 		body: func(r *Rank, _ *collSet) error {
 			p := r.Size()
 			for step := 0; step < 3; step++ {
-				r.Send((r.ID()+1)%p, 70+step, nil, 0)
+				r.Send((r.ID()+1)%p, 70+step, 0)
 				r.Recv((r.ID()-1+p)%p, 70+step)
 			}
 			return nil

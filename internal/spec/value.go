@@ -122,11 +122,6 @@ func FormatFlopRate(r units.FlopRate) string {
 	return formatQuantity(float64(r), flopRateUnits)
 }
 
-// FormatSize renders a byte count as a spec quantity string.
-func FormatSize(b units.Bytes) string {
-	return formatQuantity(float64(b), sizeUnits)
-}
-
 // FormatDuration renders a duration as a spec quantity string.
 func FormatDuration(d units.Duration) string {
 	return formatQuantity(float64(d), durationUnits)

@@ -88,15 +88,6 @@ func (c *Clock) WaitTime() units.Duration { return c.wait }
 // Reset returns the clock to time zero and clears the accumulators.
 func (c *Clock) Reset() { *c = Clock{} }
 
-// Stamp couples a payload with the virtual time at which it becomes
-// available to a receiver. It is the unit of virtual-time information
-// carried by every simulated message.
-type Stamp struct {
-	// Available is the virtual time at which the message is fully
-	// delivered: send time + network transfer cost.
-	Available Time
-}
-
 // Frontier tracks the maximum virtual time observed across a set of ranks.
 // It is safe for concurrent use; ranks report their finish times as they
 // complete, and the caller reads the overall makespan afterwards.
