@@ -14,7 +14,7 @@ import (
 
 // congestedIDs are the experiments whose workloads cross nodes and so
 // actually exercise the routed contention model under Options.Congestion.
-var congestedIDs = []string{"hpcg-weak", "table4", "ext-network"}
+var congestedIDs = []string{"hpcg-weak", "table4", "ext-network", "fig2", "fig4"}
 
 // congestedManifestPath pins the congested artifacts of congestedIDs,
 // beside the contention-free manifest.txt and manifest-ecm.txt.
