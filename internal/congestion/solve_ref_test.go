@@ -17,7 +17,8 @@ import (
 // for bit: the straightforward waterfill that rescans every active
 // flow's route in each freeze round, and a report that replays the
 // fluid schedule to bucket the utilization series. It shares only
-// route interning (buildModel) with Solve.
+// route interning (buildModel) with Solve, and reads each flow's route
+// through its class.
 func refSolve(cfg Config, flows []Flow) ([]float64, *LinkReport) {
 	dil := make([]float64, len(flows))
 	for i := range dil {
@@ -55,7 +56,7 @@ func refSolve(cfg Config, flows []Flow) ([]float64, *LinkReport) {
 	finish := refRun(m, nil)
 	for i, in := range m.in {
 		minCap := math.Inf(1)
-		for _, l := range m.routes[i] {
+		for _, l := range m.routes[m.class[i]] {
 			if m.cap[l] < minCap {
 				minCap = m.cap[l]
 			}
@@ -108,7 +109,7 @@ func refRun(m *model, seg segFunc) []float64 {
 	for i < n || len(active) > 0 {
 		for i < n && m.startSec[i] <= t {
 			active = append(active, i)
-			for _, l := range m.routes[i] {
+			for _, l := range m.routes[m.class[i]] {
 				cnt[l]++
 				m.totals.flows[l]++
 				if cnt[l] > m.totals.peak[l] {
@@ -127,12 +128,12 @@ func refRun(m *model, seg segFunc) []float64 {
 		unfrozen := len(active)
 		for _, f := range active {
 			frozen[f] = false
-			if len(m.routes[f]) == 0 {
+			if len(m.routes[m.class[f]]) == 0 {
 				rates[f], frozen[f] = math.Inf(1), true
 				unfrozen--
 				continue
 			}
-			for _, l := range m.routes[f] {
+			for _, l := range m.routes[m.class[f]] {
 				if stamp[l] != gen {
 					stamp[l] = gen
 					capLeft[l] = m.cap[l]
@@ -165,7 +166,7 @@ func refRun(m *model, seg segFunc) []float64 {
 					continue
 				}
 				hit := false
-				for _, l := range m.routes[f] {
+				for _, l := range m.routes[m.class[f]] {
 					if bstamp[l] == bgen {
 						hit = true
 						break
@@ -176,7 +177,7 @@ func refRun(m *model, seg segFunc) []float64 {
 				}
 				rates[f], frozen[f] = share, true
 				unfrozen--
-				for _, l := range m.routes[f] {
+				for _, l := range m.routes[m.class[f]] {
 					capLeft[l] -= share
 					if capLeft[l] < 0 {
 						capLeft[l] = 0
@@ -208,7 +209,7 @@ func refRun(m *model, seg segFunc) []float64 {
 				continue
 			}
 			rem[f] -= rates[f] * dt
-			for _, l := range m.routes[f] {
+			for _, l := range m.routes[m.class[f]] {
 				rateSum[l] += rates[f]
 			}
 		}
@@ -229,7 +230,7 @@ func refRun(m *model, seg segFunc) []float64 {
 		for _, f := range active {
 			if rem[f] <= epsBytes {
 				finish[f] = t
-				for _, l := range m.routes[f] {
+				for _, l := range m.routes[m.class[f]] {
 					cnt[l]--
 				}
 			} else {
@@ -337,14 +338,21 @@ func refReport(m *model, cfg Config, flows []Flow, finish []float64) *LinkReport
 // capacities come from a few classes, one of them unconstrained (≤ 0),
 // so some flows cross no priced link at all. Starts sit on a coarse grid
 // plus occasional jitter, so many flows start together; about one flow
-// in eight is zero-byte and one in eight stays on its node.
+// in eight is zero-byte and one in eight stays on its node. Kinds 4–7
+// (kind mod 8) are dense: see denseFlows.
 func randomSolve(seed int64, kind uint8) (Config, []Flow) {
 	rng := rand.New(rand.NewSource(seed))
+	dense := kind%8 >= 4
 	var tp topo.Topology
 	nodes := 2 + rng.Intn(47)
+	if dense {
+		nodes = 2 + rng.Intn(7)
+	}
 	switch kind % 4 {
 	case 0:
-		nodes = 2 + rng.Intn(15)
+		if !dense {
+			nodes = 2 + rng.Intn(15)
+		}
 		tp = ring(nodes)
 	case 1:
 		tp = topo.NewTofuD(nodes)
@@ -365,6 +373,9 @@ func randomSolve(seed int64, kind uint8) (Config, []Flow) {
 	cfg := Config{Topo: tp, Capacity: capacity, Buckets: rng.Intn(24), SeriesLinks: rng.Intn(24)}
 	if rng.Intn(2) == 0 {
 		cfg.InjectionCapacity = classes[1+rng.Intn(len(classes)-1)]
+	}
+	if dense {
+		return cfg, denseFlows(rng, nodes)
 	}
 	flows := make([]Flow, 1+rng.Intn(150))
 	for i := range flows {
@@ -388,6 +399,44 @@ func randomSolve(seed int64, kind uint8) (Config, []Flow) {
 	return cfg, flows
 }
 
+// denseFlows draws a few hundred flows among the ranks of 2–8 nodes and
+// hands them over rank by rank in start order, numbered in program
+// order, as the simmpi recorder does. Starts sit on a grid of three
+// instants and most sizes come from three values, so each node pair's
+// route class holds many flows, and many of them start and finish
+// together.
+func denseFlows(rng *rand.Rand, nodes int) []Flow {
+	perNode := 1 + rng.Intn(8)
+	p := nodes * perNode
+	sizes := []units.Bytes{1e5, 4e5, 1e6}
+	flows := make([]Flow, 200+rng.Intn(300))
+	for i := range flows {
+		src, dst := rng.Intn(p), rng.Intn(p)
+		bytes := sizes[rng.Intn(len(sizes))]
+		if rng.Intn(4) == 0 {
+			bytes = units.Bytes(1 + rng.Intn(2e6))
+		}
+		flows[i] = Flow{
+			Key:     FlowKey{Src: src, Dst: dst, Tag: rng.Intn(3)},
+			SrcNode: src / perNode, DstNode: dst / perNode,
+			Start: vclock.Time(rng.Intn(3)) * vclock.Time(400*units.Millisecond),
+			Bytes: bytes,
+		}
+	}
+	sort.SliceStable(flows, func(i, j int) bool {
+		if flows[i].Key.Src != flows[j].Key.Src {
+			return flows[i].Key.Src < flows[j].Key.Src
+		}
+		return flows[i].Start < flows[j].Start
+	})
+	for i := range flows {
+		if i > 0 && flows[i-1].Key.Src == flows[i].Key.Src {
+			flows[i].Key.Seq = flows[i-1].Key.Seq + 1
+		}
+	}
+	return flows
+}
+
 // checkMatchesReference holds Solve to refSolve bit for bit: every
 // dilation and the whole link report, utilization series included.
 func checkMatchesReference(t *testing.T, cfg Config, flows []Flow) {
@@ -406,7 +455,8 @@ func checkMatchesReference(t *testing.T, cfg Config, flows []Flow) {
 
 func TestSolveMatchesReference(t *testing.T) {
 	t.Parallel()
-	for kind, name := range []string{"ring", "tofud", "dragonfly", "fattree"} {
+	for kind, name := range []string{"ring", "tofud", "dragonfly", "fattree",
+		"ring-dense", "tofud-dense", "dragonfly-dense", "fattree-dense"} {
 		for seed := int64(1); seed <= 25; seed++ {
 			cfg, flows := randomSolve(seed, uint8(kind))
 			t.Run(fmt.Sprintf("%s/seed%d", name, seed), func(t *testing.T) {
@@ -417,7 +467,7 @@ func TestSolveMatchesReference(t *testing.T) {
 }
 
 func FuzzSolveEquivalence(f *testing.F) {
-	for kind := uint8(0); kind < 4; kind++ {
+	for kind := uint8(0); kind < 8; kind++ {
 		f.Add(int64(kind)+1, kind)
 	}
 	f.Fuzz(func(t *testing.T, seed int64, kind uint8) {

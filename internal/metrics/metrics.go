@@ -86,8 +86,6 @@ type Def struct {
 	Unit string
 	// Kind drives the regression-diff direction rule.
 	Kind Kind
-	// Desc is a one-line human description.
-	Desc string
 }
 
 // Collective identifies one collective algorithm for time attribution.
@@ -128,6 +126,8 @@ var (
 	defs   []Def
 	byName = map[string]ID{}
 
+	// flopsByClass counts double-precision operations per kernel class;
+	// collByOp the virtual time ranks spend inside each collective.
 	flopsByClass []ID
 	collByOp     []ID
 
@@ -171,12 +171,12 @@ var (
 	ECMHidden ID
 )
 
-func register(name, unit string, kind Kind, desc string) ID {
+func register(name, unit string, kind Kind) ID {
 	if _, dup := byName[name]; dup {
 		panic("metrics: duplicate counter " + name)
 	}
 	id := ID(len(defs))
-	defs = append(defs, Def{Name: name, Unit: unit, Kind: kind, Desc: desc})
+	defs = append(defs, Def{Name: name, Unit: unit, Kind: kind})
 	byName[name] = id
 	return id
 }
@@ -185,32 +185,30 @@ func init() {
 	classes := perfmodel.KernelClasses()
 	flopsByClass = make([]ID, len(classes))
 	for _, c := range classes {
-		flopsByClass[c] = register("flops."+c.String(), "flops", Work,
-			"double-precision operations retired by "+c.String()+" kernels")
+		flopsByClass[c] = register("flops."+c.String(), "flops", Work)
 	}
-	MemDRAM = register("mem.dram.bytes", "bytes", Work, "effective main-memory (DRAM/HBM) traffic")
-	MemL2 = register("mem.l2.bytes", "bytes", Work, "modelled L2 traffic (per-class amplification of DRAM bytes)")
-	MemL1 = register("mem.l1.bytes", "bytes", Work, "modelled L1 traffic (per-class bytes-per-flop estimate)")
-	TimeFlops = register("time.flops.ns", "ns", Time, "roofline flop term of compute phases")
-	StallMem = register("stall.mem.ns", "ns", Time, "memory-bound excess over the flop term")
-	StallCall = register("stall.call.ns", "ns", Time, "per-kernel-invocation overhead")
-	StallNet = register("stall.net.ns", "ns", Time, "receive-side blocked time")
-	StallNoise = register("stall.noise.ns", "ns", Time, "injected OS-noise delay")
-	NetInject = register("net.inject.ns", "ns", Time, "sender-CPU message injection overhead")
-	TimeOther = register("time.other.ns", "ns", Time, "fixed Elapse() advances (setup, modelled I/O)")
-	SentMsgs = register("net.sent.msgs", "msgs", Work, "point-to-point messages sent")
-	SentBytes = register("net.sent.bytes", "bytes", Work, "point-to-point bytes sent")
-	RecvMsgs = register("net.recv.msgs", "msgs", Work, "point-to-point messages received")
-	RecvBytes = register("net.recv.bytes", "bytes", Work, "point-to-point bytes received")
+	MemDRAM = register("mem.dram.bytes", "bytes", Work)
+	MemL2 = register("mem.l2.bytes", "bytes", Work)
+	MemL1 = register("mem.l1.bytes", "bytes", Work)
+	TimeFlops = register("time.flops.ns", "ns", Time)
+	StallMem = register("stall.mem.ns", "ns", Time)
+	StallCall = register("stall.call.ns", "ns", Time)
+	StallNet = register("stall.net.ns", "ns", Time)
+	StallNoise = register("stall.noise.ns", "ns", Time)
+	NetInject = register("net.inject.ns", "ns", Time)
+	TimeOther = register("time.other.ns", "ns", Time)
+	SentMsgs = register("net.sent.msgs", "msgs", Work)
+	SentBytes = register("net.sent.bytes", "bytes", Work)
+	RecvMsgs = register("net.recv.msgs", "msgs", Work)
+	RecvBytes = register("net.recv.bytes", "bytes", Work)
 	collByOp = make([]ID, numCollectives)
 	for c := Collective(0); c < numCollectives; c++ {
-		collByOp[c] = register("coll."+c.String()+".ns", "ns", Time,
-			"virtual time inside "+c.String()+" collectives")
+		collByOp[c] = register("coll."+c.String()+".ns", "ns", Time)
 	}
-	ECML1 = register("ecm.l1.ns", "ns", Time, "ECM register↔L1 transfer phase of compute phases")
-	ECML2 = register("ecm.l2.ns", "ns", Time, "ECM L1↔L2 transfer phase of compute phases")
-	ECMMem = register("ecm.mem.ns", "ns", Time, "ECM memory transfer phase of compute phases")
-	ECMHidden = register("ecm.hidden.ns", "ns", Time, "ECM overlap credit subtracted from the phase sum")
+	ECML1 = register("ecm.l1.ns", "ns", Time)
+	ECML2 = register("ecm.l2.ns", "ns", Time)
+	ECMMem = register("ecm.mem.ns", "ns", Time)
+	ECMHidden = register("ecm.hidden.ns", "ns", Time)
 }
 
 // NumCounters reports the registry size (the length of value vectors).

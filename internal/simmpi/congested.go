@@ -6,6 +6,7 @@ import (
 	"a64fxbench/internal/congestion"
 	"a64fxbench/internal/telemetry"
 	"a64fxbench/internal/units"
+	"a64fxbench/internal/vclock"
 )
 
 // Congestion support: the runtime prices inter-node messages against
@@ -42,15 +43,22 @@ type congestState struct {
 	err error
 }
 
+// sentFlow is one inter-node send logged by the recording pass: what
+// its congestion.Flow holds beyond the sending rank, its node and its
+// send index. At half a Flow's size, it keeps the logs small while
+// recordAndSolve copies them into the solver's input.
+type sentFlow struct {
+	dst, tag int
+	start    vclock.Time
+	bytes    units.Bytes
+}
+
 // congestedPrice prices an inter-node send of a congested run. While
 // recording it logs the flow and prices it contention-free; on replay it
 // checks the send against its recording and applies its dilation.
 func (r *Rank) congestedPrice(cs *congestState, dst, tag, dstNode int, bytes units.Bytes) units.Duration {
 	if cs.recording {
-		r.flows = append(r.flows, congestion.Flow{
-			Key:     congestion.FlowKey{Src: r.id, Dst: dst, Tag: tag, Seq: len(r.flows)},
-			SrcNode: r.node, DstNode: dstNode, Start: r.clock.Now(), Bytes: bytes,
-		})
+		r.flows = append(r.flows, sentFlow{dst: dst, tag: tag, start: r.clock.Now(), bytes: bytes})
 		return r.eng.price(r.node, dstNode, bytes)
 	}
 	k := r.replayed
@@ -113,7 +121,12 @@ func recordAndSolve(cfg JobConfig, body func(*Rank) error, jobSpan *telemetry.Sp
 	}
 	cs.flows = make([]congestion.Flow, 0, cs.off[len(ranks)])
 	for _, r := range ranks {
-		cs.flows = append(cs.flows, r.flows...)
+		for k, f := range r.flows {
+			cs.flows = append(cs.flows, congestion.Flow{
+				Key:     congestion.FlowKey{Src: r.id, Dst: f.dst, Tag: f.tag, Seq: k},
+				SrcNode: r.node, DstNode: ranks[f.dst].node, Start: f.start, Bytes: f.bytes,
+			})
+		}
 	}
 	solveSpan := jobSpan.Child("replay-solve")
 	defer solveSpan.End()

@@ -191,7 +191,7 @@ type Rank struct {
 	// Congestion-replay state (see congested.go): flows is the recording
 	// pass's log of this rank's inter-node sends, in program order;
 	// replayed counts the sends pass two has priced from it.
-	flows    []congestion.Flow
+	flows    []sentFlow
 	replayed int
 }
 
@@ -322,7 +322,7 @@ func (r *Rank) sendFloatsCore(dst, tag int, data []float64, bytes units.Bytes) m
 		panic(fmt.Sprintf("simmpi: send to invalid rank %d (size %d)", dst, r.size))
 	}
 	f := r.job.cfg.Fabric
-	dstNode := r.job.cfg.NodeOf(dst)
+	dstNode := r.eng.ranks[dst].node
 	sendAt := r.clock.Now()
 	var total units.Duration
 	if cs := r.job.congest; cs != nil && dstNode != r.node && bytes > 0 {
