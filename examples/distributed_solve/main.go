@@ -19,7 +19,6 @@ import (
 	"a64fxbench/internal/arch"
 	"a64fxbench/internal/hpcg"
 	"a64fxbench/internal/linalg"
-	"a64fxbench/internal/perfmodel"
 	"a64fxbench/internal/simmpi"
 	"a64fxbench/internal/sparse"
 )
@@ -46,7 +45,7 @@ func main() {
 	model := sys.PerRankModel(procs/nodes, 1)
 	job := simmpi.JobConfig{
 		Procs: procs, Nodes: nodes, ThreadsPerRank: 1,
-		RankModel: func(int) *perfmodel.CostModel { return model },
+		CostModel: model,
 		Fabric:    sys.NewFabric(nodes),
 	}
 	solution := make([]float64, n)

@@ -2,6 +2,7 @@ package castep
 
 import (
 	"math"
+	"runtime"
 	"sort"
 	"testing"
 
@@ -211,6 +212,29 @@ func TestRunValidation(t *testing.T) {
 	}
 	if _, err := Run(Config{System: sys, Cores: 7}); err == nil {
 		t.Error("core count 7 is not a factor or multiple of 8")
+	}
+}
+
+// TestRunAllocations bounds a metered run's heap allocation: the
+// transpose is a bytes-only all-to-all, so what a run allocates is the
+// simulator's per-job state, not a block of the size it sends. Not
+// parallel: TotalAlloc counts the whole process.
+func TestRunAllocations(t *testing.T) {
+	const bound = 256 << 10
+	sys := arch.MustGet(arch.A64FX)
+	for _, cores := range []int{2, 8, 48} {
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		_, err := Run(Config{System: sys, Cores: cores})
+		runtime.ReadMemStats(&after)
+		if err != nil {
+			t.Fatal(err)
+		}
+		got := after.TotalAlloc - before.TotalAlloc
+		t.Logf("%d cores: %d B allocated", cores, got)
+		if got >= bound {
+			t.Errorf("%d cores: Run allocated %d B, bound %d B", cores, got, bound)
+		}
 	}
 }
 

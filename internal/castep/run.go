@@ -147,26 +147,18 @@ func Run(cfg Config) (Result, error) {
 		Procs:          procs,
 		Nodes:          1,
 		ThreadsPerRank: 1,
-		RankModel:      func(int) *perfmodel.CostModel { return model },
+		CostModel:      model,
 		Label:          fmt.Sprintf("castep %s c=%d", sys.ID, procs),
 	}
 	job.Instrumentation = cfg.Instrumentation
 
 	// The wavefunction transpose: each SCF cycle needs all-to-all
-	// communication of grid data among the band groups. Only the block
-	// length matters (it sets the wire bytes), so every rank sends the
-	// same read-only zero block to every peer.
+	// communication of grid data among the band groups. Only the wire
+	// size matters: whole float64 words of grid data per peer.
 	a2aBytesPerPeer := units.Bytes(n3 * 16 / float64(procs*procs) * 4)
-	var zeroBlock []float64
-	if procs > 1 {
-		zeroBlock = make([]float64, int(a2aBytesPerPeer)/8)
-	}
+	a2aBytes := units.Bytes(8 * (int(a2aBytesPerPeer) / 8))
 
 	rep, err := simmpi.Run(job, func(r *simmpi.Rank) error {
-		send := make([][]float64, r.Size())
-		for i := range send {
-			send[i] = zeroBlock
-		}
 		for cyc := 0; cyc < cfg.Cycles; cyc++ {
 			r.Region("scf-cycle")
 			r.Region("fft")
@@ -174,7 +166,7 @@ func Run(cfg Config) (Result, error) {
 			r.EndRegion()
 			if r.Size() > 1 {
 				r.Region("transpose")
-				r.Alltoall(send)
+				r.Alltoall(a2aBytes)
 				r.EndRegion()
 			}
 			r.Region("subspace")

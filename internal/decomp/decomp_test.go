@@ -128,21 +128,19 @@ func TestFaceBytes(t *testing.T) {
 }
 
 func testJob(p, nodes int) simmpi.JobConfig {
-	model := func(int) *perfmodel.CostModel {
-		return &perfmodel.CostModel{
-			Node: perfmodel.NodeCapability{
-				Name: "t", Cores: 1,
-				PeakFlops:          units.GFlopPerSec,
-				ScalarFlopsPerCore: units.GFlopPerSec,
-				Domains: []perfmodel.MemoryDomain{{
-					Cores: 1, PeakBandwidth: units.GBPerSec,
-					PerCoreBandwidth: units.GBPerSec, Capacity: units.GiB,
-				}},
-			},
-		}
+	model := &perfmodel.CostModel{
+		Node: perfmodel.NodeCapability{
+			Name: "t", Cores: 1,
+			PeakFlops:          units.GFlopPerSec,
+			ScalarFlopsPerCore: units.GFlopPerSec,
+			Domains: []perfmodel.MemoryDomain{{
+				Cores: 1, PeakBandwidth: units.GBPerSec,
+				PerCoreBandwidth: units.GBPerSec, Capacity: units.GiB,
+			}},
+		},
 	}
 	return simmpi.JobConfig{
-		Procs: p, Nodes: nodes, RankModel: model,
+		Procs: p, Nodes: nodes, CostModel: model,
 		Fabric: &netmodel.Fabric{
 			Name: "t", Topo: &topo.FatTree{NodesPerLeaf: 4},
 			SoftwareOverhead: units.Microsecond,

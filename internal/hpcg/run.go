@@ -187,7 +187,7 @@ func Run(cfg Config) (Result, error) {
 		Procs:          procs,
 		Nodes:          cfg.Nodes,
 		ThreadsPerRank: 1,
-		RankModel:      func(int) *perfmodel.CostModel { return model },
+		CostModel:      model,
 		Fabric:         sys.NewFabric(cfg.Nodes),
 		Label:          fmt.Sprintf("hpcg %s n=%d %dx%dx%d", sys.ID, cfg.Nodes, cfg.NX, cfg.NY, cfg.NZ),
 	}

@@ -46,7 +46,7 @@ func PeakFlops(sys *arch.System) (units.FlopRate, error) {
 	model := sys.PerRankModel(c, 1)
 	job := simmpi.JobConfig{
 		Procs: c, Nodes: 1, ThreadsPerRank: 1,
-		RankModel: func(int) *perfmodel.CostModel { return model },
+		CostModel: model,
 	}
 	rep, err := simmpi.Run(job, func(r *simmpi.Rank) error {
 		for i := 0; i < reps; i++ {

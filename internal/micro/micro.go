@@ -48,7 +48,7 @@ func StreamTriad(sys *arch.System, coreCounts []int) ([]StreamResult, error) {
 		model := sys.PerRankModel(c, 1)
 		job := simmpi.JobConfig{
 			Procs: c, Nodes: 1, ThreadsPerRank: 1,
-			RankModel: func(int) *perfmodel.CostModel { return model },
+			CostModel: model,
 		}
 		const reps = 10
 		rep, err := simmpi.Run(job, func(r *simmpi.Rank) error {
@@ -93,7 +93,7 @@ func PingPong(sys *arch.System, sizes []units.Bytes) ([]PingPongResult, error) {
 		const reps = 50
 		job := simmpi.JobConfig{
 			Procs: 2, Nodes: 2, ThreadsPerRank: 1,
-			RankModel: func(int) *perfmodel.CostModel { return model },
+			CostModel: model,
 			Fabric:    sys.NewFabric(2),
 		}
 		rep, err := simmpi.Run(job, func(r *simmpi.Rank) error {
@@ -144,7 +144,7 @@ func AllreduceSweep(sys *arch.System, nodeCounts []int) ([]CollectiveResult, err
 		model := sys.PerRankModel(sys.CoresPerNode(), 1)
 		job := simmpi.JobConfig{
 			Procs: procs, Nodes: nodes, ThreadsPerRank: 1,
-			RankModel: func(int) *perfmodel.CostModel { return model },
+			CostModel: model,
 			Fabric:    sys.NewFabric(nodes),
 		}
 		const reps = 20

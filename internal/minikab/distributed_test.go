@@ -8,7 +8,6 @@ import (
 
 	"a64fxbench/internal/arch"
 	"a64fxbench/internal/linalg"
-	"a64fxbench/internal/perfmodel"
 	"a64fxbench/internal/simmpi"
 	"a64fxbench/internal/sparse"
 )
@@ -19,7 +18,7 @@ func distJob(procs, nodes int) simmpi.JobConfig {
 	model := sys.PerRankModel(max(1, procs/max(1, nodes)), 1)
 	return simmpi.JobConfig{
 		Procs: procs, Nodes: nodes, ThreadsPerRank: 1,
-		RankModel: func(int) *perfmodel.CostModel { return model },
+		CostModel: model,
 		Fabric:    sys.NewFabric(nodes),
 	}
 }

@@ -178,7 +178,7 @@ func Run(cfg Config) (Result, error) {
 		Procs:          procs,
 		Nodes:          cfg.Nodes,
 		ThreadsPerRank: cfg.ThreadsPerRank,
-		RankModel:      func(int) *perfmodel.CostModel { return model },
+		CostModel:      model,
 		Fabric:         sys.NewFabric(cfg.Nodes),
 		Label:          fmt.Sprintf("minikab %s n=%d r=%d t=%d", sys.ID, cfg.Nodes, cfg.RanksPerNode, cfg.ThreadsPerRank),
 	}

@@ -146,7 +146,7 @@ func RunWithNoise(cfg Config, noiseProb float64, noiseDur units.Duration) (Resul
 		Nodes:          cfg.Nodes,
 		ThreadsPerRank: 1,
 		FastMath:       cfg.FastMath,
-		RankModel:      func(int) *perfmodel.CostModel { return model },
+		CostModel:      model,
 		Fabric:         sys.NewFabric(cfg.Nodes),
 		NoiseProb:      noiseProb,
 		NoiseDuration:  noiseDur,

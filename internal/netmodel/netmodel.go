@@ -55,15 +55,7 @@ func (f *Fabric) effBandwidth() units.ByteRate {
 // a memory-speed copy; MPI implementations short-circuit shared-memory
 // transfers.
 func (f *Fabric) PointToPoint(a, b int, bytes units.Bytes) units.Duration {
-	if a == b {
-		// Shared-memory path: half the stack overhead and a copy at
-		// an optimistic 10 GB/s single-stream memcpy rate.
-		return f.SoftwareOverhead/2 + units.TimeFor(float64(bytes), 10e9)
-	}
-	hops := f.Topo.Hops(a, b)
-	t := f.SoftwareOverhead + units.Duration(hops)*f.HopLatency
-	t += units.TimeFor(float64(bytes), float64(f.effBandwidth()))
-	return t
+	return f.HopPrice(f.hops(a, b), bytes, 1)
 }
 
 // PointToPointDilated prices a message whose serialization term is
@@ -72,10 +64,32 @@ func (f *Fabric) PointToPoint(a, b int, bytes units.Bytes) units.Duration {
 // terms are unaffected — contention queues bytes, not signal time — so
 // dil == 1 reproduces PointToPoint exactly.
 func (f *Fabric) PointToPointDilated(a, b int, bytes units.Bytes, dil float64) units.Duration {
-	if a == b || dil <= 1 {
-		return f.PointToPoint(a, b, bytes)
+	return f.HopPrice(f.hops(a, b), bytes, dil)
+}
+
+// hops is the hop count HopPrice takes for a message from node a to
+// node b: -1 within a node, the topology's distance otherwise.
+func (f *Fabric) hops(a, b int) int {
+	if a == b {
+		return -1
 	}
-	hops := f.Topo.Hops(a, b)
+	return f.Topo.Hops(a, b)
+}
+
+// HopPrice prices a message of `bytes` that crosses `hops` network hops,
+// its serialization term stretched by the dilation dil. A negative hop
+// count is an intra-node message: half the stack overhead and a copy at
+// an optimistic 10 GB/s single-stream memcpy rate, never dilated. A
+// dilation ≤ 1 prices the message contention-free. PointToPoint and
+// PointToPointDilated are HopPrice at the pair's hop count, so a caller
+// that already knows the hop count gets the same bits.
+func (f *Fabric) HopPrice(hops int, bytes units.Bytes, dil float64) units.Duration {
+	if hops < 0 {
+		return f.SoftwareOverhead/2 + units.TimeFor(float64(bytes), 10e9)
+	}
+	if dil <= 1 {
+		dil = 1
+	}
 	t := f.SoftwareOverhead + units.Duration(hops)*f.HopLatency
 	t += units.TimeFor(float64(bytes)*dil, float64(f.effBandwidth()))
 	return t

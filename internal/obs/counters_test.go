@@ -29,7 +29,7 @@ func countedFourRankJobModel(t *testing.T, pm perfmodel.Model) (obs.JobTrace, si
 	sink := &simmpi.MemorySink{}
 	cfg := simmpi.JobConfig{
 		Procs: 4, Nodes: 2, ThreadsPerRank: 1,
-		RankModel: func(int) *perfmodel.CostModel { return model },
+		CostModel: model,
 		Fabric:    sys.NewFabric(2),
 		Label:     "counted-4rank",
 		Instrumentation: simmpi.Instrumentation{

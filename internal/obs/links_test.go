@@ -7,7 +7,6 @@ import (
 
 	"a64fxbench/internal/arch"
 	"a64fxbench/internal/obs"
-	"a64fxbench/internal/perfmodel"
 	"a64fxbench/internal/simmpi"
 	"a64fxbench/internal/units"
 )
@@ -21,7 +20,7 @@ func congestedJob(t *testing.T) *simmpi.MemorySink {
 	sink := &simmpi.MemorySink{}
 	cfg := simmpi.JobConfig{
 		Procs: 8, Nodes: 8, ThreadsPerRank: 1,
-		RankModel:       func(int) *perfmodel.CostModel { return model },
+		CostModel:       model,
 		Fabric:          sys.NewFabric(8),
 		Label:           "congested-8rank",
 		Instrumentation: simmpi.Instrumentation{Congestion: true, Trace: sink},

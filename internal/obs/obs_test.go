@@ -22,7 +22,7 @@ func fourRankJob(t *testing.T) (*simmpi.MemorySink, simmpi.Report) {
 	sink := &simmpi.MemorySink{}
 	cfg := simmpi.JobConfig{
 		Procs: 4, Nodes: 2, ThreadsPerRank: 1,
-		RankModel:       func(int) *perfmodel.CostModel { return model },
+		CostModel:       model,
 		Fabric:          sys.NewFabric(2),
 		Label:           "golden-4rank",
 		Instrumentation: simmpi.Instrumentation{Trace: sink},

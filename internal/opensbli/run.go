@@ -111,7 +111,7 @@ func Run(cfg Config) (Result, error) {
 		Procs:          procs,
 		Nodes:          cfg.Nodes,
 		ThreadsPerRank: 1,
-		RankModel:      func(int) *perfmodel.CostModel { return model },
+		CostModel:      model,
 		Fabric:         sys.NewFabric(cfg.Nodes),
 		NoiseProb:      1e-5,
 		NoiseDuration:  units.Duration(30 * units.Millisecond),

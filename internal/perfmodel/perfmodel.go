@@ -11,8 +11,9 @@
 // memory bandwidth, and Tover a small per-invocation overhead. Achievable
 // rates are the hardware capability (package arch supplies those from the
 // paper's Table I) scaled by per-kernel-class efficiency factors, which are
-// calibrated once against published measurements (see
-// internal/arch/calibration.go and DESIGN.md §4).
+// calibrated once against published measurements (arch.System.Eff, read
+// from each machine's embedded spec in internal/spec/specs; see DESIGN.md
+// §4).
 //
 // Memory bandwidth follows a two-regime saturation curve per memory domain
 // (a CMG on the A64FX, a socket elsewhere): bandwidth grows linearly with
@@ -370,43 +371,68 @@ func (m *CostModel) effFor(class KernelClass) Efficiency {
 	return Efficiency{Compute: 0.10, Memory: 0.60}
 }
 
-// phaseTimes evaluates the three roofline terms of a phase: the flop
-// term, the memory term, and the per-call overhead. PhaseTime and
-// PhaseBreakdown both build on it, so the two agree bit-for-bit.
-func (m *CostModel) phaseTimes(w WorkProfile, opt PhaseOptions) (tFlops, tBytes, overhead units.Duration) {
+// Rates are a kernel class's roofline rates on one node: everything
+// PhaseTime needs besides the phase's own work. A simulated job computes
+// them once per class and prices every phase of that class from them.
+type Rates struct {
+	// Flop is the achievable flop rate Peff(n).
+	Flop units.FlopRate
+	// Mem is the achievable memory bandwidth Beff(n).
+	Mem units.ByteRate
+	// Call is the per-invocation overhead.
+	Call units.Duration
+}
+
+// Rates computes the roofline rates of a class under opt. PhaseTime and
+// PhaseBreakdown price through it, so a phase priced from a table of
+// Rates is bit-identical to one priced by the model directly.
+func (m *CostModel) Rates(class KernelClass, opt PhaseOptions) Rates {
 	cores := opt.Cores
 	if cores <= 0 {
 		cores = 1
 	}
-	eff := m.effFor(w.Class)
+	eff := m.effFor(class)
 	ceff := eff.Compute
 	if opt.FastMath {
-		if g, ok := m.FastMathGain[w.Class]; ok && g > 0 {
+		if g, ok := m.FastMathGain[class]; ok && g > 0 {
 			ceff *= g
 		}
 		if ceff > 1 {
 			ceff = 1
 		}
 	}
-	flopRate := m.Node.FlopRate(cores, ceff)
-	bw := units.ByteRate(float64(m.Node.PlacementBandwidth(cores)) * eff.Memory)
+	return Rates{
+		Flop: m.Node.FlopRate(cores, ceff),
+		Mem:  units.ByteRate(float64(m.Node.PlacementBandwidth(cores)) * eff.Memory),
+		Call: m.Node.PerCallOverhead,
+	}
+}
 
-	tFlops = units.TimeFor(float64(w.Flops), float64(flopRate))
-	tBytes = units.TimeFor(float64(w.Bytes), float64(bw))
+// times evaluates the three roofline terms of a phase at these rates:
+// the flop term, the memory term, and the per-call overhead. Time and
+// Breakdown both build on it, so the two agree bit-for-bit.
+func (r Rates) times(w WorkProfile) (tFlops, tBytes, overhead units.Duration) {
+	tFlops = units.TimeFor(float64(w.Flops), float64(r.Flop))
+	tBytes = units.TimeFor(float64(w.Bytes), float64(r.Mem))
 	if w.Calls > 0 {
-		overhead = units.Duration(w.Calls) * m.Node.PerCallOverhead
+		overhead = units.Duration(w.Calls) * r.Call
 	}
 	return tFlops, tBytes, overhead
 }
 
-// PhaseTime returns the simulated duration of the metered phase.
-func (m *CostModel) PhaseTime(w WorkProfile, opt PhaseOptions) units.Duration {
-	tFlops, tBytes, overhead := m.phaseTimes(w, opt)
+// Time returns the roofline duration of phase w at these rates.
+func (r Rates) Time(w WorkProfile) units.Duration {
+	tFlops, tBytes, overhead := r.times(w)
 	t := tFlops
 	if tBytes > t {
 		t = tBytes
 	}
 	return t + overhead
+}
+
+// PhaseTime returns the simulated duration of the metered phase.
+func (m *CostModel) PhaseTime(w WorkProfile, opt PhaseOptions) units.Duration {
+	return m.Rates(w.Class, opt).Time(w)
 }
 
 // PhaseBreakdown splits a phase's modelled time into its roofline
@@ -433,7 +459,13 @@ type PhaseBreakdown struct {
 
 // PhaseBreakdown evaluates the counter-grade split of a phase.
 func (m *CostModel) PhaseBreakdown(w WorkProfile, opt PhaseOptions) PhaseBreakdown {
-	tFlops, tBytes, overhead := m.phaseTimes(w, opt)
+	return m.Rates(w.Class, opt).Breakdown(w)
+}
+
+// Breakdown evaluates the counter-grade split of phase w at these rates;
+// its Time equals Time(w) bit-for-bit.
+func (r Rates) Breakdown(w WorkProfile) PhaseBreakdown {
+	tFlops, tBytes, overhead := r.times(w)
 	bd := PhaseBreakdown{FlopTime: tFlops, Overhead: overhead}
 	t := tFlops
 	if tBytes > t {
@@ -493,17 +525,9 @@ func (m *CostModel) PhaseRate(w WorkProfile, opt PhaseOptions) units.FlopRate {
 }
 
 // Bound reports which roofline bound the phase sits under on this node:
-// "memory" or "compute".
+// "memory" or "compute". It ignores the fast-math gain.
 func (m *CostModel) Bound(w WorkProfile, opt PhaseOptions) string {
-	cores := opt.Cores
-	if cores <= 0 {
-		cores = 1
-	}
-	eff := m.effFor(w.Class)
-	flopRate := m.Node.FlopRate(cores, eff.Compute)
-	bw := units.ByteRate(float64(m.Node.PlacementBandwidth(cores)) * eff.Memory)
-	tFlops := units.TimeFor(float64(w.Flops), float64(flopRate))
-	tBytes := units.TimeFor(float64(w.Bytes), float64(bw))
+	tFlops, tBytes, _ := m.Rates(w.Class, PhaseOptions{Cores: opt.Cores}).times(w)
 	if tBytes >= tFlops {
 		return "memory"
 	}

@@ -74,12 +74,11 @@ func (k collKind) String() string {
 
 // collArgs carries one rank's arguments into the batched executor.
 type collArgs struct {
-	buf     []float64   // Allreduce buffer; Allgather contribution
-	op      Op          // Allreduce operator
-	out     []float64   // Allgather output, pre-filled with own block
-	mat     [][]float64 // Alltoall send blocks
-	recvMat [][]float64 // Alltoall receive blocks, pre-filled with own block
-	halos   []Halo      // NeighborExchange halo list
+	buf   []float64   // Allreduce buffer; Allgather contribution
+	op    Op          // Allreduce operator
+	out   []float64   // Allgather output, pre-filled with own block
+	bytes units.Bytes // Alltoall message size
+	halos []Halo      // NeighborExchange halo list
 }
 
 // scratch (re)sizes the executor's per-rank scratch arrays.
@@ -270,7 +269,8 @@ func batchAllgather(e *eventEngine, args []collArgs) {
 }
 
 // batchAlltoall runs the XOR pairwise exchange for power-of-two sizes,
-// the rotation schedule otherwise.
+// the rotation schedule otherwise. Each rank's messages carry the size
+// it passed.
 func batchAlltoall(e *eventEngine, args []collArgs) {
 	rs, p := e.ranks, len(e.ranks)
 	e.beginAll()
@@ -279,12 +279,10 @@ func batchAlltoall(e *eventEngine, args []collArgs) {
 			tag := tagA2A + step
 			for id, r := range rs {
 				partner := id ^ step
-				blk := args[id].mat[partner]
-				e.slots[partner] = r.sendFloatsCore(partner, tag, blk, units.Bytes(8*len(blk)))
+				e.slots[partner] = r.sendFloatsCore(partner, tag, nil, args[id].bytes)
 			}
 			for id, r := range rs {
-				partner := id ^ step
-				args[id].recvMat[partner] = r.recvFloatsCore(e.slots[id], partner, tag)
+				r.recvFloatsCore(e.slots[id], id^step, tag)
 			}
 		}
 	} else {
@@ -292,12 +290,10 @@ func batchAlltoall(e *eventEngine, args []collArgs) {
 			tag := tagA2A + step
 			for id, r := range rs {
 				dst := (id + step) % p
-				blk := args[id].mat[dst]
-				e.slots[dst] = r.sendFloatsCore(dst, tag, blk, units.Bytes(8*len(blk)))
+				e.slots[dst] = r.sendFloatsCore(dst, tag, nil, args[id].bytes)
 			}
 			for id, r := range rs {
-				src := (id - step + p) % p
-				args[id].recvMat[src] = r.recvFloatsCore(e.slots[id], src, tag)
+				r.recvFloatsCore(e.slots[id], (id-step+p)%p, tag)
 			}
 		}
 	}

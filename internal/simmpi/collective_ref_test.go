@@ -9,7 +9,10 @@ package simmpi
 // run with these in place of the Rank methods must produce a
 // byte-identical report and trace (see engine_test.go).
 
-import "a64fxbench/internal/metrics"
+import (
+	"a64fxbench/internal/metrics"
+	"a64fxbench/internal/units"
+)
 
 // collSet is one implementation of the five world collectives. Test
 // bodies call collectives through it so the same body can run against
@@ -18,7 +21,7 @@ type collSet struct {
 	Barrier          func(r *Rank)
 	Allreduce        func(r *Rank, buf []float64, op Op)
 	Allgather        func(r *Rank, contrib []float64) []float64
-	Alltoall         func(r *Rank, send [][]float64) [][]float64
+	Alltoall         func(r *Rank, bytes units.Bytes)
 	NeighborExchange func(r *Rank, halos []Halo)
 }
 
@@ -142,30 +145,25 @@ func refAllgather(r *Rank, contrib []float64) []float64 {
 }
 
 // refAlltoall is the XOR pairwise exchange for power-of-two sizes and
-// the rotation schedule otherwise.
-func refAlltoall(r *Rank, send [][]float64) [][]float64 {
+// the rotation schedule otherwise, every message bytes-only.
+func refAlltoall(r *Rank, bytes units.Bytes) {
 	p := r.size
-	recv := make([][]float64, p)
-	recv[r.id] = send[r.id]
 	if p == 1 {
-		return recv
+		return
 	}
 	defer r.collEnd(metrics.CollAlltoall, r.collBegin())
 	if p&(p-1) == 0 {
 		for step := 1; step < p; step++ {
 			partner := r.id ^ step
-			r.SendFloats(partner, tagA2A+step, send[partner])
-			recv[partner] = r.RecvFloats(partner, tagA2A+step)
+			r.Send(partner, tagA2A+step, bytes)
+			r.Recv(partner, tagA2A+step)
 		}
-		return recv
+		return
 	}
 	for step := 1; step < p; step++ {
-		dst := (r.id + step) % p
-		src := (r.id - step + p) % p
-		r.SendFloats(dst, tagA2A+step, send[dst])
-		recv[src] = r.RecvFloats(src, tagA2A+step)
+		r.Send((r.id+step)%p, tagA2A+step, bytes)
+		r.Recv((r.id-step+p)%p, tagA2A+step)
 	}
-	return recv
 }
 
 // refNeighborExchange is the hand-rolled halo loop the applications ran

@@ -59,7 +59,7 @@ type sentFlow struct {
 func (r *Rank) congestedPrice(cs *congestState, dst, tag, dstNode int, bytes units.Bytes) units.Duration {
 	if cs.recording {
 		r.flows = append(r.flows, sentFlow{dst: dst, tag: tag, start: r.clock.Now(), bytes: bytes})
-		return r.eng.price(r.node, dstNode, bytes)
+		return r.job.net.price(r.node, dstNode, bytes)
 	}
 	k := r.replayed
 	r.replayed++
@@ -67,14 +67,14 @@ func (r *Rank) congestedPrice(cs *congestState, dst, tag, dstNode int, bytes uni
 	if i >= cs.off[r.id+1] {
 		cs.diverged(fmt.Errorf("simmpi: congestion replay diverged: rank %d send %d (%d B to rank %d, tag %d) is beyond the %d sends recorded",
 			r.id, k, bytes, dst, tag, cs.off[r.id+1]-cs.off[r.id]))
-		return r.eng.price(r.node, dstNode, bytes)
+		return r.job.net.price(r.node, dstNode, bytes)
 	}
 	if f := &cs.flows[i]; f.Key.Dst != dst || f.Key.Tag != tag || f.Bytes != bytes {
 		cs.diverged(fmt.Errorf("simmpi: congestion replay diverged: rank %d send %d is %d B to rank %d, tag %d; recorded %d B to rank %d, tag %d",
 			r.id, k, bytes, dst, tag, f.Bytes, f.Key.Dst, f.Key.Tag))
-		return r.eng.price(r.node, dstNode, bytes)
+		return r.job.net.price(r.node, dstNode, bytes)
 	}
-	return r.job.cfg.Fabric.PointToPointDilated(r.node, dstNode, bytes, cs.sol.Dilations[i])
+	return r.job.net.dilated(r.node, dstNode, bytes, cs.sol.Dilations[i])
 }
 
 // diverged keeps the first replay divergence.

@@ -42,7 +42,7 @@ func TestCongestionSlowsOverlappingSends(t *testing.T) {
 	t.Parallel()
 	mk := func(congested bool) Report {
 		rep, err := Run(JobConfig{
-			Procs: 8, Nodes: 8, RankModel: testModel,
+			Procs: 8, Nodes: 8, CostModel: testModel(),
 			Fabric:          congFabric(&topo.Torus{Dims: []int{8}}),
 			Instrumentation: Instrumentation{Congestion: congested},
 		}, fanIn)
@@ -78,7 +78,7 @@ func TestCongestionSingleNodeUnchanged(t *testing.T) {
 	}
 	run := func(congested bool) Report {
 		rep, err := Run(JobConfig{
-			Procs: 4, Nodes: 1, RankModel: testModel, Instrumentation: Instrumentation{Congestion: congested},
+			Procs: 4, Nodes: 1, CostModel: testModel(), Instrumentation: Instrumentation{Congestion: congested},
 		}, body)
 		if err != nil {
 			t.Fatal(err)
@@ -99,7 +99,7 @@ func TestCongestedRunsAreDeterministic(t *testing.T) {
 	t.Parallel()
 	run := func() Report {
 		rep, err := Run(JobConfig{
-			Procs: 16, Nodes: 8, RankModel: testModel,
+			Procs: 16, Nodes: 8, CostModel: testModel(),
 			Fabric:          congFabric(topo.NewTofuD(8)),
 			Instrumentation: Instrumentation{Congestion: true},
 		}, func(r *Rank) error {
@@ -132,7 +132,7 @@ func TestCongestionPreservesData(t *testing.T) {
 	run := func(congested bool) float64 {
 		var got float64
 		_, err := Run(JobConfig{
-			Procs: 8, Nodes: 4, RankModel: testModel,
+			Procs: 8, Nodes: 4, CostModel: testModel(),
 			Fabric:          congFabric(&topo.Torus{Dims: []int{4}}),
 			Instrumentation: Instrumentation{Congestion: congested},
 		}, func(r *Rank) error {
@@ -158,7 +158,7 @@ func slowdown(t *testing.T, f *netmodel.Fabric, procs, nodes int, body func(*Ran
 	t.Helper()
 	run := func(congested bool) units.Duration {
 		rep, err := Run(JobConfig{
-			Procs: procs, Nodes: nodes, RankModel: testModel,
+			Procs: procs, Nodes: nodes, CostModel: testModel(),
 			Fabric: f, Instrumentation: Instrumentation{Congestion: congested},
 		}, body)
 		if err != nil {
@@ -182,11 +182,7 @@ func TestAlltoallSuffersMoreThanHalo(t *testing.T) {
 	t.Parallel()
 	const p = 32
 	alltoall := func(r *Rank) error {
-		send := make([][]float64, p)
-		for i := range send {
-			send[i] = make([]float64, 1<<13) // 64 KiB per pair
-		}
-		r.Alltoall(send)
+		r.Alltoall(64 * units.KiB) // per pair
 		return nil
 	}
 	halo := func(r *Rank) error {
@@ -226,7 +222,7 @@ func TestLinkEventsReachSink(t *testing.T) {
 	t.Parallel()
 	sink := &MemorySink{}
 	_, err := Run(JobConfig{
-		Procs: 8, Nodes: 8, RankModel: testModel,
+		Procs: 8, Nodes: 8, CostModel: testModel(),
 		Fabric: congFabric(&topo.Torus{Dims: []int{8}}),
 		Label:  "cong", Instrumentation: Instrumentation{Congestion: true, Trace: sink},
 	}, fanIn)
@@ -301,7 +297,7 @@ func TestCongestedReplayDivergenceFails(t *testing.T) {
 			const p = 4
 			calls := 0 // rank bodies run one at a time, so no lock
 			_, err := Run(JobConfig{
-				Procs: p, Nodes: p, RankModel: testModel,
+				Procs: p, Nodes: p, CostModel: testModel(),
 				Fabric:          congFabric(&topo.Torus{Dims: []int{p}}),
 				Instrumentation: Instrumentation{Congestion: true},
 			}, func(r *Rank) error {
@@ -333,7 +329,7 @@ func TestReplaySolveSpanAttrs(t *testing.T) {
 			inst.Trace = &MemorySink{}
 		}
 		rep, err := Run(JobConfig{
-			Procs: 8, Nodes: 8, RankModel: testModel, Label: "fan-in",
+			Procs: 8, Nodes: 8, CostModel: testModel(), Label: "fan-in",
 			Fabric: congFabric(&topo.Torus{Dims: []int{8}}), Instrumentation: inst,
 		}, fanIn)
 		if err != nil {

@@ -33,7 +33,7 @@ func countedJobModel(t *testing.T, cfg *metrics.Config, model perfmodel.Model) s
 	rankModel := sys.PerRankModel(3, 1)
 	jc := simmpi.JobConfig{
 		Procs: 6, Nodes: 2, ThreadsPerRank: 1,
-		RankModel: func(int) *perfmodel.CostModel { return rankModel },
+		CostModel: rankModel,
 		Fabric:    sys.NewFabric(2),
 		NoiseProb: 0.2, NoiseDuration: 5 * units.Microsecond,
 		Label:           "counted-6rank",
@@ -53,11 +53,7 @@ func countedJobModel(t *testing.T, cfg *metrics.Config, model perfmodel.Model) s
 			r.Recv(left, 7)
 			r.AllreduceScalar(float64(r.ID()), simmpi.OpSum)
 			r.Allgather([]float64{1, 2, 3})
-			blocks := make([][]float64, r.Size())
-			for i := range blocks {
-				blocks[i] = []float64{float64(i)}
-			}
-			r.Alltoall(blocks)
+			r.Alltoall(8)
 			r.EndRegion()
 		}
 		r.Barrier()
@@ -150,7 +146,7 @@ func countedJobNoCheck(t *testing.T) simmpi.Report {
 	model := sys.PerRankModel(1, 1)
 	rep, err := simmpi.Run(simmpi.JobConfig{
 		Procs: 1, Nodes: 1, ThreadsPerRank: 1,
-		RankModel: func(int) *perfmodel.CostModel { return model },
+		CostModel: model,
 		Fabric:    sys.NewFabric(1),
 	}, func(r *simmpi.Rank) error { return nil })
 	if err != nil {

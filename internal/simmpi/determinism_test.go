@@ -16,7 +16,6 @@ import (
 	"a64fxbench/internal/arch"
 	"a64fxbench/internal/hpcg"
 	"a64fxbench/internal/nekbone"
-	"a64fxbench/internal/perfmodel"
 	"a64fxbench/internal/simmpi"
 	"a64fxbench/internal/units"
 )
@@ -48,7 +47,7 @@ func runTracedHPCG(t *testing.T) hpcgOutcome {
 	sink := &simmpi.MemorySink{}
 	cfg := simmpi.JobConfig{
 		Procs: procs, Nodes: nodes, ThreadsPerRank: 1,
-		RankModel:       func(int) *perfmodel.CostModel { return model },
+		CostModel:       model,
 		Fabric:          sys.NewFabric(nodes),
 		Instrumentation: simmpi.Instrumentation{Trace: sink},
 	}

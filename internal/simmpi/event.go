@@ -33,10 +33,12 @@ package simmpi
 //     dispatches per collective. Halo exchanges run the same way
 //     (NeighborExchange), so the applications' face halos never touch
 //     the route tables or park a rank on a receive.
-//   - Identical messages collapse onto shared symmetric state: the
+//   - Messages are priced from per-job tables, not by the model: the
 //     point-to-point model is a pure function of (hop count, bytes), so
-//     the engine memoises prices and the p equal-size transfers of a
-//     collective round cost a handful of model evaluations instead of p.
+//     each job keeps its node pairs' hop counts and its prices in two
+//     fixed-size, direct-mapped tables (price.go), and the p equal-size
+//     transfers of a collective round cost a handful of model
+//     evaluations instead of p.
 //   - Steady-state dispatch allocates nothing: the run queue is a fixed
 //     ring of p rank ids, route queues reuse their backing arrays,
 //     collective rounds copy through per-rank reusable buffers, halo
@@ -47,7 +49,6 @@ import (
 	"fmt"
 	"iter"
 
-	"a64fxbench/internal/units"
 	"a64fxbench/internal/vclock"
 )
 
@@ -197,8 +198,6 @@ type eventEngine struct {
 	sent    []haloMsg
 	sentOff []int
 
-	prices map[uint64]units.Duration
-
 	errs []error
 	done int
 }
@@ -219,7 +218,6 @@ func runEventLoop(j *job, ranks []*Rank, body func(*Rank) error) error {
 		ready:    runQueue{ids: make([]int, p)},
 		routes:   make([]map[uint64]*msgQueue, p),
 		collArgs: make([]collArgs, p),
-		prices:   make(map[uint64]units.Duration),
 		errs:     make([]error, p),
 	}
 	for i, r := range ranks {
@@ -321,28 +319,6 @@ func (e *eventEngine) await(r *Rank, src, tag int) message {
 		e.park(r)
 	}
 	return q.pop()
-}
-
-// price memoises the contention-free point-to-point cost, which is a
-// pure function of (hop count, bytes) for the job's fabric. The memo
-// key packs hops+1 into the low byte (sizes here are byte counts well
-// under 2^56, hop counts well under 255).
-func (e *eventEngine) price(srcNode, dstNode int, bytes units.Bytes) units.Duration {
-	f := e.j.cfg.Fabric
-	hops := -1
-	if srcNode != dstNode {
-		hops = f.Topo.Hops(srcNode, dstNode)
-	}
-	if hops >= 255 {
-		return f.PointToPoint(srcNode, dstNode, bytes) // beyond the memo's hop range
-	}
-	k := uint64(bytes)<<8 | uint64(uint8(hops+1))
-	if d, ok := e.prices[k]; ok {
-		return d
-	}
-	d := f.PointToPoint(srcNode, dstNode, bytes)
-	e.prices[k] = d
-	return d
 }
 
 // collSlot opens r's arrival at a world collective of the given kind and

@@ -49,16 +49,14 @@ type JobConfig struct {
 	// FastMath enables the aggressive-compiler efficiency mode for all
 	// compute phases of the job.
 	FastMath bool
-	// RankModel supplies the calibrated per-rank cost model; it is
-	// called once per rank at startup. Required.
-	RankModel func(rank int) *perfmodel.CostModel
+	// CostModel is the calibrated cost model every rank's compute
+	// phases are priced with. Required.
+	CostModel *perfmodel.CostModel
 	// Fabric prices inter-node communication. Required if Nodes > 1;
 	// a nil fabric with Nodes == 1 prices all messages as intra-node
-	// at a default shared-memory cost.
+	// at a default shared-memory cost. Ranks are placed in blocks:
+	// rank r lives on node r/⌈Procs/Nodes⌉.
 	Fabric *netmodel.Fabric
-	// NodeOf maps a rank to its node index; nil means block placement
-	// (rank r lives on node r/(Procs/Nodes)).
-	NodeOf func(rank int) int
 	// NoiseProb and NoiseDuration model OS/system noise: with the
 	// given probability per compute phase (deterministically hashed
 	// from rank and sequence number, so runs are reproducible), a rank
@@ -89,8 +87,8 @@ func (c *JobConfig) validate() error {
 	if c.ThreadsPerRank < 1 {
 		c.ThreadsPerRank = 1
 	}
-	if c.RankModel == nil {
-		return fmt.Errorf("simmpi: RankModel is required")
+	if c.CostModel == nil {
+		return fmt.Errorf("simmpi: CostModel is required")
 	}
 	if c.Fabric == nil {
 		if c.Nodes > 1 {
@@ -103,10 +101,6 @@ func (c *JobConfig) validate() error {
 			HopLatency:       0,
 			LinkBandwidth:    10 * units.GBPerSec,
 		}
-	}
-	if c.NodeOf == nil {
-		perNode := (c.Procs + c.Nodes - 1) / c.Nodes
-		c.NodeOf = func(r int) int { return r / perNode }
 	}
 	model, err := perfmodel.ParseModel(string(c.Model))
 	if err != nil {
@@ -138,6 +132,13 @@ type message struct {
 type job struct {
 	cfg     JobConfig
 	congest *congestState // nil unless Congestion is on and Nodes > 1
+	// opt is the job's compute-phase options, and rates its roofline
+	// rates per kernel class under them: every roofline phase is priced
+	// from this table, never by the cost model.
+	opt   perfmodel.PhaseOptions
+	rates [perfmodel.NumKernelClasses]perfmodel.Rates
+	// net prices the job's messages contention-free.
+	net pricer
 }
 
 // Stats accumulates one rank's activity.
@@ -161,7 +162,6 @@ type Rank struct {
 	size     int
 	node     int
 	clock    vclock.Clock
-	model    *perfmodel.CostModel
 	job      *job
 	eng      *eventEngine
 	stats    Stats
@@ -207,29 +207,23 @@ func (r *Rank) Node() int { return r.node }
 // Now returns the rank's current virtual time.
 func (r *Rank) Now() vclock.Time { return r.clock.Now() }
 
-// Model exposes the rank's cost model (read-only use).
-func (r *Rank) Model() *perfmodel.CostModel { return r.model }
-
 // Stats returns a copy of the rank's accumulated statistics.
 func (r *Rank) Stats() Stats { return r.stats }
 
 // Compute executes a metered kernel phase: the rank's clock advances by
 // the modelled phase time.
 func (r *Rank) Compute(w perfmodel.WorkProfile) {
-	opt := perfmodel.PhaseOptions{
-		Cores:    r.job.cfg.ThreadsPerRank,
-		FastMath: r.job.cfg.FastMath,
-	}
 	var d units.Duration
+	ecm := r.job.cfg.Model == perfmodel.ModelECM
 	switch {
-	case r.pmu != nil && r.job.cfg.Model == perfmodel.ModelECM:
+	case r.pmu != nil && ecm:
 		// ECM mode: the per-level transfer phases are first-class
 		// counters. TimeFlops carries the in-core phase; the memory
 		// wait is split across the ecm.* level counters instead of
 		// stall.mem, and the overlap credit is subtracted so
 		// TimeFlops + ecm.l1 + ecm.l2 + ecm.mem + stall.call −
 		// ecm.hidden == phase time exactly.
-		bd := r.model.ECMBreakdown(w, opt)
+		bd := r.job.cfg.CostModel.ECMBreakdown(w, r.job.opt)
 		d = bd.Time
 		r.pmu.Add(metrics.FlopsFor(w.Class), float64(w.Flops))
 		r.pmu.Add(metrics.MemDRAM, float64(w.Bytes))
@@ -241,10 +235,12 @@ func (r *Rank) Compute(w perfmodel.WorkProfile) {
 		r.pmu.AddTime(metrics.ECMMem, bd.MemTime)
 		r.pmu.AddTime(metrics.ECMHidden, bd.Hidden)
 		r.pmu.AddTime(metrics.StallCall, bd.Overhead)
+	case ecm:
+		d = r.job.cfg.CostModel.ECMTime(w, r.job.opt)
 	case r.pmu != nil:
-		// PhaseBreakdown evaluates the same roofline terms as PhaseTime
-		// (bd.Time is bit-identical), plus the counter-grade split.
-		bd := r.model.PhaseBreakdown(w, opt)
+		// Breakdown evaluates the same roofline terms as Time (bd.Time
+		// is bit-identical), plus the counter-grade split.
+		bd := r.job.rates[w.Class].Breakdown(w)
 		d = bd.Time
 		r.pmu.Add(metrics.FlopsFor(w.Class), float64(w.Flops))
 		r.pmu.Add(metrics.MemDRAM, float64(w.Bytes))
@@ -254,7 +250,7 @@ func (r *Rank) Compute(w perfmodel.WorkProfile) {
 		r.pmu.AddTime(metrics.StallMem, bd.MemStall)
 		r.pmu.AddTime(metrics.StallCall, bd.Overhead)
 	default:
-		d = r.model.PhaseTimeFor(r.job.cfg.Model, w, opt)
+		d = r.job.rates[w.Class].Time(w)
 	}
 	start := r.clock.Now()
 	r.clock.Advance(d)
@@ -328,9 +324,7 @@ func (r *Rank) sendFloatsCore(dst, tag int, data []float64, bytes units.Bytes) m
 	if cs := r.job.congest; cs != nil && dstNode != r.node && bytes > 0 {
 		total = r.congestedPrice(cs, dst, tag, dstNode, bytes)
 	} else {
-		// Contention-free pricing is a pure function of (hops, bytes);
-		// the engine memoises it (see eventEngine.price).
-		total = r.eng.price(r.node, dstNode, bytes)
+		total = r.job.net.price(r.node, dstNode, bytes)
 	}
 	// The sender's CPU is occupied for the injection overhead; the rest
 	// of the transfer overlaps with whatever the sender does next.
@@ -480,23 +474,14 @@ func (r *Rank) Allgather(contrib []float64) []float64 {
 	return out
 }
 
-// Alltoall performs a pairwise-exchange all-to-all: send[i] goes to rank
-// i, and the returned slice holds what each rank sent to us, indexed by
-// source. Each send[i] must have equal length.
-func (r *Rank) Alltoall(send [][]float64) [][]float64 {
-	p := r.size
-	if len(send) != p {
-		panic(fmt.Sprintf("simmpi: Alltoall needs %d blocks, got %d", p, len(send)))
+// Alltoall performs a pairwise-exchange all-to-all of bytes-only
+// messages: this rank sends a message of the given wire size to every
+// other rank and receives one from each. Ranks may pass different sizes.
+func (r *Rank) Alltoall(bytes units.Bytes) {
+	if r.size > 1 {
+		r.eng.collSlot(r, collAlltoall).bytes = bytes
+		r.eng.collective(r)
 	}
-	recv := make([][]float64, p)
-	recv[r.id] = send[r.id]
-	if p == 1 {
-		return recv
-	}
-	a := r.eng.collSlot(r, collAlltoall)
-	a.mat, a.recvMat = send, recv
-	r.eng.collective(r)
-	return recv
 }
 
 // Halo is one face of a neighbourhood exchange: a message of Bytes sent
@@ -681,12 +666,17 @@ func Run(cfg JobConfig, body func(*Rank) error) (Report, error) {
 // pricing).
 func runRanks(cfg JobConfig, body func(*Rank) error, cs *congestState) ([]*Rank, error) {
 	j := &job{cfg: cfg, congest: cs}
+	j.opt = perfmodel.PhaseOptions{Cores: cfg.ThreadsPerRank, FastMath: cfg.FastMath}
+	for c := range j.rates {
+		j.rates[c] = cfg.CostModel.Rates(perfmodel.KernelClass(c), j.opt)
+	}
+	j.net.init(cfg.Fabric, cfg.Nodes)
+	perNode := (cfg.Procs + cfg.Nodes - 1) / cfg.Nodes
 	slab := make([]Rank, cfg.Procs)
 	ranks := make([]*Rank, cfg.Procs)
 	for i := range ranks {
 		r := &slab[i]
-		r.id, r.size, r.node = i, cfg.Procs, cfg.NodeOf(i)
-		r.model = cfg.RankModel(i)
+		r.id, r.size, r.node = i, cfg.Procs, i/perNode
 		r.job = j
 		r.sendBuf = r.sendInline[:0]
 		r.halos = r.haloInline[:0]

@@ -12,7 +12,7 @@ import (
 )
 
 // testModel returns a uniform simple cost model.
-func testModel(int) *perfmodel.CostModel {
+func testModel() *perfmodel.CostModel {
 	return &perfmodel.CostModel{
 		Node: perfmodel.NodeCapability{
 			Name:               "t",
@@ -44,27 +44,27 @@ func cfg(procs, nodes int) JobConfig {
 	return JobConfig{
 		Procs:     procs,
 		Nodes:     nodes,
-		RankModel: testModel,
+		CostModel: testModel(),
 		Fabric:    testFabric(),
 	}
 }
 
 func TestRunValidation(t *testing.T) {
 	t.Parallel()
-	if _, err := Run(JobConfig{Procs: 0, RankModel: testModel}, func(*Rank) error { return nil }); err == nil {
+	if _, err := Run(JobConfig{Procs: 0, CostModel: testModel()}, func(*Rank) error { return nil }); err == nil {
 		t.Error("zero procs should fail")
 	}
 	if _, err := Run(JobConfig{Procs: 2}, func(*Rank) error { return nil }); err == nil {
-		t.Error("missing RankModel should fail")
+		t.Error("missing CostModel should fail")
 	}
-	if _, err := Run(JobConfig{Procs: 2, Nodes: 4, RankModel: testModel}, func(*Rank) error { return nil }); err == nil {
+	if _, err := Run(JobConfig{Procs: 2, Nodes: 4, CostModel: testModel()}, func(*Rank) error { return nil }); err == nil {
 		t.Error("more nodes than procs should fail")
 	}
-	if _, err := Run(JobConfig{Procs: 4, Nodes: 2, RankModel: testModel}, func(*Rank) error { return nil }); err == nil {
+	if _, err := Run(JobConfig{Procs: 4, Nodes: 2, CostModel: testModel()}, func(*Rank) error { return nil }); err == nil {
 		t.Error("multi-node without fabric should fail")
 	}
 	// Single node without fabric gets the shared-memory default.
-	if _, err := Run(JobConfig{Procs: 2, RankModel: testModel}, func(*Rank) error { return nil }); err != nil {
+	if _, err := Run(JobConfig{Procs: 2, CostModel: testModel()}, func(*Rank) error { return nil }); err != nil {
 		t.Errorf("single-node default fabric: %v", err)
 	}
 }
@@ -295,40 +295,35 @@ func TestAllgather(t *testing.T) {
 	}
 }
 
+// TestAlltoall counts an all-to-all's messages and bytes: every rank
+// sends its own size to each of the p−1 others.
 func TestAlltoall(t *testing.T) {
 	t.Parallel()
 	for _, p := range []int{1, 2, 3, 4, 6, 8} {
 		p := p
 		t.Run(fmt.Sprintf("p=%d", p), func(t *testing.T) {
-			_, err := Run(cfg(p, min(p, 4)), func(r *Rank) error {
-				send := make([][]float64, p)
-				for i := range send {
-					send[i] = []float64{float64(r.ID()*100 + i)}
-				}
-				recv := r.Alltoall(send)
-				for i := 0; i < p; i++ {
-					want := float64(i*100 + r.ID())
-					if len(recv[i]) != 1 || recv[i][0] != want {
-						return fmt.Errorf("rank %d from %d: %v, want %v", r.ID(), i, recv[i], want)
-					}
-				}
+			size := func(id int) units.Bytes { return units.Bytes(8 * (1 + id)) }
+			rep, err := Run(cfg(p, min(p, 4)), func(r *Rank) error {
+				r.Alltoall(size(r.ID()))
 				return nil
 			})
 			if err != nil {
 				t.Fatal(err)
 			}
+			var wantBytes units.Bytes
+			for id, rr := range rep.Ranks {
+				want := units.Bytes(p-1) * size(id)
+				if rr.Stats.MsgsSent != int64(p-1) || rr.Stats.BytesSent != want {
+					t.Errorf("rank %d sent %d msgs, %d B; want %d, %d B",
+						id, rr.Stats.MsgsSent, rr.Stats.BytesSent, p-1, want)
+				}
+				wantBytes += want
+			}
+			if rep.TotalMsgs != int64(p*(p-1)) || rep.TotalBytesSent != wantBytes {
+				t.Errorf("job sent %d msgs, %d B; want %d, %d B",
+					rep.TotalMsgs, rep.TotalBytesSent, p*(p-1), wantBytes)
+			}
 		})
-	}
-}
-
-func TestAlltoallWrongBlocksPanics(t *testing.T) {
-	t.Parallel()
-	_, err := Run(cfg(2, 1), func(r *Rank) error {
-		r.Alltoall(make([][]float64, 1))
-		return nil
-	})
-	if err == nil {
-		t.Error("wrong block count should error")
 	}
 }
 
