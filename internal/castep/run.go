@@ -173,7 +173,7 @@ func Run(cfg Config) (Result, error) {
 			r.Compute(gemmWork)
 			r.EndRegion()
 			// Density/potential mixing reduction.
-			r.AllreduceScalar(0, simmpi.OpSum)
+			r.Allreduce(8)
 			r.EndRegion()
 		}
 		return nil

@@ -163,7 +163,7 @@ func Run(cfg Config) (Result, error) {
 				}
 			}
 			// Residual-monitoring reduction each iteration.
-			r.AllreduceScalar(0, simmpi.OpMax)
+			r.Allreduce(8)
 			r.EndRegion()
 		}
 		return nil

@@ -240,7 +240,7 @@ func Run(cfg Config) (Result, error) {
 			r.EndRegion()
 			// dot(r, z)
 			r.Compute(dotProfile(fine.n))
-			r.AllreduceScalar(0, simmpi.OpSum)
+			r.Allreduce(8)
 			// p update
 			r.Compute(waxpbyProfile(fine.n))
 			// SpMV A·p
@@ -250,13 +250,13 @@ func Run(cfg Config) (Result, error) {
 			r.EndRegion()
 			// dot(p, Ap)
 			r.Compute(dotProfile(fine.n))
-			r.AllreduceScalar(0, simmpi.OpSum)
+			r.Allreduce(8)
 			// x, r updates
 			r.Compute(waxpbyProfile(fine.n))
 			r.Compute(waxpbyProfile(fine.n))
 			// dot(r, r) for convergence
 			r.Compute(dotProfile(fine.n))
-			r.AllreduceScalar(0, simmpi.OpSum)
+			r.Allreduce(8)
 			r.EndRegion()
 		}
 		return nil

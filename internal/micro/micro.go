@@ -150,7 +150,7 @@ func AllreduceSweep(sys *arch.System, nodeCounts []int) ([]CollectiveResult, err
 		const reps = 20
 		rep, err := simmpi.Run(job, func(r *simmpi.Rank) error {
 			for i := 0; i < reps; i++ {
-				r.AllreduceScalar(1, simmpi.OpSum)
+				r.Allreduce(8)
 			}
 			return nil
 		})

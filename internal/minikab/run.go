@@ -198,11 +198,11 @@ func Run(cfg Config) (Result, error) {
 			exchange()
 			r.Compute(spmv) // A·p
 			r.Compute(dot)  // p·Ap
-			r.AllreduceScalar(0, simmpi.OpSum)
+			r.Allreduce(8)
 			r.Compute(axpy) // x update
 			r.Compute(axpy) // r update
 			r.Compute(dot)  // r·r
-			r.AllreduceScalar(0, simmpi.OpSum)
+			r.Allreduce(8)
 			r.Compute(axpy) // p update
 			r.EndRegion()
 		}

@@ -182,11 +182,11 @@ func RunWithNoise(cfg Config, noiseProb float64, noiseDur units.Duration) (Resul
 			r.NeighborExchange(halos)
 			r.EndRegion()
 			r.Compute(dot) // p·Ap
-			r.AllreduceScalar(0, simmpi.OpSum)
+			r.Allreduce(8)
 			r.Compute(axpy) // x
 			r.Compute(axpy) // r
 			r.Compute(dot)  // r·r
-			r.AllreduceScalar(0, simmpi.OpSum)
+			r.Allreduce(8)
 			r.Compute(axpy) // p
 			r.EndRegion()
 		}

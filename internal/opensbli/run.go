@@ -130,7 +130,7 @@ func Run(cfg Config) (Result, error) {
 				r.EndRegion()
 			}
 			// dt stability reduction once per step.
-			r.AllreduceScalar(0, simmpi.OpMin)
+			r.Allreduce(8)
 			r.EndRegion()
 		}
 		return nil

@@ -102,8 +102,8 @@ func checkRoofline(t *testing.T, m *CostModel, w WorkProfile, opt PhaseOptions) 
 		t.Fatalf("roofline %v: traffic not monotone: L1 %v < L2 %v < DRAM %v",
 			w.Class, bd.L1Bytes, bd.L2Bytes, w.Bytes)
 	}
-	if want := m.PhaseTimeFor(ModelRoofline, w, opt); bd.Time != want {
-		t.Fatalf("roofline %v/%+v: breakdown time %v, PhaseTimeFor %v", w.Class, opt, bd.Time, want)
+	if want := m.PhaseTime(w, opt); bd.Time != want {
+		t.Fatalf("roofline %v/%+v: breakdown time %v, PhaseTime %v", w.Class, opt, bd.Time, want)
 	}
 }
 
@@ -122,8 +122,8 @@ func checkECM(t *testing.T, m *CostModel, w WorkProfile, opt PhaseOptions) {
 		t.Fatalf("ecm %v: traffic not monotone: L1 %v < L2 %v < DRAM %v",
 			w.Class, bd.L1Bytes, bd.L2Bytes, w.Bytes)
 	}
-	if want := m.PhaseTimeFor(ModelECM, w, opt); bd.Time != want {
-		t.Fatalf("ecm %v/%+v: breakdown time %v, PhaseTimeFor %v", w.Class, opt, bd.Time, want)
+	if want := m.ECMTime(w, opt); bd.Time != want {
+		t.Fatalf("ecm %v/%+v: breakdown time %v, ECMTime %v", w.Class, opt, bd.Time, want)
 	}
 	// The composed time never beats the pure memory roof: the saturated
 	// memory phase is a hard floor of the ECM composition.

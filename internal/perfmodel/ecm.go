@@ -257,13 +257,3 @@ func (m *CostModel) ECMBreakdown(w WorkProfile, opt PhaseOptions) ECMBreakdown {
 func (m *CostModel) ECMTime(w WorkProfile, opt PhaseOptions) units.Duration {
 	return m.ECMBreakdown(w, opt).Time
 }
-
-// PhaseTimeFor prices a phase under the selected model: the roofline
-// PhaseTime for ModelRoofline (and the empty default), the composed ECM
-// time for ModelECM.
-func (m *CostModel) PhaseTimeFor(model Model, w WorkProfile, opt PhaseOptions) units.Duration {
-	if model == ModelECM {
-		return m.ECMTime(w, opt)
-	}
-	return m.PhaseTime(w, opt)
-}

@@ -42,7 +42,7 @@ func BenchmarkAllreduce(b *testing.B) {
 			_, err := Run(cfg(p, nodes), func(r *Rank) error {
 				buf := make([]float64, 8)
 				for i := 0; i < b.N; i++ {
-					r.Allreduce(buf, OpSum)
+					r.AllreduceFloats(buf, OpSum)
 				}
 				return nil
 			})

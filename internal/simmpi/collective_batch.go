@@ -1,33 +1,37 @@
 package simmpi
 
 // Batched world collectives: the only implementation of the five world
-// collectives the applications issue — Barrier, Allreduce, Allgather,
-// Alltoall and the neighbourhood (halo) exchange.
+// collectives the applications issue — Barrier, Allreduce (bytes-only,
+// or folding a buffer for AllreduceFloats), Allgather, Alltoall and the
+// neighbourhood (halo) exchange.
 //
-// When all p ranks have parked at the same collective, the functions
-// here execute it as one event: each rank's exact per-rank operation
-// sequence of a classic point-to-point algorithm — the same
+// A rank's play arrives at a collective when it reaches the queued op
+// (event.go); the arrival copies the op into the engine's argument
+// array. The play that completes the arrivals runs the functions here,
+// which execute the collective as one event: each rank's exact per-rank
+// operation sequence of a classic point-to-point algorithm — the same
 // sendFloatsCore/recvFloatsCore calls, buffer copies, and reduction
 // folds a rank would issue through Send/Recv — is replayed in a
 // dependency-valid cross-rank order. All simulator state is per-rank
-// (clocks, PMUs, stats, flow sequences, trace logs), and cross-rank
-// coupling happens only through message stamps, so any order that runs
-// every receive after its matching send yields bit-identical results;
-// the trace merge in Run re-sorts events into (Start, Rank) order
-// afterwards. The point-to-point algorithms themselves live on as a
-// test-only reference oracle (collective_ref_test.go) that the
-// differential suite in engine_test.go compares every batched
-// collective against.
+// (clocks, PMUs, stats, flow sequences, trace logs), and every rank has
+// played each op it queued before the collective, so each rank's state
+// changes in its program order. Cross-rank coupling happens only through
+// message stamps, so any order that runs every receive after its
+// matching send yields bit-identical results; the trace merge in Run
+// re-sorts events into (Start, Rank) order afterwards. The
+// point-to-point algorithms themselves live on as a test-only reference
+// oracle (collective_ref_test.go) that the differential suite in
+// engine_test.go compares every batched collective against.
 //
 // Message slots: within one round of every classic algorithm the
 // send→recv pairing is a bijection (each rank receives at most one
 // message), so a single scratch slice indexed by receiver replaces
 // per-route queues. Likewise each rank sends at most one message per
-// round, so the copy a rank sends of a buffer that Allreduce folds in
-// place comes from one reusable buffer per sender (sendCopy), read
-// before that sender's next round. A halo exchange has no such
-// bijection: its messages wait in one reusable buffer, grouped by sender
-// (batchNeighbor).
+// round, so the copy a rank sends of a buffer that AllreduceFloats folds
+// in place comes from one reusable buffer per sender (sendCopy), read
+// before that sender's next round; a bytes-only reduction copies and
+// folds nothing. A halo exchange has no such bijection: its messages
+// wait in one reusable buffer, grouped by sender (batchNeighbor).
 //
 // The valid cross-rank orders used below:
 //   - round-based exchanges (barrier, allreduce doubling, allgather
@@ -45,50 +49,13 @@ import (
 	"a64fxbench/internal/vclock"
 )
 
-// collKind names a world collective for the rendezvous in event.go.
-type collKind int
-
-const (
-	collBarrier collKind = iota
-	collAllreduce
-	collAllgather
-	collAlltoall
-	collNeighbor
-)
-
-func (k collKind) String() string {
-	switch k {
-	case collBarrier:
-		return "Barrier"
-	case collAllreduce:
-		return "Allreduce"
-	case collAllgather:
-		return "Allgather"
-	case collAlltoall:
-		return "Alltoall"
-	case collNeighbor:
-		return "NeighborExchange"
-	}
-	return fmt.Sprintf("collKind(%d)", int(k))
-}
-
-// collArgs carries one rank's arguments into the batched executor.
-type collArgs struct {
-	buf   []float64   // Allreduce buffer; Allgather contribution
-	op    Op          // Allreduce operator
-	out   []float64   // Allgather output, pre-filled with own block
-	bytes units.Bytes // Alltoall message size
-	halos []Halo      // NeighborExchange halo list
-}
-
-// scratch (re)sizes the executor's per-rank scratch arrays.
+// scratch sizes the executor's per-rank scratch arrays at the job's
+// first collective; Allgather sizes its own at its first.
 func (e *eventEngine) scratch() {
 	p := len(e.ranks)
 	if e.slots == nil {
 		e.slots = make([]message, p)
 		e.starts = make([]vclock.Time, p)
-		e.blocks = make([][]float64, p)
-		e.ints = make([]int, p)
 		e.sentOff = make([]int, p+1)
 	}
 }
@@ -117,21 +84,22 @@ func (e *eventEngine) endAll(c metrics.Collective) {
 	}
 }
 
-// runBatched executes one world collective across all ranks; results
-// land in the buffers each rank's args point at.
-func runBatched(e *eventEngine, kind collKind, args []collArgs) {
+// runBatched executes one world collective across all ranks. Each
+// rank's arguments are its arrival op; results land in the buffers its
+// side-list entry points at.
+func runBatched(e *eventEngine, kind opKind) {
 	e.scratch()
 	switch kind {
-	case collBarrier:
+	case opBarrier:
 		batchBarrier(e)
-	case collAllreduce:
-		batchAllreduce(e, args)
-	case collAllgather:
-		batchAllgather(e, args)
-	case collAlltoall:
-		batchAlltoall(e, args)
-	case collNeighbor:
-		batchNeighbor(e, args)
+	case opAllreduce:
+		batchAllreduce(e)
+	case opAllgather:
+		batchAllgather(e)
+	case opAlltoall:
+		batchAlltoall(e)
+	case opNeighbor:
+		batchNeighbor(e)
 	}
 }
 
@@ -152,22 +120,56 @@ func batchBarrier(e *eventEngine) {
 	e.endAll(metrics.CollBarrier)
 }
 
-// arNewID maps a rank to its recursive-doubling id for Allreduce's
-// non-power-of-two folding: -1 for the even halves that drop out.
-func arNewID(id, rem int) int {
+// arPartner is rank id's partner in the recursive-doubling round of
+// the given mask, after Allreduce's non-power-of-two folding: -1 for the
+// even halves that drop out.
+func arPartner(id, rem, mask int) int {
+	var nid int
 	switch {
 	case id < 2*rem && id%2 == 0:
 		return -1
 	case id < 2*rem:
-		return id / 2
+		nid = id / 2
 	default:
-		return id - rem
+		nid = id - rem
+	}
+	partnerNew := nid ^ mask
+	if partnerNew < rem {
+		return partnerNew*2 + 1
+	}
+	return partnerNew + rem
+}
+
+// reduceSend is rank id's send of its reduction operand into dst's
+// slot: a copy of its buffer if it passed one, its byte count alone
+// otherwise.
+func (e *eventEngine) reduceSend(id, dst, tag int) {
+	r, a := e.ranks[id], &e.args[id]
+	var data []float64
+	if a.side > 0 {
+		data = e.sendCopy(id, r.side(a).floats)
+	}
+	e.slots[dst] = r.sendFloatsCore(dst, tag, data, units.Bytes(a.n))
+}
+
+// reduceRecv is rank id's receive of src's operand, folded into its
+// buffer if it passed one.
+func (e *eventEngine) reduceRecv(id, src, tag int) {
+	r := e.ranks[id]
+	other := r.recvFloatsCore(e.slots[id], src, tag)
+	if a := &e.args[id]; a.side > 0 {
+		s := r.side(a)
+		for i := range s.floats {
+			s.floats[i] = s.op(s.floats[i], other[i])
+		}
 	}
 }
 
 // batchAllreduce pre-folds to a power of two, runs recursive doubling,
-// and post-unfolds. Results land in each rank's own buf.
-func batchAllreduce(e *eventEngine, args []collArgs) {
+// and post-unfolds. Each message carries its sender's byte count; only
+// ranks that passed a buffer copy and fold, and their results land in
+// it.
+func batchAllreduce(e *eventEngine) {
 	rs, p := e.ranks, len(e.ranks)
 	e.beginAll()
 	pof2 := 1
@@ -177,16 +179,10 @@ func batchAllreduce(e *eventEngine, args []collArgs) {
 	rem := p - pof2
 	// Phase 1: evens below 2*rem send to their odd partner and drop out.
 	for id := 0; id < 2*rem; id += 2 {
-		buf := args[id].buf
-		e.slots[id+1] = rs[id].sendFloatsCore(id+1, tagReduce,
-			e.sendCopy(id, buf), units.Bytes(8*len(buf)))
+		e.reduceSend(id, id+1, tagReduce)
 	}
 	for id := 1; id < 2*rem; id += 2 {
-		other := rs[id].recvFloatsCore(e.slots[id], id-1, tagReduce)
-		buf, op := args[id].buf, args[id].op
-		for i := range buf {
-			buf[i] = op(buf[i], other[i])
-		}
+		e.reduceRecv(id, id-1, tagReduce)
 	}
 	// Phase 2: recursive doubling among the pof2 survivors. Each round's
 	// partner pairing is an involution, so sends-then-recvs per round is
@@ -194,45 +190,26 @@ func batchAllreduce(e *eventEngine, args []collArgs) {
 	for mask := 1; mask < pof2; mask <<= 1 {
 		tag := tagReduce + 1 + mask
 		for id := 0; id < p; id++ {
-			nid := arNewID(id, rem)
-			if nid < 0 {
-				continue
+			if partner := arPartner(id, rem, mask); partner >= 0 {
+				e.reduceSend(id, partner, tag)
 			}
-			partnerNew := nid ^ mask
-			partner := partnerNew + rem
-			if partnerNew < rem {
-				partner = partnerNew*2 + 1
-			}
-			buf := args[id].buf
-			e.slots[partner] = rs[id].sendFloatsCore(partner, tag,
-				e.sendCopy(id, buf), units.Bytes(8*len(buf)))
 		}
 		for id := 0; id < p; id++ {
-			nid := arNewID(id, rem)
-			if nid < 0 {
-				continue
-			}
-			partnerNew := nid ^ mask
-			partner := partnerNew + rem
-			if partnerNew < rem {
-				partner = partnerNew*2 + 1
-			}
-			other := rs[id].recvFloatsCore(e.slots[id], partner, tag)
-			buf, op := args[id].buf, args[id].op
-			for i := range buf {
-				buf[i] = op(buf[i], other[i])
+			if partner := arPartner(id, rem, mask); partner >= 0 {
+				e.reduceRecv(id, partner, tag)
 			}
 		}
 	}
 	// Phase 3: survivors return the result to the dropped-out evens.
 	for id := 1; id < 2*rem; id += 2 {
-		buf := args[id].buf
-		e.slots[id-1] = rs[id].sendFloatsCore(id-1, tagReduce+2,
-			e.sendCopy(id, buf), units.Bytes(8*len(buf)))
+		e.reduceSend(id, id-1, tagReduce+2)
 	}
 	for id := 0; id < 2*rem; id += 2 {
-		got := rs[id].recvFloatsCore(e.slots[id], id+1, tagReduce+2)
-		copy(args[id].buf, got)
+		r := rs[id]
+		got := r.recvFloatsCore(e.slots[id], id+1, tagReduce+2)
+		if a := &e.args[id]; a.side > 0 {
+			copy(r.side(a).floats, got)
+		}
 	}
 	e.endAll(metrics.CollAllreduce)
 }
@@ -240,11 +217,15 @@ func batchAllreduce(e *eventEngine, args []collArgs) {
 // batchAllgather runs the ring: p-1 steps, blocks travelling
 // rank→rank+1, each rank copying the block it just received into its
 // output at the rotating cursor.
-func batchAllgather(e *eventEngine, args []collArgs) {
+func batchAllgather(e *eventEngine) {
 	rs, p := e.ranks, len(e.ranks)
+	if e.blocks == nil {
+		e.blocks = make([][]float64, p)
+		e.ints = make([]int, p)
+	}
 	e.beginAll()
-	for id := range rs {
-		e.blocks[id] = append([]float64(nil), args[id].buf...)
+	for id, r := range rs {
+		e.blocks[id] = append([]float64(nil), r.side(&e.args[id]).floats...)
 		e.ints[id] = id // cursor
 	}
 	for step := 0; step < p-1; step++ {
@@ -258,8 +239,8 @@ func batchAllgather(e *eventEngine, args []collArgs) {
 			left := (id - 1 + p) % p
 			e.blocks[id] = r.recvFloatsCore(e.slots[id], left, tag)
 			e.ints[id] = (e.ints[id] - 1 + p) % p
-			n := len(args[id].buf)
-			copy(args[id].out[e.ints[id]*n:], e.blocks[id])
+			a := r.side(&e.args[id])
+			copy(a.out[e.ints[id]*len(a.floats):], e.blocks[id])
 		}
 	}
 	for id := range rs {
@@ -271,7 +252,7 @@ func batchAllgather(e *eventEngine, args []collArgs) {
 // batchAlltoall runs the XOR pairwise exchange for power-of-two sizes,
 // the rotation schedule otherwise. Each rank's messages carry the size
 // it passed.
-func batchAlltoall(e *eventEngine, args []collArgs) {
+func batchAlltoall(e *eventEngine) {
 	rs, p := e.ranks, len(e.ranks)
 	e.beginAll()
 	if p&(p-1) == 0 {
@@ -279,7 +260,7 @@ func batchAlltoall(e *eventEngine, args []collArgs) {
 			tag := tagA2A + step
 			for id, r := range rs {
 				partner := id ^ step
-				e.slots[partner] = r.sendFloatsCore(partner, tag, nil, args[id].bytes)
+				e.slots[partner] = r.sendFloatsCore(partner, tag, nil, units.Bytes(e.args[id].n))
 			}
 			for id, r := range rs {
 				r.recvFloatsCore(e.slots[id], id^step, tag)
@@ -290,7 +271,7 @@ func batchAlltoall(e *eventEngine, args []collArgs) {
 			tag := tagA2A + step
 			for id, r := range rs {
 				dst := (id + step) % p
-				e.slots[dst] = r.sendFloatsCore(dst, tag, nil, args[id].bytes)
+				e.slots[dst] = r.sendFloatsCore(dst, tag, nil, units.Bytes(e.args[id].n))
 			}
 			for id, r := range rs {
 				r.recvFloatsCore(e.slots[id], (id-step+p)%p, tag)
@@ -298,6 +279,12 @@ func batchAlltoall(e *eventEngine, args []collArgs) {
 		}
 	}
 	e.endAll(metrics.CollAlltoall)
+}
+
+// halos is rank id's halo list in the exchange being executed.
+func (e *eventEngine) halos(id int) []Halo {
+	a := &e.args[id]
+	return e.ranks[id].q.halos[a.a : a.a+a.b]
 }
 
 // haloMsg is one message of a halo exchange, kept under its sender; dst
@@ -313,11 +300,11 @@ type haloMsg struct {
 // a receive takes the first unmatched one its peer addressed to it with
 // its tag — the FIFO matching of a point-to-point route. There is no
 // collBegin/collEnd bracket: halo time is not collective time.
-func batchNeighbor(e *eventEngine, args []collArgs) {
+func batchNeighbor(e *eventEngine) {
 	rs, p := e.ranks, len(e.ranks)
 	n := 0
 	for id := range rs {
-		n += len(args[id].halos)
+		n += e.args[id].b
 	}
 	if cap(e.sent) < n {
 		e.sent = make([]haloMsg, 0, n)
@@ -325,7 +312,7 @@ func batchNeighbor(e *eventEngine, args []collArgs) {
 	off, sent := e.sentOff, e.sent[:0]
 	for id, r := range rs {
 		off[id] = len(sent)
-		for _, h := range args[id].halos {
+		for _, h := range e.halos(id) {
 			if h.Peer < 0 || h.Peer >= p {
 				panic(fmt.Sprintf("simmpi: NeighborExchange: rank %d names peer %d outside [0, %d) (send tag %d, recv tag %d)",
 					id, h.Peer, p, h.SendTag, h.RecvTag))
@@ -337,7 +324,7 @@ func batchNeighbor(e *eventEngine, args []collArgs) {
 	off[p] = len(sent)
 	e.sent = sent
 	for id, r := range rs {
-		for _, h := range args[id].halos {
+		for _, h := range e.halos(id) {
 			from := sent[off[h.Peer]:off[h.Peer+1]]
 			k := 0
 			for k < len(from) && (from[k].dst != id || from[k].tag != h.RecvTag) {

@@ -12,14 +12,29 @@ package simmpi
 import (
 	"a64fxbench/internal/metrics"
 	"a64fxbench/internal/units"
+	"a64fxbench/internal/vclock"
 )
 
-// collSet is one implementation of the five world collectives. Test
-// bodies call collectives through it so the same body can run against
-// the batched executor and against the reference oracle.
+// refBegin opens a collective bracket at r's played clock: the oracle
+// runs on the body, so it reads the clock through Now, which waits
+// until every op r queued has been played.
+func refBegin(r *Rank) vclock.Time { return r.Now() }
+
+// refEnd closes the bracket refBegin opened, once the collective's own
+// queued messages have been played.
+func refEnd(r *Rank, c metrics.Collective, start vclock.Time) {
+	r.Now()
+	r.collEnd(c, start)
+}
+
+// collSet is one implementation of the five world collectives, with the
+// reduction in both its forms. Test bodies call collectives through it
+// so the same body can run against the batched executor and against the
+// reference oracle.
 type collSet struct {
 	Barrier          func(r *Rank)
 	Allreduce        func(r *Rank, buf []float64, op Op)
+	AllreduceBytes   func(r *Rank, bytes units.Bytes)
 	Allgather        func(r *Rank, contrib []float64) []float64
 	Alltoall         func(r *Rank, bytes units.Bytes)
 	NeighborExchange func(r *Rank, halos []Halo)
@@ -36,7 +51,8 @@ func (c *collSet) allreduceScalar(r *Rank, v float64, op Op) float64 {
 var (
 	batchedColls = &collSet{
 		Barrier:          (*Rank).Barrier,
-		Allreduce:        (*Rank).Allreduce,
+		Allreduce:        (*Rank).AllreduceFloats,
+		AllreduceBytes:   (*Rank).Allreduce,
 		Allgather:        (*Rank).Allgather,
 		Alltoall:         (*Rank).Alltoall,
 		NeighborExchange: (*Rank).NeighborExchange,
@@ -44,6 +60,7 @@ var (
 	refColls = &collSet{
 		Barrier:          refBarrier,
 		Allreduce:        refAllreduce,
+		AllreduceBytes:   refAllreduceBytes,
 		Allgather:        refAllgather,
 		Alltoall:         refAlltoall,
 		NeighborExchange: refNeighborExchange,
@@ -57,7 +74,7 @@ func refBarrier(r *Rank) {
 	if p == 1 {
 		return
 	}
-	defer r.collEnd(metrics.CollBarrier, r.collBegin())
+	defer refEnd(r, metrics.CollBarrier, refBegin(r))
 	for k, round := 1, 0; k < p; k, round = k<<1, round+1 {
 		dst := (r.id + k) % p
 		src := (r.id - k + p) % p
@@ -69,11 +86,41 @@ func refBarrier(r *Rank) {
 // refAllreduce is recursive doubling with the standard pre/post folding
 // for non-power-of-two sizes.
 func refAllreduce(r *Rank, buf []float64, op Op) {
+	refReduce(r, buf, op, units.Bytes(8*len(buf)))
+}
+
+// refAllreduceBytes is refAllreduce's message sequence carrying bytes
+// alone.
+func refAllreduceBytes(r *Rank, bytes units.Bytes) {
+	refReduce(r, nil, nil, bytes)
+}
+
+// refReduce runs recursive doubling. With a buffer, each message is a
+// copy of it and each receive folds into it; without one, messages are
+// bytes-only Sends of the given size.
+func refReduce(r *Rank, buf []float64, op Op, bytes units.Bytes) {
+	send := func(dst, tag int) {
+		if buf == nil {
+			r.Send(dst, tag, bytes)
+		} else {
+			r.SendFloats(dst, tag, append([]float64(nil), buf...))
+		}
+	}
+	fold := func(src, tag int) {
+		if buf == nil {
+			r.Recv(src, tag)
+			return
+		}
+		other := r.RecvFloats(src, tag)
+		for i := range buf {
+			buf[i] = op(buf[i], other[i])
+		}
+	}
 	p := r.size
 	if p == 1 {
 		return
 	}
-	defer r.collEnd(metrics.CollAllreduce, r.collBegin())
+	defer refEnd(r, metrics.CollAllreduce, refBegin(r))
 	pof2 := 1
 	for pof2*2 <= p {
 		pof2 *= 2
@@ -84,12 +131,9 @@ func refAllreduce(r *Rank, buf []float64, op Op) {
 	newID := -1
 	switch {
 	case id < 2*rem && id%2 == 0:
-		r.SendFloats(id+1, tagReduce, append([]float64(nil), buf...))
+		send(id+1, tagReduce)
 	case id < 2*rem:
-		other := r.RecvFloats(id-1, tagReduce)
-		for i := range buf {
-			buf[i] = op(buf[i], other[i])
-		}
+		fold(id-1, tagReduce)
 		newID = id / 2
 	default:
 		newID = id - rem
@@ -104,19 +148,20 @@ func refAllreduce(r *Rank, buf []float64, op Op) {
 			} else {
 				partner = partnerNew + rem
 			}
-			r.SendFloats(partner, tagReduce+1+mask, append([]float64(nil), buf...))
-			other := r.RecvFloats(partner, tagReduce+1+mask)
-			for i := range buf {
-				buf[i] = op(buf[i], other[i])
-			}
+			send(partner, tagReduce+1+mask)
+			fold(partner, tagReduce+1+mask)
 		}
 	}
 	// Phase 3: survivors return results to the dropped-out ranks.
 	switch {
 	case id < 2*rem && id%2 == 0:
-		copy(buf, r.RecvFloats(id+1, tagReduce+2))
+		if buf == nil {
+			r.Recv(id+1, tagReduce+2)
+		} else {
+			copy(buf, r.RecvFloats(id+1, tagReduce+2))
+		}
 	case id < 2*rem:
-		r.SendFloats(id-1, tagReduce+2, append([]float64(nil), buf...))
+		send(id-1, tagReduce+2)
 	}
 }
 
@@ -130,7 +175,7 @@ func refAllgather(r *Rank, contrib []float64) []float64 {
 	if p == 1 {
 		return out
 	}
-	defer r.collEnd(metrics.CollAllgather, r.collBegin())
+	defer refEnd(r, metrics.CollAllgather, refBegin(r))
 	right := (r.id + 1) % p
 	left := (r.id - 1 + p) % p
 	cur := r.id
@@ -151,7 +196,7 @@ func refAlltoall(r *Rank, bytes units.Bytes) {
 	if p == 1 {
 		return
 	}
-	defer r.collEnd(metrics.CollAlltoall, r.collBegin())
+	defer refEnd(r, metrics.CollAlltoall, refBegin(r))
 	if p&(p-1) == 0 {
 		for step := 1; step < p; step++ {
 			partner := r.id ^ step

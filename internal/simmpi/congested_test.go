@@ -107,7 +107,7 @@ func TestCongestedRunsAreDeterministic(t *testing.T) {
 			for i := range buf {
 				buf[i] = float64(r.ID() + i)
 			}
-			r.Allreduce(buf, OpSum)
+			r.AllreduceFloats(buf, OpSum)
 			r.SendFloats((r.ID()+1)%r.Size(), 5, buf[:1<<10])
 			r.RecvFloats((r.ID()-1+r.Size())%r.Size(), 5)
 			return nil

@@ -161,6 +161,7 @@ var engineBodies = []struct {
 		return nil
 	}},
 	{"halo-exchange", 1, haloExchangeBody},
+	{"run-ahead", 1, runAheadBody},
 	{"many-to-one", 2, func(r *Rank, _ *collSet) error {
 		if r.ID() == 0 {
 			for src := 1; src < r.Size(); src++ {
@@ -243,6 +244,61 @@ func haloExchangeBody(r *Rank, cs *collSet) error {
 	return nil
 }
 
+// runAheadBody queues more than a window of ops between two collectives
+// — compute phases, sends and receives, elapses — and reads Stats and
+// Now in the middle of it: each must count every op queued before the
+// read, so the rank waits for its queue to be played, and its peers'
+// sends, which sit in their own queues, must be played first. It ends
+// with a halo exchange whose list is longer than all of a rank's halo
+// slots.
+func runAheadBody(r *Rank, cs *collSet) error {
+	id, p := r.ID(), r.Size()
+	w := queueWindow(p)
+	cs.Barrier(r)
+	base := r.Stats()
+	var flops units.Flops
+	var sent int64
+	for i := 0; i < w+w/2; i++ {
+		work := vecWork(20 * (1 + (id+i)%5))
+		r.Compute(work)
+		flops += work.Flops
+		if p > 1 && i%4 == 0 {
+			r.Send((id+1)%p, 50+i, units.Bytes(8*(1+(id+i)%3)))
+			r.Recv((id-1+p)%p, 50+i)
+			sent++
+		}
+	}
+	st := r.Stats()
+	if st.Flops-base.Flops != flops || st.MsgsSent-base.MsgsSent != sent {
+		return fmt.Errorf("mid-window Stats counted %v flops and %d sends, want %v and %d",
+			st.Flops-base.Flops, st.MsgsSent-base.MsgsSent, flops, sent)
+	}
+	t1 := r.Now()
+	d := units.Duration(1+id) * units.Microsecond
+	for i := 0; i < w+3; i++ {
+		r.Elapse(d)
+	}
+	if t2 := r.Now(); t2 != t1.Add(units.Duration(w+3)*d) {
+		return fmt.Errorf("Now after %d elapses of %v: %v, want %v", w+3, d, t2, t1.Add(units.Duration(w+3)*d))
+	}
+	cs.AllreduceBytes(r, units.Bytes(8*(1+id%2)))
+	for i := 0; i < w+1; i++ {
+		r.Compute(vecWork(30 * (1 + (id*i)%3)))
+	}
+	cs.Alltoall(r, 16)
+	// A halo list longer than all of the rank's halo slots: pairs of
+	// halos trading with both ring neighbours.
+	var ring []Halo
+	for k := 0; k < max(w, minHaloSlots)/2+3; k++ {
+		ring = append(ring,
+			Halo{Peer: (id + 1) % p, SendTag: 2 * k, RecvTag: 2*k + 1, Bytes: units.Bytes(8 * (1 + k%4))},
+			Halo{Peer: (id - 1 + p) % p, SendTag: 2*k + 1, RecvTag: 2 * k, Bytes: 24})
+	}
+	cs.NeighborExchange(r, ring)
+	r.Elapse(units.Microsecond)
+	return nil
+}
+
 // engineSizes covers the algorithmic corner cases: 1 (no-op
 // collectives), powers of two, non-powers of two (allreduce folding,
 // alltoall rotation), and a multi-node spread.
@@ -269,16 +325,16 @@ func TestEngineEquivalence(t *testing.T) {
 	}
 }
 
-// TestEngineEquivalenceOptions crosses the all-collectives and
-// halo-exchange bodies with the full option matrix: tracing, counters,
-// congestion, noise, and all at once.
+// TestEngineEquivalenceOptions crosses the all-collectives,
+// halo-exchange and run-ahead bodies with the full option matrix:
+// tracing, counters, congestion, noise, and all at once.
 func TestEngineEquivalenceOptions(t *testing.T) {
 	t.Parallel()
 	// The all-collectives subtests keep their unprefixed names.
 	bodies := []struct {
 		prefix string
 		body   collBody
-	}{{"", engineBodies[1].body}, {"halo-exchange/", haloExchangeBody}}
+	}{{"", engineBodies[1].body}, {"halo-exchange/", haloExchangeBody}, {"run-ahead/", runAheadBody}}
 	opts := []struct {
 		name   string
 		mutate func(*JobConfig)
@@ -326,7 +382,7 @@ func vecWork(n int) perfmodel.WorkProfile {
 
 // TestEventEngineErrorPropagation: a failing rank must surface its
 // error instead of hanging the loop, including when the other ranks are
-// already parked in a collective the failed rank will never join.
+// blocked in a collective the failed rank will never join.
 func TestEventEngineErrorPropagation(t *testing.T) {
 	t.Parallel()
 	c := cfg(4, 2)
@@ -351,6 +407,21 @@ func TestEventEngineErrorPropagation(t *testing.T) {
 	})
 	if err == nil || !strings.Contains(err.Error(), "kaboom") {
 		t.Fatalf("want panic error, got %v", err)
+	}
+	// A send to a rank outside the job fails when it is played, between
+	// queued compute phases, with the text the send itself panicked
+	// with when bodies executed each operation in place.
+	_, err = Run(c, func(r *Rank) error {
+		r.Compute(vecWork(100))
+		if r.ID() == 0 {
+			r.Send(99, 1, 8)
+		}
+		r.Compute(vecWork(100))
+		r.Barrier()
+		return nil
+	})
+	if want := "rank 0 panicked: simmpi: send to invalid rank 99 (size 4)"; err == nil || err.Error() != want {
+		t.Fatalf("queued send outside the job: got %v, want %q", err, want)
 	}
 }
 
@@ -390,6 +461,23 @@ func TestEventEngineDeadlockDetection(t *testing.T) {
 	})
 	if err == nil || !strings.Contains(err.Error(), "collective mismatch") {
 		t.Fatalf("halo vs allreduce: want collective mismatch, got %v", err)
+	}
+	// A mismatch reached only after every rank has queued more than a
+	// window of ops is reported as it was when bodies ran in place.
+	_, err = Run(cfg(4, 2), func(r *Rank) error {
+		for i := 0; i < queueWindow(r.Size())+6; i++ {
+			r.Elapse(units.Microsecond)
+			r.Compute(vecWork(10))
+		}
+		if r.ID() == 0 {
+			r.Barrier()
+		} else {
+			r.Alltoall(8)
+		}
+		return nil
+	})
+	if want := "rank 1 panicked: simmpi: collective mismatch: rank 1 entered Alltoall while others are in Barrier"; err == nil || err.Error() != want {
+		t.Fatalf("mismatch after a full window: got %v, want %q", err, want)
 	}
 	// A bad halo list panics inside the batched executor; the error
 	// names the faulty rank, its peer and the tag, whichever rank
@@ -431,8 +519,8 @@ func TestEventEngineDeadlockDetection(t *testing.T) {
 
 // TestEventEngineAbortUnwindsRanks: Run must leave no rank coroutine
 // behind, whether the job succeeds or fails — by a deadlock, by a rank
-// body that panics while the others are parked at a collective, or by a
-// panic in the batched executor on the last arriver's coroutine (an
+// body that panics while the others wait at a collective, or by a panic
+// in the batched executor while the completing arrival is played (an
 // unmatched halo receive). Every coroutine has finished or been stopped
 // by the time Run returns, so a long-lived caller that keeps going leaks
 // nothing. Not parallel: it counts the process's goroutines.
@@ -480,6 +568,46 @@ func TestEventEngineAbortUnwindsRanks(t *testing.T) {
 		if n := runtime.NumGoroutine(); n > before {
 			t.Fatalf("%s: %d goroutines once Run returned, %d before", c.name, n, before)
 		}
+	}
+}
+
+// TestResumeGate bounds how often the engine resumes rank bodies, a
+// machine-independent measure of its dispatch cost. Each of 48 ranks
+// runs 200 iterations of a compute phase, a ring halo exchange and a
+// bytes-only reduction: 600 ops. A body is resumed only once its queue
+// has drained, so a window of w = 64 ops costs one resume, and the job
+// may take at most p·(⌈600/w⌉ + 1) = 528. Resuming every rank at every
+// collective would take 48 × 401 = 19,248.
+func TestResumeGate(t *testing.T) {
+	t.Parallel()
+	const p, iters = 48, 200
+	if w := queueWindow(p); w != 64 {
+		t.Fatalf("window at p = %d is %d; the bound below assumes 64", p, w)
+	}
+	const bound = p * ((3*iters+63)/64 + 1)
+	var eng *eventEngine
+	_, err := Run(cfg(p, 4), func(r *Rank) error {
+		if r.ID() == 0 {
+			eng = r.eng
+		}
+		id := r.ID()
+		halos := []Halo{
+			{Peer: (id + 1) % p, SendTag: 1, RecvTag: 2, Bytes: 64},
+			{Peer: (id - 1 + p) % p, SendTag: 2, RecvTag: 1, Bytes: 64},
+		}
+		for it := 0; it < iters; it++ {
+			r.Compute(vecWork(100 * (1 + id%3)))
+			r.NeighborExchange(halos)
+			r.Allreduce(8)
+		}
+		return nil
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Logf("%d resumes for %d ranks × %d ops (bound %d)", eng.resumes, p, 3*iters, bound)
+	if eng.resumes > bound {
+		t.Fatalf("%d coroutine resumes, bound %d: bodies are resumed more often than once per window", eng.resumes, bound)
 	}
 }
 

@@ -2,53 +2,65 @@ package simmpi
 
 // The discrete-event engine: the one way simmpi executes a job.
 //
-// Every rank body runs as a coroutine (iter.Pull), and one dispatch loop,
-// runEventLoop, resumes them: it pops a rank from a FIFO run queue and
-// calls that rank's next, which returns when the rank parks — at an
-// empty-route Recv or a world collective (halo exchanges included) — or
-// when its body returns. A coroutine switch hands the thread over
-// directly and never enters the Go scheduler, so a dispatch costs the
-// same at any GOMAXPROCS, and exactly one rank or the loop runs at any
-// instant.
+// Every rank body runs as a coroutine (iter.Pull) that queues its
+// operations instead of executing them (queue.go), and one dispatch
+// loop, runEventLoop, plays those queues: it pops a rank from a FIFO run
+// queue and plays the rank's ops in program order until the rank blocks
+// — at a receive whose route is empty, or at a world collective (halo
+// exchanges included) that not every rank has reached — or until its
+// body has returned and its last op has played. Whenever the rank's
+// queue drains first, the loop resumes its coroutine, which queues the
+// next window of ops. A body runs ahead through compute phases, sends
+// and bytes-only collectives without yielding; it waits only for a full
+// queue or for a value (Now, Stats, RecvFloats, AllreduceFloats,
+// Allgather). A coroutine switch hands the thread over directly and
+// never enters the Go scheduler, so a resume costs the same at any
+// GOMAXPROCS, and exactly one body or the loop runs at any instant.
 //
 // Correctness rests on the conservative virtual-time rule (see package
 // vclock): every inter-rank coupling happens through a message stamped
 // with its availability time, and a receive completes at
-// max(receiver clock, stamp). Any scheduling that runs a receive after
-// its matching send therefore produces bit-identical results — the run
-// order is never a semantic choice — so the run queue is a plain FIFO:
-// ranks run in the order they became runnable. Only the running rank
-// pushes (a send that wakes a parked receiver, the last arrival at a
-// collective), so that order is deterministic as well. The same rule
-// lets world collectives run batched: the differential suite in
-// engine_test.go holds every batched collective to the byte-identical
-// output of its point-to-point reference algorithm.
+// max(receiver clock, stamp). Any scheduling that plays each rank's ops
+// in its program order and a receive after its matching send therefore
+// produces bit-identical results — the play order is never a semantic
+// choice — so the run queue is a plain FIFO: ranks play in the order
+// they became runnable. Only the loop pushes (a send that wakes a
+// blocked receiver, the play that completes a collective), so that
+// order is deterministic as well. The same rule lets world collectives
+// run batched: the differential suite in engine_test.go holds every
+// batched collective to the byte-identical output of its point-to-point
+// reference algorithm.
 //
 // Three things make this engine fast at 10⁴–10⁵ ranks:
 //
 //   - World collectives are executed as one batched event (see
-//     collective_batch.go): the last rank to park at a collective
-//     replays every rank's exact per-rank message sequence in a
-//     dependency-valid cross-rank order, eliminating the ~2·p·log p
+//     collective_batch.go): the play that completes a collective's
+//     arrivals replays every rank's exact per-rank message sequence in
+//     a dependency-valid cross-rank order, eliminating the ~2·p·log p
 //     dispatches per collective. Halo exchanges run the same way
 //     (NeighborExchange), so the applications' face halos never touch
-//     the route tables or park a rank on a receive.
+//     the route tables or block a rank on a receive.
+//   - A body is resumed once per window of ops, not once per
+//     collective: blocking at a collective costs a run-queue push and
+//     pop, not a coroutine switch.
 //   - Messages are priced from per-job tables, not by the model: the
 //     point-to-point model is a pure function of (hop count, bytes), so
 //     each job keeps its node pairs' hop counts and its prices in two
 //     fixed-size, direct-mapped tables (price.go), and the p equal-size
 //     transfers of a collective round cost a handful of model
 //     evaluations instead of p.
-//   - Steady-state dispatch allocates nothing: the run queue is a fixed
-//     ring of p rank ids, route queues reuse their backing arrays,
-//     collective rounds copy through per-rank reusable buffers, halo
-//     exchanges keep their messages in one reusable buffer, and rank
-//     coroutines are created lazily on first dispatch.
+//
+// Steady-state dispatch allocates nothing: the run queue is a fixed
+// ring of p rank ids, the op queues live in a pooled slab, route queues
+// reuse their backing arrays, collective rounds copy through per-rank
+// reusable buffers, halo exchanges keep their messages in one reusable
+// buffer, and rank coroutines are created lazily on first dispatch.
 
 import (
 	"fmt"
 	"iter"
 
+	"a64fxbench/internal/units"
 	"a64fxbench/internal/vclock"
 )
 
@@ -56,15 +68,16 @@ import (
 type rankState uint8
 
 const (
-	stateReady rankState = iota // queued, running, or not yet started
-	stateRecv                   // parked on an empty route
-	stateColl                   // parked at a world collective
-	stateDone                   // body returned (or unwound)
+	stateReady rankState = iota // queued, playing, or not yet started
+	stateRecv                   // blocked on an empty route
+	stateColl                   // blocked at a world collective
+	stateDone                   // body returned and every op played
 )
 
 // runQueue is the FIFO of runnable rank ids: a ring of capacity p. That
-// suffices because a rank is queued at most once — only a parked rank is
-// pushed, and it cannot park again until the loop has popped and run it.
+// suffices because a rank is queued at most once — only a blocked rank
+// is pushed, and it cannot block again until the loop has popped and
+// played it.
 type runQueue struct {
 	ids     []int
 	head, n int
@@ -89,19 +102,21 @@ func (q *runQueue) pop() int {
 	return i
 }
 
-// coroutine is one rank body suspended between dispatches: next resumes
-// it until it parks or returns, stop unwinds it, and yield — held by the
-// body's own side — suspends it. next is nil until the first dispatch.
+// coroutine is one rank body suspended until its queue drains: next
+// resumes it until it waits or returns, stop unwinds it, and yield —
+// held by the body's own side — suspends it. next is nil until the first
+// dispatch; returned is set once the body has returned or unwound.
 type coroutine struct {
-	next  func() (struct{}, bool)
-	stop  func()
-	yield func(struct{}) bool
+	next     func() (struct{}, bool)
+	stop     func()
+	yield    func(struct{}) bool
+	returned bool
 }
 
 // msgQueue is a FIFO of in-flight messages on one (src, dst, tag) route.
 // Head-index draining keeps pops O(1); the backing array is reused once
 // the queue empties. waiting marks the route's (single) receiver as
-// parked on it — routes are single-reader, so a flag replaces a map.
+// blocked on it — routes are single-reader, so a flag replaces a map.
 type msgQueue struct {
 	q       []message
 	head    int
@@ -154,39 +169,48 @@ func routeKey(src, tag int) uint64 {
 	return uint64(uint32(src))<<32 | uint64(uint32(tag))
 }
 
-// engineKilled unwinds a parked rank's coroutine when a stalled job is
+// engineKilled unwinds a waiting body's coroutine when a stalled job is
 // aborted; the runner recognises it and returns without recording an
 // error.
 type engineKilled struct{}
 
 // eventEngine is the per-job state of the discrete-event engine. Only
-// the running coroutine or the dispatch loop touches it, and a coroutine
-// switch hands the thread over directly — the two never run at once — so
-// it needs no locks.
+// the loop or the running body touches it, and a coroutine switch hands
+// the thread over directly — the two never run at once — so it needs no
+// locks.
 type eventEngine struct {
 	j     *job
 	ranks []*Rank
 	body  func(*Rank) error
 
 	// Dispatch: co[i] is rank i's coroutine; ready holds the ranks the
-	// loop resumes next, in the order they became runnable.
-	co    []coroutine
-	state []rankState
-	ready runQueue
+	// loop plays next, in the order they became runnable. resumes counts
+	// coroutine resumes.
+	co      []coroutine
+	state   []rankState
+	ready   runQueue
+	resumes int
+
+	// Queue storage: the pooled slab the ranks' queues live in, and each
+	// rank's halo-slot count.
+	slab    *queueSlab
+	haloCap int
 
 	// Point-to-point routing: per-receiver route tables keyed on
 	// (src, tag), so each table stays small and cache-resident at any
 	// rank count, and every lookup is an integer-keyed fast path. A
-	// parked receiver is marked in the queue itself (routes are
+	// blocked receiver is marked in the queue itself (routes are
 	// single-reader, and the reader's identity is the table index).
 	routes []map[uint64]*msgQueue
 	arena  queueArena
 
-	// World-collective rendezvous: per-rank arguments, and the count of
-	// ranks parked in the current collective.
-	collArgs []collArgs
+	// World-collective rendezvous: the count of ranks blocked at the
+	// current collective, and its kind. args[i] is a copy of rank i's
+	// arrival op, so the executor reads every rank's arguments from one
+	// array.
 	collIn   int
-	collKind collKind
+	collKind opKind
+	args     []rankOp
 
 	// Scratch for the batched collective executor (collective_batch.go);
 	// allocated once at first use, reused for every collective. sent and
@@ -203,36 +227,47 @@ type eventEngine struct {
 }
 
 // runEventLoop executes body on every rank (see runRanks). It is the one
-// dispatch loop: it pops the next runnable rank, starts its coroutine on
-// the first dispatch, and resumes it until it parks or returns. If ranks
+// dispatch loop: it pops the next runnable rank and plays it. If ranks
 // remain unfinished when nothing is runnable, the job has stalled and is
-// aborted.
+// aborted. The queues are emptied before it returns, so Now and Stats
+// never wait afterwards, and their storage goes back to the pool.
 func runEventLoop(j *job, ranks []*Rank, body func(*Rank) error) error {
 	p := len(ranks)
+	w := queueWindow(p)
 	e := &eventEngine{
-		j:        j,
-		ranks:    ranks,
-		body:     body,
-		co:       make([]coroutine, p),
-		state:    make([]rankState, p),
-		ready:    runQueue{ids: make([]int, p)},
-		routes:   make([]map[uint64]*msgQueue, p),
-		collArgs: make([]collArgs, p),
-		errs:     make([]error, p),
+		j:       j,
+		ranks:   ranks,
+		body:    body,
+		co:      make([]coroutine, p),
+		state:   make([]rankState, p),
+		ready:   runQueue{ids: make([]int, p)},
+		routes:  make([]map[uint64]*msgQueue, p),
+		errs:    make([]error, p),
+		slab:    slabs.Get().(*queueSlab),
+		haloCap: max(w, minHaloSlots),
 	}
+	e.slab.ops = grown(e.slab.ops, p*w)
+	e.slab.args = grown(e.slab.args, p)
+	e.args = e.slab.args
 	for i, r := range ranks {
 		r.eng = e
+		r.q.ops = e.slab.ops[i*w : i*w : (i+1)*w]
 		e.ready.push(i)
 	}
 	for e.ready.n > 0 {
-		i := e.ready.pop()
-		c := &e.co[i]
-		if c.next == nil {
-			c.next, c.stop = iter.Pull(e.runner(ranks[i]))
-		}
-		c.next()
+		e.play(e.ready.pop())
 	}
-	if e.done < p {
+	err := e.finish()
+	for _, r := range ranks {
+		r.q = opQueue{}
+	}
+	slabs.Put(e.slab)
+	return err
+}
+
+// finish returns the job's error: the first rank's, or a stall's.
+func (e *eventEngine) finish() error {
+	if e.done < len(e.ranks) {
 		return e.abort()
 	}
 	for _, err := range e.errs {
@@ -243,27 +278,101 @@ func runEventLoop(j *job, ranks []*Rank, body func(*Rank) error) error {
 	return nil
 }
 
-// push queues parked rank i to run.
+// haloSlots returns rank id's halo slots, taking the job's halo slab at
+// its first exchange.
+func (e *eventEngine) haloSlots(id int) []Halo {
+	h := e.haloCap
+	if n := len(e.ranks) * h; len(e.slab.halos) != n {
+		e.slab.halos = grown(e.slab.halos, n)
+	}
+	return e.slab.halos[id*h : id*h : (id+1)*h]
+}
+
+// push queues blocked rank i to play.
 func (e *eventEngine) push(i int) {
 	e.state[i] = stateReady
 	e.ready.push(i)
 }
 
+// play plays rank i: its queued ops in program order, resuming its body
+// whenever they run out, until i blocks or its body has returned and
+// every op has played. A panic while playing an op becomes i's error,
+// with the text the same panic in the body would give; i then never
+// plays again.
+func (e *eventEngine) play(i int) {
+	defer e.recoverPlay(i)
+	r := e.ranks[i]
+	q := &r.q
+	c := &e.co[i]
+	for {
+		for q.head < len(q.ops) {
+			if !e.exec(r, &q.ops[q.head]) {
+				return
+			}
+			q.head++
+		}
+		if c.returned {
+			e.state[i] = stateDone
+			e.done++
+			return
+		}
+		q.reset()
+		if c.next == nil {
+			c.next, c.stop = iter.Pull(e.runner(r))
+		}
+		e.resumes++
+		c.next()
+	}
+}
+
+// recoverPlay turns a panic in rank i's play into i's error.
+func (e *eventEngine) recoverPlay(i int) {
+	if p := recover(); p != nil {
+		e.errs[i] = fmt.Errorf("rank %d panicked: %v", i, p)
+	}
+}
+
+// exec plays one op of r. It reports false if r blocks on it; the op
+// then stays at the head of r's queue.
+func (e *eventEngine) exec(r *Rank, o *rankOp) bool {
+	switch o.kind {
+	case opCompute:
+		r.compute(o.profile())
+	case opElapse:
+		r.elapse(units.Duration(o.n))
+	case opSend:
+		var data []float64
+		if o.side > 0 {
+			data = r.side(o).floats
+		}
+		e.post(r.id, o.a, o.b, r.sendFloatsCore(o.a, o.b, data, units.Bytes(o.n)))
+	case opRecv:
+		return e.recv(r, o.a, o.b)
+	case opRegion:
+		r.region(r.side(o).name)
+	case opEndRegion:
+		r.endRegion()
+	default:
+		return e.arrive(r, o)
+	}
+	return true
+}
+
 // runner is rank r's coroutine body. It recovers every panic — from the
-// body, from a batched collective this rank executed, or the
-// engineKilled that unwinds it on abort — so next never re-panics on the
-// loop; any panic but engineKilled becomes the rank's error.
+// body, or the engineKilled that unwinds it on abort — so next never
+// re-panics on the loop; any panic but engineKilled becomes the rank's
+// error.
 func (e *eventEngine) runner(r *Rank) iter.Seq[struct{}] {
 	return func(yield func(struct{}) bool) {
-		e.co[r.id].yield = yield
+		c := &e.co[r.id]
+		c.yield = yield
 		defer func() {
 			if p := recover(); p != nil {
 				if _, killed := p.(engineKilled); !killed {
 					e.errs[r.id] = fmt.Errorf("rank %d panicked: %v", r.id, p)
 				}
 			}
-			e.state[r.id] = stateDone
-			e.done++
+			c.returned = true
 		}()
 		if err := e.body(r); err != nil {
 			e.errs[r.id] = err
@@ -271,11 +380,11 @@ func (e *eventEngine) runner(r *Rank) iter.Seq[struct{}] {
 	}
 }
 
-// park suspends r's coroutine, returning to the loop, until the loop
-// resumes it. If the loop stops the coroutine instead (abort), yield
-// returns false and park unwinds the rank. Must be called on r's own
-// coroutine, after recording where r waits.
-func (e *eventEngine) park(r *Rank) {
+// wait suspends r's body, returning to the loop, until the loop has
+// played r's queue empty and resumes it. If the loop stops the
+// coroutine instead (abort), yield returns false and wait unwinds the
+// body. Must be called on r's own coroutine.
+func (e *eventEngine) wait(r *Rank) {
 	if !e.co[r.id].yield(struct{}{}) {
 		panic(engineKilled{})
 	}
@@ -298,7 +407,7 @@ func (e *eventEngine) route(src, dst, tag int) *msgQueue {
 }
 
 // post delivers a sent message. Sends never block; if the route's
-// receiver is parked on it, the receiver becomes runnable.
+// receiver is blocked on it, the receiver becomes runnable.
 func (e *eventEngine) post(src, dst, tag int, m message) {
 	q := e.route(src, dst, tag)
 	q.push(m)
@@ -308,65 +417,63 @@ func (e *eventEngine) post(src, dst, tag int, m message) {
 	}
 }
 
-// await returns the next message sent src→r with tag, parking the rank
-// if none is pending yet. A route has a single reader, so at most one
-// rank ever waits on it.
-func (e *eventEngine) await(r *Rank, src, tag int) message {
+// recv plays r's receive of the next message sent src→r with tag,
+// keeping its payload for RecvFloats. If none is pending yet, r blocks
+// on the route; a route has a single reader, so at most one rank ever
+// waits on it.
+func (e *eventEngine) recv(r *Rank, src, tag int) bool {
+	if src < 0 || src >= r.size {
+		panic(fmt.Sprintf("simmpi: recv from invalid rank %d (size %d)", src, r.size))
+	}
 	q := e.route(src, r.id, tag)
 	if q.empty() {
 		e.state[r.id] = stateRecv
 		q.waiting = true
-		e.park(r)
+		return false
 	}
-	return q.pop()
+	r.got = r.recvFloatsCore(q.pop(), src, tag)
+	return true
 }
 
-// collSlot opens r's arrival at a world collective of the given kind and
-// returns r's argument slot, which the caller fills in place before
-// calling collective.
-func (e *eventEngine) collSlot(r *Rank, kind collKind) *collArgs {
+// arrive plays r's arrival at the world collective o. If ranks are
+// still missing, r blocks there. The arrival that completes the
+// collective runs its batched executor over every rank's arguments, and
+// then every other rank moves past the collective and becomes runnable,
+// in rank order.
+// collIn is reset first, so if the executor panics (an unmatched halo, a
+// peer outside the job) the panic is the completing rank's error and the
+// job stalls instead of running the collective again.
+func (e *eventEngine) arrive(r *Rank, o *rankOp) bool {
+	kind := o.kind
 	if e.collIn == 0 {
 		e.collKind = kind
 	} else if kind != e.collKind {
 		panic(fmt.Sprintf("simmpi: collective mismatch: rank %d entered %s while others are in %s",
 			r.id, kind, e.collKind))
 	}
-	return &e.collArgs[r.id]
-}
-
-// collective parks r at the world collective its slot names until all
-// ranks have arrived and the batched executor has run; results land in
-// the buffers the slot points at. The last arriver runs the executor on
-// its own coroutine before parking, so an executor panic (an unmatched
-// halo, a peer outside the job) becomes that rank's error.
-func (e *eventEngine) collective(r *Rank) {
+	e.args[r.id] = *o
 	e.collIn++
-	e.state[r.id] = stateColl
-	if e.collIn == len(e.ranks) {
-		e.runCollective()
+	if e.collIn < len(e.ranks) {
+		e.state[r.id] = stateColl
+		return false
 	}
-	e.park(r)
-}
-
-// runCollective fires once every rank has parked at the same world
-// collective: the batched executor replays each rank's exact message
-// sequence, then every rank becomes runnable, in rank order. collIn is
-// reset first, so if the executor panics the job stalls with the
-// arriver's error instead of running the collective again.
-func (e *eventEngine) runCollective() {
 	e.collIn = 0
-	runBatched(e, e.collKind, e.collArgs)
-	for i := range e.ranks {
-		e.collArgs[i] = collArgs{}
-		e.push(i)
+	runBatched(e, kind)
+	for i, rr := range e.ranks {
+		if rr != r {
+			rr.q.head++
+			e.push(i)
+		}
 	}
+	return true
 }
 
 // abort reports why the job stalled — a rank's error if one occurred,
-// otherwise a deadlock diagnosis — and unwinds every parked coroutine so
-// nothing leaks: a job that can never finish returns an error instead of
-// hanging. Stopping a coroutine makes its pending yield return false, so
-// park panics with engineKilled and the runner returns.
+// otherwise a deadlock diagnosis — and unwinds every coroutine whose
+// body has not returned, so nothing leaks: a job that can never finish
+// returns an error instead of hanging. Stopping a coroutine makes its
+// pending yield return false, so wait panics with engineKilled and the
+// runner returns.
 func (e *eventEngine) abort() error {
 	var err error
 	for _, rerr := range e.errs {
@@ -385,8 +492,8 @@ func (e *eventEngine) abort() error {
 		err = fmt.Errorf("simmpi: event engine deadlock: %d/%d ranks finished, %d parked in a collective, %d on recv",
 			e.done, len(e.ranks), e.collIn, inRecv)
 	}
-	for i, c := range e.co {
-		if c.stop != nil && e.state[i] != stateDone {
+	for i := range e.co {
+		if c := &e.co[i]; c.stop != nil && !c.returned {
 			c.stop()
 		}
 	}

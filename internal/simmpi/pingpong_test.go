@@ -95,7 +95,7 @@ func TestCollectiveAllocGuard(t *testing.T) {
 		{"Allreduce", func(r *Rank, iters int) {
 			buf := make([]float64, 8)
 			for i := 0; i < iters; i++ {
-				r.Allreduce(buf, OpSum)
+				r.AllreduceFloats(buf, OpSum)
 			}
 		}},
 		{"AllreduceScalar", func(r *Rank, iters int) {

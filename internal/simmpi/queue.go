@@ -1,0 +1,213 @@
+package simmpi
+
+// The rank operation queue. A rank body does not execute its operations:
+// it queues them, in program order, and runs ahead until its queue is
+// full, until it needs a value (Now, Stats, RecvFloats, AllreduceFloats,
+// Allgather), or until it returns. The dispatch loop (event.go) plays
+// each rank's queue with the same code the operations always ran —
+// Compute's pricing, sendFloatsCore/recvFloatsCore and the route queues,
+// the batched collective executors — and resumes the rank's coroutine
+// only once its queue has drained. Every piece of rank state (clock,
+// PMU, Stats, noise sequence, congestion flow log, trace log and region
+// stack) therefore changes only when one of its ops is played, in the
+// rank's program order, exactly as if the body had run each operation
+// where it stands.
+//
+// Storage. A job's queues share one slab of p·w ops, w being the window
+// (queueWindow): at most 2^14 ops of 40 bytes, 640 KiB, for any job of
+// up to 4,096 ranks, and 4 ops per rank beyond. A halo exchange's list
+// is copied into the rank's halo slots, one per op and at least eight,
+// from a second slab the job takes at its first NeighborExchange: at
+// most 2^14 slots of 32 bytes, 512 KiB, up to 2,048 ranks, and 8 per
+// rank beyond. An
+// exchange with more halos than a rank has slots gets a slice of its
+// own. The slabs come from a sync.Pool, so a sweep's jobs reuse them
+// instead of allocating their own. Payloads, reduction buffers and
+// region names sit in a per-rank side list that only the payload API
+// and traced regions use.
+
+import (
+	"fmt"
+	"sync"
+
+	"a64fxbench/internal/perfmodel"
+	"a64fxbench/internal/units"
+)
+
+// opKind names a queued operation. The world collectives come last; a
+// collective mismatch names them by String.
+type opKind uint8
+
+const (
+	opCompute opKind = iota
+	opElapse
+	opSend
+	opRecv
+	opRegion
+	opEndRegion
+	opBarrier
+	opAllreduce
+	opAllgather
+	opAlltoall
+	opNeighbor
+)
+
+func (k opKind) String() string {
+	switch k {
+	case opBarrier:
+		return "Barrier"
+	case opAllreduce:
+		return "Allreduce"
+	case opAllgather:
+		return "Allgather"
+	case opAlltoall:
+		return "Alltoall"
+	case opNeighbor:
+		return "NeighborExchange"
+	}
+	return fmt.Sprintf("opKind(%d)", int(k))
+}
+
+// rankOp is one queued operation, 40 bytes. Its fields carry its kind's
+// arguments:
+//
+//	opCompute    the profile, inline: class in a, calls in b, bytes in n, flops in f
+//	opElapse     the duration in n
+//	opSend       destination in a, tag in b, wire bytes in n, a payload in side
+//	opRecv       source in a, tag in b
+//	opRegion     the name in side
+//	opAllreduce  wire bytes in n, a buffer and operator in side
+//	opAllgather  the contribution and output in side
+//	opAlltoall   wire bytes in n
+//	opNeighbor   the first of the rank's halo slots in a, their count in b
+type rankOp struct {
+	kind opKind
+	side int32 // 1 + the index of the op's side-list entry; 0 for none
+	a, b int
+	n    int64
+	f    units.Flops
+}
+
+// profile returns a compute op's work profile.
+func (o *rankOp) profile() perfmodel.WorkProfile {
+	return perfmodel.WorkProfile{
+		Class: perfmodel.KernelClass(o.a), Flops: o.f,
+		Bytes: units.Bytes(o.n), Calls: int64(o.b),
+	}
+}
+
+// sideArg is what a payload op carries beyond its rankOp.
+type sideArg struct {
+	floats []float64 // SendFloats payload, AllreduceFloats buffer, Allgather contribution
+	out    []float64 // Allgather output
+	op     Op        // AllreduceFloats operator
+	name   string    // Region name
+}
+
+// opQueue is a rank's pending operations, in program order: ops[head:]
+// are still to play. The body appends and the loop plays; the loop
+// empties the queue before it resumes the body, so the body always
+// appends to a queue the loop is not reading.
+type opQueue struct {
+	ops   []rankOp // cap is the window
+	head  int
+	halos []Halo    // halo lists of the queued exchanges; nil until the rank's first
+	side  []sideArg // side-list entries of the queued ops
+}
+
+// pending reports whether any queued op has not been played.
+func (q *opQueue) pending() bool { return q.head < len(q.ops) }
+
+// reset empties a drained queue for the body to fill again.
+func (q *opQueue) reset() {
+	q.ops = q.ops[:0]
+	q.head = 0
+	q.halos = q.halos[:0]
+	if len(q.side) > 0 {
+		clear(q.side)
+		q.side = q.side[:0]
+	}
+}
+
+// Queue sizing: a job's queues hold at most max(slabOps, minWindow·p)
+// ops and max(slabOps, minHaloSlots·p) halos.
+const (
+	slabOps   = 1 << 14
+	minWindow = 4
+	maxWindow = 64
+	// minHaloSlots is the fewest halo slots a rank gets, so that a 3D
+	// six-face exchange fits even in a window of four ops.
+	minHaloSlots = 8
+)
+
+// queueWindow is how many ops a rank of a p-rank job queues before it
+// waits for the loop to play them: clamp(2^14/p, 4, 64).
+func queueWindow(p int) int {
+	return min(max(slabOps/p, minWindow), maxWindow)
+}
+
+// queueSlab is the storage behind a job's queues and collective
+// arguments; it holds no pointers.
+type queueSlab struct {
+	ops   []rankOp
+	halos []Halo
+	args  []rankOp
+}
+
+// slabs recycles queue storage across jobs.
+var slabs = sync.Pool{New: func() any { return new(queueSlab) }}
+
+// grown returns s with room for n elements, reusing s when it has it.
+func grown[T any](s []T, n int) []T {
+	if cap(s) < n {
+		return make([]T, n)
+	}
+	return s[:n]
+}
+
+// push queues o, waiting first for the loop to play the queue empty if
+// it is full.
+func (r *Rank) push(o rankOp) {
+	if len(r.q.ops) == cap(r.q.ops) {
+		r.eng.wait(r)
+	}
+	r.q.ops = append(r.q.ops, o)
+}
+
+// pushSide queues o with its side-list entry s.
+func (r *Rank) pushSide(o rankOp, s sideArg) {
+	if len(r.q.ops) == cap(r.q.ops) {
+		r.eng.wait(r)
+	}
+	r.q.side = append(r.q.side, s)
+	o.side = int32(len(r.q.side))
+	r.q.ops = append(r.q.ops, o)
+}
+
+// side returns o's side-list entry; o must have one.
+func (r *Rank) side(o *rankOp) *sideArg { return &r.q.side[o.side-1] }
+
+// pushHalos queues a halo exchange, copying its list into r's halo
+// slots. If the queue is full or the slots cannot take the list, it
+// waits for the loop to play the queue empty first; a list longer than
+// all of r's slots then grows them into a slice of its own.
+func (r *Rank) pushHalos(halos []Halo) {
+	q := &r.q
+	if q.halos == nil {
+		q.halos = r.eng.haloSlots(r.id)
+	}
+	if len(q.ops) == cap(q.ops) || len(q.halos)+len(halos) > cap(q.halos) {
+		r.sync()
+	}
+	first := len(q.halos)
+	q.halos = append(q.halos, halos...)
+	q.ops = append(q.ops, rankOp{kind: opNeighbor, a: first, b: len(halos)})
+}
+
+// sync waits until the loop has played every op r queued. It never
+// waits once Run has returned: the queues are empty then.
+func (r *Rank) sync() {
+	if r.q.pending() {
+		r.eng.wait(r)
+	}
+}

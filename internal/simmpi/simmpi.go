@@ -1,8 +1,11 @@
 // Package simmpi is a message-passing runtime for simulated parallel
-// jobs: MPI rank bodies run as coroutines that one single-threaded
-// discrete-event loop resumes in FIFO order (event.go), real data moves
-// between them as messages, and every operation is priced in virtual
-// time by the perfmodel (compute) and netmodel (communication) packages.
+// jobs: MPI rank bodies run as coroutines that queue their operations
+// (queue.go), one single-threaded discrete-event loop plays each rank's
+// queue in program order and resumes the rank once it has drained
+// (event.go), and every operation is priced in virtual time by the
+// perfmodel (compute) and netmodel (communication) packages when it is
+// played. A body waits only for a value — Now, Stats, RecvFloats,
+// AllreduceFloats, Allgather — or for room in its queue.
 //
 // The design keeps the classic MPI shape — ranks, tags, point-to-point
 // sends and receives, and collectives — so the benchmark codes read like
@@ -11,7 +14,7 @@
 // max(receiver clock, message availability), where availability is the
 // sender's clock at the send plus the fabric's transfer cost.
 //
-// World collectives run as one batched event once every rank has
+// World collectives run as one batched event once every rank's play has
 // arrived (collective_batch.go). Each rank still performs the exact
 // per-rank message sequence of a real algorithm (dissemination barrier,
 // recursive-doubling allreduce, ring allgather, pairwise all-to-all), so
@@ -178,15 +181,15 @@ type Rank struct {
 	scalar [1]float64
 	// sendBuf is the batched executor's reusable copy of what this rank
 	// sends from a buffer that folds overwrite (eventEngine.sendCopy). It
-	// starts on sendInline, so scalar reductions — every reduction the
-	// applications issue — never allocate one.
+	// starts on sendInline, so scalar reductions never allocate one.
 	sendBuf    []float64
 	sendInline [1]float64
-	// halos is NeighborExchange's copy of the caller's halo list, reused
-	// so the caller's list never escapes to the heap. It starts on
-	// haloInline, which holds a 3D face exchange's six halos.
-	halos      []Halo
-	haloInline [6]Halo
+
+	// q holds the operations the body queued and the loop has not
+	// played yet (queue.go); got is the payload the last played receive
+	// returned, for RecvFloats.
+	q   opQueue
+	got []float64
 
 	// Congestion-replay state (see congested.go): flows is the recording
 	// pass's log of this rank's inter-node sends, in program order;
@@ -204,15 +207,29 @@ func (r *Rank) Size() int { return r.size }
 // Node returns the node index this rank is placed on.
 func (r *Rank) Node() int { return r.node }
 
-// Now returns the rank's current virtual time.
-func (r *Rank) Now() vclock.Time { return r.clock.Now() }
+// Now returns the rank's virtual time once every operation it issued
+// before the call has been played.
+func (r *Rank) Now() vclock.Time {
+	r.sync()
+	return r.clock.Now()
+}
 
-// Stats returns a copy of the rank's accumulated statistics.
-func (r *Rank) Stats() Stats { return r.stats }
+// Stats returns a copy of the rank's accumulated statistics, including
+// every operation it issued before the call.
+func (r *Rank) Stats() Stats {
+	r.sync()
+	return r.stats
+}
 
 // Compute executes a metered kernel phase: the rank's clock advances by
 // the modelled phase time.
 func (r *Rank) Compute(w perfmodel.WorkProfile) {
+	r.push(rankOp{kind: opCompute, a: int(w.Class), b: int(w.Calls), n: int64(w.Bytes), f: w.Flops})
+}
+
+// compute plays a compute phase: it prices the phase, draws noise, and
+// updates the clock, PMU, statistics and trace.
+func (r *Rank) compute(w perfmodel.WorkProfile) {
 	var d units.Duration
 	ecm := r.job.cfg.Model == perfmodel.ModelECM
 	switch {
@@ -300,6 +317,11 @@ func splitmix64(z uint64) uint64 {
 // Elapse advances the rank's clock by a fixed duration (setup phases,
 // modelled I/O, etc.).
 func (r *Rank) Elapse(d units.Duration) {
+	r.push(rankOp{kind: opElapse, n: int64(d)})
+}
+
+// elapse plays an Elapse.
+func (r *Rank) elapse(d units.Duration) {
 	r.clock.Advance(d)
 	if r.pmu != nil {
 		r.pmu.AddTime(metrics.TimeOther, d)
@@ -372,37 +394,34 @@ func (r *Rank) recvFloatsCore(m message, src, tag int) []float64 {
 	return m.floats
 }
 
-// fetch blocks until a message from src with the given tag is matched.
-func (r *Rank) fetch(src, tag int) message {
-	if src < 0 || src >= r.size {
-		panic(fmt.Sprintf("simmpi: recv from invalid rank %d (size %d)", src, r.size))
-	}
-	return r.eng.await(r, src, tag)
-}
-
 // Send transmits a bytes-only message of the modelled wire size to rank
 // dst with the given tag (callers know their datatype sizes). Sends are
 // eager: Send never blocks.
 func (r *Rank) Send(dst, tag int, bytes units.Bytes) {
-	r.eng.post(r.id, dst, tag, r.sendFloatsCore(dst, tag, nil, bytes))
+	r.push(rankOp{kind: opSend, a: dst, b: tag, n: int64(bytes)})
 }
 
-// Recv blocks until a message from src with the given tag arrives and
-// advances virtual time to its availability.
+// Recv receives the next message from src with the given tag: virtual
+// time advances to its availability. The body does not wait for it.
 func (r *Rank) Recv(src, tag int) {
-	r.recvFloatsCore(r.fetch(src, tag), src, tag)
+	r.push(rankOp{kind: opRecv, a: src, b: tag})
 }
 
 // SendFloats sends a float64 slice (8 bytes per element on the wire).
 // The slice's ownership passes to the receiver; senders must not mutate
 // it afterwards.
 func (r *Rank) SendFloats(dst, tag int, data []float64) {
-	r.eng.post(r.id, dst, tag, r.sendFloatsCore(dst, tag, data, units.Bytes(8*len(data))))
+	r.pushSide(rankOp{kind: opSend, a: dst, b: tag, n: int64(8 * len(data))}, sideArg{floats: data})
 }
 
-// RecvFloats receives a float64 slice sent with SendFloats.
+// RecvFloats receives a float64 slice sent with SendFloats, waiting
+// until the receive has been played.
 func (r *Rank) RecvFloats(src, tag int) []float64 {
-	return r.recvFloatsCore(r.fetch(src, tag), src, tag)
+	r.Recv(src, tag)
+	r.sync()
+	got := r.got
+	r.got = nil
+	return got
 }
 
 // Internal tags for collectives live far above user tags.
@@ -423,11 +442,12 @@ func (r *Rank) collEnd(c metrics.Collective, start vclock.Time) {
 	}
 }
 
-// Barrier synchronises all ranks with a dissemination barrier.
+// Barrier synchronises all ranks with a dissemination barrier. The body
+// does not wait for it; Now after a Barrier reads the time the rank left
+// it.
 func (r *Rank) Barrier() {
 	if r.size > 1 {
-		r.eng.collSlot(r, collBarrier)
-		r.eng.collective(r)
+		r.push(rankOp{kind: opBarrier})
 	}
 }
 
@@ -441,21 +461,30 @@ var (
 	OpMin Op = math.Min
 )
 
-// Allreduce combines buf element-wise across all ranks with op, leaving
-// the result in buf on every rank. It uses recursive doubling with the
-// standard pre/post folding for non-power-of-two sizes.
-func (r *Rank) Allreduce(buf []float64, op Op) {
+// Allreduce is a reduction of a bytes-only operand of the given wire
+// size across all ranks: it sends the messages of recursive doubling
+// with the standard pre/post folding for non-power-of-two sizes, and
+// carries no values. The body does not wait for it.
+func (r *Rank) Allreduce(bytes units.Bytes) {
 	if r.size > 1 {
-		a := r.eng.collSlot(r, collAllreduce)
-		a.buf, a.op = buf, op
-		r.eng.collective(r)
+		r.push(rankOp{kind: opAllreduce, n: int64(bytes)})
+	}
+}
+
+// AllreduceFloats combines buf element-wise across all ranks with op,
+// leaving the result in buf on every rank, through the same messages as
+// Allreduce(8·len(buf)). It returns once the reduction has been played.
+func (r *Rank) AllreduceFloats(buf []float64, op Op) {
+	if r.size > 1 {
+		r.pushSide(rankOp{kind: opAllreduce, n: int64(8 * len(buf))}, sideArg{floats: buf, op: op})
+		r.sync()
 	}
 }
 
 // AllreduceScalar reduces a single value across ranks.
 func (r *Rank) AllreduceScalar(v float64, op Op) float64 {
 	r.scalar[0] = v
-	r.Allreduce(r.scalar[:], op)
+	r.AllreduceFloats(r.scalar[:], op)
 	return r.scalar[0]
 }
 
@@ -468,19 +497,18 @@ func (r *Rank) Allgather(contrib []float64) []float64 {
 	if r.size == 1 {
 		return out
 	}
-	a := r.eng.collSlot(r, collAllgather)
-	a.buf, a.out = contrib, out
-	r.eng.collective(r)
+	r.pushSide(rankOp{kind: opAllgather}, sideArg{floats: contrib, out: out})
+	r.sync()
 	return out
 }
 
 // Alltoall performs a pairwise-exchange all-to-all of bytes-only
 // messages: this rank sends a message of the given wire size to every
 // other rank and receives one from each. Ranks may pass different sizes.
+// The body does not wait for it.
 func (r *Rank) Alltoall(bytes units.Bytes) {
 	if r.size > 1 {
-		r.eng.collSlot(r, collAlltoall).bytes = bytes
-		r.eng.collective(r)
+		r.push(rankOp{kind: opAlltoall, n: int64(bytes)})
 	}
 }
 
@@ -501,12 +529,10 @@ type Halo struct {
 // one exchange, never against point-to-point traffic, and a message no
 // halo receives is dropped; a receive nothing matches, or a peer outside
 // [0, Size), fails the job. Halo time is not collective time: it stays
-// out of the PMU's collective counters.
+// out of the PMU's collective counters. The list is copied, so the
+// caller may reuse it at once; the body does not wait for the exchange.
 func (r *Rank) NeighborExchange(halos []Halo) {
-	a := r.eng.collSlot(r, collNeighbor)
-	r.halos = append(r.halos[:0], halos...)
-	a.halos = r.halos
-	r.eng.collective(r)
+	r.pushHalos(halos)
 }
 
 // RankResult captures one rank's final accounting.
@@ -555,8 +581,10 @@ func (rep Report) GFLOPs() float64 {
 func (rep Report) Seconds() float64 { return rep.Makespan.Seconds() }
 
 // Run executes body on every rank of the configured job and returns the
-// aggregated report. The first non-nil error from any rank aborts the
-// report (every parked rank is still unwound, so nothing leaks).
+// aggregated report. The first non-nil error from any rank — returned by
+// its body, or a panic in its body or while one of its operations was
+// played — aborts the report (every waiting body is still unwound, so
+// nothing leaks).
 func Run(cfg JobConfig, body func(*Rank) error) (Report, error) {
 	label := cfg.Label
 	if label == "" {
@@ -609,7 +637,7 @@ func Run(cfg JobConfig, body func(*Rank) error) (Report, error) {
 			Finish: r.clock.Now(),
 			Busy:   r.clock.BusyTime(),
 			Wait:   r.clock.WaitTime(),
-			Stats:  r.Stats(),
+			Stats:  r.stats,
 		}
 		rep.Ranks[i] = res
 		if units.Duration(res.Finish) > rep.Makespan {
@@ -679,7 +707,6 @@ func runRanks(cfg JobConfig, body func(*Rank) error, cs *congestState) ([]*Rank,
 		r.id, r.size, r.node = i, cfg.Procs, i/perNode
 		r.job = j
 		r.sendBuf = r.sendInline[:0]
-		r.halos = r.haloInline[:0]
 		if cfg.Counters != nil {
 			r.pmu = metrics.NewRankPMU(*cfg.Counters, cfg.Procs)
 		}

@@ -239,7 +239,7 @@ func TestAllreduceSum(t *testing.T) {
 			}
 			_, err := Run(cfg(p, nodes), func(r *Rank) error {
 				buf := []float64{float64(r.ID() + 1), 1}
-				r.Allreduce(buf, OpSum)
+				r.AllreduceFloats(buf, OpSum)
 				wantSum := float64(p*(p+1)) / 2
 				if buf[0] != wantSum || buf[1] != float64(p) {
 					return fmt.Errorf("rank %d got %v, want [%v %v]", r.ID(), buf, wantSum, p)

@@ -233,20 +233,28 @@ type regionFrame struct {
 // is a complete no-op — annotations cost nothing in untraced runs and
 // never touch the virtual clock or statistics.
 func (r *Rank) Region(name string) {
-	if !r.traced() {
-		return
+	if r.traced() {
+		r.pushSide(rankOp{kind: opRegion}, sideArg{name: name})
 	}
+}
+
+// EndRegion closes the innermost open region. No-op when tracing is off;
+// an unmatched EndRegion in a traced run fails the job.
+func (r *Rank) EndRegion() {
+	if r.traced() {
+		r.push(rankOp{kind: opEndRegion})
+	}
+}
+
+// region plays a Region: it opens the frame at the rank's clock.
+func (r *Rank) region(name string) {
 	now := r.clock.Now()
 	r.regions = append(r.regions, regionFrame{name: name, start: now})
 	r.record(Event{Kind: EvRegionBegin, Start: now, Name: name, Peer: -1})
 }
 
-// EndRegion closes the innermost open region. No-op when tracing is off;
-// panics on an unmatched EndRegion in a traced run.
-func (r *Rank) EndRegion() {
-	if !r.traced() {
-		return
-	}
+// endRegion plays an EndRegion; it panics if no region is open.
+func (r *Rank) endRegion() {
 	if len(r.regions) == 0 {
 		panic("simmpi: EndRegion without a matching Region")
 	}
@@ -263,6 +271,6 @@ func (r *Rank) EndRegion() {
 // closeRegions force-closes any regions a body left open at job end.
 func (r *Rank) closeRegions() {
 	for len(r.regions) > 0 {
-		r.EndRegion()
+		r.endRegion()
 	}
 }

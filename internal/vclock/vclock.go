@@ -14,7 +14,6 @@ package vclock
 
 import (
 	"fmt"
-	"sync"
 
 	"a64fxbench/internal/units"
 )
@@ -52,9 +51,6 @@ type Clock struct {
 	wait units.Duration
 }
 
-// NewClock returns a clock at virtual time zero.
-func NewClock() *Clock { return &Clock{} }
-
 // Now returns the current virtual time.
 func (c *Clock) Now() Time { return c.now }
 
@@ -84,52 +80,3 @@ func (c *Clock) BusyTime() units.Duration { return c.busy }
 
 // WaitTime reports cumulative communication-wait time.
 func (c *Clock) WaitTime() units.Duration { return c.wait }
-
-// Reset returns the clock to time zero and clears the accumulators.
-func (c *Clock) Reset() { *c = Clock{} }
-
-// Frontier tracks the maximum virtual time observed across a set of ranks.
-// It is safe for concurrent use; ranks report their finish times as they
-// complete, and the caller reads the overall makespan afterwards.
-type Frontier struct {
-	mu  sync.Mutex
-	max Time
-	n   int
-	sum float64
-}
-
-// Observe records a rank's finishing time.
-func (f *Frontier) Observe(t Time) {
-	f.mu.Lock()
-	defer f.mu.Unlock()
-	if t > f.max {
-		f.max = t
-	}
-	f.n++
-	f.sum += t.Seconds()
-}
-
-// Makespan returns the latest observed time — the simulated job duration.
-func (f *Frontier) Makespan() Time {
-	f.mu.Lock()
-	defer f.mu.Unlock()
-	return f.max
-}
-
-// MeanSeconds returns the average of observed finish times in seconds,
-// useful for load-imbalance diagnostics. Zero if nothing was observed.
-func (f *Frontier) MeanSeconds() float64 {
-	f.mu.Lock()
-	defer f.mu.Unlock()
-	if f.n == 0 {
-		return 0
-	}
-	return f.sum / float64(f.n)
-}
-
-// Count reports how many observations were recorded.
-func (f *Frontier) Count() int {
-	f.mu.Lock()
-	defer f.mu.Unlock()
-	return f.n
-}

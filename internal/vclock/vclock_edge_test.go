@@ -13,7 +13,7 @@ import (
 
 func TestZeroAdvanceIsIdentity(t *testing.T) {
 	t.Parallel()
-	c := NewClock()
+	var c Clock
 	c.Advance(units.Millisecond)
 	now, busy, wait := c.Now(), c.BusyTime(), c.WaitTime()
 	for i := 0; i < 3; i++ {
@@ -26,7 +26,7 @@ func TestZeroAdvanceIsIdentity(t *testing.T) {
 
 func TestAdvanceToExactlyNow(t *testing.T) {
 	t.Parallel()
-	c := NewClock()
+	var c Clock
 	c.Advance(units.Millisecond)
 	// A message available at exactly the receiver's current instant —
 	// the equal-virtual-time rendezvous — must add zero wait.
@@ -58,7 +58,7 @@ func TestMaxTies(t *testing.T) {
 // collapsed sequence.
 func TestInterleavedZeroAndRealAdvances(t *testing.T) {
 	t.Parallel()
-	a, b := NewClock(), NewClock()
+	var a, b Clock
 	for i := 0; i < 10; i++ {
 		a.Advance(0)
 		a.Advance(units.Microsecond)

@@ -1,7 +1,6 @@
 package vclock
 
 import (
-	"sync"
 	"testing"
 	"testing/quick"
 
@@ -10,7 +9,7 @@ import (
 
 func TestClockAdvance(t *testing.T) {
 	t.Parallel()
-	c := NewClock()
+	var c Clock
 	c.Advance(units.DurationFromSeconds(1.5))
 	c.Advance(units.DurationFromSeconds(0.5))
 	if got := c.Now().Seconds(); got != 2.0 {
@@ -26,7 +25,7 @@ func TestClockAdvance(t *testing.T) {
 
 func TestClockAdvanceTo(t *testing.T) {
 	t.Parallel()
-	c := NewClock()
+	var c Clock
 	c.Advance(units.Second)
 	// Jump forward: wait time recorded.
 	c.AdvanceTo(Time(3 * units.Second))
@@ -50,18 +49,7 @@ func TestClockNegativeAdvancePanics(t *testing.T) {
 			t.Error("expected panic on negative advance")
 		}
 	}()
-	NewClock().Advance(-units.Second)
-}
-
-func TestClockReset(t *testing.T) {
-	t.Parallel()
-	c := NewClock()
-	c.Advance(units.Second)
-	c.AdvanceTo(Time(5 * units.Second))
-	c.Reset()
-	if c.Now() != 0 || c.BusyTime() != 0 || c.WaitTime() != 0 {
-		t.Error("Reset did not clear clock state")
-	}
+	new(Clock).Advance(-units.Second)
 }
 
 func TestMax(t *testing.T) {
@@ -72,43 +60,12 @@ func TestMax(t *testing.T) {
 	}
 }
 
-func TestFrontier(t *testing.T) {
-	t.Parallel()
-	var f Frontier
-	var wg sync.WaitGroup
-	for i := 1; i <= 8; i++ {
-		wg.Add(1)
-		go func(i int) {
-			defer wg.Done()
-			f.Observe(Time(units.Duration(i) * units.Second))
-		}(i)
-	}
-	wg.Wait()
-	if got := f.Makespan().Seconds(); got != 8.0 {
-		t.Errorf("Makespan = %v, want 8", got)
-	}
-	if got := f.MeanSeconds(); got != 4.5 {
-		t.Errorf("MeanSeconds = %v, want 4.5", got)
-	}
-	if f.Count() != 8 {
-		t.Errorf("Count = %d, want 8", f.Count())
-	}
-}
-
-func TestFrontierEmpty(t *testing.T) {
-	t.Parallel()
-	var f Frontier
-	if f.MeanSeconds() != 0 || f.Makespan() != 0 || f.Count() != 0 {
-		t.Error("empty frontier should be all zero")
-	}
-}
-
 // Property: clock time is always busy+wait partitioned — Now equals the sum
 // of busy and wait accumulation for any interleaving of operations.
 func TestClockPartitionProperty(t *testing.T) {
 	t.Parallel()
 	f := func(steps []uint16) bool {
-		c := NewClock()
+		var c Clock
 		for i, s := range steps {
 			d := units.Duration(s) * units.Microsecond
 			if i%2 == 0 {
@@ -128,7 +85,7 @@ func TestClockPartitionProperty(t *testing.T) {
 func TestAdvanceToMonotoneProperty(t *testing.T) {
 	t.Parallel()
 	f := func(a, b uint32) bool {
-		c := NewClock()
+		var c Clock
 		ta := Time(units.Duration(a) * units.Microsecond)
 		tb := Time(units.Duration(b) * units.Microsecond)
 		c.AdvanceTo(ta)
