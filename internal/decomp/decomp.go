@@ -1,8 +1,8 @@
 // Package decomp provides the regular domain decompositions the
-// benchmarks share: 1D/2D/3D process grids, neighbour identification, and
-// face-halo exchange over the simmpi runtime. Exchange is a collective:
-// it runs as one simmpi neighbourhood exchange, so every rank of the job
-// must call it.
+// benchmarks share: 1D chains and 3D process grids, neighbour
+// identification, block partitions, and face-halo exchange over the
+// simmpi runtime. Exchange is a collective: it runs as one simmpi
+// neighbourhood exchange, so every rank of the job must call it.
 package decomp
 
 import (
@@ -51,20 +51,6 @@ func score3(a, b, c int) int {
 		}
 	}
 	return max - min
-}
-
-// Factor2D factors p into the most square px·py = p grid with px ≥ py.
-func Factor2D(p int) (px, py int) {
-	if p < 1 {
-		return 1, 1
-	}
-	best := [2]int{p, 1}
-	for a := 1; a*a <= p; a++ {
-		if p%a == 0 {
-			best = [2]int{p / a, a}
-		}
-	}
-	return best[0], best[1]
 }
 
 // Grid3D is a 3D process grid of PX×PY×PZ ranks.
@@ -141,8 +127,8 @@ type HaloSpec struct {
 
 // Exchange performs a six-face halo exchange for the given rank on the
 // grid: each existing neighbour receives this rank's face and supplies its
-// own. Wire sizes are declared exactly; halos carry no payload (the
-// runtime meters bytes, not data). The exchange is one
+// own. Wire sizes are declared exactly; like every simulated message,
+// a halo carries bytes, not data. The exchange is one
 // simmpi.Rank.NeighborExchange, a collective over the whole job: every
 // rank of the job must call Exchange, in the same sequence. The tag
 // parameter separates the face tags of successive exchanges.
@@ -200,15 +186,6 @@ func (g Grid3D) Neighbors(rank int) [NumFaces]int {
 	}
 }
 
-// NeighborAcross returns the rank across face f, or -1 on the grid
-// boundary.
-func (g Grid3D) NeighborAcross(rank int, f Face) int {
-	if f < XMinus || f >= NumFaces {
-		panic("decomp: invalid face")
-	}
-	return g.Neighbors(rank)[f]
-}
-
 // opposite returns the facing face.
 func opposite(f Face) Face {
 	switch f {
@@ -226,18 +203,6 @@ func opposite(f Face) Face {
 		return ZMinus
 	}
 	panic("decomp: invalid face")
-}
-
-// CountInteriorNeighbors reports how many of the six neighbours exist for
-// a rank — useful for load metrics in tests.
-func (g Grid3D) CountInteriorNeighbors(rank int) int {
-	n := 0
-	for _, nbr := range g.Neighbors(rank) {
-		if nbr >= 0 {
-			n++
-		}
-	}
-	return n
 }
 
 // BlockPartition splits n items over p parts: part i gets Part(i) items,

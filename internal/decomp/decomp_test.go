@@ -34,19 +34,6 @@ func TestFactor3D(t *testing.T) {
 	}
 }
 
-func TestFactor2D(t *testing.T) {
-	t.Parallel()
-	if px, py := Factor2D(12); px != 4 || py != 3 {
-		t.Errorf("Factor2D(12) = %d,%d", px, py)
-	}
-	if px, py := Factor2D(1); px != 1 || py != 1 {
-		t.Errorf("Factor2D(1) = %d,%d", px, py)
-	}
-	if px, py := Factor2D(13); px != 13 || py != 1 {
-		t.Errorf("Factor2D(13) = %d,%d", px, py)
-	}
-}
-
 func TestGridCoordsRoundTrip(t *testing.T) {
 	t.Parallel()
 	g := NewGrid3D(48)
@@ -71,24 +58,23 @@ func TestCoordsPanicsOutOfRange(t *testing.T) {
 	NewGrid3D(8).Coords(8)
 }
 
-func TestNeighborAcross(t *testing.T) {
+func TestNeighbors(t *testing.T) {
 	t.Parallel()
 	g := Grid3D{PX: 2, PY: 2, PZ: 2}
 	// Rank 0 is at (0,0,0): neighbours exist only in + directions.
-	if g.NeighborAcross(0, XMinus) != -1 {
-		t.Error("XMinus at boundary should be -1")
+	want := [NumFaces]int{XMinus: -1, XPlus: 1, YMinus: -1, YPlus: 2, ZMinus: -1, ZPlus: 4}
+	nbrs := g.Neighbors(0)
+	if nbrs != want {
+		t.Errorf("Neighbors(0) = %v, want %v", nbrs, want)
 	}
-	if g.NeighborAcross(0, XPlus) != 1 {
-		t.Error("XPlus of rank 0 should be 1")
+	n := 0
+	for _, nbr := range nbrs {
+		if nbr >= 0 {
+			n++
+		}
 	}
-	if g.NeighborAcross(0, YPlus) != 2 {
-		t.Error("YPlus of rank 0 should be 2")
-	}
-	if g.NeighborAcross(0, ZPlus) != 4 {
-		t.Error("ZPlus of rank 0 should be 4")
-	}
-	if g.CountInteriorNeighbors(0) != 3 {
-		t.Errorf("corner rank has %d neighbours", g.CountInteriorNeighbors(0))
+	if n != 3 {
+		t.Errorf("corner rank has %d neighbours", n)
 	}
 }
 

@@ -41,40 +41,15 @@ func FuzzFactor3D(f *testing.F) {
 			if back := g.Rank(x, y, z); back != r {
 				t.Fatalf("p=%d rank %d → (%d,%d,%d) → %d", p, r, x, y, z, back)
 			}
-			if n := g.CountInteriorNeighbors(r); n < 0 || n > 6 {
-				t.Fatalf("p=%d rank %d: %d neighbours", p, r, n)
+			for f, nbr := range g.Neighbors(r) {
+				if nbr < -1 || nbr >= p {
+					t.Fatalf("p=%d rank %d: neighbour %d across face %d", p, r, nbr, f)
+				}
 			}
 		}
 		// Out-of-grid coordinates must map to -1, not a live rank.
 		if g.Rank(-1, 0, 0) != -1 || g.Rank(g.PX, 0, 0) != -1 {
 			t.Fatal("out-of-grid coordinates must return -1")
-		}
-	})
-}
-
-// FuzzFactor2D checks the 2D factorisation: exact product, px ≥ py, and
-// py is the largest divisor not exceeding √p.
-func FuzzFactor2D(f *testing.F) {
-	f.Add(uint16(1))
-	f.Add(uint16(36))
-	f.Add(uint16(37))
-	f.Add(uint16(1024))
-	f.Fuzz(func(t *testing.T, pRaw uint16) {
-		p := int(pRaw)
-		px, py := Factor2D(p)
-		if p < 1 {
-			if px != 1 || py != 1 {
-				t.Fatalf("Factor2D(%d) = %d,%d, want 1,1", p, px, py)
-			}
-			return
-		}
-		if px*py != p || px < py || py < 1 {
-			t.Fatalf("Factor2D(%d) = %d·%d", p, px, py)
-		}
-		for d := py + 1; d*d <= p; d++ {
-			if p%d == 0 {
-				t.Fatalf("Factor2D(%d) = %d,%d but %d divides more squarely", p, px, py, d)
-			}
 		}
 	})
 }

@@ -95,7 +95,6 @@ type Collective int
 const (
 	CollBarrier Collective = iota
 	CollAllreduce
-	CollAllgather
 	CollAlltoall
 	numCollectives
 )
@@ -107,8 +106,6 @@ func (c Collective) String() string {
 		return "barrier"
 	case CollAllreduce:
 		return "allreduce"
-	case CollAllgather:
-		return "allgather"
 	case CollAlltoall:
 		return "alltoall"
 	default:

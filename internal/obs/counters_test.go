@@ -53,7 +53,7 @@ func countedFourRankJobModel(t *testing.T, pm perfmodel.Model) (obs.JobTrace, si
 			left := (r.ID() - 1 + r.Size()) % r.Size()
 			r.Send(right, 5, 64*units.KiB)
 			r.Recv(left, 5)
-			r.AllreduceScalar(1, simmpi.OpSum)
+			r.Allreduce(8)
 			r.EndRegion()
 		}
 		return nil

@@ -28,13 +28,12 @@ func congestedJob(t *testing.T) *simmpi.MemorySink {
 	_, err := simmpi.Run(cfg, func(r *simmpi.Rank) error {
 		// Fan-in: every rank eagerly sends to rank 0, contending its
 		// ejection link with 7 concurrent flows.
-		buf := make([]float64, 1<<15)
 		if r.ID() != 0 {
-			r.SendFloats(0, 7, buf)
+			r.Send(0, 7, 256*units.KiB)
 			return nil
 		}
 		for src := 1; src < r.Size(); src++ {
-			r.RecvFloats(src, 7)
+			r.Recv(src, 7)
 		}
 		return nil
 	})

@@ -42,7 +42,7 @@ func fourRankJob(t *testing.T) (*simmpi.MemorySink, simmpi.Report) {
 			left := (r.ID() - 1 + r.Size()) % r.Size()
 			r.Send(right, 5, 64*units.KiB)
 			r.Recv(left, 5)
-			r.AllreduceScalar(1, simmpi.OpSum)
+			r.Allreduce(8)
 			r.EndRegion()
 		}
 		return nil

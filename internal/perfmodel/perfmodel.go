@@ -23,7 +23,6 @@ package perfmodel
 
 import (
 	"fmt"
-	"math"
 
 	"a64fxbench/internal/units"
 )
@@ -167,14 +166,6 @@ func (w WorkProfile) Scale(n int64) WorkProfile {
 		Bytes: w.Bytes * units.Bytes(n),
 		Calls: w.Calls * n,
 	}
-}
-
-// ArithmeticIntensity reports flops per byte of main-memory traffic.
-func (w WorkProfile) ArithmeticIntensity() float64 {
-	if w.Bytes <= 0 {
-		return math.Inf(1)
-	}
-	return float64(w.Flops) / float64(w.Bytes)
 }
 
 // Efficiency holds the calibrated fraction of hardware capability a kernel
@@ -517,13 +508,6 @@ func CacheAmplification(c KernelClass) (l1PerFlop, l2Amp float64) {
 	return a.l1PerFlop, a.l2Amp
 }
 
-// PhaseRate reports the achieved flop rate of a phase (flops / PhaseTime),
-// the quantity most of the paper's tables present.
-func (m *CostModel) PhaseRate(w WorkProfile, opt PhaseOptions) units.FlopRate {
-	t := m.PhaseTime(w, opt)
-	return units.FlopRate(units.Rate(float64(w.Flops), t))
-}
-
 // Bound reports which roofline bound the phase sits under on this node:
 // "memory" or "compute". It ignores the fast-math gain.
 func (m *CostModel) Bound(w WorkProfile, opt PhaseOptions) string {
@@ -557,20 +541,4 @@ func (m *CostModel) ScaleEfficiency(computeScale, memoryScale float64, classes .
 		eff[c] = e
 	}
 	return &CostModel{Node: m.Node, Eff: eff, FastMathGain: m.FastMathGain}
-}
-
-// CacheTraffic estimates the main-memory traffic of a working set streamed
-// `passes` times when the node's per-domain L2 can hold `resident` bytes of
-// it: traffic below the cache capacity is free after the first pass.
-// Kernels use this to convert touched-bytes into DRAM-bytes.
-func CacheTraffic(workingSet units.Bytes, passes int, cache units.Bytes) units.Bytes {
-	if passes <= 0 || workingSet <= 0 {
-		return 0
-	}
-	if workingSet <= cache {
-		// Fits in cache: one compulsory load plus final writeback is
-		// charged by callers separately; re-passes are free.
-		return workingSet
-	}
-	return workingSet * units.Bytes(passes)
 }

@@ -80,17 +80,6 @@ func TestWorkProfileScale(t *testing.T) {
 	}
 }
 
-func TestArithmeticIntensity(t *testing.T) {
-	t.Parallel()
-	w := WorkProfile{Flops: 100, Bytes: 400}
-	if got := w.ArithmeticIntensity(); got != 0.25 {
-		t.Errorf("AI = %v, want 0.25", got)
-	}
-	if !math.IsInf(WorkProfile{Flops: 1}.ArithmeticIntensity(), 1) {
-		t.Error("zero bytes should give +Inf intensity")
-	}
-}
-
 func TestMemoryDomainBandwidthSaturation(t *testing.T) {
 	t.Parallel()
 	d := testNode().Domains[0]
@@ -227,32 +216,6 @@ func TestUncalibratedClassFallback(t *testing.T) {
 	w := WorkProfile{Class: FFTKernel, Flops: units.GFlop, Bytes: units.GiB}
 	if m.PhaseTime(w, PhaseOptions{Cores: 4}) <= 0 {
 		t.Error("uncalibrated class must still cost time")
-	}
-}
-
-func TestPhaseRate(t *testing.T) {
-	t.Parallel()
-	m := testModel()
-	w := WorkProfile{Class: LargeGEMM, Flops: 90 * units.GFlop, Bytes: 1000}
-	r := m.PhaseRate(w, PhaseOptions{Cores: 8})
-	if math.Abs(r.GFLOPs()-90.0) > 1e-6 {
-		t.Errorf("rate = %v GF/s, want 90", r.GFLOPs())
-	}
-}
-
-func TestCacheTraffic(t *testing.T) {
-	t.Parallel()
-	cache := 8 * units.MiB
-	// Fits in cache: traffic is one pass regardless of pass count.
-	if got := CacheTraffic(units.MiB, 10, cache); got != units.MiB {
-		t.Errorf("in-cache traffic = %v", got)
-	}
-	// Exceeds cache: full traffic each pass.
-	if got := CacheTraffic(16*units.MiB, 10, cache); got != 160*units.MiB {
-		t.Errorf("streaming traffic = %v", got)
-	}
-	if CacheTraffic(units.MiB, 0, cache) != 0 {
-		t.Error("zero passes is zero traffic")
 	}
 }
 

@@ -1,41 +1,38 @@
 package simmpi
 
-// Batched world collectives: the only implementation of the five world
-// collectives the applications issue — Barrier, Allreduce (bytes-only,
-// or folding a buffer for AllreduceFloats), Allgather, Alltoall and the
-// neighbourhood (halo) exchange.
+// Batched world collectives: the only implementation of the four world
+// collectives the applications issue — Barrier, Allreduce, Alltoall and
+// the neighbourhood (halo) exchange.
 //
 // A rank's play arrives at a collective when it reaches the queued op
 // (event.go); the arrival copies the op into the engine's argument
 // array. The play that completes the arrivals runs the functions here,
 // which execute the collective as one event: each rank's exact per-rank
-// operation sequence of a classic point-to-point algorithm — the same
-// sendFloatsCore/recvFloatsCore calls, buffer copies, and reduction
-// folds a rank would issue through Send/Recv — is replayed in a
-// dependency-valid cross-rank order. All simulator state is per-rank
-// (clocks, PMUs, stats, flow sequences, trace logs), and every rank has
-// played each op it queued before the collective, so each rank's state
-// changes in its program order. Cross-rank coupling happens only through
-// message stamps, so any order that runs every receive after its
-// matching send yields bit-identical results; the trace merge in Run
-// re-sorts events into (Start, Rank) order afterwards. The
-// point-to-point algorithms themselves live on as a test-only reference
-// oracle (collective_ref_test.go) that the differential suite in
-// engine_test.go compares every batched collective against.
+// message sequence of a classic point-to-point algorithm — the same
+// sendCore/recvCore calls a rank would issue through Send/Recv — is
+// replayed in a dependency-valid cross-rank order. All simulator state
+// is per-rank (clocks, PMUs, stats, flow sequences, trace logs), and
+// every rank has played each op it queued before the collective, so
+// each rank's state changes in its program order. Cross-rank coupling
+// happens only through message stamps, so any order that runs every
+// receive after its matching send yields bit-identical results; the
+// trace merge in Run re-sorts events into (Start, Rank) order
+// afterwards. The point-to-point algorithms themselves live on as a
+// test-only reference oracle (collective_ref_test.go) that the
+// differential suite in engine_test.go compares every batched
+// collective against.
 //
 // Message slots: within one round of every classic algorithm the
 // send→recv pairing is a bijection (each rank receives at most one
 // message), so a single scratch slice indexed by receiver replaces
-// per-route queues. Likewise each rank sends at most one message per
-// round, so the copy a rank sends of a buffer that AllreduceFloats folds
-// in place comes from one reusable buffer per sender (sendCopy), read
-// before that sender's next round; a bytes-only reduction copies and
-// folds nothing. A halo exchange has no such bijection: its messages
-// wait in one reusable buffer, grouped by sender (batchNeighbor).
+// per-route queues. A message is a wire size and a time, so a round
+// copies and folds nothing. A halo exchange has no such bijection: its
+// messages wait in one reusable buffer, grouped by sender
+// (batchNeighbor).
 //
 // The valid cross-rank orders used below:
-//   - round-based exchanges (barrier, allreduce doubling, allgather
-//     ring, alltoall): all sends of the round, then all receives;
+//   - round-based exchanges (barrier, allreduce doubling, alltoall): all
+//     sends of the round, then all receives;
 //   - the halo exchange: every rank's sends, then every rank's
 //     receives. Each rank of the hand-rolled loop posts all its sends
 //     before its first receive, so this keeps every rank's program
@@ -50,7 +47,7 @@ import (
 )
 
 // scratch sizes the executor's per-rank scratch arrays at the job's
-// first collective; Allgather sizes its own at its first.
+// first collective.
 func (e *eventEngine) scratch() {
 	p := len(e.ranks)
 	if e.slots == nil {
@@ -58,15 +55,6 @@ func (e *eventEngine) scratch() {
 		e.starts = make([]vclock.Time, p)
 		e.sentOff = make([]int, p+1)
 	}
-}
-
-// sendCopy copies buf into rank id's reusable send buffer (Rank.sendBuf)
-// and returns the copy. It stays valid until id's next sendCopy, which
-// Allreduce issues only after the copy's receiver has folded it.
-func (e *eventEngine) sendCopy(id int, buf []float64) []float64 {
-	r := e.ranks[id]
-	r.sendBuf = append(r.sendBuf[:0], buf...)
-	return r.sendBuf
 }
 
 // beginAll/endAll replicate each rank's collBegin/collEnd bracket. The
@@ -85,8 +73,7 @@ func (e *eventEngine) endAll(c metrics.Collective) {
 }
 
 // runBatched executes one world collective across all ranks. Each
-// rank's arguments are its arrival op; results land in the buffers its
-// side-list entry points at.
+// rank's arguments are its arrival op.
 func runBatched(e *eventEngine, kind opKind) {
 	e.scratch()
 	switch kind {
@@ -94,8 +81,6 @@ func runBatched(e *eventEngine, kind opKind) {
 		batchBarrier(e)
 	case opAllreduce:
 		batchAllreduce(e)
-	case opAllgather:
-		batchAllgather(e)
 	case opAlltoall:
 		batchAlltoall(e)
 	case opNeighbor:
@@ -111,10 +96,10 @@ func batchBarrier(e *eventEngine) {
 	for k, round := 1, 0; k < p; k, round = k<<1, round+1 {
 		tag := tagBarrier + round
 		for id, r := range rs {
-			e.slots[(id+k)%p] = r.sendFloatsCore((id+k)%p, tag, nil, 0)
+			e.slots[(id+k)%p] = r.sendCore((id+k)%p, tag, 0)
 		}
 		for id, r := range rs {
-			r.recvFloatsCore(e.slots[id], (id-k+p)%p, tag)
+			r.recvCore(e.slots[id], (id-k+p)%p, tag)
 		}
 	}
 	e.endAll(metrics.CollBarrier)
@@ -140,37 +125,21 @@ func arPartner(id, rem, mask int) int {
 	return partnerNew + rem
 }
 
-// reduceSend is rank id's send of its reduction operand into dst's
-// slot: a copy of its buffer if it passed one, its byte count alone
-// otherwise.
+// reduceSend is rank id's send of its reduction operand, of the size id
+// passed, into dst's slot.
 func (e *eventEngine) reduceSend(id, dst, tag int) {
-	r, a := e.ranks[id], &e.args[id]
-	var data []float64
-	if a.side > 0 {
-		data = e.sendCopy(id, r.side(a).floats)
-	}
-	e.slots[dst] = r.sendFloatsCore(dst, tag, data, units.Bytes(a.n))
+	e.slots[dst] = e.ranks[id].sendCore(dst, tag, units.Bytes(e.args[id].n))
 }
 
-// reduceRecv is rank id's receive of src's operand, folded into its
-// buffer if it passed one.
+// reduceRecv is rank id's receive of src's operand.
 func (e *eventEngine) reduceRecv(id, src, tag int) {
-	r := e.ranks[id]
-	other := r.recvFloatsCore(e.slots[id], src, tag)
-	if a := &e.args[id]; a.side > 0 {
-		s := r.side(a)
-		for i := range s.floats {
-			s.floats[i] = s.op(s.floats[i], other[i])
-		}
-	}
+	e.ranks[id].recvCore(e.slots[id], src, tag)
 }
 
 // batchAllreduce pre-folds to a power of two, runs recursive doubling,
-// and post-unfolds. Each message carries its sender's byte count; only
-// ranks that passed a buffer copy and fold, and their results land in
-// it.
+// and post-unfolds. Each message carries its sender's byte count.
 func batchAllreduce(e *eventEngine) {
-	rs, p := e.ranks, len(e.ranks)
+	p := len(e.ranks)
 	e.beginAll()
 	pof2 := 1
 	for pof2*2 <= p {
@@ -205,48 +174,9 @@ func batchAllreduce(e *eventEngine) {
 		e.reduceSend(id, id-1, tagReduce+2)
 	}
 	for id := 0; id < 2*rem; id += 2 {
-		r := rs[id]
-		got := r.recvFloatsCore(e.slots[id], id+1, tagReduce+2)
-		if a := &e.args[id]; a.side > 0 {
-			copy(r.side(a).floats, got)
-		}
+		e.reduceRecv(id, id+1, tagReduce+2)
 	}
 	e.endAll(metrics.CollAllreduce)
-}
-
-// batchAllgather runs the ring: p-1 steps, blocks travelling
-// rank→rank+1, each rank copying the block it just received into its
-// output at the rotating cursor.
-func batchAllgather(e *eventEngine) {
-	rs, p := e.ranks, len(e.ranks)
-	if e.blocks == nil {
-		e.blocks = make([][]float64, p)
-		e.ints = make([]int, p)
-	}
-	e.beginAll()
-	for id, r := range rs {
-		e.blocks[id] = append([]float64(nil), r.side(&e.args[id]).floats...)
-		e.ints[id] = id // cursor
-	}
-	for step := 0; step < p-1; step++ {
-		tag := tagGather + step
-		for id, r := range rs {
-			right := (id + 1) % p
-			e.slots[right] = r.sendFloatsCore(right, tag, e.blocks[id],
-				units.Bytes(8*len(e.blocks[id])))
-		}
-		for id, r := range rs {
-			left := (id - 1 + p) % p
-			e.blocks[id] = r.recvFloatsCore(e.slots[id], left, tag)
-			e.ints[id] = (e.ints[id] - 1 + p) % p
-			a := r.side(&e.args[id])
-			copy(a.out[e.ints[id]*len(a.floats):], e.blocks[id])
-		}
-	}
-	for id := range rs {
-		e.blocks[id] = nil
-	}
-	e.endAll(metrics.CollAllgather)
 }
 
 // batchAlltoall runs the XOR pairwise exchange for power-of-two sizes,
@@ -260,10 +190,10 @@ func batchAlltoall(e *eventEngine) {
 			tag := tagA2A + step
 			for id, r := range rs {
 				partner := id ^ step
-				e.slots[partner] = r.sendFloatsCore(partner, tag, nil, units.Bytes(e.args[id].n))
+				e.slots[partner] = r.sendCore(partner, tag, units.Bytes(e.args[id].n))
 			}
 			for id, r := range rs {
-				r.recvFloatsCore(e.slots[id], id^step, tag)
+				r.recvCore(e.slots[id], id^step, tag)
 			}
 		}
 	} else {
@@ -271,10 +201,10 @@ func batchAlltoall(e *eventEngine) {
 			tag := tagA2A + step
 			for id, r := range rs {
 				dst := (id + step) % p
-				e.slots[dst] = r.sendFloatsCore(dst, tag, nil, units.Bytes(e.args[id].n))
+				e.slots[dst] = r.sendCore(dst, tag, units.Bytes(e.args[id].n))
 			}
 			for id, r := range rs {
-				r.recvFloatsCore(e.slots[id], (id-step+p)%p, tag)
+				r.recvCore(e.slots[id], (id-step+p)%p, tag)
 			}
 		}
 	}
@@ -318,7 +248,7 @@ func batchNeighbor(e *eventEngine) {
 					id, h.Peer, p, h.SendTag, h.RecvTag))
 			}
 			sent = append(sent, haloMsg{dst: h.Peer, tag: h.SendTag,
-				m: r.sendFloatsCore(h.Peer, h.SendTag, nil, h.Bytes)})
+				m: r.sendCore(h.Peer, h.SendTag, h.Bytes)})
 		}
 	}
 	off[p] = len(sent)
@@ -334,7 +264,7 @@ func batchNeighbor(e *eventEngine) {
 				panic(fmt.Sprintf("simmpi: NeighborExchange: rank %d expects tag %d from peer %d, which sent it no such message in this exchange",
 					id, h.RecvTag, h.Peer))
 			}
-			r.recvFloatsCore(from[k].m, h.Peer, h.RecvTag)
+			r.recvCore(from[k].m, h.Peer, h.RecvTag)
 			from[k].dst = -1
 		}
 	}

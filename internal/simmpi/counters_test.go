@@ -18,8 +18,8 @@ import (
 )
 
 // countedJob runs a 6-rank, 2-node job exercising every hook the PMU
-// has: compute across classes, noise, point-to-point, Elapse, and four
-// collective kinds (Allreduce, Allgather, Alltoall and Barrier).
+// has: compute across classes, noise, point-to-point, Elapse, and three
+// collective kinds (Allreduce, Alltoall and Barrier).
 func countedJob(t *testing.T, cfg *metrics.Config) simmpi.Report {
 	t.Helper()
 	return countedJobModel(t, cfg, "")
@@ -51,8 +51,7 @@ func countedJobModel(t *testing.T, cfg *metrics.Config, model perfmodel.Model) s
 			left := (r.ID() - 1 + r.Size()) % r.Size()
 			r.Send(right, 7, 96*units.KiB)
 			r.Recv(left, 7)
-			r.AllreduceScalar(float64(r.ID()), simmpi.OpSum)
-			r.Allgather([]float64{1, 2, 3})
+			r.Allreduce(8)
 			r.Alltoall(8)
 			r.EndRegion()
 		}
@@ -188,7 +187,7 @@ func TestCounterTimesPartitionBusy(t *testing.T) {
 		t.Errorf("cache traffic not monotone: L1 %v, L2 %v, DRAM %v",
 			tot[metrics.MemL1], tot[metrics.MemL2], tot[metrics.MemDRAM])
 	}
-	// Collective attribution must be present (the body runs four kinds)
+	// Collective attribution must be present (the body runs three kinds)
 	// and bounded by the ranks' total busy+wait time: no collective
 	// time is counted twice.
 	var coll float64

@@ -2,15 +2,13 @@
 // time is a pure function of the job, independent of how the host runs
 // the rank coroutines. This external test package
 // (simmpi_test, so it can import the benchmark codes without a cycle)
-// replays the same distributed HPCG and Nekbone jobs under a range of
+// replays the same traced HPCG job and Nekbone job under a range of
 // GOMAXPROCS values and demands bit-identical outcomes every time.
 package simmpi_test
 
 import (
-	"fmt"
 	"math"
 	"runtime"
-	"sync"
 	"testing"
 
 	"a64fxbench/internal/arch"
@@ -25,91 +23,42 @@ import (
 // repetitions at the same width.
 var gomaxSchedule = []int{1, 2, 3, 4, 8, 16, 1, 4, 2, 8}
 
-// hpcgOutcome captures everything a distributed HPCG job reports, with
-// floats as bit patterns so equality is exact.
+// hpcgOutcome captures what a traced HPCG job reports, with floats as
+// bit patterns so equality is exact.
 type hpcgOutcome struct {
 	makespan   units.Duration
 	gflopsBits uint64
 	events     int
 	msgs       int64
 	bytes      units.Bytes
-	iters      int
-	solSum     uint64 // order-independent checksum of the solution bits
 }
 
-// runTracedHPCG executes a 6-rank, 2-node distributed HPCG solve on the
-// A64FX model with tracing on, and reduces it to a comparable outcome.
+// runTracedHPCG runs the metered HPCG benchmark on two A64FX nodes (96
+// ranks, an 8³ local grid, two multigrid levels, three CG iterations)
+// with tracing on, and reduces it to a comparable outcome.
 func runTracedHPCG(t *testing.T) hpcgOutcome {
 	t.Helper()
-	const nx, ny, nz, procs, nodes = 8, 8, 12, 6, 2
-	sys := arch.MustGet(arch.A64FX)
-	model := sys.PerRankModel(procs/nodes, 1)
 	sink := &simmpi.MemorySink{}
-	cfg := simmpi.JobConfig{
-		Procs: procs, Nodes: nodes, ThreadsPerRank: 1,
-		CostModel:       model,
-		Fabric:          sys.NewFabric(nodes),
+	res, err := hpcg.Run(hpcg.Config{
+		System: arch.MustGet(arch.A64FX), Nodes: 2,
+		NX: 8, NY: 8, NZ: 8, Levels: 2, Iterations: 3,
 		Instrumentation: simmpi.Instrumentation{Trace: sink},
-	}
-	b := make([]float64, nx*ny*nz)
-	for i := range b {
-		b[i] = math.Cos(float64(i) * 0.3)
-	}
-	var (
-		mu     sync.Mutex
-		solSum uint64
-		iters  int
-	)
-	rep, err := simmpi.Run(cfg, func(r *simmpi.Rank) error {
-		d, err := hpcg.NewDistributedStencilCG(r, nx, ny, nz)
-		if err != nil {
-			return err
-		}
-		// Reconstruct this rank's slab offset from the public extents.
-		lo := slabStart(nz, r.Size(), r.ID()) * nx * ny
-		x, it, relres := d.Solve(b[lo:lo+d.LocalLen()], 400, 1e-11)
-		if relres > 1e-11 {
-			return fmt.Errorf("rank %d did not converge: %v", r.ID(), relres)
-		}
-		var sum uint64
-		for _, v := range x {
-			sum += math.Float64bits(v)
-		}
-		mu.Lock()
-		solSum += sum
-		if r.ID() == 0 {
-			iters = it
-		}
-		mu.Unlock()
-		return nil
 	})
 	if err != nil {
 		t.Fatal(err)
 	}
 	return hpcgOutcome{
-		makespan:   rep.Makespan,
-		gflopsBits: math.Float64bits(rep.GFLOPs()),
+		makespan:   res.Report.Makespan,
+		gflopsBits: math.Float64bits(res.GFLOPs),
 		events:     len(sink.Events),
-		msgs:       rep.TotalMsgs,
-		bytes:      rep.TotalBytesSent,
-		iters:      iters,
-		solSum:     solSum,
+		msgs:       res.Report.TotalMsgs,
+		bytes:      res.Report.TotalBytesSent,
 	}
 }
 
-// slabStart mirrors hpcg's z-slab distribution of nz planes over p ranks.
-func slabStart(nz, p, id int) int {
-	base, rem := nz/p, nz%p
-	lo := id * base
-	if id < rem {
-		return lo + id
-	}
-	return lo + rem
-}
-
-// TestHPCGDeterministicAcrossGOMAXPROCS replays the traced distributed
-// solve ten times under varying scheduler widths and demands identical
-// outcomes. Must not run in parallel with other tests: GOMAXPROCS is
+// TestHPCGDeterministicAcrossGOMAXPROCS replays the traced HPCG job ten
+// times under varying scheduler widths and demands identical outcomes.
+// Must not run in parallel with other tests: GOMAXPROCS is
 // process-global.
 func TestHPCGDeterministicAcrossGOMAXPROCS(t *testing.T) {
 	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(0))

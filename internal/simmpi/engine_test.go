@@ -6,9 +6,10 @@ package simmpi
 // byte-identical between a run through the batched collectives
 // (collective_batch.go) and a run through the point-to-point reference
 // oracle (collective_ref_test.go), for every communication pattern and
-// option combination. The bodies also assert collective RESULTS (not
-// just times), so the batched data path is checked against ground
-// truth, not merely against the oracle.
+// option combination. Messages carry no values, so the bodies check
+// pairing through sizes: every sender sends its own byte count, and a
+// message paired with the wrong receive shows in the receivers' clocks
+// and, in traced runs, in the byte counts of their receive events.
 
 import (
 	"crypto/sha256"
@@ -82,7 +83,8 @@ func assertCollectiveEquivalent(t *testing.T, c JobConfig, traced bool, body col
 }
 
 // engineBodies is the pattern library of the differential suite. Every
-// body self-checks its collective results; p is the job size it runs at.
+// body gives each sender its own byte count; min is the smallest job
+// size it runs at.
 var engineBodies = []struct {
 	name string
 	min  int // smallest p the body supports
@@ -95,57 +97,34 @@ var engineBodies = []struct {
 			partner := r.ID() ^ 1
 			if partner < r.Size() {
 				if r.ID()&1 == 0 {
-					r.SendFloats(partner, 7, []float64{float64(r.ID()), float64(it)})
-					got := r.RecvFloats(partner, 8)
-					if got[0] != float64(partner) {
-						return fmt.Errorf("pingpong got %v", got)
-					}
+					r.Send(partner, 7, units.Bytes(8*(2+r.ID()+it)))
+					r.Recv(partner, 8)
 				} else {
-					got := r.RecvFloats(partner, 7)
-					if got[1] != float64(it) {
-						return fmt.Errorf("pingpong it %v", got)
-					}
-					r.SendFloats(partner, 8, []float64{float64(r.ID())})
+					r.Recv(partner, 7)
+					r.Send(partner, 8, units.Bytes(8*(1+r.ID())))
 				}
 			}
 		}
 		return nil
 	}},
 	{"all-collectives", 1, func(r *Rank, cs *collSet) error {
-		p := float64(r.Size())
 		r.Compute(vecWork(500 * (1 + r.ID()%3)))
 		cs.Barrier(r)
-		// Allreduce: sum of rank ids.
-		buf := []float64{float64(r.ID()), 1}
-		cs.Allreduce(r, buf, OpSum)
-		if want := p * (p - 1) / 2; buf[0] != want || buf[1] != p {
-			return fmt.Errorf("allreduce got %v", buf)
-		}
-		// Allgather.
-		gathered := cs.Allgather(r, []float64{float64(10 * r.ID())})
-		for i, v := range gathered {
-			if v != float64(10*i) {
-				return fmt.Errorf("allgather[%d] = %v", i, v)
-			}
-		}
-		// Alltoall: bytes-only, each sender's own size, so a pairing
+		// Allreduce and Alltoall: each sender's own size, so a pairing
 		// error shows in the receivers' times even untraced.
+		cs.Allreduce(r, units.Bytes(16*(1+r.ID()%4)))
 		cs.Alltoall(r, units.Bytes(8*(1+r.ID()%3)))
 		r.Elapse(3 * units.Microsecond)
 		return nil
 	}},
 	{"ring-sendrecv", 2, func(r *Rank, _ *collSet) error {
 		p := r.Size()
-		data := []float64{float64(r.ID())}
 		for step := 0; step < p; step++ {
 			right := (r.ID() + 1) % p
 			left := (r.ID() - 1 + p) % p
-			r.SendFloats(right, 40+step, data)
-			data = r.RecvFloats(left, 40+step)
+			r.Send(right, 40+step, units.Bytes(8*(1+(r.ID()+step)%4)))
+			r.Recv(left, 40+step)
 			r.Compute(vecWork(200))
-		}
-		if data[0] != float64(r.ID()) {
-			return fmt.Errorf("ring ended with %v", data)
 		}
 		return nil
 	}},
@@ -153,10 +132,7 @@ var engineBodies = []struct {
 		// Heavily skewed compute so ranks hit the collective at very
 		// different virtual times.
 		r.Compute(vecWork(100 * (1 + r.ID()*r.ID())))
-		v := cs.allreduceScalar(r, float64(r.ID()), OpMax)
-		if v != float64(r.Size()-1) {
-			return fmt.Errorf("max got %v", v)
-		}
+		cs.Allreduce(r, units.Bytes(8*(1+r.ID()%5)))
 		cs.Barrier(r)
 		return nil
 	}},
@@ -165,14 +141,11 @@ var engineBodies = []struct {
 	{"many-to-one", 2, func(r *Rank, _ *collSet) error {
 		if r.ID() == 0 {
 			for src := 1; src < r.Size(); src++ {
-				got := r.RecvFloats(src, 9)
-				if got[0] != float64(src) {
-					return fmt.Errorf("gathered %v from %d", got, src)
-				}
+				r.Recv(src, 9)
 			}
 		} else {
 			r.Compute(vecWork(300 * r.ID()))
-			r.SendFloats(0, 9, []float64{float64(r.ID())})
+			r.Send(0, 9, units.Bytes(8*r.ID()))
 		}
 		return nil
 	}},
@@ -281,7 +254,7 @@ func runAheadBody(r *Rank, cs *collSet) error {
 	if t2 := r.Now(); t2 != t1.Add(units.Duration(w+3)*d) {
 		return fmt.Errorf("Now after %d elapses of %v: %v, want %v", w+3, d, t2, t1.Add(units.Duration(w+3)*d))
 	}
-	cs.AllreduceBytes(r, units.Bytes(8*(1+id%2)))
+	cs.Allreduce(r, units.Bytes(8*(1+id%2)))
 	for i := 0; i < w+1; i++ {
 		r.Compute(vecWork(30 * (1 + (id*i)%3)))
 	}
@@ -402,7 +375,7 @@ func TestEventEngineErrorPropagation(t *testing.T) {
 		if r.ID() == 1 {
 			panic("kaboom")
 		}
-		r.AllreduceScalar(1, OpSum)
+		r.Allreduce(8)
 		return nil
 	})
 	if err == nil || !strings.Contains(err.Error(), "kaboom") {
@@ -444,7 +417,7 @@ func TestEventEngineDeadlockDetection(t *testing.T) {
 		if r.ID() == 0 {
 			r.Barrier()
 		} else {
-			r.AllreduceScalar(1, OpSum)
+			r.Allreduce(8)
 		}
 		return nil
 	})
@@ -455,7 +428,7 @@ func TestEventEngineDeadlockDetection(t *testing.T) {
 		if r.ID()%2 == 0 {
 			r.NeighborExchange([]Halo{{Peer: r.ID() + 1, SendTag: 1, RecvTag: 1, Bytes: 8}})
 		} else {
-			r.AllreduceScalar(1, OpSum)
+			r.Allreduce(8)
 		}
 		return nil
 	})
@@ -519,7 +492,8 @@ func TestEventEngineDeadlockDetection(t *testing.T) {
 
 // TestEventEngineAbortUnwindsRanks: Run must leave no rank coroutine
 // behind, whether the job succeeds or fails — by a deadlock, by a rank
-// body that panics while the others wait at a collective, or by a panic
+// body that panics while the others' bodies wait in Now for a collective
+// to be played, or by a panic
 // in the batched executor while the completing arrival is played (an
 // unmatched halo receive). Every coroutine has finished or been stopped
 // by the time Run returns, so a long-lived caller that keeps going leaks
@@ -532,9 +506,9 @@ func TestEventEngineAbortUnwindsRanks(t *testing.T) {
 	}{
 		{"success", func(r *Rank) error {
 			r.Compute(vecWork(100 * (1 + r.ID())))
-			r.AllreduceScalar(1, OpSum)
-			r.SendFloats((r.ID()+1)%r.Size(), 3, []float64{1})
-			r.RecvFloats((r.ID()+r.Size()-1)%r.Size(), 3)
+			r.Allreduce(8)
+			r.Send((r.ID()+1)%r.Size(), 3, 8)
+			r.Recv((r.ID()+r.Size()-1)%r.Size(), 3)
 			r.Barrier()
 			return nil
 		}, ""},
@@ -548,7 +522,8 @@ func TestEventEngineAbortUnwindsRanks(t *testing.T) {
 			if r.ID() == r.Size()-1 {
 				panic("gave up at the allreduce")
 			}
-			r.AllreduceScalar(1, OpSum)
+			r.Allreduce(8)
+			r.Now()
 			return nil
 		}, "rank 15 panicked: gave up at the allreduce"},
 		{"unmatched halo", func(r *Rank) error {
@@ -614,6 +589,7 @@ func TestResumeGate(t *testing.T) {
 // FuzzCollectiveEquivalence fuzzes the job shape — rank count, node
 // count, message size, noise seed/probability, compute skew — and
 // asserts the batched collectives stay byte-identical to the reference.
+// Every sender's reduction and send sizes differ from its peers'.
 // The halo exchange's shift (each rank trades with id±shift) comes from
 // the skew, so the fuzzer also draws self-halos (shift = p) and two
 // halos to one peer (shift = p/2).
@@ -634,15 +610,11 @@ func FuzzCollectiveEquivalence(f *testing.F) {
 		ml := int(msgLen)%1024 + 1
 		body := func(r *Rank, cs *collSet) error {
 			r.Compute(vecWork(100 * (1 + r.ID()%(int(skew)+1))))
-			buf := make([]float64, ml)
-			for i := range buf {
-				buf[i] = float64(r.ID()*ml + i)
-			}
-			cs.Allreduce(r, buf, OpSum)
+			cs.Allreduce(r, units.Bytes(8*(ml+r.ID())))
 			if p > 1 {
 				partner := (r.ID() + p/2) % p
-				r.SendFloats(partner, 5, buf[:1+ml/2])
-				r.RecvFloats((r.ID()-p/2+p)%p, 5)
+				r.Send(partner, 5, units.Bytes(8*(1+ml/2+r.ID())))
+				r.Recv((r.ID()-p/2+p)%p, 5)
 			}
 			shift := 1 + int(skew)%p
 			cs.NeighborExchange(r, []Halo{

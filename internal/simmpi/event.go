@@ -10,12 +10,12 @@ package simmpi
 // exchanges included) that not every rank has reached — or until its
 // body has returned and its last op has played. Whenever the rank's
 // queue drains first, the loop resumes its coroutine, which queues the
-// next window of ops. A body runs ahead through compute phases, sends
-// and bytes-only collectives without yielding; it waits only for a full
-// queue or for a value (Now, Stats, RecvFloats, AllreduceFloats,
-// Allgather). A coroutine switch hands the thread over directly and
-// never enters the Go scheduler, so a resume costs the same at any
-// GOMAXPROCS, and exactly one body or the loop runs at any instant.
+// next window of ops. A body runs ahead through compute phases, sends,
+// receives and collectives without yielding; it waits only in Now or
+// Stats, or for room in a full queue. A coroutine switch hands the
+// thread over directly and never enters the Go scheduler, so a resume
+// costs the same at any GOMAXPROCS, and exactly one body or the loop
+// runs at any instant.
 //
 // Correctness rests on the conservative virtual-time rule (see package
 // vclock): every inter-rank coupling happens through a message stamped
@@ -52,9 +52,10 @@ package simmpi
 //
 // Steady-state dispatch allocates nothing: the run queue is a fixed
 // ring of p rank ids, the op queues live in a pooled slab, route queues
-// reuse their backing arrays, collective rounds copy through per-rank
-// reusable buffers, halo exchanges keep their messages in one reusable
-// buffer, and rank coroutines are created lazily on first dispatch.
+// reuse their backing arrays, collective rounds pass messages through
+// one reusable slot array, halo exchanges keep their messages in one
+// reusable buffer, and rank coroutines are created lazily on first
+// dispatch.
 
 import (
 	"fmt"
@@ -129,7 +130,6 @@ func (q *msgQueue) push(m message) { q.q = append(q.q, m) }
 
 func (q *msgQueue) pop() message {
 	m := q.q[q.head]
-	q.q[q.head] = message{}
 	q.head++
 	if q.head == len(q.q) {
 		q.q = q.q[:0]
@@ -217,8 +217,6 @@ type eventEngine struct {
 	// sentOff hold a halo exchange's messages, grouped by sender.
 	slots   []message
 	starts  []vclock.Time
-	blocks  [][]float64
-	ints    []int
 	sent    []haloMsg
 	sentOff []int
 
@@ -341,15 +339,11 @@ func (e *eventEngine) exec(r *Rank, o *rankOp) bool {
 	case opElapse:
 		r.elapse(units.Duration(o.n))
 	case opSend:
-		var data []float64
-		if o.side > 0 {
-			data = r.side(o).floats
-		}
-		e.post(r.id, o.a, o.b, r.sendFloatsCore(o.a, o.b, data, units.Bytes(o.n)))
+		e.post(r.id, o.a, o.b, r.sendCore(o.a, o.b, units.Bytes(o.n)))
 	case opRecv:
 		return e.recv(r, o.a, o.b)
 	case opRegion:
-		r.region(r.side(o).name)
+		r.region(r.q.names[o.a])
 	case opEndRegion:
 		r.endRegion()
 	default:
@@ -417,10 +411,9 @@ func (e *eventEngine) post(src, dst, tag int, m message) {
 	}
 }
 
-// recv plays r's receive of the next message sent src→r with tag,
-// keeping its payload for RecvFloats. If none is pending yet, r blocks
-// on the route; a route has a single reader, so at most one rank ever
-// waits on it.
+// recv plays r's receive of the next message sent src→r with tag. If
+// none is pending yet, r blocks on the route; a route has a single
+// reader, so at most one rank ever waits on it.
 func (e *eventEngine) recv(r *Rank, src, tag int) bool {
 	if src < 0 || src >= r.size {
 		panic(fmt.Sprintf("simmpi: recv from invalid rank %d (size %d)", src, r.size))
@@ -431,7 +424,7 @@ func (e *eventEngine) recv(r *Rank, src, tag int) bool {
 		q.waiting = true
 		return false
 	}
-	r.got = r.recvFloatsCore(q.pop(), src, tag)
+	r.recvCore(q.pop(), src, tag)
 	return true
 }
 

@@ -3,28 +3,27 @@ package simmpi
 // Allocation guards: steady-state point-to-point messaging and world
 // collectives must not allocate per message or per round. The engine's
 // arena-backed route queues (event.go) reuse their backing arrays once
-// drained, float payloads travel unboxed, and collective rounds copy
-// through per-rank reusable buffers (collective_batch.go); these tests
-// pin that.
+// drained, a message is a pointer-free wire size and availability time,
+// and collective rounds pass their messages through one reusable slot
+// array (collective_batch.go); these tests pin that.
 
 import (
 	"runtime"
 	"testing"
 )
 
-// pingPong runs a 2-rank ping-pong of iters round trips. The payload
-// slice's ownership round-trips, so a leak-free runtime allocates only
-// job setup, not per-iteration state.
+// pingPong runs a 2-rank ping-pong of iters round trips of 512-byte
+// messages. A leak-free runtime allocates only job setup, not
+// per-iteration state.
 func pingPong(iters int) error {
 	_, err := Run(cfg(2, 1), func(r *Rank) error {
-		buf := make([]float64, 64)
 		for i := 0; i < iters; i++ {
 			if r.ID() == 0 {
-				r.SendFloats(1, 7, buf)
-				buf = r.RecvFloats(1, 9)
+				r.Send(1, 7, 512)
+				r.Recv(1, 9)
 			} else {
-				buf = r.RecvFloats(0, 7)
-				r.SendFloats(0, 9, buf)
+				r.Recv(0, 7)
+				r.Send(0, 9, 512)
 			}
 		}
 		return nil
@@ -78,10 +77,11 @@ func TestPingPongAllocGuard(t *testing.T) {
 	})
 }
 
-// TestCollectiveAllocGuard pins steady-state allocations of the
-// solvers' per-iteration reductions at p = 48, a non-power-of-two size
-// that exercises all three recursive-doubling phases. A per-round copy
-// of the folded buffer costs about 4 allocations per rank per
+// TestCollectiveAllocGuard pins steady-state allocations of
+// per-iteration reductions at p = 48, a non-power-of-two size that
+// exercises all three recursive-doubling phases: one of 64 bytes, and
+// one of a scalar's 8 bytes, the size of the applications' dot-product
+// reductions. An allocation per message would cost about 6 per rank per
 // collective; the bound is 0.1.
 func TestCollectiveAllocGuard(t *testing.T) {
 	if RaceEnabled {
@@ -93,15 +93,13 @@ func TestCollectiveAllocGuard(t *testing.T) {
 		body func(r *Rank, iters int)
 	}{
 		{"Allreduce", func(r *Rank, iters int) {
-			buf := make([]float64, 8)
 			for i := 0; i < iters; i++ {
-				r.AllreduceFloats(buf, OpSum)
+				r.Allreduce(64)
 			}
 		}},
 		{"AllreduceScalar", func(r *Rank, iters int) {
-			v := float64(r.ID())
 			for i := 0; i < iters; i++ {
-				v = r.AllreduceScalar(v, OpMax)
+				r.Allreduce(8)
 			}
 		}},
 	}

@@ -12,7 +12,7 @@ package simmpi
 //     most maxHopSlots slots.
 //   - prices per (hops, bytes), in a direct-mapped table of priceSlots
 //     slots. A job sends few distinct sizes (halo faces, reduction
-//     payloads, collective rounds), so nearly every message hits.
+//     operands, collective rounds), so nearly every message hits.
 //
 // A slot holds exactly what the model returned for its key, so a price
 // read from the tables is the fabric's own price, bit for bit. The

@@ -2,16 +2,16 @@ package simmpi
 
 // The rank operation queue. A rank body does not execute its operations:
 // it queues them, in program order, and runs ahead until its queue is
-// full, until it needs a value (Now, Stats, RecvFloats, AllreduceFloats,
-// Allgather), or until it returns. The dispatch loop (event.go) plays
-// each rank's queue with the same code the operations always ran —
-// Compute's pricing, sendFloatsCore/recvFloatsCore and the route queues,
-// the batched collective executors — and resumes the rank's coroutine
-// only once its queue has drained. Every piece of rank state (clock,
-// PMU, Stats, noise sequence, congestion flow log, trace log and region
-// stack) therefore changes only when one of its ops is played, in the
-// rank's program order, exactly as if the body had run each operation
-// where it stands.
+// full, until it reads its own state (Now, Stats), or until it returns.
+// No operation returns a value, so nothing else makes a body wait. The
+// dispatch loop (event.go) plays each rank's queue with the same code
+// the operations always ran — Compute's pricing, sendCore/recvCore and
+// the route queues, the batched collective executors — and resumes the
+// rank's coroutine only once its queue has drained. Every piece of rank
+// state (clock, PMU, Stats, noise sequence, congestion flow log, trace
+// log and region stack) therefore changes only when one of its ops is
+// played, in the rank's program order, exactly as if the body had run
+// each operation where it stands.
 //
 // Storage. A job's queues share one slab of p·w ops, w being the window
 // (queueWindow): at most 2^14 ops of 40 bytes, 640 KiB, for any job of
@@ -22,9 +22,8 @@ package simmpi
 // rank beyond. An
 // exchange with more halos than a rank has slots gets a slice of its
 // own. The slabs come from a sync.Pool, so a sweep's jobs reuse them
-// instead of allocating their own. Payloads, reduction buffers and
-// region names sit in a per-rank side list that only the payload API
-// and traced regions use.
+// instead of allocating their own. Region names sit in a per-rank list
+// that only traced jobs fill.
 
 import (
 	"fmt"
@@ -47,7 +46,6 @@ const (
 	opEndRegion
 	opBarrier
 	opAllreduce
-	opAllgather
 	opAlltoall
 	opNeighbor
 )
@@ -58,8 +56,6 @@ func (k opKind) String() string {
 		return "Barrier"
 	case opAllreduce:
 		return "Allreduce"
-	case opAllgather:
-		return "Allgather"
 	case opAlltoall:
 		return "Alltoall"
 	case opNeighbor:
@@ -73,16 +69,14 @@ func (k opKind) String() string {
 //
 //	opCompute    the profile, inline: class in a, calls in b, bytes in n, flops in f
 //	opElapse     the duration in n
-//	opSend       destination in a, tag in b, wire bytes in n, a payload in side
+//	opSend       destination in a, tag in b, wire bytes in n
 //	opRecv       source in a, tag in b
-//	opRegion     the name in side
-//	opAllreduce  wire bytes in n, a buffer and operator in side
-//	opAllgather  the contribution and output in side
+//	opRegion     the index of its name in the queue's name list in a
+//	opAllreduce  wire bytes in n
 //	opAlltoall   wire bytes in n
 //	opNeighbor   the first of the rank's halo slots in a, their count in b
 type rankOp struct {
 	kind opKind
-	side int32 // 1 + the index of the op's side-list entry; 0 for none
 	a, b int
 	n    int64
 	f    units.Flops
@@ -96,14 +90,6 @@ func (o *rankOp) profile() perfmodel.WorkProfile {
 	}
 }
 
-// sideArg is what a payload op carries beyond its rankOp.
-type sideArg struct {
-	floats []float64 // SendFloats payload, AllreduceFloats buffer, Allgather contribution
-	out    []float64 // Allgather output
-	op     Op        // AllreduceFloats operator
-	name   string    // Region name
-}
-
 // opQueue is a rank's pending operations, in program order: ops[head:]
 // are still to play. The body appends and the loop plays; the loop
 // empties the queue before it resumes the body, so the body always
@@ -111,8 +97,8 @@ type sideArg struct {
 type opQueue struct {
 	ops   []rankOp // cap is the window
 	head  int
-	halos []Halo    // halo lists of the queued exchanges; nil until the rank's first
-	side  []sideArg // side-list entries of the queued ops
+	halos []Halo   // halo lists of the queued exchanges; nil until the rank's first
+	names []string // names of the queued regions
 }
 
 // pending reports whether any queued op has not been played.
@@ -123,9 +109,9 @@ func (q *opQueue) reset() {
 	q.ops = q.ops[:0]
 	q.head = 0
 	q.halos = q.halos[:0]
-	if len(q.side) > 0 {
-		clear(q.side)
-		q.side = q.side[:0]
+	if len(q.names) > 0 {
+		clear(q.names)
+		q.names = q.names[:0]
 	}
 }
 
@@ -174,18 +160,15 @@ func (r *Rank) push(o rankOp) {
 	r.q.ops = append(r.q.ops, o)
 }
 
-// pushSide queues o with its side-list entry s.
-func (r *Rank) pushSide(o rankOp, s sideArg) {
+// pushRegion queues a Region op, keeping its name in the queue's name
+// list.
+func (r *Rank) pushRegion(name string) {
 	if len(r.q.ops) == cap(r.q.ops) {
 		r.eng.wait(r)
 	}
-	r.q.side = append(r.q.side, s)
-	o.side = int32(len(r.q.side))
-	r.q.ops = append(r.q.ops, o)
+	r.q.names = append(r.q.names, name)
+	r.q.ops = append(r.q.ops, rankOp{kind: opRegion, a: len(r.q.names) - 1})
 }
-
-// side returns o's side-list entry; o must have one.
-func (r *Rank) side(o *rankOp) *sideArg { return &r.q.side[o.side-1] }
 
 // pushHalos queues a halo exchange, copying its list into r's halo
 // slots. If the queue is full or the slots cannot take the list, it

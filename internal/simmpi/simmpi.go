@@ -4,8 +4,11 @@
 // queue in program order and resumes the rank once it has drained
 // (event.go), and every operation is priced in virtual time by the
 // perfmodel (compute) and netmodel (communication) packages when it is
-// played. A body waits only for a value — Now, Stats, RecvFloats,
-// AllreduceFloats, Allgather — or for room in its queue.
+// played. A body waits only in Now or Stats, or for room in its queue.
+//
+// A simulated message carries a wire size and an availability time,
+// never data: sends, receives and collectives take byte counts, and no
+// operation returns a value computed by other ranks.
 //
 // The design keeps the classic MPI shape — ranks, tags, point-to-point
 // sends and receives, and collectives — so the benchmark codes read like
@@ -17,7 +20,7 @@
 // World collectives run as one batched event once every rank's play has
 // arrived (collective_batch.go). Each rank still performs the exact
 // per-rank message sequence of a real algorithm (dissemination barrier,
-// recursive-doubling allreduce, ring allgather, pairwise all-to-all), so
+// recursive-doubling allreduce, pairwise all-to-all), so
 // their virtual-time behaviour — including load imbalance arriving at a
 // collective — follows from per-message pricing rather than from a
 // closed-form formula. Face-halo exchanges are one of them:
@@ -28,7 +31,6 @@ package simmpi
 
 import (
 	"fmt"
-	"math"
 
 	"a64fxbench/internal/congestion"
 	"a64fxbench/internal/metrics"
@@ -121,14 +123,13 @@ func (singleNodeTopo) Hops(a, b int) int          { return 0 }
 func (singleNodeTopo) Route(a, b int) []topo.Link { return nil }
 func (singleNodeTopo) MaxNodes() int              { return 1 }
 
-// message is the unit carried between ranks: a float slice (nil for a
-// bytes-only Send), its modelled wire size, and the virtual time it
-// becomes available. The slice travels unboxed, so a message costs no
-// heap allocation.
+// message is the unit carried between ranks: its modelled wire size and
+// the virtual time it becomes available. It holds no pointer, so the
+// route queues and collective scratch that store messages cost the
+// garbage collector nothing.
 type message struct {
-	floats []float64
-	bytes  units.Bytes
-	avail  vclock.Time
+	bytes units.Bytes
+	avail vclock.Time
 }
 
 // job is the shared state of a running simulated job.
@@ -176,20 +177,9 @@ type Rank struct {
 	// JobConfig.Counters is set).
 	pmu *metrics.RankPMU
 
-	// scalar backs AllreduceScalar's one-element buffer, so the
-	// per-iteration dot products of the solvers allocate nothing.
-	scalar [1]float64
-	// sendBuf is the batched executor's reusable copy of what this rank
-	// sends from a buffer that folds overwrite (eventEngine.sendCopy). It
-	// starts on sendInline, so scalar reductions never allocate one.
-	sendBuf    []float64
-	sendInline [1]float64
-
 	// q holds the operations the body queued and the loop has not
-	// played yet (queue.go); got is the payload the last played receive
-	// returned, for RecvFloats.
-	q   opQueue
-	got []float64
+	// played yet (queue.go).
+	q opQueue
 
 	// Congestion-replay state (see congested.go): flows is the recording
 	// pass's log of this rank's inter-node sends, in program order;
@@ -329,13 +319,13 @@ func (r *Rank) elapse(d units.Duration) {
 	}
 }
 
-// sendFloatsCore prices one outgoing message carrying data (nil for a
-// bytes-only send) and performs every per-rank side effect of a send —
-// clock, PMU, statistics, congestion flows, and the trace event — but
-// leaves delivery to the caller. Point-to-point sends and the batched
+// sendCore prices one outgoing message of the given wire size and
+// performs every per-rank side effect of a send — clock, PMU,
+// statistics, congestion flows, and the trace event — but leaves
+// delivery to the caller. Point-to-point sends and the batched
 // collective executor share it, so a collective costs exactly what the
 // same message sequence sent one by one would.
-func (r *Rank) sendFloatsCore(dst, tag int, data []float64, bytes units.Bytes) message {
+func (r *Rank) sendCore(dst, tag int, bytes units.Bytes) message {
 	if dst < 0 || dst >= r.size {
 		panic(fmt.Sprintf("simmpi: send to invalid rank %d (size %d)", dst, r.size))
 	}
@@ -363,18 +353,13 @@ func (r *Rank) sendFloatsCore(dst, tag int, data []float64, bytes units.Bytes) m
 	if r.traced() {
 		r.record(Event{Kind: EvSend, Start: sendAt, Duration: f.SoftwareOverhead / 2, Peer: dst, Tag: tag, Bytes: bytes})
 	}
-	return message{
-		floats: data,
-		bytes:  bytes,
-		avail:  sendAt.Add(total),
-	}
+	return message{bytes: bytes, avail: sendAt.Add(total)}
 }
 
-// recvFloatsCore performs every per-rank side effect of receiving m —
-// the virtual-time jump to its availability, PMU, and the trace event —
-// and returns its float slice. The caller has already matched the
-// message.
-func (r *Rank) recvFloatsCore(m message, src, tag int) []float64 {
+// recvCore performs every per-rank side effect of receiving m — the
+// virtual-time jump to its availability, PMU, and the trace event. The
+// caller has already matched the message.
+func (r *Rank) recvCore(m message, src, tag int) {
 	start := r.clock.Now()
 	r.clock.AdvanceTo(m.avail)
 	wait := units.Duration(vclock.Max(m.avail, start) - start)
@@ -391,12 +376,11 @@ func (r *Rank) recvFloatsCore(m message, src, tag int) []float64 {
 			Peer:     src, Tag: tag, Bytes: m.bytes,
 		})
 	}
-	return m.floats
 }
 
-// Send transmits a bytes-only message of the modelled wire size to rank
-// dst with the given tag (callers know their datatype sizes). Sends are
-// eager: Send never blocks.
+// Send transmits a message of the modelled wire size to rank dst with
+// the given tag (callers know their datatype sizes). Sends are eager:
+// Send never blocks.
 func (r *Rank) Send(dst, tag int, bytes units.Bytes) {
 	r.push(rankOp{kind: opSend, a: dst, b: tag, n: int64(bytes)})
 }
@@ -407,28 +391,10 @@ func (r *Rank) Recv(src, tag int) {
 	r.push(rankOp{kind: opRecv, a: src, b: tag})
 }
 
-// SendFloats sends a float64 slice (8 bytes per element on the wire).
-// The slice's ownership passes to the receiver; senders must not mutate
-// it afterwards.
-func (r *Rank) SendFloats(dst, tag int, data []float64) {
-	r.pushSide(rankOp{kind: opSend, a: dst, b: tag, n: int64(8 * len(data))}, sideArg{floats: data})
-}
-
-// RecvFloats receives a float64 slice sent with SendFloats, waiting
-// until the receive has been played.
-func (r *Rank) RecvFloats(src, tag int) []float64 {
-	r.Recv(src, tag)
-	r.sync()
-	got := r.got
-	r.got = nil
-	return got
-}
-
 // Internal tags for collectives live far above user tags.
 const (
 	tagBarrier = 1 << 20
 	tagReduce  = 1 << 21
-	tagGather  = 1 << 23
 	tagA2A     = 1 << 24
 )
 
@@ -451,61 +417,20 @@ func (r *Rank) Barrier() {
 	}
 }
 
-// Op is a reduction operator for float64 elements.
-type Op func(a, b float64) float64
-
-// Standard reduction operators.
-var (
-	OpSum Op = func(a, b float64) float64 { return a + b }
-	OpMax Op = math.Max
-	OpMin Op = math.Min
-)
-
-// Allreduce is a reduction of a bytes-only operand of the given wire
-// size across all ranks: it sends the messages of recursive doubling
-// with the standard pre/post folding for non-power-of-two sizes, and
-// carries no values. The body does not wait for it.
+// Allreduce is a reduction of an operand of the given wire size across
+// all ranks: it sends the messages of recursive doubling with the
+// standard pre/post folding for non-power-of-two sizes. The body does
+// not wait for it.
 func (r *Rank) Allreduce(bytes units.Bytes) {
 	if r.size > 1 {
 		r.push(rankOp{kind: opAllreduce, n: int64(bytes)})
 	}
 }
 
-// AllreduceFloats combines buf element-wise across all ranks with op,
-// leaving the result in buf on every rank, through the same messages as
-// Allreduce(8·len(buf)). It returns once the reduction has been played.
-func (r *Rank) AllreduceFloats(buf []float64, op Op) {
-	if r.size > 1 {
-		r.pushSide(rankOp{kind: opAllreduce, n: int64(8 * len(buf))}, sideArg{floats: buf, op: op})
-		r.sync()
-	}
-}
-
-// AllreduceScalar reduces a single value across ranks.
-func (r *Rank) AllreduceScalar(v float64, op Op) float64 {
-	r.scalar[0] = v
-	r.AllreduceFloats(r.scalar[:], op)
-	return r.scalar[0]
-}
-
-// Allgather concatenates each rank's contribution, in rank order, on all
-// ranks using the ring algorithm. Each contribution must have length n.
-func (r *Rank) Allgather(contrib []float64) []float64 {
-	n := len(contrib)
-	out := make([]float64, n*r.size)
-	copy(out[r.id*n:], contrib)
-	if r.size == 1 {
-		return out
-	}
-	r.pushSide(rankOp{kind: opAllgather}, sideArg{floats: contrib, out: out})
-	r.sync()
-	return out
-}
-
-// Alltoall performs a pairwise-exchange all-to-all of bytes-only
-// messages: this rank sends a message of the given wire size to every
-// other rank and receives one from each. Ranks may pass different sizes.
-// The body does not wait for it.
+// Alltoall performs a pairwise-exchange all-to-all: this rank sends a
+// message of the given wire size to every other rank and receives one
+// from each. Ranks may pass different sizes. The body does not wait for
+// it.
 func (r *Rank) Alltoall(bytes units.Bytes) {
 	if r.size > 1 {
 		r.push(rankOp{kind: opAlltoall, n: int64(bytes)})
@@ -514,7 +439,6 @@ func (r *Rank) Alltoall(bytes units.Bytes) {
 
 // Halo is one face of a neighbourhood exchange: a message of Bytes sent
 // to Peer with SendTag, and a message Peer sent this rank with RecvTag.
-// Halos carry no payload; the runtime meters bytes only.
 type Halo struct {
 	Peer, SendTag, RecvTag int
 	Bytes                  units.Bytes
@@ -706,7 +630,6 @@ func runRanks(cfg JobConfig, body func(*Rank) error, cs *congestState) ([]*Rank,
 		r := &slab[i]
 		r.id, r.size, r.node = i, cfg.Procs, i/perNode
 		r.job = j
-		r.sendBuf = r.sendInline[:0]
 		if cfg.Counters != nil {
 			r.pmu = metrics.NewRankPMU(*cfg.Counters, cfg.Procs)
 		}

@@ -148,12 +148,9 @@ func TestSendRecvCausality(t *testing.T) {
 	rep, err := Run(cfg(2, 2), func(r *Rank) error {
 		if r.ID() == 0 {
 			r.Compute(perfmodel.WorkProfile{Class: perfmodel.VectorOp, Flops: 10 * units.GFlop}) // 1 s
-			r.SendFloats(1, 7, []float64{42})
+			r.Send(1, 7, 8)
 		} else {
-			data := r.RecvFloats(0, 7)
-			if data[0] != 42 {
-				return fmt.Errorf("payload %v", data)
-			}
+			r.Recv(0, 7)
 			// Receiver idled until at least sender's 1 s + latency.
 			if r.Now().Seconds() < 1.0 {
 				return fmt.Errorf("causality violated: recv at %v", r.Now())
@@ -185,7 +182,7 @@ func TestInvalidRanksPanic(t *testing.T) {
 	t.Parallel()
 	_, err := Run(cfg(2, 1), func(r *Rank) error {
 		if r.ID() == 0 {
-			r.SendFloats(5, 0, nil) // invalid
+			r.Send(5, 0, 0) // invalid
 		}
 		return nil
 	})
@@ -194,7 +191,7 @@ func TestInvalidRanksPanic(t *testing.T) {
 	}
 	_, err = Run(cfg(2, 1), func(r *Rank) error {
 		if r.ID() == 0 {
-			r.RecvFloats(-1, 0)
+			r.Recv(-1, 0)
 		}
 		return nil
 	})
@@ -223,75 +220,6 @@ func TestBarrierSynchronises(t *testing.T) {
 	}
 	if rep.Seconds() < 3.0 {
 		t.Errorf("makespan = %v", rep.Seconds())
-	}
-}
-
-func allreduceSizes() []int { return []int{1, 2, 3, 4, 5, 7, 8, 16, 24} }
-
-func TestAllreduceSum(t *testing.T) {
-	t.Parallel()
-	for _, p := range allreduceSizes() {
-		p := p
-		t.Run(fmt.Sprintf("p=%d", p), func(t *testing.T) {
-			nodes := p
-			if nodes > 4 {
-				nodes = 4
-			}
-			_, err := Run(cfg(p, nodes), func(r *Rank) error {
-				buf := []float64{float64(r.ID() + 1), 1}
-				r.AllreduceFloats(buf, OpSum)
-				wantSum := float64(p*(p+1)) / 2
-				if buf[0] != wantSum || buf[1] != float64(p) {
-					return fmt.Errorf("rank %d got %v, want [%v %v]", r.ID(), buf, wantSum, p)
-				}
-				return nil
-			})
-			if err != nil {
-				t.Fatal(err)
-			}
-		})
-	}
-}
-
-func TestAllreduceMaxMin(t *testing.T) {
-	t.Parallel()
-	_, err := Run(cfg(6, 2), func(r *Rank) error {
-		v := r.AllreduceScalar(float64(r.ID()), OpMax)
-		if v != 5 {
-			return fmt.Errorf("max = %v", v)
-		}
-		v = r.AllreduceScalar(float64(r.ID()), OpMin)
-		if v != 0 {
-			return fmt.Errorf("min = %v", v)
-		}
-		return nil
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-}
-
-func TestAllgather(t *testing.T) {
-	t.Parallel()
-	for _, p := range []int{1, 2, 5, 8} {
-		p := p
-		t.Run(fmt.Sprintf("p=%d", p), func(t *testing.T) {
-			_, err := Run(cfg(p, min(p, 4)), func(r *Rank) error {
-				out := r.Allgather([]float64{float64(r.ID()), float64(r.ID() * 10)})
-				if len(out) != 2*p {
-					return fmt.Errorf("len = %d", len(out))
-				}
-				for i := 0; i < p; i++ {
-					if out[2*i] != float64(i) || out[2*i+1] != float64(i*10) {
-						return fmt.Errorf("rank %d block %d = %v", r.ID(), i, out[2*i:2*i+2])
-					}
-				}
-				return nil
-			})
-			if err != nil {
-				t.Fatal(err)
-			}
-		})
 	}
 }
 
@@ -336,7 +264,7 @@ func TestDeterminism(t *testing.T) {
 					Class: perfmodel.VectorOp,
 					Flops: units.Flops(1+r.ID()) * units.MFlop,
 				})
-				r.AllreduceScalar(float64(r.ID()), OpSum)
+				r.Allreduce(8)
 			}
 			return nil
 		})
@@ -359,9 +287,9 @@ func TestStatsAccounting(t *testing.T) {
 	rep, err := Run(cfg(2, 2), func(r *Rank) error {
 		r.Compute(perfmodel.WorkProfile{Class: perfmodel.VectorOp, Flops: units.MFlop, Bytes: 1000})
 		if r.ID() == 0 {
-			r.SendFloats(1, 1, make([]float64, 100))
+			r.Send(1, 1, 800)
 		} else {
-			r.RecvFloats(0, 1)
+			r.Recv(0, 1)
 		}
 		return nil
 	})
@@ -388,7 +316,7 @@ func TestMoreNodesCostMoreForCollectives(t *testing.T) {
 	run := func(nodes int) float64 {
 		rep, err := Run(cfg(16, nodes), func(r *Rank) error {
 			for i := 0; i < 10; i++ {
-				r.AllreduceScalar(1, OpSum)
+				r.Allreduce(8)
 			}
 			return nil
 		})

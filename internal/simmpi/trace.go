@@ -234,7 +234,7 @@ type regionFrame struct {
 // never touch the virtual clock or statistics.
 func (r *Rank) Region(name string) {
 	if r.traced() {
-		r.pushSide(rankOp{kind: opRegion}, sideArg{name: name})
+		r.pushRegion(name)
 	}
 }
 

@@ -30,9 +30,9 @@ func TestTraceTimeline(t *testing.T) {
 	_, err := Run(c, func(r *Rank) error {
 		r.Compute(perfmodel.WorkProfile{Class: perfmodel.VectorOp, Flops: units.MFlop})
 		if r.ID() == 0 {
-			r.SendFloats(1, 1, []float64{1})
+			r.Send(1, 1, 8)
 		} else {
-			r.RecvFloats(0, 1)
+			r.Recv(0, 1)
 		}
 		return nil
 	})

@@ -9,11 +9,13 @@ import (
 	"fmt"
 	"testing"
 
+	"a64fxbench/internal/units"
 	"a64fxbench/internal/vclock"
 )
 
 // vclockEdgeCases is the edge-case table. Every body is deterministic
-// and leans on events landing at exactly equal virtual times.
+// and leans on events landing at exactly equal virtual times; every
+// sender of a message that carries bytes sends its own byte count.
 var vclockEdgeCases = []struct {
 	name  string
 	procs int
@@ -27,11 +29,11 @@ var vclockEdgeCases = []struct {
 		body: func(r *Rank, _ *collSet) error {
 			if r.ID() == 0 {
 				for src := 1; src < r.Size(); src++ {
-					r.RecvFloats(src, 1)
+					r.Recv(src, 1)
 				}
 				return nil
 			}
-			r.SendFloats(0, 1, []float64{1})
+			r.Send(0, 1, units.Bytes(8*r.ID()))
 			return nil
 		},
 	},
@@ -48,9 +50,7 @@ var vclockEdgeCases = []struct {
 			r.Elapse(0)
 			cs.Barrier(r)
 			r.Elapse(0)
-			if got := cs.allreduceScalar(r, 1, OpSum); got != float64(r.Size()) {
-				return fmt.Errorf("allreduce after zero elapse: %v", got)
-			}
+			cs.Allreduce(r, units.Bytes(8*(1+r.ID())))
 			return nil
 		},
 	},
@@ -74,11 +74,7 @@ var vclockEdgeCases = []struct {
 		body: func(r *Rank, cs *collSet) error {
 			r.Compute(vecWork(1000))
 			cs.Barrier(r)
-			buf := []float64{1}
-			cs.Allreduce(r, buf, OpSum)
-			if buf[0] != float64(r.Size()) {
-				return fmt.Errorf("allreduce got %v", buf)
-			}
+			cs.Allreduce(r, units.Bytes(8*(1+r.ID()%3)))
 			return nil
 		},
 	},
