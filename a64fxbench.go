@@ -207,9 +207,15 @@ const (
 // the default) to a Model.
 func ParseModel(s string) (Model, error) { return perfmodel.ParseModel(s) }
 
-// TraceSink receives the phase-annotated event stream of traced
-// simulated jobs (see the trace support in every benchmark Config).
+// TraceSink observes traced simulated jobs (see the trace support in
+// every benchmark Config): it is called once per job, when the job
+// finishes, with the job's report.
 type TraceSink = simmpi.TraceSink
+
+// JobReport is one simulated job's report: its label, makespan,
+// per-rank results, link and counter accounting and, in the report a
+// TraceSink receives, its phase-annotated timeline in Events.
+type JobReport = simmpi.Report
 
 // TraceEvent is one entry of a traced job's timeline.
 type TraceEvent = simmpi.Event
@@ -218,22 +224,17 @@ type TraceEvent = simmpi.Event
 // (start time, rank) order.
 type Timeline = simmpi.Timeline
 
-// MemorySink is a TraceSink that buffers the stream for later analysis
-// (Chrome export, communication matrices, critical paths — see
-// internal/obs through the a64fxbench trace command).
-type MemorySink = simmpi.MemorySink
-
 // Virtual PMU: every benchmark Config and Options carries an optional
 // *CounterConfig; a non-nil value makes each simulated rank meter named
 // counters (flops by kernel class, cache-level traffic, attributed
-// stall time, per-peer messages, collective time) and sample them in
-// virtual time. Counting never changes simulated results.
+// stall time, messages, collective time) and sample them in virtual
+// time. Counting never changes simulated results.
 type (
 	// CounterConfig enables and tunes the virtual PMU (sampling period,
 	// series length bound). The zero value means the defaults.
 	CounterConfig = metrics.Config
-	// JobCounters is a counted job's full PMU state: per-rank finals,
-	// sampled series and per-peer traffic (simmpi.Report.Counters).
+	// JobCounters is a counted job's full PMU state: per-rank finals
+	// and sampled series (JobReport.Counters).
 	JobCounters = metrics.JobCounters
 	// CounterSnapshot is the regression sentinel's unit: a canonical,
 	// diffable set of named metrics from one run (see the a64fxbench

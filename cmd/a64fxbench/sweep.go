@@ -8,6 +8,7 @@ import (
 
 	"a64fxbench/internal/core"
 	"a64fxbench/internal/serve"
+	"a64fxbench/internal/simmpi"
 	"a64fxbench/internal/sweep"
 )
 
@@ -18,8 +19,8 @@ type sweepConfig struct {
 	format   string
 	jobs     int // worker bound; ≤ 0 means GOMAXPROCS
 	failFast bool
-	// profile collects each experiment's event timeline and prints a
-	// per-job observability summary after its artifact.
+	// profile traces each experiment and prints a per-job observability
+	// digest after its artifact.
 	profile bool
 	// congestion prices multi-node communication through the routed
 	// contention model (core.Options.Congestion).
@@ -98,12 +99,17 @@ func runSweep(ctx context.Context, out, errw io.Writer, ids []string, cfg sweepC
 	eng := sweep.New(cfg.jobs)
 	eng.FailFast = cfg.failFast
 	var results []sweep.Result
+	var digests map[string]*jobDigests
 	if cfg.profile {
-		// Collect runs each distinct id once; map its results back onto
-		// the requested ids so artifacts still render in input order.
+		// Observe runs each distinct id once, digesting its jobs as they
+		// finish; map its results back onto the requested ids so
+		// artifacts still render in input order.
+		byIdx := make([]jobDigests, len(req.IDs))
+		observed := eng.Observe(ctx, req.IDs, opt, func(i int, job *simmpi.Report) { byIdx[i].add(job) })
 		byID := map[string]sweep.Result{}
-		for _, r := range eng.Collect(ctx, req.IDs, opt) {
-			byID[r.ID] = r
+		digests = map[string]*jobDigests{}
+		for i, r := range observed {
+			byID[r.ID], digests[r.ID] = r, &byIdx[i]
 		}
 		for _, id := range req.IDs {
 			results = append(results, byID[id])
@@ -119,8 +125,8 @@ func runSweep(ctx context.Context, out, errw io.Writer, ids []string, cfg sweepC
 		if err := core.RenderArtifact(out, r.Artifact, req.Format, req.Compare); err != nil {
 			return err
 		}
-		if cfg.profile && len(r.Timeline) > 0 {
-			if err := writeProfileSummary(out, r.ID, r.Timeline); err != nil {
+		if d := digests[r.ID]; d != nil && d.jobs > 0 {
+			if err := d.write(out, r.ID); err != nil {
 				return err
 			}
 		}

@@ -13,7 +13,7 @@ import (
 // LinkStats is the contention accounting of one directed link.
 type LinkStats struct {
 	// Link is the topology edge; Name is its rendered form (stable,
-	// human-readable, and what trace events carry).
+	// human-readable, and what trace outputs show).
 	Link topo.Link `json:"-"`
 	Name string    `json:"name"`
 	// Capacity is the link's modelled bandwidth.

@@ -47,7 +47,7 @@ var _ = registerExt(&Experiment{
 				return nil, err
 			}
 			// The congested pass feeds the same trace sink so `links`
-			// and `trace` see its link events.
+			// and `trace` see its link report.
 			cong, err := hpcg.Run(hpcg.Config{
 				System: sys, Nodes: nodes, Iterations: iters,
 				Instrumentation: congested,

@@ -275,13 +275,6 @@ type Sample struct {
 	Values []float64      `json:"values"`
 }
 
-// PeerStat is one rank's traffic towards a single peer rank.
-type PeerStat struct {
-	Peer  int         `json:"peer"`
-	Msgs  int64       `json:"msgs"`
-	Bytes units.Bytes `json:"bytes"`
-}
-
 // RankPMU accumulates one rank's counters. The owning rank drives it
 // from its body goroutine; it is not safe for concurrent use — exactly
 // like the rank itself.
@@ -291,20 +284,16 @@ type RankPMU struct {
 	maxSamples int
 	next       units.Duration
 	samples    []Sample
-	peerMsgs   []int64
-	peerBytes  []units.Bytes
 }
 
-// NewRankPMU creates a PMU for one rank of a job with `ranks` ranks.
-func NewRankPMU(cfg Config, ranks int) *RankPMU {
+// NewRankPMU creates a PMU for one rank.
+func NewRankPMU(cfg Config) *RankPMU {
 	cfg = cfg.Sanitized()
 	return &RankPMU{
 		vals:       make([]float64, len(defs)),
 		period:     cfg.Period,
 		maxSamples: cfg.MaxSamples,
 		next:       cfg.Period,
-		peerMsgs:   make([]int64, ranks),
-		peerBytes:  make([]units.Bytes, ranks),
 	}
 }
 
@@ -313,12 +302,6 @@ func (p *RankPMU) Add(id ID, v float64) { p.vals[id] += v }
 
 // AddTime accumulates a virtual-time delta in nanoseconds.
 func (p *RankPMU) AddTime(id ID, d units.Duration) { p.vals[id] += float64(d) }
-
-// AddPeer accumulates one sent message towards a peer rank.
-func (p *RankPMU) AddPeer(peer int, bytes units.Bytes) {
-	p.peerMsgs[peer]++
-	p.peerBytes[peer] += bytes
-}
 
 // Observe samples the counters at every period boundary the owning
 // clock has crossed since the previous call. Hooks call it after
@@ -359,24 +342,16 @@ func (p *RankPMU) decimate() {
 
 // Counters freezes the PMU into the rank's final accounting.
 func (p *RankPMU) Counters(rank int) RankCounters {
-	rc := RankCounters{
+	return RankCounters{
 		Rank:    rank,
 		Period:  p.period,
 		Values:  append([]float64(nil), p.vals...),
 		Samples: p.samples,
 	}
-	for peer := range p.peerMsgs {
-		if p.peerMsgs[peer] != 0 || p.peerBytes[peer] != 0 {
-			rc.Peers = append(rc.Peers, PeerStat{
-				Peer: peer, Msgs: p.peerMsgs[peer], Bytes: p.peerBytes[peer],
-			})
-		}
-	}
-	return rc
 }
 
 // RankCounters is one rank's final counter accounting: cumulative
-// values (indexed by ID), the sampled series, and per-peer traffic.
+// values (indexed by ID) and the sampled series.
 type RankCounters struct {
 	Rank int `json:"rank"`
 	// Period is the rank's final sampling period (decimation may have
@@ -386,8 +361,6 @@ type RankCounters struct {
 	Values []float64 `json:"values"`
 	// Samples is the virtual-time series, ascending in At.
 	Samples []Sample `json:"samples,omitempty"`
-	// Peers lists per-peer sent traffic, ascending in Peer.
-	Peers []PeerStat `json:"peers,omitempty"`
 }
 
 // Value returns one final counter value.

@@ -53,7 +53,7 @@ func TestSamplingGrid(t *testing.T) {
 	t.Parallel()
 	const base = 10 * units.Microsecond
 	run := func() RankCounters {
-		p := NewRankPMU(Config{Period: base, MaxSamples: 4}, 2)
+		p := NewRankPMU(Config{Period: base, MaxSamples: 4})
 		now := units.Duration(0)
 		for i := 0; i < 300; i++ {
 			p.Add(MemDRAM, float64(i))
@@ -97,7 +97,7 @@ func TestAggregateSeries(t *testing.T) {
 	t.Parallel()
 	const base = 10 * units.Microsecond
 	mk := func(stop units.Duration, cap int) RankCounters {
-		p := NewRankPMU(Config{Period: base, MaxSamples: cap}, 1)
+		p := NewRankPMU(Config{Period: base, MaxSamples: cap})
 		for now := units.Duration(0); now <= stop; now += base {
 			p.Add(SentMsgs, 1)
 			p.Observe(now)

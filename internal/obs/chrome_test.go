@@ -33,10 +33,11 @@ type chromeDoc struct {
 // region slices.
 func TestChromeGolden(t *testing.T) {
 	t.Parallel()
-	sink, _ := fourRankJob(t)
-	jobs := obs.SplitJobs(sink.Events)
+	job, _ := fourRankJob(t)
 	var buf bytes.Buffer
-	if err := obs.WriteChrome(&buf, jobs); err != nil {
+	s := obs.NewChromeSink(&buf)
+	s.Job(job)
+	if err := s.Close(); err != nil {
 		t.Fatal(err)
 	}
 
@@ -113,8 +114,10 @@ func TestChromeDeterministic(t *testing.T) {
 	t.Parallel()
 	var out [2]bytes.Buffer
 	for i := range out {
-		sink, _ := fourRankJob(t)
-		if err := obs.WriteChrome(&out[i], obs.SplitJobs(sink.Events)); err != nil {
+		job, _ := fourRankJob(t)
+		s := obs.NewChromeSink(&out[i])
+		s.Job(job)
+		if err := s.Close(); err != nil {
 			t.Fatal(err)
 		}
 	}

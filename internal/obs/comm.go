@@ -11,7 +11,7 @@ import (
 )
 
 // CommMatrix is the rank×rank (or, after NodeView, node×node)
-// point-to-point traffic matrix of one or more traced jobs: entry
+// point-to-point traffic matrix of one traced job: entry
 // [src][dst] counts messages and wire bytes sent from src to dst,
 // collective internals included.
 type CommMatrix struct {
@@ -26,28 +26,21 @@ type CommMatrix struct {
 	Nodes bool `json:"nodes,omitempty"`
 }
 
-// BuildCommMatrix accumulates the traffic matrix from the jobs' send
+// BuildCommMatrix accumulates the job's traffic matrix from its send
 // events.
-func BuildCommMatrix(jobs ...JobTrace) *CommMatrix {
-	n := 0
-	for i := range jobs {
-		if r := jobs[i].NumRanks(); r > n {
-			n = r
-		}
-	}
+func BuildCommMatrix(job *simmpi.Report) *CommMatrix {
+	n := len(job.Ranks)
 	m := newCommMatrix(n)
 	m.NodeOf = make([]int, n)
-	for i := range jobs {
-		for r, node := range jobs[i].NodeOf() {
-			m.NodeOf[r] = node
+	for r, rr := range job.Ranks {
+		m.NodeOf[r] = rr.Node
+	}
+	for _, e := range job.Events {
+		if e.Kind != simmpi.EvSend || e.Peer < 0 || e.Peer >= n {
+			continue
 		}
-		for _, e := range jobs[i].Events {
-			if e.Kind != simmpi.EvSend || e.Peer < 0 || e.Peer >= n {
-				continue
-			}
-			m.Msgs[e.Rank][e.Peer]++
-			m.Bytes[e.Rank][e.Peer] += e.Bytes
-		}
+		m.Msgs[e.Rank][e.Peer]++
+		m.Bytes[e.Rank][e.Peer] += e.Bytes
 	}
 	return m
 }

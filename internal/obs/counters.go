@@ -88,31 +88,22 @@ func (cr *CounterReport) Total(name string) float64 {
 	return 0
 }
 
-// BuildCounterReport aggregates one job's counter events. It returns
-// nil when the trace carries no EvCounter events — the job was run
+// BuildCounterReport aggregates one job's PMU accounting: the totals
+// are the nonzero rank sums of its counters in registry order, and the
+// phases a fold over its timeline. It returns nil when the job was run
 // without the virtual PMU.
-func BuildCounterReport(jt JobTrace, peaks Peaks) *CounterReport {
-	defs := metrics.Counters()
-	totals := make([]float64, len(defs))
-	counted := false
-	for _, e := range jt.Events {
-		if e.Kind != simmpi.EvCounter {
-			continue
-		}
-		counted = true
-		if id, ok := metrics.Lookup(e.Name); ok {
-			totals[id] += e.Value
-		}
-	}
-	if !counted {
+func BuildCounterReport(job *simmpi.Report, peaks Peaks) *CounterReport {
+	if job.Counters == nil {
 		return nil
 	}
+	defs := metrics.Counters()
+	totals := job.Counters.Totals()
 	cr := &CounterReport{
-		Label:    jt.Label,
-		Ranks:    jt.NumRanks(),
-		Nodes:    jt.NumNodes(),
-		Makespan: jt.Makespan,
-		Phases:   buildPhaseCounters(jt),
+		Label:    job.Label,
+		Ranks:    len(job.Ranks),
+		Nodes:    NumNodes(job),
+		Makespan: job.Makespan,
+		Phases:   buildPhaseCounters(job.Events),
 	}
 	for id, v := range totals {
 		if v == 0 {
@@ -144,7 +135,7 @@ func BuildCounterReport(jt JobTrace, peaks Peaks) *CounterReport {
 // buildPhaseCounters walks each rank's region stack over the merged
 // timeline (each rank's program order is preserved in it) and charges
 // every event to the innermost open region path of its rank.
-func buildPhaseCounters(jt JobTrace) []PhaseCounters {
+func buildPhaseCounters(events simmpi.Timeline) []PhaseCounters {
 	byPhase := map[string]*PhaseCounters{}
 	regions := map[int][]string{}
 	get := func(rank int) *PhaseCounters {
@@ -159,7 +150,7 @@ func buildPhaseCounters(jt JobTrace) []PhaseCounters {
 		}
 		return pc
 	}
-	for _, e := range jt.Events {
+	for _, e := range events {
 		switch e.Kind {
 		case simmpi.EvRegionBegin:
 			regions[e.Rank] = append(regions[e.Rank], e.Name)
@@ -203,13 +194,13 @@ func buildPhaseCounters(jt JobTrace) []PhaseCounters {
 }
 
 // A64FXPeaks derives per-rank roofline peaks from the A64FX node model
-// and the job's observed rank placement. Experiments may run other
-// systems too; the A64FX — the paper's subject — is the fixed yardstick.
-func A64FXPeaks(jt JobTrace) Peaks {
+// and the job's rank placement. Experiments may run other systems too;
+// the A64FX — the paper's subject — is the fixed yardstick.
+func A64FXPeaks(job *simmpi.Report) Peaks {
 	sys := arch.MustGet(arch.A64FX)
 	rpn := 1
-	if n := jt.NumNodes(); n > 0 {
-		if r := (jt.NumRanks() + n - 1) / n; r > 0 {
+	if n := NumNodes(job); n > 0 {
+		if r := (len(job.Ranks) + n - 1) / n; r > 0 {
 			rpn = r
 		}
 	}
@@ -244,26 +235,62 @@ func AppendCounterEntries(snap *metrics.Snapshot, prefix string, cr *CounterRepo
 	}
 }
 
+// CounterPoint is one counter's value at one point of a job's
+// aggregate series (metrics.JobCounters.AggregateSeries): the sum over
+// ranks of the cumulative counter at that virtual time.
+type CounterPoint struct {
+	At    units.Duration
+	ID    metrics.ID
+	Value float64
+}
+
+// CounterPoints lists the points of the job's aggregate counter series
+// at which a counter changed since the previous point, in time-major
+// then counter-ID order. Every counter and series export reads them, so
+// all show the same sparse stream. Nil counters yield none.
+func CounterPoints(jc *metrics.JobCounters) []CounterPoint {
+	if jc == nil {
+		return nil
+	}
+	_, samples := jc.AggregateSeries()
+	var pts []CounterPoint
+	prev := make([]float64, metrics.NumCounters())
+	for _, s := range samples {
+		for id, v := range s.Values {
+			if v != prev[id] {
+				prev[id] = v
+				pts = append(pts, CounterPoint{At: s.At, ID: metrics.ID(id), Value: v})
+			}
+		}
+	}
+	return pts
+}
+
+// CounterSeries is what the CSV export keeps of one job: its label and
+// its changed counter points.
+type CounterSeries struct {
+	Label   string
+	Changes []CounterPoint
+}
+
 // WriteCounterCSV exports the jobs' aggregate counter series in long
 // form: one row per (job, sample time, changed counter), cumulative
 // values. The stream is sparse — a counter appears at a sample exactly
 // when its value changed — so consumers should carry values forward.
-func WriteCounterCSV(w io.Writer, jobs []JobTrace) error {
+// The job column is the job's index in jobs.
+func WriteCounterCSV(w io.Writer, jobs []CounterSeries) error {
 	cw := csv.NewWriter(w)
 	if err := cw.Write([]string{"job", "label", "at_ns", "counter", "value"}); err != nil {
 		return err
 	}
-	for ji, jt := range jobs {
-		for _, e := range jt.Events {
-			if e.Kind != simmpi.EvCounterSample {
-				continue
-			}
+	for ji, job := range jobs {
+		for _, p := range job.Changes {
 			if err := cw.Write([]string{
 				strconv.Itoa(ji),
-				jt.Label,
-				strconv.FormatInt(int64(e.Start), 10),
-				e.Name,
-				strconv.FormatFloat(e.Value, 'g', -1, 64),
+				job.Label,
+				strconv.FormatInt(int64(p.At), 10),
+				p.ID.String(),
+				strconv.FormatFloat(p.Value, 'g', -1, 64),
 			}); err != nil {
 				return err
 			}

@@ -3,6 +3,7 @@ package obs_test
 import (
 	"bytes"
 	"encoding/json"
+	"strconv"
 	"strings"
 	"testing"
 
@@ -15,18 +16,18 @@ import (
 )
 
 // countedFourRankJob is fourRankJob with the virtual PMU on.
-func countedFourRankJob(t *testing.T) (obs.JobTrace, simmpi.Report) {
+func countedFourRankJob(t *testing.T) (*simmpi.Report, simmpi.Report) {
 	t.Helper()
 	return countedFourRankJobModel(t, "")
 }
 
 // countedFourRankJobModel is countedFourRankJob under an explicit
 // pricing model so the ECM attribution tests run the identical body.
-func countedFourRankJobModel(t *testing.T, pm perfmodel.Model) (obs.JobTrace, simmpi.Report) {
+func countedFourRankJobModel(t *testing.T, pm perfmodel.Model) (*simmpi.Report, simmpi.Report) {
 	t.Helper()
 	sys := arch.MustGet(arch.A64FX)
 	model := sys.PerRankModel(2, 1)
-	sink := &simmpi.MemorySink{}
+	sink, jobs := keepJobs()
 	cfg := simmpi.JobConfig{
 		Procs: 4, Nodes: 2, ThreadsPerRank: 1,
 		CostModel: model,
@@ -61,11 +62,7 @@ func countedFourRankJobModel(t *testing.T, pm perfmodel.Model) (obs.JobTrace, si
 	if err != nil {
 		t.Fatal(err)
 	}
-	jobs := obs.SplitJobs(sink.Events)
-	if len(jobs) != 1 {
-		t.Fatalf("got %d jobs, want 1", len(jobs))
-	}
-	return jobs[0], rep
+	return onlyJob(t, *jobs), rep
 }
 
 func TestCounterReportTotalsMatchRuntime(t *testing.T) {
@@ -75,13 +72,12 @@ func TestCounterReportTotalsMatchRuntime(t *testing.T) {
 	if cr == nil {
 		t.Fatal("counted trace produced no counter report")
 	}
-	// Reconstructed totals must equal the runtime's own accounting: the
-	// EvCounter events carry the exact per-rank finals.
+	// Report totals must equal the runtime's own accounting.
 	tot := rep.Counters.Totals()
 	for id, want := range tot {
 		name := metrics.ID(id).Def().Name
 		if got := cr.Total(name); got != want {
-			t.Errorf("%s: trace total %v, runtime %v", name, got, want)
+			t.Errorf("%s: report total %v, runtime %v", name, got, want)
 		}
 	}
 	if cr.Ranks != 4 || cr.Nodes != 2 {
@@ -182,8 +178,7 @@ func TestPhaseCountersSumToTotalsECM(t *testing.T) {
 // and an Analyze report without the section.
 func TestCounterReportNilWithoutPMU(t *testing.T) {
 	t.Parallel()
-	sink, _ := fourRankJob(t)
-	jt := obs.SplitJobs(sink.Events)[0]
+	jt, _ := fourRankJob(t)
 	if cr := obs.BuildCounterReport(jt, obs.A64FXPeaks(jt)); cr != nil {
 		t.Fatal("uncounted trace produced a counter report")
 	}
@@ -208,16 +203,33 @@ func TestCounterReportNilWithoutPMU(t *testing.T) {
 func TestCounterCSV(t *testing.T) {
 	t.Parallel()
 	jt, _ := countedFourRankJob(t)
+	pts := obs.CounterPoints(jt.Counters)
 	var b bytes.Buffer
-	if err := obs.WriteCounterCSV(&b, []obs.JobTrace{jt}); err != nil {
+	if err := obs.WriteCounterCSV(&b, []obs.CounterSeries{{Label: jt.Label, Changes: pts}}); err != nil {
 		t.Fatal(err)
 	}
 	lines := strings.Split(strings.TrimSpace(b.String()), "\n")
 	if lines[0] != "job,label,at_ns,counter,value" {
 		t.Fatalf("header %q", lines[0])
 	}
-	if len(lines) < 2 {
-		t.Fatal("no series rows; the sampling period should produce samples for this job")
+	if len(lines) < 2 || len(lines) != len(pts)+1 {
+		t.Fatalf("%d series rows for %d points; the sampling period should produce samples for this job", len(lines)-1, len(pts))
+	}
+	// Sparse: a counter appears at a point only when it changed, so
+	// consecutive rows of one counter never repeat a value.
+	last := map[string]string{}
+	for _, line := range lines[1:] {
+		f := strings.Split(line, ",")
+		if len(f) != 5 || f[0] != "0" || f[1] != jt.Label {
+			t.Fatalf("row %q", line)
+		}
+		if _, err := strconv.ParseFloat(f[4], 64); err != nil {
+			t.Fatalf("row %q: %v", line, err)
+		}
+		if last[f[3]] == f[4] {
+			t.Fatalf("row %q repeats its counter's previous value", line)
+		}
+		last[f[3]] = f[4]
 	}
 }
 
@@ -226,7 +238,7 @@ func TestCounterCSV(t *testing.T) {
 // — never Inf/NaN, which encoding/json rejects outright.
 func TestRooflineZeroDurationSafe(t *testing.T) {
 	t.Parallel()
-	jt := obs.JobTrace{Label: "degenerate", Events: []simmpi.Event{
+	jt := &simmpi.Report{Label: "degenerate", Events: []simmpi.Event{
 		{Kind: simmpi.EvCompute, Rank: 0, Class: perfmodel.DotProduct,
 			Duration: 0, Flops: 1000, Bytes: 0, Peer: -1},
 	}}

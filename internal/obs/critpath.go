@@ -64,12 +64,12 @@ type routeKey struct {
 // only accrues the time past its predecessor's finish, so the path
 // length never exceeds the makespan, and — because each rank's events
 // chain — never undercuts the busiest rank's recorded time.
-func ComputeCriticalPath(jt JobTrace) (*CriticalPath, error) {
-	nodes, err := buildDAG(jt)
+func ComputeCriticalPath(job *simmpi.Report) (*CriticalPath, error) {
+	nodes, err := buildDAG(job.Events)
 	if err != nil {
 		return nil, err
 	}
-	cp := &CriticalPath{Makespan: jt.Makespan}
+	cp := &CriticalPath{Makespan: job.Makespan}
 	if len(nodes) == 0 {
 		return cp, nil
 	}
@@ -171,7 +171,7 @@ func ComputeCriticalPath(jt JobTrace) (*CriticalPath, error) {
 // buildDAG turns the timeline into DAG nodes: per-rank program-order
 // chains plus send→recv edges matched per (src,dst,tag) route in FIFO
 // order — exactly the runtime's mailbox semantics.
-func buildDAG(jt JobTrace) ([]cpNode, error) {
+func buildDAG(events simmpi.Timeline) ([]cpNode, error) {
 	var nodes []cpNode
 	lastOnRank := map[int]int{}
 	regions := map[int][]string{}
@@ -184,7 +184,7 @@ func buildDAG(jt JobTrace) ([]cpNode, error) {
 	var recvs []recvRef
 	recvSeq := map[routeKey]int{}
 
-	for _, e := range jt.Events {
+	for _, e := range events {
 		switch e.Kind {
 		case simmpi.EvRegionBegin:
 			regions[e.Rank] = append(regions[e.Rank], e.Name)

@@ -15,13 +15,10 @@ import (
 // the path can never exceed the makespan, and it can never undercut the
 // busiest rank's recorded event time (every rank's events form one chain
 // of the DAG).
-func checkPathInvariants(t *testing.T, label string, sink *simmpi.MemorySink, rep simmpi.Report) *obs.CriticalPath {
+func checkPathInvariants(t *testing.T, label string, jobs []*simmpi.Report, rep simmpi.Report) *obs.CriticalPath {
 	t.Helper()
-	jobs := obs.SplitJobs(sink.Events)
-	if len(jobs) != 1 {
-		t.Fatalf("%s: %d jobs in stream", label, len(jobs))
-	}
-	cp, err := obs.ComputeCriticalPath(jobs[0])
+	job := onlyJob(t, jobs)
+	cp, err := obs.ComputeCriticalPath(job)
 	if err != nil {
 		t.Fatalf("%s: %v", label, err)
 	}
@@ -34,7 +31,7 @@ func checkPathInvariants(t *testing.T, label string, sink *simmpi.MemorySink, re
 	// Busiest rank: total recorded event time (busy work plus recv
 	// waits) per rank is a single DAG chain, so the path must cover it.
 	perRank := map[int]units.Duration{}
-	for _, e := range jobs[0].Events {
+	for _, e := range job.Events {
 		switch e.Kind {
 		case simmpi.EvCompute, simmpi.EvSend, simmpi.EvRecv, simmpi.EvNoise:
 			perRank[e.Rank] += e.Duration
@@ -78,7 +75,7 @@ func checkPathInvariants(t *testing.T, label string, sink *simmpi.MemorySink, re
 // hpcg multi-node).
 func TestCriticalPathHPCGMultiNode(t *testing.T) {
 	t.Parallel()
-	sink := &simmpi.MemorySink{}
+	sink, jobs := keepJobs()
 	res, err := hpcg.Run(hpcg.Config{
 		System: arch.MustGet(arch.A64FX),
 		Nodes:  2,
@@ -90,7 +87,7 @@ func TestCriticalPathHPCGMultiNode(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	cp := checkPathInvariants(t, "hpcg", sink, res.Report)
+	cp := checkPathInvariants(t, "hpcg", *jobs, res.Report)
 	// Phase attribution must surface the solver-level annotations.
 	foundRegion := false
 	for _, p := range cp.Phases {
@@ -118,7 +115,7 @@ func containsRegion(label, region string) bool {
 // (ISSUE acceptance: nekbone multi-node).
 func TestCriticalPathNekboneMultiNode(t *testing.T) {
 	t.Parallel()
-	sink := &simmpi.MemorySink{}
+	sink, jobs := keepJobs()
 	res, err := nekbone.Run(nekbone.Config{
 		System:          arch.MustGet(arch.A64FX),
 		Nodes:           4,
@@ -131,7 +128,7 @@ func TestCriticalPathNekboneMultiNode(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	checkPathInvariants(t, "nekbone", sink, res.Report)
+	checkPathInvariants(t, "nekbone", *jobs, res.Report)
 }
 
 // TestCriticalPathSerialChain checks the exact path on a hand-built
@@ -140,9 +137,8 @@ func TestCriticalPathNekboneMultiNode(t *testing.T) {
 // and rank 1's final compute.
 func TestCriticalPathSynthetic(t *testing.T) {
 	t.Parallel()
-	sink, rep := fourRankJob(t)
-	jobs := obs.SplitJobs(sink.Events)
-	cp, err := obs.ComputeCriticalPath(jobs[0])
+	job, rep := fourRankJob(t)
+	cp, err := obs.ComputeCriticalPath(job)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -8,8 +8,8 @@ import (
 	"a64fxbench/internal/units"
 )
 
-// LinkLine is the contention accounting of one interconnect link,
-// reconstructed from a job's EvLink/EvLinkSample events.
+// LinkLine is the contention accounting of one interconnect link, as
+// the job's link report gives it.
 type LinkLine struct {
 	// Name is the link's rendered identity, e.g. "dim0 3→4" or
 	// "inj 5→gw2".
@@ -29,49 +29,36 @@ type LinkLine struct {
 }
 
 // LinkHeatmap is the per-link contention view of one congestion-enabled
-// job, busiest link first (the emitter's order is preserved).
+// job, busiest link first (the link report's order is preserved).
 type LinkHeatmap struct {
 	Links []LinkLine `json:"links"`
 }
 
-// BuildLinkHeatmap reconstructs the heatmap from a job's link events.
-// It returns nil when the trace carries none (contention-free runs).
-func BuildLinkHeatmap(jt JobTrace) *LinkHeatmap {
-	var hm LinkHeatmap
-	idx := map[string]int{}
-	start := map[string]int64{}
-	for _, e := range jt.Events {
-		switch e.Kind {
-		case simmpi.EvLink:
-			idx[e.Name] = len(hm.Links)
-			start[e.Name] = int64(e.Start)
-			hm.Links = append(hm.Links, LinkLine{
-				Name: e.Name, Bytes: e.Bytes, Busy: e.Duration,
-				Flows: e.Flows, PeakFlows: e.PeakFlows, Util: e.Value,
-			})
-		case simmpi.EvLinkSample:
-			i, ok := idx[e.Name]
-			if !ok || e.Duration <= 0 {
-				continue
-			}
-			// Samples are one bucket wide; place by offset from the
-			// link's contention-window start so zero buckets the
-			// emitter skipped stay zero.
-			l := &hm.Links[i]
-			b := int((int64(e.Start) - start[e.Name]) / int64(e.Duration))
-			if b < 0 {
-				continue
-			}
-			for len(l.Series) <= b {
-				l.Series = append(l.Series, 0)
-			}
-			l.Series[b] = e.Value
-		}
-	}
-	if len(hm.Links) == 0 {
+// BuildLinkHeatmap builds the heatmap from the job's link report. It
+// returns nil when the job has no contended links (contention-free
+// runs). A link's series is its utilization buckets up to the last busy
+// one; it is absent when the report has no bucket width or the link no
+// busy bucket.
+func BuildLinkHeatmap(job *simmpi.Report) *LinkHeatmap {
+	if job.Links == nil || len(job.Links.Links) == 0 {
 		return nil
 	}
-	return &hm
+	hm := &LinkHeatmap{Links: make([]LinkLine, len(job.Links.Links))}
+	for i, ls := range job.Links.Links {
+		l := LinkLine{
+			Name: ls.Name, Bytes: ls.Bytes, Busy: ls.Busy,
+			Flows: ls.Flows, PeakFlows: ls.PeakFlows, Util: ls.Util,
+		}
+		if job.Links.BucketWidth > 0 {
+			for b, u := range ls.Series {
+				if u > 0 {
+					l.Series = ls.Series[:b+1]
+				}
+			}
+		}
+		hm.Links[i] = l
+	}
+	return hm
 }
 
 // MaxPeakFlows reports the largest peak-concurrency on any link.

@@ -6,24 +6,26 @@ import (
 	"testing"
 
 	"a64fxbench/internal/arch"
+	"a64fxbench/internal/metrics"
 	"a64fxbench/internal/obs"
 	"a64fxbench/internal/simmpi"
 	"a64fxbench/internal/units"
 )
 
 // congestedJob runs an 8-rank, 8-node congestion-enabled traced job with
-// enough overlapping traffic to contend every injection port.
-func congestedJob(t *testing.T) *simmpi.MemorySink {
+// enough overlapping traffic to contend every injection port, counted
+// when ctr is non-nil, and returns the report its sink received.
+func congestedJob(t *testing.T, ctr *metrics.Config) *simmpi.Report {
 	t.Helper()
 	sys := arch.MustGet(arch.A64FX)
 	model := sys.PerRankModel(8, 1)
-	sink := &simmpi.MemorySink{}
+	sink, jobs := keepJobs()
 	cfg := simmpi.JobConfig{
 		Procs: 8, Nodes: 8, ThreadsPerRank: 1,
 		CostModel:       model,
 		Fabric:          sys.NewFabric(8),
 		Label:           "congested-8rank",
-		Instrumentation: simmpi.Instrumentation{Congestion: true, Trace: sink},
+		Instrumentation: simmpi.Instrumentation{Congestion: true, Trace: sink, Counters: ctr},
 	}
 	_, err := simmpi.Run(cfg, func(r *simmpi.Rank) error {
 		// Fan-in: every rank eagerly sends to rank 0, contending its
@@ -40,17 +42,12 @@ func congestedJob(t *testing.T) *simmpi.MemorySink {
 	if err != nil {
 		t.Fatal(err)
 	}
-	return sink
+	return onlyJob(t, *jobs)
 }
 
 func TestBuildLinkHeatmap(t *testing.T) {
 	t.Parallel()
-	sink := congestedJob(t)
-	jobs := obs.SplitJobs(sink.Events)
-	if len(jobs) != 1 {
-		t.Fatalf("want 1 job, got %d", len(jobs))
-	}
-	hm := obs.BuildLinkHeatmap(jobs[0])
+	hm := obs.BuildLinkHeatmap(congestedJob(t, nil))
 	if hm == nil || len(hm.Links) == 0 {
 		t.Fatal("no link heatmap from congested trace")
 	}
@@ -81,18 +78,15 @@ func TestBuildLinkHeatmap(t *testing.T) {
 
 func TestLinkHeatmapAbsentWithoutCongestion(t *testing.T) {
 	t.Parallel()
-	sink, _ := fourRankJob(t)
-	jobs := obs.SplitJobs(sink.Events)
-	if hm := obs.BuildLinkHeatmap(jobs[0]); hm != nil {
+	job, _ := fourRankJob(t)
+	if hm := obs.BuildLinkHeatmap(job); hm != nil {
 		t.Errorf("contention-free trace produced a heatmap: %+v", hm)
 	}
 }
 
 func TestLinkHeatmapRender(t *testing.T) {
 	t.Parallel()
-	sink := congestedJob(t)
-	jobs := obs.SplitJobs(sink.Events)
-	hm := obs.BuildLinkHeatmap(jobs[0])
+	hm := obs.BuildLinkHeatmap(congestedJob(t, nil))
 	var buf bytes.Buffer
 	if err := hm.Render(&buf); err != nil {
 		t.Fatal(err)
@@ -108,9 +102,7 @@ func TestLinkHeatmapRender(t *testing.T) {
 
 func TestAnalyzeCarriesLinks(t *testing.T) {
 	t.Parallel()
-	sink := congestedJob(t)
-	jobs := obs.SplitJobs(sink.Events)
-	rep, err := obs.Analyze(jobs[0], obs.Peaks{FlopRate: units.GFlopPerSec, Bandwidth: units.GBPerSec})
+	rep, err := obs.Analyze(congestedJob(t, nil), obs.Peaks{FlopRate: units.GFlopPerSec, Bandwidth: units.GBPerSec})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -128,10 +120,10 @@ func TestAnalyzeCarriesLinks(t *testing.T) {
 
 func TestChromeCounterTracks(t *testing.T) {
 	t.Parallel()
-	sink := congestedJob(t)
-	jobs := obs.SplitJobs(sink.Events)
 	var buf bytes.Buffer
-	if err := obs.WriteChrome(&buf, jobs); err != nil {
+	s := obs.NewChromeSink(&buf)
+	s.Job(congestedJob(t, &metrics.Config{Period: 20 * units.Microsecond}))
+	if err := s.Close(); err != nil {
 		t.Fatal(err)
 	}
 	out := buf.String()
@@ -140,5 +132,8 @@ func TestChromeCounterTracks(t *testing.T) {
 	}
 	if !strings.Contains(out, `"util"`) {
 		t.Error("chrome counter events carry no util arg")
+	}
+	if !strings.Contains(out, `"name":"ctr `) {
+		t.Error("chrome trace has no PMU counter tracks")
 	}
 }

@@ -1,105 +1,25 @@
 // Package obs is the observability layer over the simmpi runtime: it
-// consumes traced event timelines (via simmpi.TraceSink) and turns them
-// into analyses the paper's methodology rests on — Chrome/Perfetto trace
-// files, rank×rank communication matrices, per-kernel-class roofline
-// utilization, and critical-path analysis over the send/recv
-// happens-before DAG.
+// folds each traced job's report (a simmpi.Report, as a
+// simmpi.TraceSink receives it) into the analyses the paper's
+// methodology rests on — Chrome/Perfetto trace files, rank×rank
+// communication matrices, per-kernel-class roofline utilization,
+// critical-path analysis over the send/recv happens-before DAG, link
+// heatmaps and counter reports.
 //
-// The package is strictly an event consumer: it never touches the
+// The package is strictly a report consumer: it never touches the
 // virtual clocks, so every analysis is observationally neutral to the
-// simulation and byte-deterministic for a given job.
+// simulation and byte-deterministic for a given job. Each function
+// takes one job, so a caller can fold jobs as they finish and drop
+// their events.
 package obs
 
-import (
-	"a64fxbench/internal/simmpi"
-	"a64fxbench/internal/units"
-	"a64fxbench/internal/vclock"
-)
+import "a64fxbench/internal/simmpi"
 
-// JobTrace is the event log of one simulated job, extracted from a
-// sink's stream. Events hold only rank-recorded entries (no job
-// markers), merged in deterministic (Start, Rank) order with each rank's
-// program order preserved.
-type JobTrace struct {
-	// Label is the job's name from its EvJobBegin marker.
-	Label string
-	// Makespan is the job runtime from its EvJobEnd marker (or the
-	// latest event finish when the stream was truncated).
-	Makespan units.Duration
-	// Events is the merged per-rank event log.
-	Events simmpi.Timeline
-}
-
-// NumRanks reports the number of ranks observed in the trace.
-func (jt *JobTrace) NumRanks() int {
-	n := 0
-	for _, e := range jt.Events {
-		if e.Rank >= n {
-			n = e.Rank + 1
-		}
+// NumNodes reports how many nodes the job's ranks occupy: ranks are
+// placed in node blocks, so the last rank sits on the last node.
+func NumNodes(job *simmpi.Report) int {
+	if len(job.Ranks) == 0 {
+		return 0
 	}
-	return n
-}
-
-// NodeOf reconstructs the rank→node placement from the events (every
-// event carries its recorder's node index).
-func (jt *JobTrace) NodeOf() []int {
-	nodes := make([]int, jt.NumRanks())
-	for _, e := range jt.Events {
-		if e.Rank >= 0 {
-			nodes[e.Rank] = e.Node
-		}
-	}
-	return nodes
-}
-
-// NumNodes reports the number of distinct nodes observed in the trace.
-func (jt *JobTrace) NumNodes() int {
-	n := 0
-	for _, node := range jt.NodeOf() {
-		if node >= n {
-			n = node + 1
-		}
-	}
-	return n
-}
-
-// SplitJobs partitions a sink's event stream into per-job traces using
-// the EvJobBegin/EvJobEnd markers the runtime emits around each job.
-// Events outside any marker pair (possible only with hand-built
-// streams) open an implicit unlabelled job.
-func SplitJobs(tl simmpi.Timeline) []JobTrace {
-	var jobs []JobTrace
-	var cur *JobTrace
-	for _, e := range tl {
-		switch e.Kind {
-		case simmpi.EvJobBegin:
-			jobs = append(jobs, JobTrace{Label: e.Name})
-			cur = &jobs[len(jobs)-1]
-		case simmpi.EvJobEnd:
-			if cur != nil {
-				cur.Makespan = e.Duration
-				cur = nil
-			}
-		default:
-			if cur == nil {
-				jobs = append(jobs, JobTrace{})
-				cur = &jobs[len(jobs)-1]
-			}
-			cur.Events = append(cur.Events, e)
-		}
-	}
-	// Truncated stream (no EvJobEnd): derive the makespan from events.
-	for i := range jobs {
-		if jobs[i].Makespan == 0 {
-			var last vclock.Time
-			for _, e := range jobs[i].Events {
-				if f := e.Finish(); f > last {
-					last = f
-				}
-			}
-			jobs[i].Makespan = units.Duration(last)
-		}
-	}
-	return jobs
+	return job.Ranks[len(job.Ranks)-1].Node + 1
 }

@@ -2,24 +2,44 @@ package obs_test
 
 import (
 	"bytes"
+	"fmt"
+	"strconv"
 	"strings"
 	"testing"
 
 	"a64fxbench/internal/arch"
+	"a64fxbench/internal/metrics"
 	"a64fxbench/internal/obs"
 	"a64fxbench/internal/perfmodel"
 	"a64fxbench/internal/simmpi"
 	"a64fxbench/internal/units"
 )
 
+// keepJobs returns a trace sink that keeps every job report it
+// receives, and the list it keeps them in.
+func keepJobs() (simmpi.TraceSink, *[]*simmpi.Report) {
+	var jobs []*simmpi.Report
+	return func(job *simmpi.Report) { jobs = append(jobs, job) }, &jobs
+}
+
+// onlyJob returns the one job report a sink kept.
+func onlyJob(t *testing.T, jobs []*simmpi.Report) *simmpi.Report {
+	t.Helper()
+	if len(jobs) != 1 {
+		t.Fatalf("sink kept %d jobs, want 1", len(jobs))
+	}
+	return jobs[0]
+}
+
 // fourRankJob runs the reference 4-rank, 2-node traced job used across
 // the tests: two annotated iterations of compute + ring exchange +
-// allreduce on the A64FX model.
-func fourRankJob(t *testing.T) (*simmpi.MemorySink, simmpi.Report) {
+// allreduce on the A64FX model. It returns the report the sink received
+// and the one Run returned.
+func fourRankJob(t *testing.T) (*simmpi.Report, simmpi.Report) {
 	t.Helper()
 	sys := arch.MustGet(arch.A64FX)
 	model := sys.PerRankModel(2, 1)
-	sink := &simmpi.MemorySink{}
+	sink, jobs := keepJobs()
 	cfg := simmpi.JobConfig{
 		Procs: 4, Nodes: 2, ThreadsPerRank: 1,
 		CostModel:       model,
@@ -50,60 +70,34 @@ func fourRankJob(t *testing.T) (*simmpi.MemorySink, simmpi.Report) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	return sink, rep
+	return onlyJob(t, *jobs), rep
 }
 
-func TestSplitJobs(t *testing.T) {
-	t.Parallel()
-	sink, rep := fourRankJob(t)
-	jobs := obs.SplitJobs(sink.Events)
-	if len(jobs) != 1 {
-		t.Fatalf("got %d jobs, want 1", len(jobs))
-	}
-	jt := jobs[0]
-	if jt.Label != "golden-4rank" {
-		t.Errorf("label %q", jt.Label)
-	}
-	if jt.Makespan != rep.Makespan {
-		t.Errorf("makespan %v != report %v", jt.Makespan, rep.Makespan)
-	}
-	if jt.NumRanks() != 4 || jt.NumNodes() != 2 {
-		t.Errorf("ranks=%d nodes=%d, want 4/2", jt.NumRanks(), jt.NumNodes())
-	}
-	for _, e := range jt.Events {
-		if e.Kind == simmpi.EvJobBegin || e.Kind == simmpi.EvJobEnd {
-			t.Fatal("job markers must not leak into JobTrace events")
-		}
-	}
-	nodeOf := jt.NodeOf()
-	want := []int{0, 0, 1, 1}
-	for r, n := range nodeOf {
-		if n != want[r] {
-			t.Errorf("rank %d on node %d, want %d", r, n, want[r])
-		}
-	}
+// textLine renders one job-level line of the flat text timeline.
+func textLine(at float64, kind, desc string) string {
+	return fmt.Sprintf("%12.6fs rank %-4d %-8s %s\n", at, -1, kind, desc)
 }
 
 func TestTextSinkMatchesWriteTo(t *testing.T) {
 	t.Parallel()
-	sink, _ := fourRankJob(t)
+	job, _ := fourRankJob(t)
 
-	// Replaying the stream through a TextSink must reproduce the
-	// classic Timeline.WriteTo rendering byte for byte.
+	// A job without links or counters prints its job line, then exactly
+	// the classic Timeline.WriteTo rendering, then its jobend line.
 	var direct bytes.Buffer
-	if _, err := sink.Events.WriteTo(&direct); err != nil {
+	if _, err := job.Events.WriteTo(&direct); err != nil {
 		t.Fatal(err)
 	}
 	var streamed bytes.Buffer
 	ts := obs.NewTextSink(&streamed)
-	for _, e := range sink.Events {
-		ts.Record(e)
-	}
+	ts.Job(job)
 	if err := ts.Close(); err != nil {
 		t.Fatal(err)
 	}
-	if direct.String() != streamed.String() {
-		t.Error("TextSink output differs from Timeline.WriteTo")
+	want := textLine(0, "job", job.Label) + direct.String() +
+		textLine(job.Makespan.Seconds(), "jobend", fmt.Sprintf("%s makespan %v", job.Label, job.Makespan))
+	if streamed.String() != want {
+		t.Error("TextSink output differs from the job lines around Timeline.WriteTo")
 	}
 	for _, needle := range []string{"compute", "send", "recv", "iter", "stream", "golden-4rank"} {
 		if !strings.Contains(streamed.String(), needle) {
@@ -112,11 +106,53 @@ func TestTextSinkMatchesWriteTo(t *testing.T) {
 	}
 }
 
+// TestTextSinkJobLines pins the order of a congested, counted job's
+// text lines: the job line, its events, each link's line with its
+// busy buckets, every rank's nonzero counters, the counter series, and
+// the jobend line.
+func TestTextSinkJobLines(t *testing.T) {
+	t.Parallel()
+	job := congestedJob(t, &metrics.Config{Period: 20 * units.Microsecond})
+	var b bytes.Buffer
+	ts := obs.NewTextSink(&b)
+	ts.Job(job)
+	if err := ts.Close(); err != nil {
+		t.Fatal(err)
+	}
+	order := map[string]int{"job": 0, "send": 1, "recv": 1, "compute": 1,
+		"link": 2, "linksample": 2, "counter": 3, "ctrsample": 4, "jobend": 5}
+	seen := map[string]int{}
+	last := 0
+	lines := strings.Split(strings.TrimSuffix(b.String(), "\n"), "\n")
+	for i, line := range lines {
+		kind := strings.Fields(line)[3]
+		rank, err := strconv.Atoi(strings.Fields(line)[2])
+		if err != nil {
+			t.Fatalf("line %d: %q", i, line)
+		}
+		if order[kind] < last {
+			t.Fatalf("line %d: %s after a later section:\n%s", i, kind, line)
+		}
+		last = order[kind]
+		seen[kind]++
+		if jobLevel := kind == "job" || kind == "link" || kind == "linksample" ||
+			kind == "ctrsample" || kind == "jobend"; jobLevel != (rank == -1) {
+			t.Errorf("line %d: %s line at rank %d", i, kind, rank)
+		}
+	}
+	if seen["job"] != 1 || seen["jobend"] != 1 || seen["link"] != len(job.Links.Links) ||
+		seen["linksample"] == 0 || seen["counter"] == 0 || seen["ctrsample"] == 0 {
+		t.Errorf("line counts %v", seen)
+	}
+	if at := strings.Fields(lines[len(lines)-1])[0]; at != fmt.Sprintf("%.6fs", job.Makespan.Seconds()) {
+		t.Errorf("jobend at %s, want the makespan %v", at, job.Makespan)
+	}
+}
+
 func TestCommMatrix(t *testing.T) {
 	t.Parallel()
-	sink, rep := fourRankJob(t)
-	jobs := obs.SplitJobs(sink.Events)
-	m := obs.BuildCommMatrix(jobs...)
+	job, rep := fourRankJob(t)
+	m := obs.BuildCommMatrix(job)
 	if m.N != 4 {
 		t.Fatalf("matrix dim %d", m.N)
 	}
@@ -153,14 +189,13 @@ func TestCommMatrix(t *testing.T) {
 
 func TestRoofline(t *testing.T) {
 	t.Parallel()
-	sink, rep := fourRankJob(t)
-	jobs := obs.SplitJobs(sink.Events)
+	job, rep := fourRankJob(t)
 	sys := arch.MustGet(arch.A64FX)
 	peaks := obs.Peaks{
 		FlopRate:  sys.Node.PeakFlops / units.FlopRate(2),
 		Bandwidth: sys.Node.PeakBandwidth() / units.ByteRate(2),
 	}
-	points := obs.BuildRoofline(peaks, jobs...)
+	points := obs.BuildRoofline(peaks, job)
 	if len(points) != 1 {
 		t.Fatalf("got %d classes, want 1 (vecop): %+v", len(points), points)
 	}
@@ -193,9 +228,8 @@ func TestRoofline(t *testing.T) {
 
 func TestAnalyzeReportJSON(t *testing.T) {
 	t.Parallel()
-	sink, _ := fourRankJob(t)
-	jobs := obs.SplitJobs(sink.Events)
-	rep, err := obs.Analyze(jobs[0], obs.Peaks{})
+	job, _ := fourRankJob(t)
+	rep, err := obs.Analyze(job, obs.Peaks{})
 	if err != nil {
 		t.Fatal(err)
 	}

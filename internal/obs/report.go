@@ -5,6 +5,7 @@ import (
 	"fmt"
 	"io"
 
+	"a64fxbench/internal/simmpi"
 	"a64fxbench/internal/units"
 )
 
@@ -21,30 +22,29 @@ type Report struct {
 	Roofline     []RooflinePoint `json:"roofline"`
 	CriticalPath *CriticalPath   `json:"critical_path"`
 	// Links is the interconnect contention heatmap; present only for
-	// congestion-enabled jobs (traces without link events leave it nil).
+	// congestion-enabled multi-node jobs.
 	Links *LinkHeatmap `json:"links,omitempty"`
 	// Counters is the virtual PMU aggregation; present only for jobs
-	// run with counters enabled (traces without counter events leave it
-	// nil).
+	// run with counters enabled.
 	Counters *CounterReport `json:"counters,omitempty"`
 }
 
-// Analyze runs every analysis over one job trace.
-func Analyze(jt JobTrace, peaks Peaks) (*Report, error) {
-	cp, err := ComputeCriticalPath(jt)
+// Analyze runs every analysis over one traced job.
+func Analyze(job *simmpi.Report, peaks Peaks) (*Report, error) {
+	cp, err := ComputeCriticalPath(job)
 	if err != nil {
 		return nil, err
 	}
 	rep := &Report{
-		Label:        jt.Label,
-		Ranks:        jt.NumRanks(),
-		Nodes:        jt.NumNodes(),
-		Makespan:     jt.Makespan,
-		Comm:         BuildCommMatrix(jt),
-		Roofline:     BuildRoofline(peaks, jt),
+		Label:        job.Label,
+		Ranks:        len(job.Ranks),
+		Nodes:        NumNodes(job),
+		Makespan:     job.Makespan,
+		Comm:         BuildCommMatrix(job),
+		Roofline:     BuildRoofline(peaks, job),
 		CriticalPath: cp,
-		Links:        BuildLinkHeatmap(jt),
-		Counters:     BuildCounterReport(jt, peaks),
+		Links:        BuildLinkHeatmap(job),
+		Counters:     BuildCounterReport(job, peaks),
 	}
 	if rep.Nodes > 1 {
 		rep.CommByNode = rep.Comm.NodeView()

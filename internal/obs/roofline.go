@@ -43,25 +43,23 @@ type RooflinePoint struct {
 	Utilization float64 `json:"utilization"`
 }
 
-// BuildRoofline aggregates the jobs' compute events per kernel class
+// BuildRoofline aggregates the job's compute events per kernel class
 // and positions each class against the supplied peaks. Classes are
 // returned ordered by descending time (ties by class id).
-func BuildRoofline(peaks Peaks, jobs ...JobTrace) []RooflinePoint {
+func BuildRoofline(peaks Peaks, job *simmpi.Report) []RooflinePoint {
 	byClass := map[perfmodel.KernelClass]*RooflinePoint{}
-	for i := range jobs {
-		for _, e := range jobs[i].Events {
-			if e.Kind != simmpi.EvCompute {
-				continue
-			}
-			p := byClass[e.Class]
-			if p == nil {
-				p = &RooflinePoint{Class: e.Class}
-				byClass[e.Class] = p
-			}
-			p.Time += e.Duration
-			p.Flops += e.Flops
-			p.Bytes += e.Bytes
+	for _, e := range job.Events {
+		if e.Kind != simmpi.EvCompute {
+			continue
 		}
+		p := byClass[e.Class]
+		if p == nil {
+			p = &RooflinePoint{Class: e.Class}
+			byClass[e.Class] = p
+		}
+		p.Time += e.Duration
+		p.Flops += e.Flops
+		p.Bytes += e.Bytes
 	}
 	points := make([]RooflinePoint, 0, len(byClass))
 	for _, p := range byClass {

@@ -60,8 +60,8 @@ func TestSpanJobRegionPairs(t *testing.T) {
 	if opens["virtual-makespan"] != 0 {
 		t.Error("virtual span leaked into the wall timeline")
 	}
-	if jt.NumRanks() != 1 {
-		t.Fatalf("NumRanks = %d, want 1", jt.NumRanks())
+	if len(jt.Ranks) != 1 {
+		t.Fatalf("ranks = %d, want 1", len(jt.Ranks))
 	}
 }
 

@@ -13,10 +13,12 @@
 package serve
 
 import (
+	"bytes"
 	"context"
 	"encoding/json"
 	"fmt"
 	"io"
+	"slices"
 
 	"a64fxbench/internal/core"
 	"a64fxbench/internal/obs"
@@ -52,48 +54,54 @@ func WriteArtifacts(w io.Writer, results []sweep.Result, req core.Request) error
 }
 
 // WriteTrace runs the request's one experiment with tracing enabled and
-// exports the event stream: format "text" streams the classic timeline,
-// "chrome" writes a Perfetto-loadable trace-event file, "json" the full
-// per-job analysis report (communication matrix, roofline, critical
-// path).
+// exports each simulated job as it finishes: format "text" streams the
+// classic timeline, "chrome" a Perfetto-loadable trace-event file,
+// "json" the full per-job analysis report (communication matrix,
+// roofline, critical path), written once the run is done. A failed run
+// returns its error; text and chrome output may then be partial.
 func WriteTrace(ctx context.Context, w io.Writer, req core.Request) error {
 	opt, err := req.Options()
 	if err != nil {
 		return err
 	}
-	eng := sweep.New(1)
+	// job folds one finished job; finish writes what is left.
+	var (
+		job    func(*simmpi.Report)
+		finish func() error
+	)
 	switch req.Format {
 	case "text", "":
-		// Streams each job as it completes; nothing is buffered.
-		sink := obs.NewTextSink(w)
-		eng.SinkFor = func(string) simmpi.TraceSink { return sink }
-		if res := eng.Run(ctx, req.IDs[:1], opt)[0]; res.Err != nil {
-			return res.Err
+		s := obs.NewTextSink(w)
+		job, finish = s.Job, s.Close
+	case "chrome":
+		s := obs.NewChromeSink(w)
+		job, finish = s.Job, s.Close
+	case "json":
+		reports := []*obs.Report{}
+		var aerr error
+		job = func(rep *simmpi.Report) {
+			if aerr == nil {
+				var r *obs.Report
+				r, aerr = obs.Analyze(rep, obs.A64FXPeaks(rep))
+				reports = append(reports, r)
+			}
 		}
-		return sink.Close()
-	case "chrome", "json":
+		finish = func() error {
+			if aerr != nil {
+				return aerr
+			}
+			enc := json.NewEncoder(w)
+			enc.SetIndent("", "  ")
+			return enc.Encode(reports)
+		}
 	default:
 		return fmt.Errorf("trace: unknown format %q (want text, chrome or json)", req.Format)
 	}
-	res := eng.Collect(ctx, req.IDs[:1], opt)[0]
+	res := sweep.New(1).Observe(ctx, req.IDs[:1], opt, func(_ int, rep *simmpi.Report) { job(rep) })[0]
 	if res.Err != nil {
 		return res.Err
 	}
-	jobs := obs.SplitJobs(res.Timeline)
-	if req.Format == "chrome" {
-		return obs.WriteChrome(w, jobs)
-	}
-	reports := make([]*obs.Report, 0, len(jobs))
-	for _, jt := range jobs {
-		rep, err := obs.Analyze(jt, obs.A64FXPeaks(jt))
-		if err != nil {
-			return err
-		}
-		reports = append(reports, rep)
-	}
-	enc := json.NewEncoder(w)
-	enc.SetIndent("", "  ")
-	return enc.Encode(reports)
+	return finish()
 }
 
 // linkReport pairs one job's identity with its heatmap for JSON output.
@@ -120,35 +128,32 @@ func WriteLinks(ctx context.Context, w io.Writer, req core.Request) error {
 		return err
 	}
 	opt.Congestion = true
-	res := sweep.New(1).Collect(ctx, req.IDs[:1], opt)[0]
+	reports := []linkReport{}
+	res := sweep.New(1).Observe(ctx, req.IDs[:1], opt, func(_ int, job *simmpi.Report) {
+		reports = append(reports, linkReport{
+			Label: job.Label, Ranks: len(job.Ranks), Nodes: obs.NumNodes(job),
+			Links: obs.BuildLinkHeatmap(job),
+		})
+	})[0]
 	if res.Err != nil {
 		return res.Err
 	}
-	jobs := obs.SplitJobs(res.Timeline)
 	if req.Format == "json" {
-		reports := make([]linkReport, 0, len(jobs))
-		for _, jt := range jobs {
-			reports = append(reports, linkReport{
-				Label: jt.Label, Ranks: jt.NumRanks(), Nodes: jt.NumNodes(),
-				Links: obs.BuildLinkHeatmap(jt),
-			})
-		}
 		enc := json.NewEncoder(w)
 		enc.SetIndent("", "  ")
 		return enc.Encode(reports)
 	}
 	contended := 0
-	for _, jt := range jobs {
-		hm := obs.BuildLinkHeatmap(jt)
-		if hm == nil {
+	for _, r := range reports {
+		if r.Links == nil {
 			continue
 		}
 		contended++
 		if _, err := fmt.Fprintf(w, "=== %s: %d ranks on %d nodes ===\n",
-			jt.Label, jt.NumRanks(), jt.NumNodes()); err != nil {
+			r.Label, r.Ranks, r.Nodes); err != nil {
 			return err
 		}
-		if err := hm.Render(w); err != nil {
+		if err := r.Links.Render(w); err != nil {
 			return err
 		}
 		if _, err := io.WriteString(w, "\n"); err != nil {
@@ -157,7 +162,7 @@ func WriteLinks(ctx context.Context, w io.Writer, req core.Request) error {
 	}
 	if contended == 0 {
 		_, err := fmt.Fprintf(w, "links %s: no contended links (%d simulated job(s), all single-node or untraced)\n",
-			req.IDs[0], len(jobs))
+			req.IDs[0], len(reports))
 		return err
 	}
 	return nil
@@ -167,8 +172,8 @@ func WriteLinks(ctx context.Context, w io.Writer, req core.Request) error {
 // enabled and exports the counters: format "json" writes the regression
 // sentinel's canonical snapshot, "csv" the sampled counter series in
 // long form, "text" per-job totals with derived rates and phase
-// attribution. workers bounds the sweep's concurrency (≤ 0 means
-// GOMAXPROCS).
+// attribution. Every job is folded as it finishes. workers bounds the
+// sweep's concurrency (≤ 0 means GOMAXPROCS).
 func WriteCounters(ctx context.Context, w io.Writer, req core.Request, workers int) error {
 	opt, err := req.Options()
 	if err != nil {
@@ -183,31 +188,32 @@ func WriteCounters(ctx context.Context, w io.Writer, req core.Request, workers i
 			return err
 		}
 		return snap.WriteJSON(w)
-	case "text", "", "csv":
-		results := eng.Collect(ctx, req.IDs, opt)
+	case "text", "":
+		texts := make([]bytes.Buffer, len(req.IDs)) // per result
+		results := eng.Observe(ctx, req.IDs, opt, func(i int, job *simmpi.Report) {
+			if cr := obs.BuildCounterReport(job, obs.A64FXPeaks(job)); cr != nil {
+				cr.Render(&texts[i])
+				texts[i].WriteString("\n")
+			}
+		})
 		if err := sweep.FirstError(results); err != nil {
 			return err
 		}
-		var jobs []obs.JobTrace
-		for _, r := range results {
-			jobs = append(jobs, obs.SplitJobs(r.Timeline)...)
-		}
-		if req.Format == "csv" {
-			return obs.WriteCounterCSV(w, jobs)
-		}
-		for _, jt := range jobs {
-			cr := obs.BuildCounterReport(jt, obs.A64FXPeaks(jt))
-			if cr == nil {
-				continue
-			}
-			if err := cr.Render(w); err != nil {
-				return err
-			}
-			if _, err := io.WriteString(w, "\n"); err != nil {
+		for i := range results {
+			if _, err := texts[i].WriteTo(w); err != nil {
 				return err
 			}
 		}
 		return nil
+	case "csv":
+		series := make([][]obs.CounterSeries, len(req.IDs)) // per result, per job
+		results := eng.Observe(ctx, req.IDs, opt, func(i int, job *simmpi.Report) {
+			series[i] = append(series[i], obs.CounterSeries{Label: job.Label, Changes: obs.CounterPoints(job.Counters)})
+		})
+		if err := sweep.FirstError(results); err != nil {
+			return err
+		}
+		return obs.WriteCounterCSV(w, slices.Concat(series...))
 	default:
 		return fmt.Errorf("counters: unknown format %q (want text, json or csv)", req.Format)
 	}

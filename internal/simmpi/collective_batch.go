@@ -16,7 +16,7 @@ package simmpi
 // each rank's state changes in its program order. Cross-rank coupling
 // happens only through message stamps, so any order that runs every
 // receive after its matching send yields bit-identical results; the
-// trace merge in Run re-sorts events into (Start, Rank) order
+// trace merge in Run merges events into (Start, Rank) order
 // afterwards. The point-to-point algorithms themselves live on as a
 // test-only reference oracle (collective_ref_test.go) that the
 // differential suite in engine_test.go compares every batched

@@ -146,32 +146,3 @@ func recordAndSolve(cfg JobConfig, body func(*Rank) error, jobSpan *telemetry.Sp
 	solveSpan.SetAttr("series", solve.SeriesLinks > 0)
 	return cs, nil
 }
-
-// emitLinkEvents streams a congestion report's per-link summaries (and
-// utilization series, for the links that carry one) into a trace sink.
-// Called between the job timeline and the EvJobEnd marker.
-func emitLinkEvents(sink TraceSink, links *congestion.LinkReport) {
-	if links == nil {
-		return
-	}
-	for _, ls := range links.Links {
-		sink.Record(Event{
-			Kind: EvLink, Rank: -1, Node: -1, Peer: -1,
-			Name: ls.Name, Start: links.Start,
-			Duration: ls.Busy, Bytes: ls.Bytes,
-			Flows: ls.Flows, PeakFlows: ls.PeakFlows, Value: ls.Util,
-		})
-		for b, u := range ls.Series {
-			if u <= 0 {
-				continue
-			}
-			sink.Record(Event{
-				Kind: EvLinkSample, Rank: -1, Node: -1, Peer: -1,
-				Name:  ls.Name,
-				Start: links.Start.Add(units.Duration(b) * links.BucketWidth),
-				// One bucket wide; Value is the bucket utilization.
-				Duration: links.BucketWidth, Value: u,
-			})
-		}
-	}
-}

@@ -186,43 +186,39 @@ func TestAlltoallSuffersMoreThanHalo(t *testing.T) {
 	}
 }
 
-func TestLinkEventsReachSink(t *testing.T) {
+// TestLinkReportReachesSink checks that a traced congested job hands
+// its sink a link report whose busiest links carry utilization series.
+func TestLinkReportReachesSink(t *testing.T) {
 	t.Parallel()
-	sink := &MemorySink{}
-	_, err := Run(JobConfig{
+	c := JobConfig{
 		Procs: 8, Nodes: 8, CostModel: testModel(),
 		Fabric: congFabric(&topo.Torus{Dims: []int{8}}),
-		Label:  "cong", Instrumentation: Instrumentation{Congestion: true, Trace: sink},
-	}, fanIn)
-	if err != nil {
+		Label:  "cong", Instrumentation: Instrumentation{Congestion: true},
+	}
+	jobs := traceJobs(&c)
+	if _, err := Run(c, fanIn); err != nil {
 		t.Fatal(err)
 	}
-	var links, samples int
-	endSeen := false
-	for _, e := range sink.Events {
-		switch e.Kind {
-		case EvLink:
-			links++
-			if endSeen {
-				t.Error("EvLink after EvJobEnd")
+	links := (*jobs)[0].Links
+	if links == nil || len(links.Links) == 0 {
+		t.Fatal("sink's report carries no link report")
+	}
+	var busy int
+	for _, ls := range links.Links {
+		if ls.Name == "" || ls.Busy <= 0 {
+			t.Errorf("malformed link: %+v", ls)
+		}
+		for _, u := range ls.Series {
+			if u < 0 || u > 1 {
+				t.Errorf("link %s utilization %v out of [0, 1]", ls.Name, u)
 			}
-			if e.Name == "" || e.Duration <= 0 {
-				t.Errorf("malformed EvLink: %+v", e)
+			if u > 0 {
+				busy++
 			}
-		case EvLinkSample:
-			samples++
-			if e.Value <= 0 || e.Value > 1 {
-				t.Errorf("EvLinkSample utilization %v out of (0, 1]", e.Value)
-			}
-		case EvJobEnd:
-			endSeen = true
 		}
 	}
-	if links == 0 || samples == 0 {
-		t.Errorf("want link events and samples, got %d / %d", links, samples)
-	}
-	if !endSeen {
-		t.Error("no EvJobEnd marker")
+	if busy == 0 || links.BucketWidth <= 0 {
+		t.Errorf("want busy utilization buckets, got %d at width %v", busy, links.BucketWidth)
 	}
 }
 
@@ -294,7 +290,7 @@ func TestReplaySolveSpanAttrs(t *testing.T) {
 		tr := telemetry.NewTrace("req", "request")
 		inst := Instrumentation{Congestion: true, Telemetry: tr.Root()}
 		if traced {
-			inst.Trace = &MemorySink{}
+			inst.Trace = func(*Report) {}
 		}
 		rep, err := Run(JobConfig{
 			Procs: 8, Nodes: 8, CostModel: testModel(), Label: "fan-in",

@@ -46,21 +46,16 @@ type collBody func(r *Rank, cs *collSet) error
 // runDigest executes one job with the given collectives and digests it.
 func runDigest(t *testing.T, c JobConfig, cs *collSet, traced bool, body collBody) (Report, string) {
 	t.Helper()
-	var sink *MemorySink
+	var tl Timeline
 	if traced {
-		sink = &MemorySink{}
-		c.Trace = sink
+		c.Trace = func(job *Report) { tl = job.Events }
 	}
 	rep, err := Run(c, func(r *Rank) error { return body(r, cs) })
 	if err != nil {
 		t.Fatal(err)
 	}
-	var tl Timeline
-	if sink != nil {
-		tl = sink.Events
-		if len(tl) == 0 {
-			t.Fatal("traced run produced no events")
-		}
+	if traced && len(tl) == 0 {
+		t.Fatal("traced run produced no events")
 	}
 	return rep, reportDigest(t, rep, tl)
 }

@@ -17,12 +17,11 @@ import (
 // simulated results. Congestion and Model change virtual times and are
 // therefore part of every artifact's identity (core.OptionsKey).
 type Instrumentation struct {
-	// Trace receives the job's event timeline (compute phases, sends,
-	// receives, noise, region annotations). When nil — the default —
-	// tracing is off and costs nothing. Events are streamed to the sink
-	// after the job completes, merged across ranks in deterministic
-	// (Start, Rank) order and bracketed by EvJobBegin/EvJobEnd markers;
-	// the sink is NOT closed, so one sink can observe a sequence of jobs.
+	// Trace observes the job: once it completes, the sink is called with
+	// its report, whose Events hold the event timeline (compute phases,
+	// sends, receives, noise, region annotations) merged across ranks in
+	// deterministic (Start, Rank) order. When nil — the default — tracing
+	// is off and costs nothing. One sink can observe a sequence of jobs.
 	Trace TraceSink
 	// Congestion switches inter-node message pricing to the
 	// contention-aware two-pass replay: the job first runs contention-
@@ -39,12 +38,11 @@ type Instrumentation struct {
 	Congestion bool
 	// Counters enables the virtual PMU: every rank accumulates the
 	// metrics registry's counters (flops by class, cache-level traffic,
-	// stall attribution, per-peer messages, collective time) and samples
-	// them in virtual time at the configured period. The job report then
-	// carries Report.Counters, and traced jobs additionally stream
-	// EvCounter / EvCounterSample events. Nil — the default — disables
-	// the PMU entirely; it costs nothing and changes no results either
-	// way (phase times are evaluated through the same model terms).
+	// stall attribution, messages, collective time) and samples them in
+	// virtual time at the configured period. The job report then carries
+	// Report.Counters. Nil — the default — disables the PMU entirely; it
+	// costs nothing and changes no results either way (phase times are
+	// evaluated through the same model terms).
 	Counters *metrics.Config
 	// Model selects the analytic model pricing compute phases: the
 	// calibrated roofline (the empty default) or the ECM memory-

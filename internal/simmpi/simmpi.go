@@ -70,8 +70,8 @@ type JobConfig struct {
 	// paper's Table VII values.
 	NoiseProb     float64
 	NoiseDuration units.Duration
-	// Label names the job in trace output (EvJobBegin/EvJobEnd markers);
-	// empty defaults to "job p=<Procs>".
+	// Label names the job in its report (Report.Label) and so in every
+	// trace output; empty defaults to "job p=<Procs>".
 	Label string
 	// Instrumentation carries the job's trace sink, congestion pricing,
 	// PMU, compute-pricing model and telemetry span.
@@ -345,7 +345,6 @@ func (r *Rank) sendCore(dst, tag int, bytes units.Bytes) message {
 		r.pmu.AddTime(metrics.NetInject, f.SoftwareOverhead/2)
 		r.pmu.Add(metrics.SentMsgs, 1)
 		r.pmu.Add(metrics.SentBytes, float64(bytes))
-		r.pmu.AddPeer(dst, bytes)
 		r.observe()
 	}
 	r.stats.MsgsSent++
@@ -469,8 +468,11 @@ type RankResult struct {
 	Stats  Stats
 }
 
-// Report summarises a completed job.
+// Report summarises a completed job. It is also the one record a trace
+// sink observes.
 type Report struct {
+	// Label names the job: JobConfig.Label, or "job p=<Procs>".
+	Label string
 	// Makespan is the virtual time at which the slowest rank finished —
 	// the simulated job runtime.
 	Makespan units.Duration
@@ -491,9 +493,14 @@ type Report struct {
 	// series (the busiest links, for the heatmap).
 	Links *congestion.LinkReport
 	// Counters is the virtual PMU's accounting — final per-rank counter
-	// vectors, sampled virtual-time series, and per-peer traffic —
-	// present exactly when JobConfig.Counters was set.
+	// vectors and sampled virtual-time series — present exactly when
+	// JobConfig.Counters was set.
 	Counters *metrics.JobCounters
+	// Events is a traced job's timeline: every rank's events merged in
+	// (Start, Rank) order, each rank's program order kept. Only the
+	// report handed to the trace sink carries it; Run returns the report
+	// without it, so no job's events outlive the sink's fold.
+	Events Timeline
 }
 
 // GFLOPs reports the aggregate achieved rate: total flops over makespan.
@@ -548,7 +555,7 @@ func Run(cfg JobConfig, body func(*Rank) error) (Report, error) {
 	reportSpan := jobSpan.Child("report")
 	defer reportSpan.End()
 
-	rep := Report{Ranks: make([]RankResult, cfg.Procs)}
+	rep := Report{Label: label, Ranks: make([]RankResult, cfg.Procs)}
 	if cs != nil {
 		rep.Links = cs.sol.Links
 	}
@@ -586,23 +593,9 @@ func Run(cfg JobConfig, body func(*Rank) error) (Report, error) {
 	}
 
 	if cfg.Trace != nil {
-		// Merge per-rank logs into one deterministic stream, ordered by
-		// virtual time and rank.
-		var tl Timeline
-		for _, r := range ranks {
-			tl = append(tl, r.events...)
-		}
-		sortTimeline(tl)
-		cfg.Trace.Record(Event{Kind: EvJobBegin, Rank: -1, Node: -1, Peer: -1, Name: label})
-		for _, e := range tl {
-			cfg.Trace.Record(e)
-		}
-		emitLinkEvents(cfg.Trace, rep.Links)
-		emitCounterEvents(cfg.Trace, &rep)
-		cfg.Trace.Record(Event{
-			Kind: EvJobEnd, Rank: -1, Node: -1, Peer: -1, Name: label,
-			Start: vclock.Time(rep.Makespan), Duration: rep.Makespan,
-		})
+		job := rep
+		job.Events = mergeEvents(ranks)
+		cfg.Trace(&job)
 	}
 	// The virtual-clock side of the story: how long the simulated
 	// machine ran, alongside the wall-clock spans of how long the host
@@ -631,7 +624,7 @@ func runRanks(cfg JobConfig, body func(*Rank) error, cs *congestState) ([]*Rank,
 		r.id, r.size, r.node = i, cfg.Procs, i/perNode
 		r.job = j
 		if cfg.Counters != nil {
-			r.pmu = metrics.NewRankPMU(*cfg.Counters, cfg.Procs)
+			r.pmu = metrics.NewRankPMU(*cfg.Counters)
 		}
 		ranks[i] = r
 	}

@@ -3,7 +3,6 @@ package simmpi
 import (
 	"fmt"
 	"io"
-	"sort"
 
 	"a64fxbench/internal/perfmodel"
 	"a64fxbench/internal/units"
@@ -28,32 +27,6 @@ const (
 	// EvRegionEnd closes the innermost open region; Duration spans the
 	// whole region in virtual time.
 	EvRegionEnd
-	// EvJobBegin marks the start of a job's event stream on a sink
-	// (Rank is -1; Name carries the job label).
-	EvJobBegin
-	// EvJobEnd marks the end of a job's event stream (Duration is the
-	// job makespan).
-	EvJobEnd
-	// EvLink summarises one interconnect link of a congestion-enabled
-	// job (Rank is -1; Name is the link, Bytes/Duration its traffic and
-	// busy time, Flows/PeakFlows its flow counts, Value its mean
-	// utilization). Emitted between the timeline and EvJobEnd.
-	EvLink
-	// EvLinkSample is one utilization bucket of a busy link's time
-	// series (Value is the bucket utilization in [0, 1]).
-	EvLinkSample
-	// EvCounter is one rank's final value of one virtual PMU counter
-	// (Name is the counter, Value the cumulative value, Start the
-	// rank's finish time). Emitted between the timeline and EvJobEnd
-	// for jobs run with JobConfig.Counters, zero-valued counters
-	// omitted, in (rank, counter-ID) order.
-	EvCounter
-	// EvCounterSample is one point of the job-aggregate counter series
-	// (Rank is -1; Name is the counter, Start the sample's virtual
-	// time, Duration the sampling period, Value the cumulative sum over
-	// ranks). Only counters that changed since the previous sample are
-	// emitted.
-	EvCounterSample
 )
 
 // String names the kind.
@@ -71,18 +44,6 @@ func (k EventKind) String() string {
 		return "begin"
 	case EvRegionEnd:
 		return "end"
-	case EvJobBegin:
-		return "job"
-	case EvJobEnd:
-		return "jobend"
-	case EvLink:
-		return "link"
-	case EvLinkSample:
-		return "linksample"
-	case EvCounter:
-		return "counter"
-	case EvCounterSample:
-		return "ctrsample"
 	default:
 		return fmt.Sprintf("event(%d)", int(k))
 	}
@@ -92,13 +53,12 @@ func (k EventKind) String() string {
 // for how long.
 type Event struct {
 	Rank int
-	// Node is the node index of the recording rank (-1 for job markers).
+	// Node is the node index of the recording rank.
 	Node  int
 	Kind  EventKind
 	Start vclock.Time
 	// Duration covers the event in virtual time (for EvRecv this is
-	// the blocked/wait portion; for EvRegionEnd the whole region; for
-	// EvJobEnd the job makespan).
+	// the blocked/wait portion; for EvRegionEnd the whole region).
 	Duration units.Duration
 	// Class is set for EvCompute.
 	Class perfmodel.KernelClass
@@ -112,42 +72,19 @@ type Event struct {
 	Bytes units.Bytes
 	// Flops is the metered floating-point work for EvCompute.
 	Flops units.Flops
-	// Name is the region name (EvRegionBegin/End), job label
-	// (EvJobBegin/End), or link name (EvLink/EvLinkSample).
+	// Name is the region name of EvRegionBegin/End.
 	Name string
-	// Flows and PeakFlows are the total and peak-concurrent flow counts
-	// of an EvLink event.
-	Flows     int64
-	PeakFlows int
-	// Value is the utilization in [0, 1] for EvLink (mean while busy)
-	// and EvLinkSample (one bucket).
-	Value float64
 }
 
 // Finish is the virtual time at which the event completed.
 func (e Event) Finish() vclock.Time { return e.Start.Add(e.Duration) }
 
-// TraceSink consumes the event stream of traced jobs. The runtime calls
-// Record once per event, from a single goroutine, in deterministic
-// (Start, Rank) order, bracketed by EvJobBegin/EvJobEnd markers; Close is
-// the owner's signal that no further jobs will be recorded. A nil sink on
-// JobConfig disables tracing entirely.
-type TraceSink interface {
-	Record(Event)
-	Close() error
-}
-
-// MemorySink is a TraceSink that retains the full event stream in memory
-// for later analysis (e.g. by package obs).
-type MemorySink struct {
-	Events Timeline
-}
-
-// Record appends the event.
-func (m *MemorySink) Record(e Event) { m.Events = append(m.Events, e) }
-
-// Close is a no-op.
-func (m *MemorySink) Close() error { return nil }
+// TraceSink observes traced jobs: the runtime calls it once per job,
+// when the job has finished, with the job's report carrying its merged
+// timeline in Report.Events. Calls come from the goroutine that called
+// Run, so a sink shared by sequential jobs sees them in order. A nil
+// sink on JobConfig disables tracing entirely.
+type TraceSink func(*Report)
 
 // Timeline is the merged, time-ordered event log of a traced job.
 type Timeline []Event
@@ -169,17 +106,6 @@ func WriteEvent(w io.Writer, e Event) (int, error) {
 		desc = e.Name
 	case EvRegionEnd:
 		desc = fmt.Sprintf("%s (%v)", e.Name, e.Duration)
-	case EvJobBegin:
-		desc = e.Name
-	case EvJobEnd:
-		desc = fmt.Sprintf("%s makespan %v", e.Name, e.Duration)
-	case EvLink:
-		desc = fmt.Sprintf("%-22s busy %v util %3.0f%% flows %d peak %d %v",
-			e.Name, e.Duration, 100*e.Value, e.Flows, e.PeakFlows, e.Bytes)
-	case EvLinkSample:
-		desc = fmt.Sprintf("%-22s util %3.0f%%", e.Name, 100*e.Value)
-	case EvCounter, EvCounterSample:
-		desc = fmt.Sprintf("%-22s %g", e.Name, e.Value)
 	}
 	return fmt.Fprintf(w, "%12.6fs rank %-4d %-8s %s\n",
 		e.Start.Seconds(), e.Rank, e.Kind, desc)
@@ -199,15 +125,53 @@ func (tl Timeline) WriteTo(w io.Writer) (int64, error) {
 	return total, nil
 }
 
-// sortTimeline orders events by start time, breaking ties by rank.
-// The sort is stable, so each rank's program order is preserved.
-func sortTimeline(tl Timeline) {
-	sort.SliceStable(tl, func(i, j int) bool {
-		if tl[i].Start != tl[j].Start {
-			return tl[i].Start < tl[j].Start
+// mergeEvents merges the ranks' event logs into one timeline ordered by
+// start time, ties broken by rank, and releases the logs. A rank's clock
+// never goes back, so each log is already in start order: a p-way merge
+// keeps every rank's program order and equals a stable sort of the
+// concatenated logs.
+func mergeEvents(ranks []*Rank) Timeline {
+	var h []Timeline // min-heap of the logs' unmerged tails, by first event
+	n := 0
+	for _, r := range ranks {
+		if len(r.events) > 0 {
+			h = append(h, r.events)
+			n += len(r.events)
 		}
-		return tl[i].Rank < tl[j].Rank
-	})
+		r.events = nil
+	}
+	less := func(i, j int) bool {
+		a, b := &h[i][0], &h[j][0]
+		return a.Start < b.Start || a.Start == b.Start && a.Rank < b.Rank
+	}
+	down := func(i int) {
+		for {
+			m := i
+			for _, c := range [2]int{2*i + 1, 2*i + 2} {
+				if c < len(h) && less(c, m) {
+					m = c
+				}
+			}
+			if m == i {
+				return
+			}
+			h[i], h[m] = h[m], h[i]
+			i = m
+		}
+	}
+	for i := len(h)/2 - 1; i >= 0; i-- {
+		down(i)
+	}
+	out := make(Timeline, 0, n)
+	for len(h) > 0 {
+		out = append(out, h[0][0])
+		if h[0] = h[0][1:]; len(h[0]) == 0 {
+			h[0] = h[len(h)-1]
+			h = h[:len(h)-1]
+		}
+		down(0)
+	}
+	return out
 }
 
 // traced reports whether the job has a trace sink. Callers of record

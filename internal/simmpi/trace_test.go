@@ -2,30 +2,30 @@ package simmpi
 
 import (
 	"bytes"
+	"fmt"
+	"reflect"
+	"sort"
 	"strings"
 	"testing"
 
+	"a64fxbench/internal/metrics"
 	"a64fxbench/internal/perfmodel"
+	"a64fxbench/internal/topo"
 	"a64fxbench/internal/units"
 )
 
-// jobEvents strips the EvJobBegin/EvJobEnd markers from a sink's stream,
-// leaving the rank-recorded events.
-func jobEvents(tl Timeline) Timeline {
-	var out Timeline
-	for _, e := range tl {
-		if e.Kind != EvJobBegin && e.Kind != EvJobEnd {
-			out = append(out, e)
-		}
-	}
-	return out
+// traceJobs points c's trace sink at a list that keeps every job
+// report the sink receives.
+func traceJobs(c *JobConfig) *[]*Report {
+	var jobs []*Report
+	c.Trace = func(job *Report) { jobs = append(jobs, job) }
+	return &jobs
 }
 
 func TestTraceTimeline(t *testing.T) {
 	t.Parallel()
-	sink := &MemorySink{}
 	c := cfg(2, 2)
-	c.Trace = sink
+	jobs := traceJobs(&c)
 	c.Label = "trace-test"
 	_, err := Run(c, func(r *Rank) error {
 		r.Compute(perfmodel.WorkProfile{Class: perfmodel.VectorOp, Flops: units.MFlop})
@@ -39,15 +39,14 @@ func TestTraceTimeline(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	// Stream bracketed by job markers.
-	if len(sink.Events) < 2 || sink.Events[0].Kind != EvJobBegin ||
-		sink.Events[len(sink.Events)-1].Kind != EvJobEnd {
-		t.Fatalf("stream not bracketed by job markers: %+v", sink.Events)
+	if len(*jobs) != 1 {
+		t.Fatalf("sink saw %d jobs, want 1", len(*jobs))
 	}
-	if sink.Events[0].Name != "trace-test" {
-		t.Errorf("job label = %q, want trace-test", sink.Events[0].Name)
+	job := (*jobs)[0]
+	if job.Label != "trace-test" {
+		t.Errorf("job label = %q, want trace-test", job.Label)
 	}
-	tl := jobEvents(sink.Events)
+	tl := job.Events
 	// 2 computes + 1 send + 1 recv.
 	if len(tl) != 4 {
 		t.Fatalf("timeline has %d events: %+v", len(tl), tl)
@@ -93,6 +92,157 @@ func TestTraceTimeline(t *testing.T) {
 	}
 }
 
+// TestSinkReceivesRunReport pins what a trace sink observes: the report
+// Run returns — the same label, makespan, link report and counters —
+// plus the job's timeline, which the returned report no longer carries.
+// An untraced run's report has no timeline either.
+func TestSinkReceivesRunReport(t *testing.T) {
+	t.Parallel()
+	c := JobConfig{
+		Procs: 8, Nodes: 8, CostModel: testModel(), Label: "observed",
+		Fabric: congFabric(&topo.Torus{Dims: []int{8}}),
+		Instrumentation: Instrumentation{
+			Congestion: true,
+			Counters:   &metrics.Config{Period: 10 * units.Microsecond},
+		},
+	}
+	plain, err := Run(c, fanIn)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if plain.Events != nil {
+		t.Error("untraced run returned a timeline")
+	}
+	if plain.Label != "observed" {
+		t.Errorf("untraced label = %q", plain.Label)
+	}
+	jobs := traceJobs(&c)
+	rep, err := Run(c, fanIn)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(*jobs) != 1 {
+		t.Fatalf("sink saw %d jobs, want 1", len(*jobs))
+	}
+	job := (*jobs)[0]
+	if len(job.Events) == 0 {
+		t.Fatal("sink's report carries no timeline")
+	}
+	if rep.Events != nil {
+		t.Error("Run returned the timeline it handed to the sink")
+	}
+	if job.Label != rep.Label || job.Makespan != rep.Makespan ||
+		job.Links != rep.Links || job.Counters != rep.Counters {
+		t.Errorf("sink saw label %q makespan %v links %p counters %p; Run returned %q %v %p %p",
+			job.Label, job.Makespan, job.Links, job.Counters,
+			rep.Label, rep.Makespan, rep.Links, rep.Counters)
+	}
+	if rep.Links == nil || rep.Counters == nil {
+		t.Fatal("congested, counted job reports no links or counters")
+	}
+	if rep.Makespan != plain.Makespan {
+		t.Errorf("tracing moved the makespan: %v vs %v", rep.Makespan, plain.Makespan)
+	}
+}
+
+// rankLogs runs body traced, through the congestion replay when c asks
+// for it, and returns the ranks with their event logs complete (open
+// regions closed) but not yet merged.
+func rankLogs(t *testing.T, c JobConfig, body func(*Rank) error) []*Rank {
+	t.Helper()
+	c.Trace = func(*Report) {}
+	if err := c.validate(); err != nil {
+		t.Fatal(err)
+	}
+	var cs *congestState
+	if c.Congestion && c.Nodes > 1 {
+		var err error
+		if cs, err = recordAndSolve(c, body, nil); err != nil {
+			t.Fatal(err)
+		}
+	}
+	ranks, err := runRanks(c, body, cs)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, r := range ranks {
+		r.closeRegions()
+	}
+	return ranks
+}
+
+// TestMergeEqualsStableSort holds the timeline merge to its premise and
+// its reference: every rank's log is nondecreasing in Start, and merging
+// the logs equals a stable sort of their concatenation by (Start, Rank).
+// It runs over the differential suite's bodies at every size, a noisy
+// job, nested regions and a congested replay.
+func TestMergeEqualsStableSort(t *testing.T) {
+	t.Parallel()
+	type job struct {
+		name string
+		c    JobConfig
+		body func(*Rank) error
+	}
+	var jobs []job
+	for _, b := range engineBodies {
+		for _, sz := range engineSizes {
+			if sz.procs >= b.min {
+				jobs = append(jobs, job{fmt.Sprintf("%s/p%d_n%d", b.name, sz.procs, sz.nodes), cfg(sz.procs, sz.nodes),
+					func(r *Rank) error { return b.body(r, batchedColls) }})
+			}
+		}
+	}
+	noisy := cfg(6, 2)
+	noisy.NoiseProb, noisy.NoiseDuration = 0.4, 3*units.Microsecond
+	jobs = append(jobs, job{"noise", noisy, func(r *Rank) error { return engineBodies[1].body(r, batchedColls) }})
+	jobs = append(jobs, job{"regions", cfg(4, 2), func(r *Rank) error {
+		r.Region("outer")
+		for it := 0; it < 3; it++ {
+			r.Region("inner")
+			r.Compute(vecWork(100 * (1 + r.ID())))
+			r.Allreduce(8)
+			r.EndRegion()
+		}
+		r.Region("dangling") // closed at job end
+		r.Compute(vecWork(50))
+		return nil
+	}})
+	congested := JobConfig{
+		Procs: 8, Nodes: 8, CostModel: testModel(),
+		Fabric:          congFabric(&topo.Torus{Dims: []int{8}}),
+		Instrumentation: Instrumentation{Congestion: true},
+	}
+	jobs = append(jobs, job{"congested", congested, fanIn})
+	for _, j := range jobs {
+		t.Run(j.name, func(t *testing.T) {
+			t.Parallel()
+			ranks := rankLogs(t, j.c, j.body)
+			var want Timeline
+			for _, r := range ranks {
+				for k := 1; k < len(r.events); k++ {
+					if r.events[k].Start < r.events[k-1].Start {
+						t.Fatalf("rank %d event %d starts at %v, before event %d at %v",
+							r.id, k, r.events[k].Start, k-1, r.events[k-1].Start)
+					}
+				}
+				want = append(want, r.events...)
+			}
+			if len(want) == 0 {
+				t.Fatal("job recorded no events")
+			}
+			sort.SliceStable(want, func(a, b int) bool {
+				if want[a].Start != want[b].Start {
+					return want[a].Start < want[b].Start
+				}
+				return want[a].Rank < want[b].Rank
+			})
+			if got := mergeEvents(ranks); !reflect.DeepEqual(got, want) {
+				t.Fatalf("merged timeline differs from the stable sort (%d vs %d events)", len(got), len(want))
+			}
+		})
+	}
+}
+
 func TestTraceOffByDefault(t *testing.T) {
 	t.Parallel()
 	rep, err := Run(cfg(2, 1), func(r *Rank) error {
@@ -112,9 +262,8 @@ func TestTraceOffByDefault(t *testing.T) {
 
 func TestTraceNoise(t *testing.T) {
 	t.Parallel()
-	sink := &MemorySink{}
 	c := cfg(1, 1)
-	c.Trace = sink
+	jobs := traceJobs(&c)
 	c.NoiseProb = 1.0
 	c.NoiseDuration = units.Second
 	_, err := Run(c, func(r *Rank) error {
@@ -125,7 +274,7 @@ func TestTraceNoise(t *testing.T) {
 		t.Fatal(err)
 	}
 	found := false
-	for _, e := range sink.Events {
+	for _, e := range (*jobs)[0].Events {
 		if e.Kind == EvNoise && e.Duration == units.Second {
 			found = true
 		}
@@ -137,9 +286,8 @@ func TestTraceNoise(t *testing.T) {
 
 func TestRegions(t *testing.T) {
 	t.Parallel()
-	sink := &MemorySink{}
 	c := cfg(2, 1)
-	c.Trace = sink
+	jobs := traceJobs(&c)
 	_, err := Run(c, func(r *Rank) error {
 		r.Region("outer")
 		r.Region("inner")
@@ -160,7 +308,7 @@ func TestRegions(t *testing.T) {
 	}
 	counts := map[rkey]int{}
 	var innerSpan, outerSpan units.Duration
-	for _, e := range sink.Events {
+	for _, e := range (*jobs)[0].Events {
 		switch e.Kind {
 		case EvRegionBegin, EvRegionEnd:
 			counts[rkey{e.Rank, e.Kind, e.Name}]++
@@ -194,7 +342,7 @@ func TestRegions(t *testing.T) {
 func TestEndRegionUnmatchedPanics(t *testing.T) {
 	t.Parallel()
 	c := cfg(1, 1)
-	c.Trace = &MemorySink{}
+	c.Trace = func(*Report) {}
 	_, err := Run(c, func(r *Rank) error {
 		r.EndRegion()
 		return nil
@@ -206,10 +354,9 @@ func TestEndRegionUnmatchedPanics(t *testing.T) {
 
 func TestMultipleJobsOneSink(t *testing.T) {
 	t.Parallel()
-	sink := &MemorySink{}
+	c := cfg(1, 1)
+	jobs := traceJobs(&c)
 	for i := 0; i < 2; i++ {
-		c := cfg(1, 1)
-		c.Trace = sink
 		if _, err := Run(c, func(r *Rank) error {
 			r.Compute(perfmodel.WorkProfile{Class: perfmodel.VectorOp, Flops: units.MFlop})
 			return nil
@@ -217,21 +364,17 @@ func TestMultipleJobsOneSink(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	begins, ends := 0, 0
-	for _, e := range sink.Events {
-		switch e.Kind {
-		case EvJobBegin:
-			begins++
-		case EvJobEnd:
-			ends++
+	if len(*jobs) != 2 {
+		t.Fatalf("want 2 jobs, got %d", len(*jobs))
+	}
+	for _, job := range *jobs {
+		// Default label names the rank count.
+		if job.Label != "job p=1" {
+			t.Errorf("default label = %q", job.Label)
 		}
-	}
-	if begins != 2 || ends != 2 {
-		t.Errorf("want 2 job begin/end pairs, got %d/%d", begins, ends)
-	}
-	// Default label names the rank count.
-	if sink.Events[0].Name != "job p=1" {
-		t.Errorf("default label = %q", sink.Events[0].Name)
+		if len(job.Events) != 1 {
+			t.Errorf("job carries %d events, want its 1 compute", len(job.Events))
+		}
 	}
 }
 
@@ -240,7 +383,7 @@ func TestEventKindString(t *testing.T) {
 	if EvCompute.String() != "compute" || EventKind(99).String() != "event(99)" {
 		t.Error("EventKind names wrong")
 	}
-	for _, k := range []EventKind{EvSend, EvRecv, EvNoise, EvRegionBegin, EvRegionEnd, EvJobBegin, EvJobEnd} {
+	for _, k := range []EventKind{EvSend, EvRecv, EvNoise, EvRegionBegin, EvRegionEnd} {
 		if strings.HasPrefix(k.String(), "event(") {
 			t.Errorf("kind %d has no name", int(k))
 		}

@@ -97,8 +97,7 @@ func TestVclockEdgeCasesAcrossEngines(t *testing.T) {
 func TestTimelineTieBreak(t *testing.T) {
 	t.Parallel()
 	c := cfg(4, 1)
-	sink := &MemorySink{}
-	c.Trace = sink
+	jobs := traceJobs(&c)
 	_, err := Run(c, func(r *Rank) error {
 		r.Compute(vecWork(100)) // identical on every rank: equal Start
 		return nil
@@ -108,7 +107,7 @@ func TestTimelineTieBreak(t *testing.T) {
 	}
 	var last vclock.Time
 	lastRank := -1
-	for _, e := range sink.Events {
+	for _, e := range (*jobs)[0].Events {
 		if e.Kind != EvCompute {
 			continue
 		}

@@ -3,24 +3,24 @@ package sweep
 import (
 	"context"
 	"fmt"
-	"slices"
-	"sort"
 	"strconv"
 
 	"a64fxbench/internal/core"
 	"a64fxbench/internal/metrics"
 	"a64fxbench/internal/obs"
+	"a64fxbench/internal/simmpi"
 )
 
 // CounterSnapshot runs the given experiments with the virtual PMU
 // enabled and flattens every counted job into one canonical metrics
 // snapshot — the unit the regression sentinel diffs run against run.
 //
-// Each unique id runs once through Engine.Collect; every job an
-// experiment simulates contributes its makespan, counter totals, and
-// derived rates under the key prefix "<id>/<job#> <label>". The
-// snapshot is sorted and ready for WriteJSON; results are returned for
-// error reporting (the error is FirstError over them).
+// Each unique id runs once through Engine.Observe, which folds every
+// job into its counter report as it finishes; each job contributes its
+// makespan, counter totals, derived rates and phases under the key
+// prefix "<id>/<job#> <label>". The snapshot is sorted and ready for
+// WriteJSON; results are returned for error reporting (the error is
+// FirstError over them).
 //
 // Counters never change artifact contents, and the simulation is
 // deterministic in virtual time, so the snapshot is byte-identical
@@ -31,7 +31,10 @@ func CounterSnapshot(ctx context.Context, eng *Engine, ids []string, opt core.Op
 	}
 	cfg := opt.Counters.Sanitized()
 	opt.Counters = &cfg
-	results := eng.Collect(ctx, ids, opt)
+	reports := make([][]*obs.CounterReport, len(ids)) // per result, per job
+	results := eng.Observe(ctx, ids, opt, func(i int, job *simmpi.Report) {
+		reports[i] = append(reports[i], obs.BuildCounterReport(job, obs.A64FXPeaks(job)))
+	})
 
 	snap := metrics.NewSnapshot(map[string]string{
 		"quick":      strconv.FormatBool(opt.Quick),
@@ -43,16 +46,11 @@ func CounterSnapshot(ctx context.Context, eng *Engine, ids []string, opt core.Op
 		// snapshots disagree here.
 		"model": string(opt.ArtifactKey().Model),
 	})
-	byID := slices.Clone(results)
-	sort.Slice(byID, func(i, j int) bool { return byID[i].ID < byID[j].ID })
-	for _, r := range byID {
-		for j, jt := range obs.SplitJobs(r.Timeline) {
-			cr := obs.BuildCounterReport(jt, obs.A64FXPeaks(jt))
-			if cr == nil {
-				continue
+	for i, r := range results {
+		for j, cr := range reports[i] {
+			if cr != nil {
+				obs.AppendCounterEntries(snap, fmt.Sprintf("%s/%03d %s", r.ID, j, cr.Label), cr)
 			}
-			prefix := fmt.Sprintf("%s/%03d %s", r.ID, j, jt.Label)
-			obs.AppendCounterEntries(snap, prefix, cr)
 		}
 	}
 	snap.Sort()

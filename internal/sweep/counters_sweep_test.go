@@ -7,6 +7,7 @@ import (
 
 	"a64fxbench/internal/core"
 	"a64fxbench/internal/metrics"
+	"a64fxbench/internal/simmpi"
 	"a64fxbench/internal/sweep/golden"
 )
 
@@ -60,9 +61,9 @@ func TestCounterSnapshotDeterministicAcrossWorkers(t *testing.T) {
 }
 
 // TestCountersArtifactNeutral pins Options.Counters as an observability
-// field: the artifact of a counted run, executed with sinks attached,
-// must be byte-identical to the uncounted (cached-path) one. Without a
-// sink the counts have nowhere to go, so that run is a cache hit.
+// field: the artifact of a counted, observed run must be byte-identical
+// to the uncounted (cached-path) one. Without a sink the counts have
+// nowhere to go, so that run is a cache hit.
 func TestCountersArtifactNeutral(t *testing.T) {
 	t.Parallel()
 	ctx := context.Background()
@@ -71,13 +72,13 @@ func TestCountersArtifactNeutral(t *testing.T) {
 	plain := eng.Run(ctx, ids, core.Options{Quick: true})
 	opt := core.Options{Quick: true}
 	opt.Counters = &metrics.Config{}
-	counted := eng.Collect(ctx, ids, opt)
+	counted := eng.Observe(ctx, ids, opt, func(int, *simmpi.Report) {})
 	for i, id := range ids {
 		if plain[i].Err != nil || counted[i].Err != nil {
 			t.Fatalf("%s: %v / %v", id, plain[i].Err, counted[i].Err)
 		}
 		if counted[i].Cached {
-			t.Errorf("%s: counted run with a sink hit the cache — it must execute", id)
+			t.Errorf("%s: observed counted run hit the cache — it must execute", id)
 		}
 		if !bytes.Equal(golden.Canonical(plain[i].Artifact), golden.Canonical(counted[i].Artifact)) {
 			t.Errorf("%s: counters changed the artifact (digest %s vs %s)",

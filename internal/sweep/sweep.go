@@ -39,9 +39,6 @@ type Result struct {
 	Elapsed time.Duration
 	// Cached reports whether the artifact came from the engine's cache.
 	Cached bool
-	// Timeline is the in-memory event log of every simulated job the
-	// experiment ran. Only Collect sets it.
-	Timeline simmpi.Timeline
 }
 
 // Skipped reports whether the experiment never ran because the sweep was
@@ -91,14 +88,6 @@ type Engine struct {
 	// cancellation cause. Already-running experiments complete (they do
 	// not observe the context internally).
 	FailFast bool
-	// SinkFor, when non-nil, supplies a trace sink per experiment id; a
-	// nil return leaves the experiment untraced. It must return a
-	// distinct sink per id (ids run on concurrent workers, and one
-	// experiment's jobs must not interleave with another's in a sink's
-	// stream); within one experiment jobs run sequentially, so each
-	// sink's stream is deterministic. The caller owns and closes the
-	// sinks after Run returns.
-	SinkFor func(id string) simmpi.TraceSink
 
 	mu    sync.Mutex
 	cache map[cacheKey]*cacheEntry
@@ -128,21 +117,20 @@ func (e *Engine) workerCount(n int) int {
 // experiments that have not started; their results carry the context
 // error.
 func (e *Engine) Run(ctx context.Context, ids []string, opt core.Options) []Result {
-	return e.run(ctx, ids, opt, func(i int) simmpi.TraceSink {
-		if e.SinkFor == nil {
-			return nil
-		}
-		return e.SinkFor(ids[i])
+	return e.run(ctx, len(ids), func(ctx context.Context, i int) Result {
+		return e.runOne(ctx, ids[i], opt)
 	})
 }
 
-// Collect is the observed-run path: it runs each distinct id once, in
-// first-seen order, with a fresh in-memory sink, and returns one Result
-// per distinct id whose Timeline holds every event the experiment's
-// jobs emitted (on failure, those of the jobs that completed). The
-// sinks replace opt.Trace and SinkFor, so collected runs always execute
-// and never touch the cache. Workers and FailFast apply as in Run.
-func (e *Engine) Collect(ctx context.Context, ids []string, opt core.Options) []Result {
+// Observe is the observed-run path: it runs each distinct id once, in
+// first-seen order, traced, and returns one Result per distinct id.
+// Each simulated job's report, with its timeline in Events, goes to
+// job(i, rep) as the job finishes, where i indexes the returned results
+// (so i < len(ids)). One id's jobs arrive in order, from the goroutine
+// running that id; distinct ids may call job concurrently. Observed
+// runs replace opt.Trace, always execute and never touch the cache.
+// Workers and FailFast apply as in Run.
+func (e *Engine) Observe(ctx context.Context, ids []string, opt core.Options, job func(i int, rep *simmpi.Report)) []Result {
 	uniq := make([]string, 0, len(ids))
 	seen := map[string]bool{}
 	for _, id := range ids {
@@ -151,19 +139,18 @@ func (e *Engine) Collect(ctx context.Context, ids []string, opt core.Options) []
 			uniq = append(uniq, id)
 		}
 	}
-	sinks := make([]simmpi.MemorySink, len(uniq))
-	results := e.run(ctx, uniq, opt, func(i int) simmpi.TraceSink { return &sinks[i] })
-	for i := range results {
-		results[i].Timeline = sinks[i].Events
-	}
-	return results
+	return e.run(ctx, len(uniq), func(ctx context.Context, i int) Result {
+		o := opt
+		o.Trace = func(rep *simmpi.Report) { job(i, rep) }
+		return e.runOne(ctx, uniq[i], o)
+	})
 }
 
-// run executes ids on the worker pool; sinkFor(i) supplies the trace
-// sink of ids[i] (nil leaves opt.Trace in place).
-func (e *Engine) run(ctx context.Context, ids []string, opt core.Options, sinkFor func(i int) simmpi.TraceSink) []Result {
-	results := make([]Result, len(ids))
-	if len(ids) == 0 {
+// run executes one(ctx, i) for every i in [0, n) on the worker pool and
+// returns the results in index order.
+func (e *Engine) run(ctx context.Context, n int, one func(ctx context.Context, i int) Result) []Result {
+	results := make([]Result, n)
+	if n == 0 {
 		return results
 	}
 	ctx, cancel := context.WithCancelCause(ctx)
@@ -171,19 +158,19 @@ func (e *Engine) run(ctx context.Context, ids []string, opt core.Options, sinkFo
 
 	queue := make(chan int)
 	var wg sync.WaitGroup
-	for w := 0; w < e.workerCount(len(ids)); w++ {
+	for w := 0; w < e.workerCount(n); w++ {
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
 			for i := range queue {
-				results[i] = e.runOne(ctx, ids[i], opt, sinkFor(i))
+				results[i] = one(ctx, i)
 				if results[i].Err != nil && e.FailFast {
-					cancel(fmt.Errorf("sweep: %s failed: %w", ids[i], results[i].Err))
+					cancel(fmt.Errorf("sweep: %s failed: %w", results[i].ID, results[i].Err))
 				}
 			}
 		}()
 	}
-	for i := range ids {
+	for i := range n {
 		queue <- i
 	}
 	close(queue)
@@ -191,9 +178,8 @@ func (e *Engine) run(ctx context.Context, ids []string, opt core.Options, sinkFo
 	return results
 }
 
-// runOne executes (or fetches from cache) a single experiment; a
-// non-nil sink replaces opt.Trace.
-func (e *Engine) runOne(ctx context.Context, id string, opt core.Options, sink simmpi.TraceSink) Result {
+// runOne executes (or fetches from cache) a single experiment.
+func (e *Engine) runOne(ctx context.Context, id string, opt core.Options) Result {
 	start := time.Now()
 	if err := ctx.Err(); err != nil {
 		return Result{ID: id, Err: err}
@@ -208,9 +194,6 @@ func (e *Engine) runOne(ctx context.Context, id string, opt core.Options, sink s
 	span := telemetry.SpanFrom(ctx).Child("artifact:" + id)
 	defer span.End()
 	opt.Telemetry = span
-	if sink != nil {
-		opt.Trace = sink
-	}
 	// A run with a trace sink bypasses the cache in both directions: the
 	// sink must see the events of this execution (a cached artifact has
 	// none), and the artifact of a bypass run must not displace the

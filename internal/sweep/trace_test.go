@@ -3,40 +3,48 @@ package sweep
 import (
 	"bytes"
 	"context"
+	"runtime"
+	"strings"
 	"testing"
 
 	"a64fxbench/internal/core"
+	"a64fxbench/internal/obs"
 	"a64fxbench/internal/simmpi"
 )
 
 // tracedIDs is the cheap subset used by the trace determinism tests:
 // enough jobs per experiment to exercise interleaving, small enough to
-// trace in memory.
+// trace quickly.
 var tracedIDs = []string{"table3", "table5"}
 
-// renderTimeline renders a collected timeline in the text format.
-func renderTimeline(t *testing.T, tl simmpi.Timeline) string {
-	t.Helper()
-	var b bytes.Buffer
-	if _, err := tl.WriteTo(&b); err != nil {
-		t.Fatal(err)
+// observeText observes ids on eng and returns each result with its
+// jobs rendered as the text timeline, indexed like the results.
+func observeText(eng *Engine, ids []string, opt core.Options) ([]Result, []string) {
+	bufs := make([]bytes.Buffer, len(ids))
+	res := eng.Observe(context.Background(), ids, opt, func(i int, job *simmpi.Report) {
+		obs.NewTextSink(&bufs[i]).Job(job)
+	})
+	texts := make([]string, len(res))
+	for i := range res {
+		texts[i] = bufs[i].String()
 	}
-	return b.String()
+	return res, texts
 }
 
-// runTraced collects tracedIDs on the given worker count and returns
+// runTraced observes tracedIDs on the given worker count and returns
 // each id's rendered trace.
 func runTraced(t *testing.T, workers int) map[string]string {
 	t.Helper()
 	out := map[string]string{}
-	for _, r := range New(workers).Collect(context.Background(), tracedIDs, core.Options{Quick: true}) {
+	res, texts := observeText(New(workers), tracedIDs, core.Options{Quick: true})
+	for i, r := range res {
 		if r.Err != nil {
 			t.Fatalf("%s: %v", r.ID, r.Err)
 		}
 		if r.Cached {
 			t.Fatalf("%s: traced run served from cache", r.ID)
 		}
-		out[r.ID] = renderTimeline(t, r.Timeline)
+		out[r.ID] = texts[i]
 	}
 	return out
 }
@@ -69,7 +77,7 @@ func TestTraceBypassesCache(t *testing.T) {
 
 	// Traced first, through Options.Trace: it must not fill the cache.
 	traced := opt
-	traced.Trace = &simmpi.MemorySink{}
+	traced.Trace = func(*simmpi.Report) {}
 	r1 := eng.Run(ctx, []string{id}, traced)[0]
 	if r1.Err != nil {
 		t.Fatal(r1.Err)
@@ -82,24 +90,23 @@ func TestTraceBypassesCache(t *testing.T) {
 		t.Error("a traced run wrote the cache")
 	}
 
-	// Traced again, through SinkFor, with the cache primed: it must
-	// re-execute and observe events.
-	sink := &simmpi.MemorySink{}
-	eng.SinkFor = func(string) simmpi.TraceSink { return sink }
-	r3 := eng.Run(ctx, []string{id}, opt)[0]
+	// Traced again, with the cache primed: it must re-execute and
+	// record events.
+	events := 0
+	traced.Trace = func(job *simmpi.Report) { events += len(job.Events) }
+	r3 := eng.Run(ctx, []string{id}, traced)[0]
 	if r3.Err != nil {
 		t.Fatal(r3.Err)
 	}
 	if r3.Cached {
 		t.Error("traced run was served from the cache")
 	}
-	if len(sink.Events) == 0 {
+	if events == 0 {
 		t.Error("traced run recorded no events")
 	}
 
 	// Untraced again: still a cache hit (tracing didn't evict), and the
 	// traced artifacts match the cached one (trace invariance).
-	eng.SinkFor = nil
 	r4 := eng.Run(ctx, []string{id}, opt)[0]
 	if r4.Err != nil {
 		t.Fatal(r4.Err)
@@ -123,11 +130,17 @@ func renderJSON(t *testing.T, a *core.Artifact) string {
 	return buf.String()
 }
 
-// TestCollectTimelines checks the observed-run path: Collect runs each
-// distinct id once with its own sink, returns the timelines in
-// first-seen order, never touches the cache, honours FailFast, and
-// leaves the artifacts unchanged.
-func TestCollectTimelines(t *testing.T) {
+// goid returns the calling goroutine's id, from its stack header.
+func goid() string {
+	var b [64]byte
+	return strings.Fields(string(b[:runtime.Stack(b[:], false)]))[1]
+}
+
+// TestObserveJobs checks the observed-run path: Observe runs each
+// distinct id once, in first-seen order; hands one id's jobs over in
+// order, from one goroutine; neither reads nor writes the cache;
+// honours FailFast; and leaves the artifacts unchanged.
+func TestObserveJobs(t *testing.T) {
 	ctx := context.Background()
 	opt := core.Options{Quick: true}
 	eng := New(2)
@@ -135,38 +148,58 @@ func TestCollectTimelines(t *testing.T) {
 	if plain.Err != nil {
 		t.Fatal(plain.Err)
 	}
-	if plain.Timeline != nil {
-		t.Error("Run result carries a timeline")
-	}
 
-	got := eng.Collect(ctx, []string{"table5", "table3", "table5"}, opt)
+	ids := []string{"table5", "table3", "table5"}
+	labels := make([][]string, len(ids))
+	goids := make([]map[string]bool, len(ids))
+	got := eng.Observe(ctx, ids, opt, func(i int, job *simmpi.Report) {
+		if goids[i] == nil {
+			goids[i] = map[string]bool{}
+		}
+		goids[i][goid()] = true
+		if len(job.Events) == 0 {
+			t.Errorf("%s: job %q carries no events", ids[i], job.Label)
+		}
+		labels[i] = append(labels[i], job.Label)
+	})
 	if len(got) != 2 || got[0].ID != "table5" || got[1].ID != "table3" {
 		t.Fatalf("want one result per distinct id in first-seen order, got %d", len(got))
 	}
-	for _, r := range got {
+	for i, r := range got {
 		if r.Err != nil {
 			t.Fatal(r.Err)
 		}
-		if len(r.Timeline) == 0 {
-			t.Errorf("%s: collected no events", r.ID)
+		if len(labels[i]) == 0 {
+			t.Errorf("%s: observed no jobs", r.ID)
+		}
+		if len(goids[i]) != 1 {
+			t.Errorf("%s: jobs handed over from %d goroutines", r.ID, len(goids[i]))
 		}
 		if r.Cached {
-			t.Errorf("%s: collected run was served from the cache", r.ID)
+			t.Errorf("%s: observed run was served from the cache", r.ID)
 		}
 	}
 	if renderJSON(t, plain.Artifact) != renderJSON(t, got[0].Artifact) {
-		t.Error("collecting changed the artifact")
+		t.Error("observing changed the artifact")
 	}
-	// Each id's timeline is its own: collecting table5 alone yields the
-	// same stream.
-	alone := eng.Collect(ctx, []string{"table5"}, opt)[0]
-	if renderTimeline(t, alone.Timeline) != renderTimeline(t, got[0].Timeline) {
-		t.Error("table5's timeline depends on what it was collected with")
+	// Each id's jobs arrive in the order its own traced run makes them.
+	var want []string
+	traced := opt
+	traced.Trace = func(job *simmpi.Report) { want = append(want, job.Label) }
+	if r := New(1).Run(ctx, []string{"table5"}, traced)[0]; r.Err != nil {
+		t.Fatal(r.Err)
+	}
+	if strings.Join(labels[0], "\n") != strings.Join(want, "\n") {
+		t.Errorf("table5's jobs arrived as %q, want %q", labels[0], want)
+	}
+	// Observing wrote nothing to the cache.
+	if r := eng.Run(ctx, []string{"table3"}, opt)[0]; r.Err != nil || r.Cached {
+		t.Errorf("table3 after Observe: cached=%v err=%v, want a fresh run", r.Cached, r.Err)
 	}
 
 	ff := New(1)
 	ff.FailFast = true
-	res := ff.Collect(ctx, []string{"nosuch", "table1"}, opt)
+	res := ff.Observe(ctx, []string{"nosuch", "table1"}, opt, func(int, *simmpi.Report) {})
 	if res[0].Err == nil || !res[1].Skipped() {
 		t.Errorf("FailFast: want a failure then a skip, got %v / %v", res[0].Err, res[1].Err)
 	}

@@ -112,7 +112,6 @@ var unreachedAllowed = map[string]bool{
 	"hpcg.MemoryPerRank":          true,
 	"hpcg.ScaleConfig":            true,
 	"metrics.NumCollectives":      true,
-	"metrics.NumCounters":         true,
 	"serve.Metrics.CacheHitRatio": true,
 	"serve.Metrics.Inflight":      true,
 	"serve.Metrics.Queued":        true,
