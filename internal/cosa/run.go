@@ -144,7 +144,7 @@ func Run(cfg Config) (Result, error) {
 		// inter-process traffic is with adjacent ranks in the active
 		// set. Idle ranks join the exchange with no halos.
 		active := part.ActiveParts()
-		halos := decomp.ChainHalos(r.ID(), active, tagHalo, haloBytes)
+		halos := r.Neighborhood(decomp.ChainHalos(r.ID(), active, haloBytes))
 		for it := 0; it < tc.Iterations; it++ {
 			r.Region("hb-iter")
 			// Work for all owned blocks.
@@ -157,7 +157,7 @@ func Run(cfg Config) (Result, error) {
 				if r.ID() < active {
 					r.Region("halo")
 				}
-				r.NeighborExchange(halos)
+				r.NeighborExchange(halos, tagHalo)
 				if r.ID() < active {
 					r.EndRegion()
 				}

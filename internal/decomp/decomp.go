@@ -1,8 +1,10 @@
 // Package decomp provides the regular domain decompositions the
 // benchmarks share: 1D chains and 3D process grids, neighbour
 // identification, block partitions, and face-halo exchange over the
-// simmpi runtime. Exchange is a collective: it runs as one simmpi
-// neighbourhood exchange, so every rank of the job must call it.
+// simmpi runtime. A rank builds its face halos once (Halos, ChainHalos)
+// and registers them as a persistent simmpi neighbourhood; Exchange
+// then runs one exchange of it. Exchange is a collective: every rank of
+// the job must call it.
 package decomp
 
 import (
@@ -125,48 +127,53 @@ type HaloSpec struct {
 	Elem       units.Bytes
 }
 
-// Exchange performs a six-face halo exchange for the given rank on the
-// grid: each existing neighbour receives this rank's face and supplies its
-// own. Wire sizes are declared exactly; like every simulated message,
-// a halo carries bytes, not data. The exchange is one
-// simmpi.Rank.NeighborExchange, a collective over the whole job: every
-// rank of the job must call Exchange, in the same sequence. The tag
-// parameter separates the face tags of successive exchanges.
-func Exchange(r *simmpi.Rank, g Grid3D, spec HaloSpec, tag int) {
-	r.Region("halo")
-	defer r.EndRegion()
-	// At most one halo per face: a fixed array keeps the list off the
-	// heap. Each face goes out with its own tag, and the neighbour's
-	// matching opposite face comes back with the opposite face's tag.
+// Halos returns rank's six-face halo list on the grid, as an array and
+// the count of its leading entries in use, so the list stays off the
+// heap: one halo per existing neighbour, in face order. Face f's message
+// goes out with tag offset f, and the neighbour's matching opposite face
+// comes back with offset opposite(f). Wire sizes are declared exactly;
+// like every simulated message, a halo carries bytes, not data.
+func Halos(rank int, g Grid3D, spec HaloSpec) ([NumFaces]simmpi.Halo, int) {
 	var halos [NumFaces]simmpi.Halo
 	n := 0
-	for f, nbr := range g.Neighbors(r.ID()) {
+	for f, nbr := range g.Neighbors(rank) {
 		if nbr < 0 {
 			continue
 		}
 		face := Face(f)
 		halos[n] = simmpi.Halo{
 			Peer:    nbr,
-			SendTag: tag + int(face),
-			RecvTag: tag + int(opposite(face)),
+			SendTag: int(face),
+			RecvTag: int(opposite(face)),
 			Bytes:   FaceBytes(face, spec.NX, spec.NY, spec.NZ, spec.Width, spec.Elem),
 		}
 		n++
 	}
-	r.NeighborExchange(halos[:n])
+	return halos, n
+}
+
+// Exchange performs one face-halo exchange of the registered
+// neighbourhood nb under the halo region: a simmpi.Rank.NeighborExchange,
+// a collective over the whole job, so every rank of the job must call
+// Exchange, in the same sequence. The tag separates the face tags of
+// successive exchanges.
+func Exchange(r *simmpi.Rank, nb simmpi.Neighborhood, tag int) {
+	r.Region("halo")
+	r.NeighborExchange(nb, tag)
+	r.EndRegion()
 }
 
 // ChainHalos returns rank's halos in a 1D chain of the first n ranks:
-// one to each adjacent rank of the chain, sent and received with tag.
-// Ranks at or beyond n are idle and get none, but must still join the
-// exchange.
-func ChainHalos(rank, n, tag int, bytes units.Bytes) []simmpi.Halo {
+// one to each adjacent rank of the chain, sent and received with the
+// exchange's own tag (offset 0). Ranks at or beyond n are idle and get
+// none, but must still join the exchange.
+func ChainHalos(rank, n int, bytes units.Bytes) []simmpi.Halo {
 	var halos []simmpi.Halo
 	if rank > 0 && rank < n {
-		halos = append(halos, simmpi.Halo{Peer: rank - 1, SendTag: tag, RecvTag: tag, Bytes: bytes})
+		halos = append(halos, simmpi.Halo{Peer: rank - 1, Bytes: bytes})
 	}
 	if rank < n-1 {
-		halos = append(halos, simmpi.Halo{Peer: rank + 1, SendTag: tag, RecvTag: tag, Bytes: bytes})
+		halos = append(halos, simmpi.Halo{Peer: rank + 1, Bytes: bytes})
 	}
 	return halos
 }

@@ -2,6 +2,7 @@ package decomp
 
 import (
 	"runtime"
+	"slices"
 	"testing"
 	"testing/quick"
 
@@ -84,18 +85,40 @@ func TestChainHalos(t *testing.T) {
 	// the middle two, and ranks 3 and 4 are idle.
 	want := [][]int{{1}, {0, 2}, {1}, nil, nil}
 	for rank, peers := range want {
-		halos := ChainHalos(rank, 3, 9, 64)
+		halos := ChainHalos(rank, 3, 64)
 		if len(halos) != len(peers) {
 			t.Fatalf("rank %d: %d halos, want peers %v", rank, len(halos), peers)
 		}
 		for i, h := range halos {
-			if h.Peer != peers[i] || h.SendTag != 9 || h.RecvTag != 9 || h.Bytes != 64 {
-				t.Errorf("rank %d halo %d = %+v, want peer %d, tags 9, 64 B", rank, i, h, peers[i])
+			if h.Peer != peers[i] || h.SendTag != 0 || h.RecvTag != 0 || h.Bytes != 64 {
+				t.Errorf("rank %d halo %d = %+v, want peer %d, tag offsets 0, 64 B", rank, i, h, peers[i])
 			}
 		}
 	}
-	if halos := ChainHalos(0, 1, 9, 64); len(halos) != 0 {
+	if halos := ChainHalos(0, 1, 64); len(halos) != 0 {
 		t.Errorf("a one-rank chain has halos %+v", halos)
+	}
+}
+
+// TestHalos checks the six-face list: one halo per existing neighbour in
+// face order, each sent with its face as tag offset and received with
+// the opposite face's, sized by FaceBytes.
+func TestHalos(t *testing.T) {
+	t.Parallel()
+	g := Grid3D{PX: 3, PY: 2, PZ: 2}
+	spec := HaloSpec{NX: 4, NY: 5, NZ: 6, Width: 2, Elem: 8}
+	for rank := 0; rank < g.Size(); rank++ {
+		halos, n := Halos(rank, g, spec)
+		var want []simmpi.Halo
+		for f, nbr := range g.Neighbors(rank) {
+			if nbr >= 0 {
+				want = append(want, simmpi.Halo{Peer: nbr, SendTag: f, RecvTag: int(opposite(Face(f))),
+					Bytes: FaceBytes(Face(f), 4, 5, 6, 2, 8)})
+			}
+		}
+		if !slices.Equal(halos[:n], want) {
+			t.Errorf("rank %d: halos %+v, want %+v", rank, halos[:n], want)
+		}
 	}
 }
 
@@ -143,8 +166,10 @@ func TestExchangeCompletes(t *testing.T) {
 		g := NewGrid3D(p)
 		spec := HaloSpec{NX: 8, NY: 8, NZ: 8, Width: 1, Elem: 8}
 		rep, err := simmpi.Run(testJob(p, min(p, 4)), func(r *simmpi.Rank) error {
+			halos, n := Halos(r.ID(), g, spec)
+			nb := r.Neighborhood(halos[:n])
 			for it := 0; it < 3; it++ {
-				Exchange(r, g, spec, 100*it)
+				Exchange(r, nb, 100*it)
 			}
 			return nil
 		})
@@ -166,7 +191,8 @@ func TestExchangeByteAccounting(t *testing.T) {
 	g := Grid3D{PX: 2, PY: 1, PZ: 1}
 	spec := HaloSpec{NX: 4, NY: 5, NZ: 6, Width: 1, Elem: 8}
 	rep, err := simmpi.Run(testJob(2, 2), func(r *simmpi.Rank) error {
-		Exchange(r, g, spec, 0)
+		halos, n := Halos(r.ID(), g, spec)
+		Exchange(r, r.Neighborhood(halos[:n]), 0)
 		return nil
 	})
 	if err != nil {
@@ -182,9 +208,9 @@ func TestExchangeByteAccounting(t *testing.T) {
 }
 
 // TestExchangeAllocGuard pins steady-state allocations of a halo
-// exchange: on a 2×2×2 grid every rank posts three faces per call, and a
-// heap-grown pending list would cost three allocations each time. A long
-// run minus a short one cancels the fixed job-setup allocations.
+// exchange: on a 2×2×2 grid every rank exchanges three faces per call,
+// and a heap-grown pending list would cost three allocations each time.
+// A long run minus a short one cancels the fixed job-setup allocations.
 func TestExchangeAllocGuard(t *testing.T) {
 	if raceEnabled {
 		t.Skip("race-detector instrumentation allocates per channel operation")
@@ -196,8 +222,10 @@ func TestExchangeAllocGuard(t *testing.T) {
 		var before, after runtime.MemStats
 		runtime.ReadMemStats(&before)
 		_, err := simmpi.Run(testJob(g.Size(), 2), func(r *simmpi.Rank) error {
+			halos, n := Halos(r.ID(), g, spec)
+			nb := r.Neighborhood(halos[:n])
 			for it := 0; it < iters; it++ {
-				Exchange(r, g, spec, 0)
+				Exchange(r, nb, 0)
 			}
 			return nil
 		})

@@ -199,6 +199,18 @@ func Run(cfg Config) (Result, error) {
 	}
 	rep, err := simmpi.Run(job, func(r *simmpi.Rank) error {
 		fine := levels[0]
+		// One persistent neighbourhood per multigrid level: the level's
+		// face halos, registered once. A fixed array keeps the handles
+		// off the heap at the usual depths.
+		var nbBuf [8]simmpi.Neighborhood
+		nbs := nbBuf[:]
+		if cfg.Levels > len(nbBuf) {
+			nbs = make([]simmpi.Neighborhood, cfg.Levels)
+		}
+		for l, lw := range levels {
+			halos, n := decomp.Halos(r.ID(), grid, lw.halo)
+			nbs[l] = r.Neighborhood(halos[:n])
+		}
 		tagBase := 0
 		// Each exchange of an iteration gets its own block of face tags,
 		// reset every iteration so the trace carries the same tags each
@@ -216,15 +228,15 @@ func Run(cfg Config) (Result, error) {
 				r.Region(levelName[l])
 				defer r.EndRegion()
 				if l == cfg.Levels-1 {
-					decomp.Exchange(r, grid, lw.halo, nextTag())
+					decomp.Exchange(r, nbs[l], nextTag())
 					r.Compute(symgsProfile(lw))
 					return
 				}
 				// Pre-smooth.
-				decomp.Exchange(r, grid, lw.halo, nextTag())
+				decomp.Exchange(r, nbs[l], nextTag())
 				r.Compute(symgsProfile(lw))
 				// Residual SpMV.
-				decomp.Exchange(r, grid, lw.halo, nextTag())
+				decomp.Exchange(r, nbs[l], nextTag())
 				r.Compute(spmvProfile(lw))
 				// Restrict.
 				r.Compute(gridTransferProfile(levels[l+1].n))
@@ -232,7 +244,7 @@ func Run(cfg Config) (Result, error) {
 				// Prolong.
 				r.Compute(gridTransferProfile(levels[l+1].n))
 				// Post-smooth.
-				decomp.Exchange(r, grid, lw.halo, nextTag())
+				decomp.Exchange(r, nbs[l], nextTag())
 				r.Compute(symgsProfile(lw))
 			}
 			r.Region("vcycle")
@@ -245,7 +257,7 @@ func Run(cfg Config) (Result, error) {
 			r.Compute(waxpbyProfile(fine.n))
 			// SpMV A·p
 			r.Region("spmv")
-			decomp.Exchange(r, grid, fine.halo, nextTag())
+			decomp.Exchange(r, nbs[0], nextTag())
 			r.Compute(spmvProfile(fine))
 			r.EndRegion()
 			// dot(p, Ap)

@@ -187,10 +187,10 @@ func Run(cfg Config) (Result, error) {
 	rep, err := simmpi.Run(job, func(r *simmpi.Rank) error {
 		const tagHalo = 11
 		// 1D plane decomposition: halo with ±1 neighbours.
-		halos := decomp.ChainHalos(r.ID(), r.Size(), tagHalo, haloBytes)
+		halos := r.Neighborhood(decomp.ChainHalos(r.ID(), r.Size(), haloBytes))
 		exchange := func() {
 			r.Region("halo-exchange")
-			r.NeighborExchange(halos)
+			r.NeighborExchange(halos, tagHalo)
 			r.EndRegion()
 		}
 		for it := 0; it < cfg.Iterations; it++ {

@@ -157,18 +157,19 @@ func RunWithNoise(cfg Config, noiseProb float64, noiseDur units.Duration) (Resul
 	haloBytes := units.Bytes(facePoints * 8)
 	rep, err := simmpi.Run(job, func(r *simmpi.Rank) error {
 		const tagHalo = 7
-		// One halo per existing face neighbour: face f goes out with
-		// tag tagHalo+f and the neighbour's facing face comes back with
-		// its own tag (faces pair as (0,1), (2,3), (4,5)).
+		// One halo per existing face neighbour, registered once: face f
+		// goes out with tag tagHalo+f and the neighbour's facing face
+		// comes back with its own tag (faces pair as (0,1), (2,3),
+		// (4,5)).
 		var faces [decomp.NumFaces]simmpi.Halo
 		n := 0
 		for f, nbr := range grid.Neighbors(r.ID()) {
 			if nbr >= 0 {
-				faces[n] = simmpi.Halo{Peer: nbr, SendTag: tagHalo + f, RecvTag: tagHalo + (f ^ 1), Bytes: haloBytes}
+				faces[n] = simmpi.Halo{Peer: nbr, SendTag: f, RecvTag: f ^ 1, Bytes: haloBytes}
 				n++
 			}
 		}
-		halos := faces[:n]
+		halos := r.Neighborhood(faces[:n])
 		for it := 0; it < cfg.Iterations; it++ {
 			// One CG iteration of Nekbone: ax + dssum + 2 reductions
 			// + 3 vector updates.
@@ -179,7 +180,7 @@ func RunWithNoise(cfg Config, noiseProb float64, noiseDur units.Duration) (Resul
 			// dssum: local gather-scatter plus neighbour exchange.
 			r.Region("dssum")
 			r.Compute(dssum)
-			r.NeighborExchange(halos)
+			r.NeighborExchange(halos, tagHalo)
 			r.EndRegion()
 			r.Compute(dot) // p·Ap
 			r.Allreduce(8)

@@ -4,7 +4,6 @@ import (
 	"fmt"
 	"io"
 	"sort"
-	"strings"
 
 	"a64fxbench/internal/simmpi"
 	"a64fxbench/internal/units"
@@ -47,11 +46,12 @@ type cpNode struct {
 	start  vclock.Time
 	finish vclock.Time
 	// prev is the same-rank predecessor node index, -1 for the first.
-	prev int
+	prev int32
 	// sender is the matching send's node index for recv nodes, -1
 	// otherwise.
-	sender int
-	label  string
+	sender int32
+	// label indexes the DAG's phase labels.
+	label int32
 }
 
 // routeKey identifies one FIFO message route.
@@ -65,7 +65,7 @@ type routeKey struct {
 // length never exceeds the makespan, and — because each rank's events
 // chain — never undercuts the busiest rank's recorded time.
 func ComputeCriticalPath(job *simmpi.Report) (*CriticalPath, error) {
-	nodes, err := buildDAG(job.Events)
+	nodes, labels, err := buildDAG(job.Events)
 	if err != nil {
 		return nil, err
 	}
@@ -94,7 +94,7 @@ func ComputeCriticalPath(job *simmpi.Report) (*CriticalPath, error) {
 			}
 			n := &nodes[i]
 			ready := true
-			for _, p := range [2]int{n.prev, n.sender} {
+			for _, p := range [2]int{int(n.prev), int(n.sender)} {
 				if p >= 0 && !done[p] {
 					stack = append(stack, p)
 					ready = false
@@ -106,7 +106,7 @@ func ComputeCriticalPath(job *simmpi.Report) (*CriticalPath, error) {
 			stack = stack[:len(stack)-1]
 			best := units.Duration(n.finish - n.start)
 			bestVia := -1
-			for _, p := range [2]int{n.prev, n.sender} {
+			for _, p := range [2]int{int(n.prev), int(n.sender)} {
 				if p < 0 {
 					continue
 				}
@@ -143,10 +143,11 @@ func ComputeCriticalPath(job *simmpi.Report) (*CriticalPath, error) {
 		if p := via[i]; p >= 0 {
 			contrib -= longest[p]
 		}
-		pc := byPhase[n.label]
+		label := labels[n.label]
+		pc := byPhase[label]
 		if pc == nil {
-			pc = &PhaseContrib{Label: n.label}
-			byPhase[n.label] = pc
+			pc = &PhaseContrib{Label: label}
+			byPhase[label] = pc
 		}
 		pc.Time += contrib
 		pc.Steps++
@@ -170,47 +171,93 @@ func ComputeCriticalPath(job *simmpi.Report) (*CriticalPath, error) {
 
 // buildDAG turns the timeline into DAG nodes: per-rank program-order
 // chains plus send→recv edges matched per (src,dst,tag) route in FIFO
-// order — exactly the runtime's mailbox semantics.
-func buildDAG(events simmpi.Timeline) ([]cpNode, error) {
-	var nodes []cpNode
-	lastOnRank := map[int]int{}
-	regions := map[int][]string{}
-	sends := map[routeKey][]int{}
-	type recvRef struct {
-		node int
-		key  routeKey
-		seq  int
+// order — exactly the runtime's mailbox semantics. It returns the nodes
+// and the phase labels they index. One count over the timeline sizes
+// the node and receive arrays, and each label is built once: a region
+// path's prefix the first time a rank enters it, a phase label the first
+// time its prefix and kind occur.
+func buildDAG(events simmpi.Timeline) ([]cpNode, []string, error) {
+	var nNodes, nRecvs, nRanks int
+	for i := range events {
+		e := &events[i]
+		nRanks = max(nRanks, e.Rank+1)
+		switch e.Kind {
+		case simmpi.EvRecv:
+			nRecvs++
+			nNodes++
+		case simmpi.EvCompute, simmpi.EvSend, simmpi.EvNoise:
+			nNodes++
+		}
 	}
-	var recvs []recvRef
-	recvSeq := map[routeKey]int{}
+	nodes := make([]cpNode, 0, nNodes)
+	type recvRef struct {
+		node int32
+		seq  int32
+		key  routeKey
+	}
+	recvs := make([]recvRef, 0, nRecvs)
+	lastOnRank := make([]int32, nRanks)
+	for i := range lastOnRank {
+		lastOnRank[i] = -1
+	}
+	// prefixes[r] is rank r's stack of label prefixes, one per open
+	// region: the region path and a colon ("a:", "a/b:"). Outside any
+	// region the prefix is empty.
+	prefixes := make([][]string, nRanks)
+	prefixOf := map[[2]string]string{} // (parent prefix, region) → prefix
+	var labels []string
+	labelOf := map[[2]string]int32{} // (prefix, kind or class) → label
+	sends := map[routeKey][]int32{}
+	recvSeq := map[routeKey]int32{}
 
-	for _, e := range events {
+	for i := range events {
+		e := &events[i]
 		switch e.Kind {
 		case simmpi.EvRegionBegin:
-			regions[e.Rank] = append(regions[e.Rank], e.Name)
+			stack := prefixes[e.Rank]
+			var parent string
+			if len(stack) > 0 {
+				parent = stack[len(stack)-1]
+			}
+			key := [2]string{parent, e.Name}
+			prefix, ok := prefixOf[key]
+			if !ok {
+				prefix = e.Name + ":"
+				if parent != "" {
+					prefix = parent[:len(parent)-1] + "/" + prefix
+				}
+				prefixOf[key] = prefix
+			}
+			prefixes[e.Rank] = append(stack, prefix)
 			continue
 		case simmpi.EvRegionEnd:
-			if s := regions[e.Rank]; len(s) > 0 {
-				regions[e.Rank] = s[:len(s)-1]
+			if s := prefixes[e.Rank]; len(s) > 0 {
+				prefixes[e.Rank] = s[:len(s)-1]
 			}
 			continue
 		case simmpi.EvCompute, simmpi.EvSend, simmpi.EvRecv, simmpi.EvNoise:
 		default:
 			continue
 		}
-		prev, ok := lastOnRank[e.Rank]
-		if !ok {
-			prev = -1
+		var prefix string
+		if s := prefixes[e.Rank]; len(s) > 0 {
+			prefix = s[len(s)-1]
 		}
-		n := cpNode{
+		key := [2]string{prefix, phaseBase(e)}
+		label, ok := labelOf[key]
+		if !ok {
+			label = int32(len(labels))
+			labels = append(labels, key[0]+key[1])
+			labelOf[key] = label
+		}
+		idx := int32(len(nodes))
+		nodes = append(nodes, cpNode{
 			start:  e.Start,
 			finish: e.Finish(),
-			prev:   prev,
+			prev:   lastOnRank[e.Rank],
 			sender: -1,
-			label:  phaseLabel(e, regions[e.Rank]),
-		}
-		idx := len(nodes)
-		nodes = append(nodes, n)
+			label:  label,
+		})
 		lastOnRank[e.Rank] = idx
 		switch e.Kind {
 		case simmpi.EvSend:
@@ -228,29 +275,22 @@ func buildDAG(events simmpi.Timeline) ([]cpNode, error) {
 	// so the k-th recv on a route matches the k-th send.
 	for _, r := range recvs {
 		ss := sends[r.key]
-		if r.seq >= len(ss) {
-			return nil, fmt.Errorf("obs: recv %d on route %+v has no matching send (trace truncated?)", r.seq, r.key)
+		if int(r.seq) >= len(ss) {
+			return nil, nil, fmt.Errorf("obs: recv %d on route %+v has no matching send (trace truncated?)", r.seq, r.key)
 		}
 		nodes[r.node].sender = ss[r.seq]
 	}
-	return nodes, nil
+	return nodes, labels, nil
 }
 
-// phaseLabel names an event's phase: the enclosing region path plus the
-// kind (or kernel class for compute), e.g. "cg-iter/halo:recv" or
-// "spmv" outside regions.
-func phaseLabel(e simmpi.Event, regionStack []string) string {
-	var base string
-	switch e.Kind {
-	case simmpi.EvCompute:
-		base = e.Class.String()
-	default:
-		base = e.Kind.String()
+// phaseBase names an event's kind, or its kernel class for compute. A
+// phase label is its region path's prefix and this base, e.g.
+// "cg-iter/halo:recv", or the bare base outside regions, e.g. "spmv".
+func phaseBase(e *simmpi.Event) string {
+	if e.Kind == simmpi.EvCompute {
+		return e.Class.String()
 	}
-	if len(regionStack) == 0 {
-		return base
-	}
-	return strings.Join(regionStack, "/") + ":" + base
+	return e.Kind.String()
 }
 
 // Render writes the critical-path report.

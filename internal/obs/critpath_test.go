@@ -1,14 +1,18 @@
 package obs_test
 
 import (
+	"sort"
+	"strings"
 	"testing"
 
 	"a64fxbench/internal/arch"
 	"a64fxbench/internal/hpcg"
 	"a64fxbench/internal/nekbone"
 	"a64fxbench/internal/obs"
+	"a64fxbench/internal/perfmodel"
 	"a64fxbench/internal/simmpi"
 	"a64fxbench/internal/units"
+	"a64fxbench/internal/vclock"
 )
 
 // checkPathInvariants asserts the two critical-path consistency bounds:
@@ -149,5 +153,51 @@ func TestCriticalPathSynthetic(t *testing.T) {
 	// whole makespan (the send/recv overheads differ at the margins).
 	if cp.Fraction < 0.5 {
 		t.Errorf("balanced job path fraction %.3f suspiciously low", cp.Fraction)
+	}
+}
+
+// TestCriticalPathRegionLabels: on a one-rank chain every event is on
+// the path, so the phases name every event's label: the open region
+// path joined by "/" and a colon before the kind or class, including
+// empty region names, or the bare kind outside regions.
+func TestCriticalPathRegionLabels(t *testing.T) {
+	t.Parallel()
+	cls := perfmodel.VectorOp.String()
+	var events simmpi.Timeline
+	at := vclock.Time(0)
+	step := func(kind simmpi.EventKind, name string) {
+		e := simmpi.Event{Kind: kind, Start: at, Peer: -1, Class: perfmodel.VectorOp, Name: name}
+		if kind != simmpi.EvRegionBegin && kind != simmpi.EvRegionEnd {
+			e.Duration = units.Microsecond
+			at = e.Finish()
+		}
+		events = append(events, e)
+	}
+	step(simmpi.EvCompute, "")
+	step(simmpi.EvRegionBegin, "")
+	step(simmpi.EvCompute, "")
+	step(simmpi.EvRegionBegin, "a")
+	step(simmpi.EvNoise, "")
+	step(simmpi.EvRegionEnd, "a")
+	step(simmpi.EvRegionEnd, "")
+	step(simmpi.EvRegionBegin, "x")
+	step(simmpi.EvRegionBegin, "y")
+	step(simmpi.EvCompute, "")
+	step(simmpi.EvRegionEnd, "y")
+	step(simmpi.EvNoise, "")
+	step(simmpi.EvRegionEnd, "x")
+	cp, err := obs.ComputeCriticalPath(&simmpi.Report{Makespan: units.Duration(at), Events: events})
+	if err != nil {
+		t.Fatal(err)
+	}
+	var got []string
+	for _, p := range cp.Phases {
+		got = append(got, p.Label)
+	}
+	sort.Strings(got)
+	want := []string{"/a:noise", ":" + cls, cls, "x/y:" + cls, "x:noise"}
+	sort.Strings(want)
+	if strings.Join(got, " | ") != strings.Join(want, " | ") {
+		t.Fatalf("phase labels %q, want %q", got, want)
 	}
 }

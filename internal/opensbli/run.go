@@ -121,11 +121,13 @@ func Run(cfg Config) (Result, error) {
 
 	stageName := [3]string{"rk3-stage-0", "rk3-stage-1", "rk3-stage-2"}
 	rep, err := simmpi.Run(job, func(r *simmpi.Rank) error {
+		halos, n := decomp.Halos(r.ID(), grid, halo)
+		nb := r.Neighborhood(halos[:n])
 		for step := 0; step < tc.Steps; step++ {
 			r.Region("rk3-step")
 			for st := 0; st < 3; st++ { // RK3 stages
 				r.Region(stageName[st])
-				decomp.Exchange(r, grid, halo, 16*st)
+				decomp.Exchange(r, nb, 16*st)
 				r.Compute(stage)
 				r.EndRegion()
 			}

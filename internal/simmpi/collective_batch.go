@@ -22,12 +22,19 @@ package simmpi
 // differential suite in engine_test.go compares every batched
 // collective against.
 //
+// In front of the executors sits the shift memo (memo.go): in a job
+// eligible for it, a collective whose ranks arrive with the relative
+// clocks of an earlier instance of the same pattern takes that
+// instance's departures, shifted, and sends no message. Every pattern's
+// first instance, and every miss, runs the executor here.
+//
 // Message slots: within one round of every classic algorithm the
 // send→recv pairing is a bijection (each rank receives at most one
 // message), so a single scratch slice indexed by receiver replaces
 // per-route queues. A message is a wire size and a time, so a round
 // copies and folds nothing. A halo exchange has no such bijection: its
-// messages wait in one reusable buffer, grouped by sender
+// messages wait in one reusable buffer in send order, and each receive
+// reads the message its neighbourhood's resolved matching names
 // (batchNeighbor).
 //
 // The valid cross-rank orders used below:
@@ -39,8 +46,6 @@ package simmpi
 //     order.
 
 import (
-	"fmt"
-
 	"a64fxbench/internal/metrics"
 	"a64fxbench/internal/units"
 	"a64fxbench/internal/vclock"
@@ -53,7 +58,6 @@ func (e *eventEngine) scratch() {
 	if e.slots == nil {
 		e.slots = make([]message, p)
 		e.starts = make([]vclock.Time, p)
-		e.sentOff = make([]int, p+1)
 	}
 }
 
@@ -72,9 +76,18 @@ func (e *eventEngine) endAll(c metrics.Collective) {
 	}
 }
 
-// runBatched executes one world collective across all ranks. Each
-// rank's arguments are its arrival op.
+// runBatched executes one world collective across all ranks, from the
+// shift memo if it holds the outcome. Each rank's arguments are its
+// arrival op.
 func runBatched(e *eventEngine, kind opKind) {
+	e.colls++
+	var pt *memoPattern
+	if m := e.memo; m != nil {
+		if pt = m.pattern(e, kind); pt != nil && m.replay(e, pt) {
+			e.replayed++
+			return
+		}
+	}
 	e.scratch()
 	switch kind {
 	case opBarrier:
@@ -85,6 +98,9 @@ func runBatched(e *eventEngine, kind opKind) {
 		batchAlltoall(e)
 	case opNeighbor:
 		batchNeighbor(e)
+	}
+	if pt != nil {
+		e.memo.record(e, pt)
 	}
 }
 
@@ -211,61 +227,29 @@ func batchAlltoall(e *eventEngine) {
 	e.endAll(metrics.CollAlltoall)
 }
 
-// halos is rank id's halo list in the exchange being executed.
-func (e *eventEngine) halos(id int) []Halo {
-	a := &e.args[id]
-	return e.ranks[id].q.halos[a.a : a.a+a.b]
-}
-
-// haloMsg is one message of a halo exchange, kept under its sender; dst
-// is -1 once a receive has matched it.
-type haloMsg struct {
-	dst, tag int
-	m        message
-}
-
-// batchNeighbor runs a halo exchange: every rank's sends, in rank order
-// and each rank's halo order, then every rank's receives. Rank id's
-// messages are e.sent[e.sentOff[id]:e.sentOff[id+1]], in send order, and
-// a receive takes the first unmatched one its peer addressed to it with
-// its tag — the FIFO matching of a point-to-point route. There is no
+// batchNeighbor runs a halo exchange of the neighbourhood and tag every
+// rank passed: every rank's sends, in rank order and each rank's list
+// order, then every rank's receives, each reading the message the
+// neighbourhood's matching, resolved at its first exchange, assigns it —
+// the FIFO matching of a point-to-point route. There is no
 // collBegin/collEnd bracket: halo time is not collective time.
 func batchNeighbor(e *eventEngine) {
-	rs, p := e.ranks, len(e.ranks)
-	n := 0
-	for id := range rs {
-		n += e.args[id].b
+	nb, tag := &e.nbs[e.coll.a], e.coll.b
+	if !nb.resolved {
+		e.resolve(nb, tag)
 	}
-	if cap(e.sent) < n {
-		e.sent = make([]haloMsg, 0, n)
-	}
-	off, sent := e.sentOff, e.sent[:0]
-	for id, r := range rs {
-		off[id] = len(sent)
-		for _, h := range e.halos(id) {
-			if h.Peer < 0 || h.Peer >= p {
-				panic(fmt.Sprintf("simmpi: NeighborExchange: rank %d names peer %d outside [0, %d) (send tag %d, recv tag %d)",
-					id, h.Peer, p, h.SendTag, h.RecvTag))
-			}
-			sent = append(sent, haloMsg{dst: h.Peer, tag: h.SendTag,
-				m: r.sendCore(h.Peer, h.SendTag, h.Bytes)})
+	sent := grown(e.slab.sent, nb.msgs)
+	e.slab.sent = sent
+	k := 0
+	for id, r := range e.ranks {
+		for _, h := range e.list(nb, id) {
+			sent[k] = r.sendCore(int(h.peer), tag+int(h.send), h.bytes)
+			k++
 		}
 	}
-	off[p] = len(sent)
-	e.sent = sent
-	for id, r := range rs {
-		for _, h := range e.halos(id) {
-			from := sent[off[h.Peer]:off[h.Peer+1]]
-			k := 0
-			for k < len(from) && (from[k].dst != id || from[k].tag != h.RecvTag) {
-				k++
-			}
-			if k == len(from) {
-				panic(fmt.Sprintf("simmpi: NeighborExchange: rank %d expects tag %d from peer %d, which sent it no such message in this exchange",
-					id, h.RecvTag, h.Peer))
-			}
-			r.recvCore(from[k].m, h.Peer, h.RecvTag)
-			from[k].dst = -1
+	for id, r := range e.ranks {
+		for _, h := range e.list(nb, id) {
+			r.recvCore(sent[h.match], int(h.peer), tag+int(h.recv))
 		}
 	}
 }

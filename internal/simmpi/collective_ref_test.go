@@ -34,7 +34,7 @@ type collSet struct {
 	Barrier          func(r *Rank)
 	Allreduce        func(r *Rank, bytes units.Bytes)
 	Alltoall         func(r *Rank, bytes units.Bytes)
-	NeighborExchange func(r *Rank, halos []Halo)
+	NeighborExchange func(r *Rank, nb Neighborhood, tag int)
 }
 
 // batchedColls are the production collectives; refColls the oracle.
@@ -140,13 +140,15 @@ func refAlltoall(r *Rank, bytes units.Bytes) {
 }
 
 // refNeighborExchange is the hand-rolled halo loop the applications ran
-// before NeighborExchange: every send in halo order, then every receive,
-// through the point-to-point routes. There is no collective bracket.
-func refNeighborExchange(r *Rank, halos []Halo) {
+// before NeighborExchange: every send of the rank's registered list in
+// list order, then every receive, through the point-to-point routes.
+// There is no collective bracket.
+func refNeighborExchange(r *Rank, nb Neighborhood, tag int) {
+	halos := r.eng.list(&r.eng.nbs[nb.id-1], r.id)
 	for _, h := range halos {
-		r.Send(h.Peer, h.SendTag, h.Bytes)
+		r.Send(int(h.peer), tag+int(h.send), h.bytes)
 	}
 	for _, h := range halos {
-		r.Recv(h.Peer, h.RecvTag)
+		r.Recv(int(h.peer), tag+int(h.recv))
 	}
 }

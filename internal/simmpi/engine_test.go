@@ -43,30 +43,36 @@ func reportDigest(t *testing.T, rep Report, tl Timeline) string {
 // collBody is a test job body that calls world collectives through cs.
 type collBody func(r *Rank, cs *collSet) error
 
-// runDigest executes one job with the given collectives and digests it.
-func runDigest(t *testing.T, c JobConfig, cs *collSet, traced bool, body collBody) (Report, string) {
+// runDigest executes one job with the given collectives and digests it,
+// returning its engine too.
+func runDigest(t *testing.T, c JobConfig, cs *collSet, traced bool, body collBody) (Report, string, *eventEngine) {
 	t.Helper()
 	var tl Timeline
 	if traced {
 		c.Trace = func(job *Report) { tl = job.Events }
 	}
-	rep, err := Run(c, func(r *Rank) error { return body(r, cs) })
+	var eng *eventEngine
+	rep, err := Run(c, func(r *Rank) error {
+		eng = r.eng
+		return body(r, cs)
+	})
 	if err != nil {
 		t.Fatal(err)
 	}
 	if traced && len(tl) == 0 {
 		t.Fatal("traced run produced no events")
 	}
-	return rep, reportDigest(t, rep, tl)
+	return rep, reportDigest(t, rep, tl), eng
 }
 
 // assertCollectiveEquivalent runs body once through the batched
 // collectives and once through the reference oracle and demands
-// byte-identical digests.
-func assertCollectiveEquivalent(t *testing.T, c JobConfig, traced bool, body collBody) {
+// byte-identical digests. It returns how many of the batched run's
+// world collectives the shift memo replayed.
+func assertCollectiveEquivalent(t *testing.T, c JobConfig, traced bool, body collBody) int {
 	t.Helper()
-	repB, digB := runDigest(t, c, batchedColls, traced, body)
-	repR, digR := runDigest(t, c, refColls, traced, body)
+	repB, digB, eng := runDigest(t, c, batchedColls, traced, body)
+	repR, digR, _ := runDigest(t, c, refColls, traced, body)
 	if digB != digR {
 		t.Fatalf("batched collectives diverged from the reference:\n batched   makespan=%v msgs=%d bytes=%v\n reference makespan=%v msgs=%d bytes=%v",
 			repB.Makespan, repB.TotalMsgs, repB.TotalBytesSent,
@@ -75,6 +81,7 @@ func assertCollectiveEquivalent(t *testing.T, c JobConfig, traced bool, body col
 	if repB.Makespan <= 0 && repB.TotalMsgs > 0 {
 		t.Fatal("degenerate job: messages moved but no time passed")
 	}
+	return eng.replayed
 }
 
 // engineBodies is the pattern library of the differential suite. Every
@@ -133,6 +140,8 @@ var engineBodies = []struct {
 	}},
 	{"halo-exchange", 1, haloExchangeBody},
 	{"run-ahead", 1, runAheadBody},
+	{"repeated", 1, repeatedBody(false)},
+	{"repeated-shifted", 1, repeatedBody(true)},
 	{"many-to-one", 2, func(r *Rank, _ *collSet) error {
 		if r.ID() == 0 {
 			for src := 1; src < r.Size(); src++ {
@@ -153,8 +162,8 @@ var engineBodies = []struct {
 func haloExchangeBody(r *Rank, cs *collSet) error {
 	id, p := r.ID(), r.Size()
 	// decomp-style 3D faces on the most cubic grid: face f's message
-	// goes out with tag 10+f and the neighbour's opposite face comes
-	// back with tag 10+(f^1). Bytes differ per sender and face.
+	// goes out with offset f and the neighbour's opposite face comes
+	// back with offset f^1. Bytes differ per sender and face.
 	pz, py := 1, 1
 	for a := 1; a*a*a <= p; a++ {
 		if p%a == 0 {
@@ -175,19 +184,19 @@ func haloExchangeBody(r *Rank, cs *collSet) error {
 		if nx < 0 || nx >= px || ny < 0 || ny >= py || nz < 0 || nz >= pz {
 			continue
 		}
-		faces = append(faces, Halo{Peer: nx + px*(ny+py*nz), SendTag: 10 + f, RecvTag: 10 + (f ^ 1),
+		faces = append(faces, Halo{Peer: nx + px*(ny+py*nz), SendTag: f, RecvTag: f ^ 1,
 			Bytes: units.Bytes(64 * (1 + (id*7+f)%5))})
 	}
 	// A 1D chain over the first half of the ranks; the trailing ranks
-	// are idle and pass no halos, as COSA's do.
+	// are idle and register no halos, as COSA's do.
 	active := (p + 1) / 2
 	var chain []Halo
 	if id < active {
 		if id > 0 {
-			chain = append(chain, Halo{Peer: id - 1, SendTag: 20, RecvTag: 20, Bytes: 96})
+			chain = append(chain, Halo{Peer: id - 1, Bytes: 96})
 		}
 		if id < active-1 {
-			chain = append(chain, Halo{Peer: id + 1, SendTag: 20, RecvTag: 20, Bytes: units.Bytes(40 * (id + 1))})
+			chain = append(chain, Halo{Peer: id + 1, Bytes: units.Bytes(40 * (id + 1))})
 		}
 	}
 	// Pairs id, id^1: two halos to one peer with different tags and
@@ -196,17 +205,23 @@ func haloExchangeBody(r *Rank, cs *collSet) error {
 	var swapped, fifo []Halo
 	if partner := id ^ 1; partner < p {
 		swapped = []Halo{
-			{Peer: partner, SendTag: 30, RecvTag: 31, Bytes: units.Bytes(8 + id)},
-			{Peer: partner, SendTag: 31, RecvTag: 30, Bytes: units.Bytes(4096 + 8*id)},
+			{Peer: partner, SendTag: 0, RecvTag: 1, Bytes: units.Bytes(8 + id)},
+			{Peer: partner, SendTag: 1, RecvTag: 0, Bytes: units.Bytes(4096 + 8*id)},
 		}
 		fifo = []Halo{
-			{Peer: partner, SendTag: 40, RecvTag: 40, Bytes: units.Bytes(16 * (id + 1))},
-			{Peer: partner, SendTag: 40, RecvTag: 40, Bytes: units.Bytes(2048 + id)},
+			{Peer: partner, Bytes: units.Bytes(16 * (id + 1))},
+			{Peer: partner, Bytes: units.Bytes(2048 + id)},
 		}
 	}
-	for it, halos := range [][]Halo{faces, chain, swapped, fifo, faces} {
+	nbFaces, nbChain := r.Neighborhood(faces), r.Neighborhood(chain)
+	nbSwapped, nbFIFO := r.Neighborhood(swapped), r.Neighborhood(fifo)
+	// The faces run twice, under different tags.
+	for it, x := range []struct {
+		nb  Neighborhood
+		tag int
+	}{{nbFaces, 10}, {nbChain, 20}, {nbSwapped, 30}, {nbFIFO, 40}, {nbFaces, 50}} {
 		r.Compute(vecWork(100 * (1 + (id*(it+3))%7)))
-		cs.NeighborExchange(r, halos)
+		cs.NeighborExchange(r, x.nb, x.tag)
 	}
 	r.Elapse(2 * units.Microsecond)
 	return nil
@@ -217,8 +232,8 @@ func haloExchangeBody(r *Rank, cs *collSet) error {
 // Now in the middle of it: each must count every op queued before the
 // read, so the rank waits for its queue to be played, and its peers'
 // sends, which sit in their own queues, must be played first. It ends
-// with a halo exchange whose list is longer than all of a rank's halo
-// slots.
+// with a halo exchange of a neighbourhood registered only after the
+// earlier collectives have run, whose list is longer than a window.
 func runAheadBody(r *Rank, cs *collSet) error {
 	id, p := r.ID(), r.Size()
 	w := queueWindow(p)
@@ -254,17 +269,73 @@ func runAheadBody(r *Rank, cs *collSet) error {
 		r.Compute(vecWork(30 * (1 + (id*i)%3)))
 	}
 	cs.Alltoall(r, 16)
-	// A halo list longer than all of the rank's halo slots: pairs of
-	// halos trading with both ring neighbours.
+	// Pairs of halos trading with both ring neighbours.
 	var ring []Halo
-	for k := 0; k < max(w, minHaloSlots)/2+3; k++ {
+	for k := 0; k < w/2+3; k++ {
 		ring = append(ring,
 			Halo{Peer: (id + 1) % p, SendTag: 2 * k, RecvTag: 2*k + 1, Bytes: units.Bytes(8 * (1 + k%4))},
 			Halo{Peer: (id - 1 + p) % p, SendTag: 2*k + 1, RecvTag: 2 * k, Bytes: 24})
 	}
-	cs.NeighborExchange(r, ring)
+	cs.NeighborExchange(r, r.Neighborhood(ring), 0)
 	r.Elapse(units.Microsecond)
 	return nil
+}
+
+// repeatedBody repeats each of the four collectives over several
+// iterations of a loop with fixed per-rank compute skew, so the shift
+// memo replays its later instances. With shifted, every rank first
+// elapses an offset: the same for all ranks on even iterations, which
+// moves every arrival by one Δ and leaves the relative arrivals a
+// recorded outcome holds, and a per-rank one on odd iterations, which
+// changes them.
+func repeatedBody(shifted bool) collBody {
+	return func(r *Rank, cs *collSet) error {
+		id, p := r.ID(), r.Size()
+		ring := r.Neighborhood([]Halo{
+			{Peer: (id + 1) % p, SendTag: 0, RecvTag: 1, Bytes: units.Bytes(32 * (1 + id%3))},
+			{Peer: (id - 1 + p) % p, SendTag: 1, RecvTag: 0, Bytes: 48},
+		})
+		for it := 0; it < 6; it++ {
+			if shifted {
+				d := units.Duration(1+it) * units.Microsecond
+				if it%2 == 1 {
+					d = units.Duration(1+(id*it)%3) * units.Microsecond
+				}
+				r.Elapse(d)
+			}
+			r.Compute(vecWork(100 * (1 + id%3)))
+			cs.Barrier(r)
+			r.Compute(vecWork(50 * (1 + id%2)))
+			cs.Allreduce(r, units.Bytes(8*(1+id%4)))
+			cs.Alltoall(r, units.Bytes(8*(1+id%3)))
+			cs.NeighborExchange(r, ring, 8*it)
+		}
+		return nil
+	}
+}
+
+// TestMemoEquivalence runs the repeated bodies untraced, where the shift
+// memo replays collectives, and traced, where it is off, at every size:
+// both must equal the reference oracle, and the untraced run must replay
+// at least one collective.
+func TestMemoEquivalence(t *testing.T) {
+	t.Parallel()
+	for _, shifted := range []bool{false, true} {
+		for _, sz := range engineSizes {
+			for _, traced := range []bool{false, true} {
+				t.Run(fmt.Sprintf("shifted=%v/traced=%v/p%d_n%d", shifted, traced, sz.procs, sz.nodes), func(t *testing.T) {
+					t.Parallel()
+					replayed := assertCollectiveEquivalent(t, cfg(sz.procs, sz.nodes), traced, repeatedBody(shifted))
+					if traced && replayed != 0 {
+						t.Fatalf("a traced job replayed %d collectives from the memo", replayed)
+					}
+					if !traced && replayed == 0 {
+						t.Fatal("the memo replayed no collective")
+					}
+				})
+			}
+		}
+	}
 }
 
 // engineSizes covers the algorithmic corner cases: 1 (no-op
@@ -420,8 +491,9 @@ func TestEventEngineDeadlockDetection(t *testing.T) {
 		t.Fatalf("want collective mismatch, got %v", err)
 	}
 	_, err = Run(cfg(4, 2), func(r *Rank) error {
+		nb := r.Neighborhood([]Halo{{Peer: r.ID() ^ 1, SendTag: 1, RecvTag: 1, Bytes: 8}})
 		if r.ID()%2 == 0 {
-			r.NeighborExchange([]Halo{{Peer: r.ID() + 1, SendTag: 1, RecvTag: 1, Bytes: 8}})
+			r.NeighborExchange(nb, 0)
 		} else {
 			r.Allreduce(8)
 		}
@@ -447,9 +519,10 @@ func TestEventEngineDeadlockDetection(t *testing.T) {
 	if want := "rank 1 panicked: simmpi: collective mismatch: rank 1 entered Alltoall while others are in Barrier"; err == nil || err.Error() != want {
 		t.Fatalf("mismatch after a full window: got %v, want %q", err, want)
 	}
-	// A bad halo list panics inside the batched executor; the error
-	// names the faulty rank, its peer and the tag, whichever rank
-	// arrived last.
+	// A bad neighbourhood fails at its first exchange, inside the
+	// batched executor; the error names the faulty rank, its peer and
+	// the wire tag (the exchange's tag, 100, plus the offset), whichever
+	// rank arrived last.
 	badHalos := []struct {
 		name  string
 		halos func(r *Rank) []Halo
@@ -461,17 +534,17 @@ func TestEventEngineDeadlockDetection(t *testing.T) {
 				recv = 99
 			}
 			return []Halo{{Peer: r.ID() ^ 1, SendTag: 5, RecvTag: recv, Bytes: 8}}
-		}, []string{"rank 2", "peer 3", "tag 99"}},
+		}, []string{"rank 2", "peer 3", "tag 199"}},
 		{"peer out of range", func(r *Rank) []Halo {
 			if r.ID() == 1 {
 				return []Halo{{Peer: 4, SendTag: 6, RecvTag: 7, Bytes: 8}}
 			}
 			return nil
-		}, []string{"rank 1", "peer 4", "tag 6"}},
+		}, []string{"rank 1", "peer 4", "tag 106"}},
 	}
 	for _, bh := range badHalos {
 		_, err = Run(cfg(4, 2), func(r *Rank) error {
-			r.NeighborExchange(bh.halos(r))
+			r.NeighborExchange(r.Neighborhood(bh.halos(r)), 100)
 			return nil
 		})
 		if err == nil {
@@ -522,9 +595,19 @@ func TestEventEngineAbortUnwindsRanks(t *testing.T) {
 			return nil
 		}, "rank 15 panicked: gave up at the allreduce"},
 		{"unmatched halo", func(r *Rank) error {
-			r.NeighborExchange([]Halo{{Peer: (r.ID() + 1) % r.Size(), SendTag: 1, RecvTag: 2, Bytes: 8}})
+			nb := r.Neighborhood([]Halo{{Peer: (r.ID() + 1) % r.Size(), SendTag: 1, RecvTag: 2, Bytes: 8}})
+			r.NeighborExchange(nb, 0)
 			return nil
 		}, "NeighborExchange"},
+		{"mismatched neighbourhoods", func(r *Rank) error {
+			ring := r.Neighborhood([]Halo{{Peer: (r.ID() + 1) % r.Size(), Bytes: 8}, {Peer: (r.ID() + r.Size() - 1) % r.Size(), Bytes: 8}})
+			none := r.Neighborhood(nil)
+			if r.ID() == 5 {
+				ring = none
+			}
+			r.NeighborExchange(ring, 0)
+			return nil
+		}, "collective mismatch"},
 	}
 	for _, c := range cases {
 		before := runtime.NumGoroutine()
@@ -541,33 +624,28 @@ func TestEventEngineAbortUnwindsRanks(t *testing.T) {
 	}
 }
 
-// TestResumeGate bounds how often the engine resumes rank bodies, a
-// machine-independent measure of its dispatch cost. Each of 48 ranks
-// runs 200 iterations of a compute phase, a ring halo exchange and a
-// bytes-only reduction: 600 ops. A body is resumed only once its queue
-// has drained, so a window of w = 64 ops costs one resume, and the job
-// may take at most p·(⌈600/w⌉ + 1) = 528. Resuming every rank at every
-// collective would take 48 × 401 = 19,248.
-func TestResumeGate(t *testing.T) {
-	t.Parallel()
+// gateJob runs the dispatch gates' job and returns its engine: each of
+// 48 ranks runs 200 iterations of a compute phase, a ring halo exchange
+// and a bytes-only reduction, 600 ops and 400 world collectives.
+func gateJob(t *testing.T) *eventEngine {
+	t.Helper()
 	const p, iters = 48, 200
 	if w := queueWindow(p); w != 64 {
-		t.Fatalf("window at p = %d is %d; the bound below assumes 64", p, w)
+		t.Fatalf("window at p = %d is %d; the gates assume 64", p, w)
 	}
-	const bound = p * ((3*iters+63)/64 + 1)
 	var eng *eventEngine
 	_, err := Run(cfg(p, 4), func(r *Rank) error {
 		if r.ID() == 0 {
 			eng = r.eng
 		}
 		id := r.ID()
-		halos := []Halo{
+		ring := r.Neighborhood([]Halo{
 			{Peer: (id + 1) % p, SendTag: 1, RecvTag: 2, Bytes: 64},
 			{Peer: (id - 1 + p) % p, SendTag: 2, RecvTag: 1, Bytes: 64},
-		}
+		})
 		for it := 0; it < iters; it++ {
 			r.Compute(vecWork(100 * (1 + id%3)))
-			r.NeighborExchange(halos)
+			r.NeighborExchange(ring, 0)
 			r.Allreduce(8)
 		}
 		return nil
@@ -575,19 +653,53 @@ func TestResumeGate(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	t.Logf("%d resumes for %d ranks × %d ops (bound %d)", eng.resumes, p, 3*iters, bound)
+	if eng.colls != 2*iters {
+		t.Fatalf("the job played %d world collectives, want %d", eng.colls, 2*iters)
+	}
+	return eng
+}
+
+// TestResumeGate bounds how often the engine resumes rank bodies, a
+// machine-independent measure of its dispatch cost. A body of gateJob
+// is resumed only once its queue has drained, so a window of w = 64 ops
+// costs one resume, and the job may take at most p·(⌈600/w⌉ + 1) = 528.
+// Resuming every rank at every collective would take 48 × 401 = 19,248.
+func TestResumeGate(t *testing.T) {
+	t.Parallel()
+	const bound = 48 * ((600+63)/64 + 1)
+	eng := gateJob(t)
+	t.Logf("%d resumes for 48 ranks × 600 ops (bound %d)", eng.resumes, bound)
 	if eng.resumes > bound {
 		t.Fatalf("%d coroutine resumes, bound %d: bodies are resumed more often than once per window", eng.resumes, bound)
 	}
 }
 
+// TestMemoGate bounds how many of gateJob's 400 world collectives the
+// engine executes message by message, a machine-independent measure of
+// what the shift memo saves. The loop settles within a few iterations:
+// from then on both collectives arrive with the relative clocks of
+// their previous instance, and the memo replays them. Executing every
+// one would play 400.
+func TestMemoGate(t *testing.T) {
+	t.Parallel()
+	const bound = 12
+	eng := gateJob(t)
+	executed := eng.colls - eng.replayed
+	t.Logf("%d of %d world collectives executed, %d replayed (bound %d)", executed, eng.colls, eng.replayed, bound)
+	if executed > bound {
+		t.Fatalf("%d world collectives executed message by message, bound %d: the shift memo is not replaying the loop", executed, bound)
+	}
+}
+
 // FuzzCollectiveEquivalence fuzzes the job shape — rank count, node
 // count, message size, noise seed/probability, compute skew — and
-// asserts the batched collectives stay byte-identical to the reference.
-// Every sender's reduction and send sizes differ from its peers'.
-// The halo exchange's shift (each rank trades with id±shift) comes from
-// the skew, so the fuzzer also draws self-halos (shift = p) and two
-// halos to one peer (shift = p/2).
+// asserts the batched collectives stay byte-identical to the reference,
+// traced and untraced, over a loop of three iterations, so the untraced
+// run also replays collectives from the shift memo. Every sender's
+// reduction and send sizes differ from its peers'. The halo exchange's
+// shift (each rank trades with id±shift) comes from the skew, so the
+// fuzzer also draws self-halos (shift = p) and two halos to one peer
+// (shift = p/2).
 func FuzzCollectiveEquivalence(f *testing.F) {
 	f.Add(uint8(4), uint8(2), uint16(64), uint8(0), uint8(1))
 	f.Add(uint8(7), uint8(3), uint16(1), uint8(50), uint8(3))
@@ -604,21 +716,25 @@ func FuzzCollectiveEquivalence(f *testing.F) {
 		c.NoiseDuration = units.Microsecond
 		ml := int(msgLen)%1024 + 1
 		body := func(r *Rank, cs *collSet) error {
-			r.Compute(vecWork(100 * (1 + r.ID()%(int(skew)+1))))
-			cs.Allreduce(r, units.Bytes(8*(ml+r.ID())))
-			if p > 1 {
-				partner := (r.ID() + p/2) % p
-				r.Send(partner, 5, units.Bytes(8*(1+ml/2+r.ID())))
-				r.Recv((r.ID()-p/2+p)%p, 5)
-			}
 			shift := 1 + int(skew)%p
-			cs.NeighborExchange(r, []Halo{
+			nb := r.Neighborhood([]Halo{
 				{Peer: (r.ID() + shift) % p, SendTag: 3, RecvTag: 4, Bytes: units.Bytes(8 * ml)},
 				{Peer: (r.ID() - shift + p) % p, SendTag: 4, RecvTag: 3, Bytes: units.Bytes(8 * (1 + r.ID()%3))},
 			})
-			cs.Barrier(r)
+			for it := 0; it < 3; it++ {
+				r.Compute(vecWork(100 * (1 + r.ID()%(int(skew)+1))))
+				cs.Allreduce(r, units.Bytes(8*(ml+r.ID())))
+				if p > 1 {
+					partner := (r.ID() + p/2) % p
+					r.Send(partner, 5, units.Bytes(8*(1+ml/2+r.ID())))
+					r.Recv((r.ID()-p/2+p)%p, 5)
+				}
+				cs.NeighborExchange(r, nb, 0)
+				cs.Barrier(r)
+			}
 			return nil
 		}
 		assertCollectiveEquivalent(t, c, true, body)
+		assertCollectiveEquivalent(t, c, false, body)
 	})
 }

@@ -31,15 +31,20 @@ package simmpi
 // batched collective to the byte-identical output of its point-to-point
 // reference algorithm.
 //
-// Three things make this engine fast at 10⁴–10⁵ ranks:
+// Four things make this engine fast at 10⁴–10⁵ ranks:
 //
 //   - World collectives are executed as one batched event (see
 //     collective_batch.go): the play that completes a collective's
 //     arrivals replays every rank's exact per-rank message sequence in
 //     a dependency-valid cross-rank order, eliminating the ~2·p·log p
-//     dispatches per collective. Halo exchanges run the same way
-//     (NeighborExchange), so the applications' face halos never touch
-//     the route tables or block a rank on a receive.
+//     dispatches per collective. Halo exchanges run the same way, over
+//     persistent neighbourhoods whose matching is resolved once
+//     (neighbor.go), so the applications' face halos never touch the
+//     route tables, block a rank on a receive, or search for a match.
+//   - A collective that repeats costs one pass over the ranks: in an
+//     untraced, uncounted, contention-free job the shift memo (memo.go)
+//     replays a recorded outcome whenever the ranks arrive with the same
+//     relative clocks as at an earlier instance of the same pattern.
 //   - A body is resumed once per window of ops, not once per
 //     collective: blocking at a collective costs a run-queue push and
 //     pop, not a coroutine switch.
@@ -51,10 +56,10 @@ package simmpi
 //     evaluations instead of p.
 //
 // Steady-state dispatch allocates nothing: the run queue is a fixed
-// ring of p rank ids, the op queues live in a pooled slab, route queues
-// reuse their backing arrays, collective rounds pass messages through
-// one reusable slot array, halo exchanges keep their messages in one
-// reusable buffer, and rank coroutines are created lazily on first
+// ring of p rank ids, the op queues, neighbourhood registry, halo
+// message buffer and memo live in a pooled slab, route queues reuse
+// their backing arrays, collective rounds pass messages through one
+// reusable slot array, and rank coroutines are created lazily on first
 // dispatch.
 
 import (
@@ -191,10 +196,14 @@ type eventEngine struct {
 	ready   runQueue
 	resumes int
 
-	// Queue storage: the pooled slab the ranks' queues live in, and each
-	// rank's halo-slot count.
-	slab    *queueSlab
-	haloCap int
+	// Pooled storage: the ranks' queues, the neighbourhood registry —
+	// the job's neighbourhoods, and how many chunks of halos it fills,
+	// the last one up to used — and the shift memo, nil unless the job
+	// is eligible for it (memo.go).
+	slab         *queueSlab
+	nbs          []neighborhood
+	chunks, used int
+	memo         *memo
 
 	// Point-to-point routing: per-receiver route tables keyed on
 	// (src, tag), so each table stays small and cache-resident at any
@@ -205,20 +214,19 @@ type eventEngine struct {
 	arena  queueArena
 
 	// World-collective rendezvous: the count of ranks blocked at the
-	// current collective, and its kind. args[i] is a copy of rank i's
-	// arrival op, so the executor reads every rank's arguments from one
-	// array.
-	collIn   int
-	collKind opKind
-	args     []rankOp
+	// current collective, and the first arrival's op. args[i] is a copy
+	// of rank i's arrival op, so the executor reads every rank's
+	// arguments from one array. colls counts the job's world
+	// collectives and replayed those the memo played.
+	collIn          int
+	coll            rankOp
+	args            []rankOp
+	colls, replayed int
 
 	// Scratch for the batched collective executor (collective_batch.go);
-	// allocated once at first use, reused for every collective. sent and
-	// sentOff hold a halo exchange's messages, grouped by sender.
-	slots   []message
-	starts  []vclock.Time
-	sent    []haloMsg
-	sentOff []int
+	// allocated once at first use, reused for every collective.
+	slots  []message
+	starts []vclock.Time
 
 	errs []error
 	done int
@@ -233,20 +241,24 @@ func runEventLoop(j *job, ranks []*Rank, body func(*Rank) error) error {
 	p := len(ranks)
 	w := queueWindow(p)
 	e := &eventEngine{
-		j:       j,
-		ranks:   ranks,
-		body:    body,
-		co:      make([]coroutine, p),
-		state:   make([]rankState, p),
-		ready:   runQueue{ids: make([]int, p)},
-		routes:  make([]map[uint64]*msgQueue, p),
-		errs:    make([]error, p),
-		slab:    slabs.Get().(*queueSlab),
-		haloCap: max(w, minHaloSlots),
+		j:      j,
+		ranks:  ranks,
+		body:   body,
+		co:     make([]coroutine, p),
+		state:  make([]rankState, p),
+		ready:  runQueue{ids: make([]int, p)},
+		routes: make([]map[uint64]*msgQueue, p),
+		errs:   make([]error, p),
+		slab:   slabs.Get().(*queueSlab),
 	}
 	e.slab.ops = grown(e.slab.ops, p*w)
 	e.slab.args = grown(e.slab.args, p)
 	e.args = e.slab.args
+	e.nbs = e.slab.nbs[:0]
+	if j.cfg.Trace == nil && j.cfg.Counters == nil && j.congest == nil {
+		e.memo = &e.slab.memo
+		e.memo.reset(p)
+	}
 	for i, r := range ranks {
 		r.eng = e
 		r.q.ops = e.slab.ops[i*w : i*w : (i+1)*w]
@@ -259,6 +271,7 @@ func runEventLoop(j *job, ranks []*Rank, body func(*Rank) error) error {
 	for _, r := range ranks {
 		r.q = opQueue{}
 	}
+	e.slab.nbs = e.nbs
 	slabs.Put(e.slab)
 	return err
 }
@@ -274,16 +287,6 @@ func (e *eventEngine) finish() error {
 		}
 	}
 	return nil
-}
-
-// haloSlots returns rank id's halo slots, taking the job's halo slab at
-// its first exchange.
-func (e *eventEngine) haloSlots(id int) []Halo {
-	h := e.haloCap
-	if n := len(e.ranks) * h; len(e.slab.halos) != n {
-		e.slab.halos = grown(e.slab.halos, n)
-	}
-	return e.slab.halos[id*h : id*h : (id+1)*h]
 }
 
 // push queues blocked rank i to play.
@@ -432,17 +435,22 @@ func (e *eventEngine) recv(r *Rank, src, tag int) bool {
 // still missing, r blocks there. The arrival that completes the
 // collective runs its batched executor over every rank's arguments, and
 // then every other rank moves past the collective and becomes runnable,
-// in rank order.
+// in rank order. A rank that enters another kind of collective, or a
+// halo exchange of another neighbourhood or tag, than the ranks before
+// it fails the job.
 // collIn is reset first, so if the executor panics (an unmatched halo, a
 // peer outside the job) the panic is the completing rank's error and the
 // job stalls instead of running the collective again.
 func (e *eventEngine) arrive(r *Rank, o *rankOp) bool {
 	kind := o.kind
 	if e.collIn == 0 {
-		e.collKind = kind
-	} else if kind != e.collKind {
+		e.coll = *o
+	} else if c := &e.coll; kind != c.kind {
 		panic(fmt.Sprintf("simmpi: collective mismatch: rank %d entered %s while others are in %s",
-			r.id, kind, e.collKind))
+			r.id, kind, c.kind))
+	} else if kind == opNeighbor && (o.a != c.a || o.b != c.b) {
+		panic(fmt.Sprintf("simmpi: collective mismatch: rank %d entered NeighborExchange of neighbourhood %d with tag %d while others are in neighbourhood %d with tag %d",
+			r.id, o.a+1, o.b, c.a+1, c.b))
 	}
 	e.args[r.id] = *o
 	e.collIn++

@@ -15,15 +15,13 @@ package simmpi
 //
 // Storage. A job's queues share one slab of p·w ops, w being the window
 // (queueWindow): at most 2^14 ops of 40 bytes, 640 KiB, for any job of
-// up to 4,096 ranks, and 4 ops per rank beyond. A halo exchange's list
-// is copied into the rank's halo slots, one per op and at least eight,
-// from a second slab the job takes at its first NeighborExchange: at
-// most 2^14 slots of 32 bytes, 512 KiB, up to 2,048 ranks, and 8 per
-// rank beyond. An
-// exchange with more halos than a rank has slots gets a slice of its
-// own. The slabs come from a sync.Pool, so a sweep's jobs reuse them
-// instead of allocating their own. Region names sit in a per-rank list
-// that only traced jobs fill.
+// up to 4,096 ranks, and 4 ops per rank beyond. A halo exchange queues
+// one op, naming its neighbourhood and tag; the lists themselves are
+// registered once (neighbor.go). The slab also holds that registry, the
+// halo exchanges' message buffer and the shift memo (memo.go). Slabs
+// come from a sync.Pool, so a sweep's jobs reuse them instead of
+// allocating their own. Region names sit in a per-rank list that only
+// traced jobs fill.
 
 import (
 	"fmt"
@@ -74,7 +72,7 @@ func (k opKind) String() string {
 //	opRegion     the index of its name in the queue's name list in a
 //	opAllreduce  wire bytes in n
 //	opAlltoall   wire bytes in n
-//	opNeighbor   the first of the rank's halo slots in a, their count in b
+//	opNeighbor   the neighbourhood's index in a, the tag in b
 type rankOp struct {
 	kind opKind
 	a, b int
@@ -97,7 +95,6 @@ func (o *rankOp) profile() perfmodel.WorkProfile {
 type opQueue struct {
 	ops   []rankOp // cap is the window
 	head  int
-	halos []Halo   // halo lists of the queued exchanges; nil until the rank's first
 	names []string // names of the queued regions
 }
 
@@ -108,7 +105,6 @@ func (q *opQueue) pending() bool { return q.head < len(q.ops) }
 func (q *opQueue) reset() {
 	q.ops = q.ops[:0]
 	q.head = 0
-	q.halos = q.halos[:0]
 	if len(q.names) > 0 {
 		clear(q.names)
 		q.names = q.names[:0]
@@ -116,14 +112,11 @@ func (q *opQueue) reset() {
 }
 
 // Queue sizing: a job's queues hold at most max(slabOps, minWindow·p)
-// ops and max(slabOps, minHaloSlots·p) halos.
+// ops.
 const (
 	slabOps   = 1 << 14
 	minWindow = 4
 	maxWindow = 64
-	// minHaloSlots is the fewest halo slots a rank gets, so that a 3D
-	// six-face exchange fits even in a window of four ops.
-	minHaloSlots = 8
 )
 
 // queueWindow is how many ops a rank of a p-rank job queues before it
@@ -132,12 +125,16 @@ func queueWindow(p int) int {
 	return min(max(slabOps/p, minWindow), maxWindow)
 }
 
-// queueSlab is the storage behind a job's queues and collective
-// arguments; it holds no pointers.
+// queueSlab is the pooled storage of a job: its queues and collective
+// arguments, its neighbourhoods' spans and halo chunks, the halo
+// exchanges' message buffer, and its shift memo.
 type queueSlab struct {
-	ops   []rankOp
-	halos []Halo
-	args  []rankOp
+	ops    []rankOp
+	args   []rankOp
+	nbs    []neighborhood
+	chunks [][]nbHalo
+	sent   []message
+	memo   memo
 }
 
 // slabs recycles queue storage across jobs.
@@ -168,23 +165,6 @@ func (r *Rank) pushRegion(name string) {
 	}
 	r.q.names = append(r.q.names, name)
 	r.q.ops = append(r.q.ops, rankOp{kind: opRegion, a: len(r.q.names) - 1})
-}
-
-// pushHalos queues a halo exchange, copying its list into r's halo
-// slots. If the queue is full or the slots cannot take the list, it
-// waits for the loop to play the queue empty first; a list longer than
-// all of r's slots then grows them into a slice of its own.
-func (r *Rank) pushHalos(halos []Halo) {
-	q := &r.q
-	if q.halos == nil {
-		q.halos = r.eng.haloSlots(r.id)
-	}
-	if len(q.ops) == cap(q.ops) || len(q.halos)+len(halos) > cap(q.halos) {
-		r.sync()
-	}
-	first := len(q.halos)
-	q.halos = append(q.halos, halos...)
-	q.ops = append(q.ops, rankOp{kind: opNeighbor, a: first, b: len(halos)})
 }
 
 // sync waits until the loop has played every op r queued. It never

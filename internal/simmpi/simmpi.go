@@ -23,10 +23,14 @@
 // recursive-doubling allreduce, pairwise all-to-all), so
 // their virtual-time behaviour — including load imbalance arriving at a
 // collective — follows from per-message pricing rather than from a
-// closed-form formula. Face-halo exchanges are one of them:
-// NeighborExchange posts a rank's halo sends and then its receives,
-// exactly as a hand-rolled Send/Recv loop would, without the per-message
-// routing and scheduling.
+// closed-form formula. Face-halo exchanges are one of them: a rank
+// registers each halo pattern once as a persistent neighbourhood
+// (neighbor.go), and NeighborExchange posts its halo sends and then its
+// receives, exactly as a hand-rolled Send/Recv loop would, without the
+// per-message routing, scheduling or matching. A collective that
+// repeats an earlier instance's relative arrival clocks is replayed
+// from the shift memo (memo.go) in untraced, uncounted, contention-free
+// jobs: one pass over the ranks instead of its messages.
 package simmpi
 
 import (
@@ -180,6 +184,8 @@ type Rank struct {
 	// q holds the operations the body queued and the loop has not
 	// played yet (queue.go).
 	q opQueue
+	// nbs counts the neighbourhoods the rank has registered.
+	nbs int
 
 	// Congestion-replay state (see congested.go): flows is the recording
 	// pass's log of this rank's inter-node sends, in program order;
@@ -434,28 +440,6 @@ func (r *Rank) Alltoall(bytes units.Bytes) {
 	if r.size > 1 {
 		r.push(rankOp{kind: opAlltoall, n: int64(bytes)})
 	}
-}
-
-// Halo is one face of a neighbourhood exchange: a message of Bytes sent
-// to Peer with SendTag, and a message Peer sent this rank with RecvTag.
-type Halo struct {
-	Peer, SendTag, RecvTag int
-	Bytes                  units.Bytes
-}
-
-// NeighborExchange performs a neighbourhood exchange (MPI's
-// Neighbor_alltoallv): every halo's message is sent, in list order, and
-// then every halo's message is received, in list order, each matched to
-// the first unreceived message of this exchange that its peer sent this
-// rank with RecvTag. It is a world collective: every rank must call it, a rank
-// with no neighbours passing an empty list. Messages match only within
-// one exchange, never against point-to-point traffic, and a message no
-// halo receives is dropped; a receive nothing matches, or a peer outside
-// [0, Size), fails the job. Halo time is not collective time: it stays
-// out of the PMU's collective counters. The list is copied, so the
-// caller may reuse it at once; the body does not wait for the exchange.
-func (r *Rank) NeighborExchange(halos []Halo) {
-	r.pushHalos(halos)
 }
 
 // RankResult captures one rank's final accounting.
