@@ -43,19 +43,12 @@ import (
 	"a64fxbench/internal/minikab"
 	"a64fxbench/internal/nekbone"
 	"a64fxbench/internal/opensbli"
-	"a64fxbench/internal/paper"
 	"a64fxbench/internal/perfmodel"
 	"a64fxbench/internal/serve"
 	"a64fxbench/internal/simmpi"
 	"a64fxbench/internal/spec"
 	"a64fxbench/internal/units"
 )
-
-// Citation identifies the reproduced paper.
-type Citation = paper.Citation
-
-// PaperSource returns the full citation of the reproduced study.
-func PaperSource() Citation { return paper.Source() }
 
 // Quantity types used throughout the machine models.
 type (
@@ -139,9 +132,6 @@ func ParseMachineSpec(data []byte) (*MachineSpec, error) { return spec.Parse(dat
 // registration order. Inline request specs are never registered.
 func Machines() []*Machine { return spec.Machines() }
 
-// GetMachine looks a registered machine up by name.
-func GetMachine(name string) (*Machine, bool) { return spec.Get(name) }
-
 // RegisterMachineSpec resolves (overlays included), compiles and adds
 // a machine spec to the machine registry, and returns it as a System;
 // GetSystem and the -machine flag then find it by name for the life of
@@ -185,10 +175,6 @@ type Artifact = core.Artifact
 // Congestion and Model to change how jobs are priced. Observability
 // settings never change artifact contents.
 type Options = core.Options
-
-// OptionsKey is the comparable projection of Options onto the fields
-// that affect artifact contents — the correct cache or digest key.
-type OptionsKey = core.OptionsKey
 
 // Model selects the compute-phase pricing model: the calibrated
 // roofline default or the ECM memory-hierarchy model with explicit
@@ -236,28 +222,7 @@ type (
 	// JobCounters is a counted job's full PMU state: per-rank finals
 	// and sampled series (JobReport.Counters).
 	JobCounters = metrics.JobCounters
-	// CounterSnapshot is the regression sentinel's unit: a canonical,
-	// diffable set of named metrics from one run (see the a64fxbench
-	// counters and diff commands).
-	CounterSnapshot = metrics.Snapshot
-	// CounterDiffOptions sets the sentinel's per-kind tolerance rules.
-	CounterDiffOptions = metrics.DiffOptions
-	// CounterDiffResult reports a snapshot comparison; Failed gates.
-	CounterDiffResult = metrics.DiffResult
 )
-
-// DiffCounterSnapshots compares two snapshots under the tolerance
-// rules: Time metrics may grow by TimeTol, Rate metrics may drop by
-// RateTol, Work metrics must match within WorkTol (default exactly).
-func DiffCounterSnapshots(old, new *CounterSnapshot, opt CounterDiffOptions) *CounterDiffResult {
-	return metrics.Diff(old, new, opt)
-}
-
-// LoadCounterSnapshot reads a snapshot written by Snapshot.WriteJSON
-// (the a64fxbench counters -format=json output).
-func LoadCounterSnapshot(path string) (*CounterSnapshot, error) {
-	return metrics.LoadSnapshot(path)
-}
 
 // Instrumentation is the one set of per-run settings — trace sink,
 // congestion pricing, virtual PMU, pricing model, telemetry span — that
@@ -282,10 +247,6 @@ func DecodeRequest(r io.Reader) (Request, error) { return core.DecodeRequest(r) 
 
 // ParseRequest is DecodeRequest over raw bytes.
 func ParseRequest(data []byte) (Request, error) { return core.ParseRequest(data) }
-
-// ValidRequestIDs lists every runnable id: paper artifacts in paper
-// order, then extensions sorted by id.
-func ValidRequestIDs() []string { return core.ValidIDs() }
 
 // RegisterExtension adds a custom ablation experiment to the extension
 // registry at run time; it then runs through the CLI (`ext`, `run`) and

@@ -74,10 +74,9 @@ func serveCmd(ctx context.Context, cfg sweepConfig) error {
 		return fmt.Errorf("serve: %w", err)
 	}
 	srv := serve.New(serve.Config{
-		Workers:       cfg.jobs,
-		MaxConcurrent: cfg.jobs,
-		QueueDepth:    cfg.queue,
-		Logger:        logger,
+		Workers:    cfg.jobs,
+		QueueDepth: cfg.queue,
+		Logger:     logger,
 	})
 	hs := &http.Server{Addr: cfg.addr, Handler: srv.Handler()}
 	errc := make(chan error, 1)

@@ -137,8 +137,8 @@ func runSweep(ctx context.Context, out, errw io.Writer, ids []string, cfg sweepC
 			sum, sum.Elapsed.Round(1e6))
 		for _, r := range results {
 			if r.Err == nil {
-				fmt.Fprintf(errw, "  %-14s ok      %8s%s\n",
-					r.ID, r.Elapsed.Round(1e6), cachedNote(r))
+				fmt.Fprintf(errw, "  %-14s ok      %8s\n",
+					r.ID, r.Elapsed.Round(1e6))
 			}
 		}
 	}
@@ -168,12 +168,4 @@ func runSweep(ctx context.Context, out, errw io.Writer, ids []string, cfg sweepC
 		return fmt.Errorf("sweep incomplete (%s): %w", sum, cause)
 	}
 	return nil
-}
-
-// cachedNote marks cache hits in the timing listing.
-func cachedNote(r sweep.Result) string {
-	if r.Cached {
-		return "  (cached)"
-	}
-	return ""
 }

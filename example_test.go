@@ -1,7 +1,12 @@
 package a64fxbench_test
 
 import (
+	"errors"
 	"fmt"
+	"net/http/httptest"
+	"os"
+	"path/filepath"
+	"strings"
 
 	"a64fxbench"
 )
@@ -96,4 +101,86 @@ func ExampleGetExperiment() {
 	fmt.Printf("%s: %d referenced cells, worst deviation %.0f%%\n", art.ID, cells, worst*100)
 	// Output:
 	// table8: 5 referenced cells, worst deviation 0%
+}
+
+// ExampleParseMachineSpec decodes a machine spec strictly: a misspelt
+// field is an error that names its path.
+func ExampleParseMachineSpec() {
+	s, err := a64fxbench.ParseMachineSpec([]byte(`{"base":"A64FX","name":"A64FX-fat","node":{"domain_bandwidth":"300 GB/s"}}`))
+	if err != nil {
+		panic(err)
+	}
+	fmt.Println(s.Name, "overlays", s.Base, "with", s.Node.DomainBandwidth, "per memory domain")
+	_, err = a64fxbench.ParseMachineSpec([]byte(`{"base":"A64FX","name":"A64FX-fat","node":{"domain_bandwith":"300 GB/s"}}`))
+	var fe *a64fxbench.SpecFieldError
+	if errors.As(err, &fe) {
+		fmt.Println("rejected:", fe.Path)
+	}
+	// Output:
+	// A64FX-fat overlays A64FX with 300 GB/s per memory domain
+	// rejected: node.domain_bandwith
+}
+
+// ExampleRegisterMachineSpec adds a what-if machine to the registry and
+// runs a benchmark on it.
+func ExampleRegisterMachineSpec() {
+	s, err := a64fxbench.ParseMachineSpec([]byte(`{"base":"A64FX","name":"A64FX-fat","node":{"domain_bandwidth":"300 GB/s"}}`))
+	if err != nil {
+		panic(err)
+	}
+	if _, err := a64fxbench.RegisterMachineSpec(s); err != nil {
+		panic(err)
+	}
+	sys, err := a64fxbench.GetSystem("A64FX-fat")
+	if err != nil {
+		panic(err)
+	}
+	res, err := a64fxbench.RunHPCG(a64fxbench.HPCGConfig{System: sys, Nodes: 1, Iterations: 5})
+	if err != nil {
+		panic(err)
+	}
+	// Stock A64FX rates 38 GFLOP/s: HPCG is bandwidth bound.
+	fmt.Printf("%s: %d ranks, %.0f GFLOP/s\n", sys.ID, res.Procs, res.GFLOPs)
+	// Output:
+	// A64FX-fat: 48 ranks, 55 GFLOP/s
+}
+
+// ExampleLoadMachineSpecs loads a directory of spec files, the library
+// form of the CLI's -specs flag.
+func ExampleLoadMachineSpecs() {
+	dir, err := os.MkdirTemp("", "specs")
+	if err != nil {
+		panic(err)
+	}
+	defer os.RemoveAll(dir)
+	overlay := `{"base":"A64FX","name":"A64FX-slim","node":{"domain_bandwidth":"100 GB/s"}}`
+	if err := os.WriteFile(filepath.Join(dir, "a64fx-slim.json"), []byte(overlay), 0o644); err != nil {
+		panic(err)
+	}
+	machines, err := a64fxbench.LoadMachineSpecs(dir)
+	if err != nil {
+		panic(err)
+	}
+	for _, m := range machines {
+		fmt.Printf("%s: %d cores/node\n", m.Name(), m.CoresPerNode())
+	}
+	// Output:
+	// A64FX-slim: 48 cores/node
+}
+
+// ExampleNewServer serves experiments over HTTP. The first request for
+// a run executes it and renders every format, so a repeat, or the same
+// request in another format, is a cache hit.
+func ExampleNewServer() {
+	h := a64fxbench.NewServer(a64fxbench.ServerConfig{}).Handler()
+	for _, format := range []string{"json", "json", "csv"} {
+		body := fmt.Sprintf(`{"ids":["table1"],"quick":true,"format":%q}`, format)
+		rec := httptest.NewRecorder()
+		h.ServeHTTP(rec, httptest.NewRequest("POST", "/v1/run", strings.NewReader(body)))
+		fmt.Println(format, rec.Code, rec.Header().Get("X-Cache"))
+	}
+	// Output:
+	// json 200 miss
+	// json 200 hit
+	// csv 200 hit
 }

@@ -9,7 +9,6 @@ import (
 	"sort"
 	"strings"
 
-	"a64fxbench/internal/perfmodel"
 	"a64fxbench/internal/simmpi"
 	"a64fxbench/internal/spec"
 )
@@ -40,9 +39,10 @@ type Experiment struct {
 
 // Options tunes an experiment execution. Experiment Run functions hand
 // the embedded simmpi.Instrumentation unchanged to every simulated job
-// they run. Only fields covered by ArtifactKey — Quick, Machine and the
-// instrumentation's Congestion and Model — may change the produced
-// artifact; Trace, Counters and Telemetry observe without changing it.
+// they run. Only Quick, Machine and the instrumentation's Congestion and
+// Model may change the produced artifact, and each has its counterpart
+// in core.Request, whose Digest keys the serve daemon's response cache;
+// Trace, Counters and Telemetry observe without changing it.
 // The defaults (contention-free network, roofline model) are what the
 // golden artifacts pin.
 type Options struct {
@@ -54,37 +54,10 @@ type Options struct {
 	// microbenchmarks on it): a registered machine, or a request's
 	// inline spec compiled for that request alone. Paper artifacts
 	// ignore it — their system sets are fixed by the paper — so it
-	// participates in ArtifactKey only through the experiments that
-	// read it. Nil means the experiment's own default (A64FX).
+	// changes only the artifacts of the experiments that read it. Nil
+	// means the experiment's own default (A64FX).
 	Machine *spec.Machine
 	simmpi.Instrumentation
-}
-
-// OptionsKey is the comparable projection of Options onto the fields
-// that affect artifact contents — the correct cache/digest key.
-// Observability settings are deliberately excluded: traced and untraced
-// executions must produce byte-identical artifacts.
-type OptionsKey struct {
-	Quick      bool
-	Congestion bool
-	// Machine is the target machine's spec digest ("" for the
-	// default), so two specs that share a name never share a slot.
-	Machine string
-	Model   perfmodel.Model
-}
-
-// ArtifactKey projects the options onto their artifact-affecting fields.
-// The model is canonicalized so "" and "roofline" share one cache slot.
-func (o Options) ArtifactKey() OptionsKey {
-	model := o.Model
-	if model == "" {
-		model = perfmodel.ModelRoofline
-	}
-	key := OptionsKey{Quick: o.Quick, Congestion: o.Congestion, Model: model}
-	if o.Machine != nil {
-		key.Machine = o.Machine.Digest()
-	}
-	return key
 }
 
 // Cell is one measured value with an optional paper reference.

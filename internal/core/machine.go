@@ -15,10 +15,10 @@ import (
 // machine — embedded Table-I system, `-specs DIR` load, or a spec
 // passed by value in the request. It is the machine-parameterized
 // experiment: Options.Machine picks the target (default A64FX), and the
-// machine's digest is part of ArtifactKey, so artifacts for different
-// machines never share a cache slot. The machine's declared anchors
-// appear in the paper-reference column so drift is visible in the
-// standard comparison rendering.
+// request's machine name and inline spec are part of its Digest, so
+// responses for different machines never share a cache entry. The
+// machine's declared anchors appear in the paper-reference column so
+// drift is visible in the standard comparison rendering.
 var _ = registerExt(&Experiment{
 	ID:    "ext-machine",
 	Title: "Machine probe: single-node suite on a declared machine",

@@ -1,38 +1,13 @@
 // Package paper is the single source of truth for every numeric value
 // published in Jackson et al., "Investigating Applications on the A64FX"
-// (IEEE CLUSTER 2020): the citation itself, Table I's specifications and
-// Tables III-X's measurements. Experiments and tests reference these
-// values rather than re-typing them, so a transcription fix lands
-// everywhere at once.
+// (IEEE CLUSTER 2020, doi:10.1109/CLUSTER49012.2020.00078): Table I's
+// specifications and Tables III-X's measurements. Experiments and tests
+// reference these values rather than re-typing them, so a transcription
+// fix lands everywhere at once.
 //
 // Figures 1-5 carry no numeric labels in the paper; their qualitative
 // claims are recorded as Claims entries instead.
 package paper
-
-// Citation identifies the reproduced paper.
-type Citation struct {
-	Title   string
-	Authors []string
-	Venue   string
-	Pages   string
-	DOI     string
-	Year    int
-}
-
-// Source returns the full citation.
-func Source() Citation {
-	return Citation{
-		Title: "Investigating Applications on the A64FX",
-		Authors: []string{
-			"Adrian Jackson", "Michèle Weiland", "Nick Brown",
-			"Andrew Turner", "Mark Parsons",
-		},
-		Venue: "2020 IEEE International Conference on Cluster Computing (CLUSTER)",
-		Pages: "549-558",
-		DOI:   "10.1109/CLUSTER49012.2020.00078",
-		Year:  2020,
-	}
-}
 
 // SystemName matches internal/arch's identifiers.
 type SystemName string

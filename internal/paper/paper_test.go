@@ -5,17 +5,6 @@ import (
 	"testing"
 )
 
-func TestCitation(t *testing.T) {
-	t.Parallel()
-	c := Source()
-	if c.DOI != "10.1109/CLUSTER49012.2020.00078" || c.Year != 2020 {
-		t.Errorf("citation drifted: %+v", c)
-	}
-	if len(c.Authors) != 5 || c.Authors[0] != "Adrian Jackson" {
-		t.Errorf("authors drifted: %v", c.Authors)
-	}
-}
-
 func TestTableIInternalConsistency(t *testing.T) {
 	t.Parallel()
 	for name, row := range TableI {

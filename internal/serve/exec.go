@@ -1,9 +1,9 @@
 // Package serve turns the experiment harness into a long-running
 // sweep-as-a-service daemon: an HTTP/JSON API over the unified
-// core.Request descriptor, backed by the concurrent sweep engine, a
-// content-addressed response cache keyed by Request.Digest, in-flight
-// deduplication (singleflight), bounded-queue backpressure and
-// Prometheus-style self-instrumentation.
+// core.Request descriptor, backed by the concurrent sweep engine, the
+// program's one cache — responses keyed by Request.Digest, bounded in
+// bytes — in-flight deduplication (singleflight), bounded-queue
+// backpressure and Prometheus-style self-instrumentation.
 //
 // The executors in this file are the single implementation of "do what
 // a Request says and write the bytes": the CLI's run/trace/links/
@@ -26,15 +26,18 @@ import (
 	"a64fxbench/internal/sweep"
 )
 
-// RunArtifacts executes the request's ids on the given sweep engine and
-// returns the per-experiment results in input order. The context
-// cancels experiments that have not started (sweep.Engine semantics).
-func RunArtifacts(ctx context.Context, eng *sweep.Engine, req core.Request) ([]sweep.Result, error) {
+// RunArtifacts executes the request's ids on a sweep engine with the
+// given worker bound (≤ 0 means GOMAXPROCS) and returns the
+// per-experiment results in input order, with the first failure as the
+// error. The context cancels experiments that have not started
+// (sweep.Engine semantics).
+func RunArtifacts(ctx context.Context, req core.Request, workers int) ([]sweep.Result, error) {
 	opt, err := req.Options()
 	if err != nil {
 		return nil, err
 	}
-	return eng.Run(ctx, req.IDs, opt), nil
+	results := sweep.New(workers).Run(ctx, req.IDs, opt)
+	return results, sweep.FirstError(results)
 }
 
 // WriteArtifacts renders every successful result of a run/sweep request

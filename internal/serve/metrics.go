@@ -92,7 +92,7 @@ type Metrics struct {
 
 	// gauges sampled at scrape time, installed by the server
 	queueCapacity int
-	cachedEntries func() int
+	cacheSize     func() (entries, bytes int)
 	started       time.Time
 
 	// build identity, resolved once at construction
@@ -276,10 +276,14 @@ func (m *Metrics) WritePrometheus(w io.Writer) error {
 	p("# HELP a64fxbench_serve_queue_capacity Maximum queued executions before 429.\n")
 	p("# TYPE a64fxbench_serve_queue_capacity gauge\n")
 	p("a64fxbench_serve_queue_capacity %d\n", m.queueCapacity)
-	if m.cachedEntries != nil {
+	if m.cacheSize != nil {
+		entries, bytes := m.cacheSize()
 		p("# HELP a64fxbench_serve_cached_responses Entries in the response cache.\n")
 		p("# TYPE a64fxbench_serve_cached_responses gauge\n")
-		p("a64fxbench_serve_cached_responses %d\n", m.cachedEntries())
+		p("a64fxbench_serve_cached_responses %d\n", entries)
+		p("# HELP a64fxbench_serve_cached_bytes Bytes of response bodies in the cache.\n")
+		p("# TYPE a64fxbench_serve_cached_bytes gauge\n")
+		p("a64fxbench_serve_cached_bytes %d\n", bytes)
 	}
 	p("# HELP a64fxbench_serve_uptime_seconds Seconds since the server started.\n")
 	p("# TYPE a64fxbench_serve_uptime_seconds gauge\n")

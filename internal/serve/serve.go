@@ -9,7 +9,6 @@ import (
 	"net/http"
 	"runtime"
 	"strings"
-	"sync"
 	"time"
 
 	"a64fxbench/internal/core"
@@ -25,13 +24,10 @@ const StatusClientClosedRequest = 499
 
 // Config tunes the daemon.
 type Config struct {
-	// Workers bounds each execution's internal sweep concurrency
-	// (≤ 0 means GOMAXPROCS).
+	// Workers bounds both the request executions allowed to run at once
+	// and each execution's sweep workers (≤ 0 means GOMAXPROCS). Cache
+	// hits and coalesced singleflight joins do not consume an execution.
 	Workers int
-	// MaxConcurrent is the number of request executions allowed to run
-	// simultaneously (≤ 0 means GOMAXPROCS). Cache hits and coalesced
-	// singleflight joins do not consume an execution.
-	MaxConcurrent int
 	// QueueDepth is how many admitted executions may wait for a free
 	// execution slot before new work is rejected with 429 (≤ 0 means 64).
 	QueueDepth int
@@ -42,8 +38,6 @@ type Config struct {
 }
 
 const (
-	// cacheEntries caps the response cache, evicting oldest-first.
-	cacheEntries = 4096
 	// slowRequests is how many of the slowest requests the flight
 	// recorder retains for /v1/debug/slow.
 	slowRequests = 32
@@ -53,8 +47,8 @@ const (
 )
 
 func (c Config) withDefaults() Config {
-	if c.MaxConcurrent <= 0 {
-		c.MaxConcurrent = runtime.GOMAXPROCS(0)
+	if c.Workers <= 0 {
+		c.Workers = runtime.GOMAXPROCS(0)
 	}
 	if c.QueueDepth <= 0 {
 		c.QueueDepth = 64
@@ -63,7 +57,7 @@ func (c Config) withDefaults() Config {
 }
 
 // response is one materialized HTTP answer: what the cache stores and
-// the singleflight group shares between coalesced requests.
+// what a flight hands to each of its waiters.
 type response struct {
 	status      int
 	contentType string
@@ -71,52 +65,48 @@ type response struct {
 	body        []byte
 }
 
+// answer is what one execution produces: a response per format it was
+// asked for. A run or sweep renders every format of its operation, so
+// requests for the other formats of the same request become cache hits;
+// trace, links and counters render the one format requested. A failure
+// answers each format with the same response.
+type answer map[string]*response
+
 // Server is the sweep-as-a-service daemon: five POST /v1/* operation
 // endpoints over core.Request, plus /v1/healthz and /metrics. Responses
-// for identical normalized requests are served from a digest-keyed
-// cache; identical requests in flight are computed once (singleflight);
-// executions beyond MaxConcurrent queue up to QueueDepth deep and are
-// rejected with 429 + Retry-After past that.
+// for identical normalized requests are served from a digest-keyed,
+// byte-bounded cache; identical requests in flight are computed once
+// (singleflight); executions beyond Workers queue up to QueueDepth deep
+// and are rejected with 429 + Retry-After past that.
 type Server struct {
 	cfg    Config
-	eng    *sweep.Engine
-	flight *flightGroup
+	flight *flightGroup[answer]
+	cache  *responseCache
 	met    *Metrics
 	rec    *telemetry.Recorder
 	logger *slog.Logger
 	mux    *http.ServeMux
 
-	sem   chan struct{} // running executions, cap MaxConcurrent
-	slots chan struct{} // running + queued, cap MaxConcurrent + QueueDepth
-
-	cacheMu sync.Mutex
-	cache   map[string]*response
-	order   []string // insertion order for oldest-first eviction
+	sem   chan struct{} // running executions, cap Workers
+	slots chan struct{} // running + queued, cap Workers + QueueDepth
 }
 
-// New builds a Server. The artifact-level sweep engine (and with it the
-// run/sweep artifact cache) is shared across all requests for the
-// server's lifetime.
+// New builds a Server.
 func New(cfg Config) *Server {
 	cfg = cfg.withDefaults()
 	s := &Server{
 		cfg:    cfg,
-		eng:    sweep.New(cfg.Workers),
-		flight: newFlightGroup(),
+		flight: newFlightGroup[answer](),
+		cache:  newResponseCache(cacheBytes),
 		met:    newMetrics(),
 		rec:    telemetry.NewRecorder(slowRequests, erroredRequests),
 		logger: cfg.Logger,
 		mux:    http.NewServeMux(),
-		sem:    make(chan struct{}, cfg.MaxConcurrent),
-		slots:  make(chan struct{}, cfg.MaxConcurrent+cfg.QueueDepth),
-		cache:  make(map[string]*response),
+		sem:    make(chan struct{}, cfg.Workers),
+		slots:  make(chan struct{}, cfg.Workers+cfg.QueueDepth),
 	}
 	s.met.queueCapacity = cfg.QueueDepth
-	s.met.cachedEntries = func() int {
-		s.cacheMu.Lock()
-		defer s.cacheMu.Unlock()
-		return len(s.cache)
-	}
+	s.met.cacheSize = s.cache.size
 	for _, op := range []string{"run", "sweep", "trace", "counters", "links"} {
 		s.mux.HandleFunc("/v1/"+op, s.opHandler(op))
 	}
@@ -136,30 +126,6 @@ func (s *Server) Recorder() *telemetry.Recorder { return s.rec }
 
 // Metrics exposes the server's instrumentation (tests).
 func (s *Server) Metrics() *Metrics { return s.met }
-
-// cacheGet / cachePut implement the digest-keyed response cache. Only
-// 200s are stored (the caller enforces that), so errors and rejections
-// are always recomputed.
-func (s *Server) cacheGet(key string) (*response, bool) {
-	s.cacheMu.Lock()
-	defer s.cacheMu.Unlock()
-	r, ok := s.cache[key]
-	return r, ok
-}
-
-func (s *Server) cachePut(key string, r *response) {
-	s.cacheMu.Lock()
-	defer s.cacheMu.Unlock()
-	if _, dup := s.cache[key]; dup {
-		return
-	}
-	for len(s.cache) >= cacheEntries && len(s.order) > 0 {
-		delete(s.cache, s.order[0])
-		s.order = s.order[1:]
-	}
-	s.cache[key] = r
-	s.order = append(s.order, key)
-}
 
 // opHandler wraps one operation endpoint with latency/status metrics.
 func (s *Server) opHandler(op string) http.HandlerFunc {
@@ -198,10 +164,11 @@ func (s *Server) serveOp(op string, w http.ResponseWriter, r *http.Request) int 
 		return writeError(w, http.StatusBadRequest, err)
 	}
 
-	key := op + ":" + req.Digest()
-	span.SetAttr("digest", req.Digest())
+	digest := req.Digest()
+	key := op + ":" + digest
+	span.SetAttr("digest", digest)
 	lookup := span.Child("cache-lookup")
-	resp, ok := s.cacheGet(key)
+	resp, ok := s.cache.get(key)
 	lookup.End()
 	if ok {
 		s.met.CacheHit()
@@ -210,18 +177,30 @@ func (s *Server) serveOp(op string, w http.ResponseWriter, r *http.Request) int 
 	}
 	s.met.CacheMiss()
 
+	formats, flight := []string{req.Format}, key
+	if op == "run" || op == "sweep" {
+		// One execution renders every format, so the flight is keyed by
+		// the request without its format and each waiter takes its own.
+		formats, flight = opFormats[op], cacheKey(op, req, "")
+	}
 	wait := span.Child("singleflight-wait")
-	resp, shared, err := s.flight.Do(r.Context(), key,
-		func(ctx context.Context) *response {
+	ans, shared, err := s.flight.Do(r.Context(), flight,
+		func() (answer, bool) {
+			resp, ok := s.cache.get(key)
+			return answer{req.Format: resp}, ok
+		},
+		func(ctx context.Context) answer {
 			// The leader runs detached from any one HTTP request; its
 			// admission/execute/render spans nest under the initiating
 			// request's wait span (safe even after that trace finished —
 			// trees are snapshots and the trace is lock-protected).
-			return s.execute(telemetry.ContextWithSpan(ctx, wait), op, req)
+			return s.execute(telemetry.ContextWithSpan(ctx, wait), op, req, formats)
 		},
-		func(resp *response) {
-			if resp.status == http.StatusOK {
-				s.cachePut(key, resp)
+		func(ans answer) {
+			for _, f := range formats {
+				if resp := ans[f]; resp.status == http.StatusOK {
+					s.cache.put(cacheKey(op, req, f), resp)
+				}
 			}
 		})
 	wait.End()
@@ -237,7 +216,15 @@ func (s *Server) serveOp(op string, w http.ResponseWriter, r *http.Request) int 
 		xc = "coalesced"
 	}
 	span.SetAttr("cache", xc)
-	return s.writeResponseSpan(span, w, resp, xc)
+	return s.writeResponseSpan(span, w, ans[req.Format], xc)
+}
+
+// cacheKey is the response cache's key for req rendered as format:
+// "op:digest". With format "" it keys a run or sweep flight, which
+// renders every format.
+func cacheKey(op string, req core.Request, format string) string {
+	req.Format = format
+	return op + ":" + req.Digest()
 }
 
 // writeResponseSpan is writeResponse under a "write" stage span.
@@ -247,12 +234,20 @@ func (s *Server) writeResponseSpan(span *telemetry.Span, w http.ResponseWriter, 
 	return writeResponse(w, resp, xcache)
 }
 
-// execute runs one operation under admission control. The slots channel
-// is the total budget (running + queued): failing to take a slot
-// without blocking is the backpressure signal. The sem channel is the
-// execution budget; waiting on it is the queue, and the wait honors the
-// flight context so abandoned work is torn down.
-func (s *Server) execute(ctx context.Context, op string, req core.Request) *response {
+// execute runs one operation under admission control and renders it in
+// each of formats. The slots channel is the total budget (running +
+// queued): failing to take a slot without blocking is the backpressure
+// signal. The sem channel is the execution budget; waiting on it is the
+// queue, and the wait honors the flight context so abandoned work is
+// torn down.
+func (s *Server) execute(ctx context.Context, op string, req core.Request, formats []string) answer {
+	every := func(resp *response) answer {
+		ans := make(answer, len(formats))
+		for _, f := range formats {
+			ans[f] = resp
+		}
+		return ans
+	}
 	span := telemetry.SpanFrom(ctx)
 	adm := span.Child("admission")
 	select {
@@ -263,13 +258,12 @@ func (s *Server) execute(ctx context.Context, op string, req core.Request) *resp
 		// Full house: every execution slot busy and the queue at
 		// capacity. Retry-After is the queue drain horizon, crudely:
 		// one second per queued execution per worker, at least 1.
-		ra := 1 + s.cfg.QueueDepth/s.cfg.MaxConcurrent
-		return &response{
+		return every(&response{
 			status:      http.StatusTooManyRequests,
 			contentType: "application/json",
-			retryAfter:  ra,
-			body:        errBody(fmt.Errorf("%s: server saturated (%d running, %d queued); retry later", op, s.cfg.MaxConcurrent, s.cfg.QueueDepth)),
-		}
+			retryAfter:  1 + s.cfg.QueueDepth/s.cfg.Workers,
+			body:        errBody(fmt.Errorf("%s: server saturated (%d running, %d queued); retry later", op, s.cfg.Workers, s.cfg.QueueDepth)),
+		})
 	}
 	defer func() { <-s.slots }()
 
@@ -280,8 +274,8 @@ func (s *Server) execute(ctx context.Context, op string, req core.Request) *resp
 		s.met.AddQueued(-1)
 		adm.Fail(ctx.Err())
 		adm.End()
-		return &response{status: StatusClientClosedRequest, contentType: "application/json",
-			body: errBody(fmt.Errorf("%s: abandoned while queued", op))}
+		return every(&response{status: StatusClientClosedRequest, contentType: "application/json",
+			body: errBody(fmt.Errorf("%s: abandoned while queued", op))})
 	}
 	s.met.AddQueued(-1)
 	adm.End()
@@ -291,52 +285,59 @@ func (s *Server) execute(ctx context.Context, op string, req core.Request) *resp
 		s.met.AddInflight(-1)
 	}()
 
-	var buf bytes.Buffer
-	var err error
 	exec := span.Child("engine-execute")
 	execCtx := telemetry.ContextWithSpan(ctx, exec)
+	var results []sweep.Result
+	var buf bytes.Buffer
+	var err error
 	switch op {
 	case "run", "sweep":
-		var results []sweep.Result
-		results, err = RunArtifacts(execCtx, s.eng, req)
-		if err == nil {
-			err = sweep.FirstError(results)
-		}
-		exec.Fail(err)
-		exec.End()
-		if err == nil {
-			render := span.Child("render")
-			err = WriteArtifacts(&buf, results, req)
-			render.Fail(err)
-			render.End()
-		}
+		results, err = RunArtifacts(execCtx, req, s.cfg.Workers)
 	case "trace":
 		err = WriteTrace(execCtx, &buf, req)
-		exec.Fail(err)
-		exec.End()
 	case "links":
 		err = WriteLinks(execCtx, &buf, req)
-		exec.Fail(err)
-		exec.End()
 	case "counters":
 		err = WriteCounters(execCtx, &buf, req, s.cfg.Workers)
-		exec.Fail(err)
-		exec.End()
 	default:
 		err = fmt.Errorf("unknown operation %q", op)
-		exec.Fail(err)
-		exec.End()
+	}
+	exec.Fail(err)
+	exec.End()
+	bodies := map[string][]byte{req.Format: buf.Bytes()}
+	if err == nil && (op == "run" || op == "sweep") {
+		render := span.Child("render")
+		bodies, err = renderFormats(results, req, formats)
+		render.Fail(err)
+		render.End()
 	}
 	if err != nil {
 		if ctx.Err() != nil {
-			return &response{status: StatusClientClosedRequest, contentType: "application/json",
-				body: errBody(ctx.Err())}
+			return every(&response{status: StatusClientClosedRequest, contentType: "application/json",
+				body: errBody(ctx.Err())})
 		}
-		return &response{status: http.StatusInternalServerError,
-			contentType: "application/json", body: errBody(err)}
+		return every(&response{status: http.StatusInternalServerError,
+			contentType: "application/json", body: errBody(err)})
 	}
-	return &response{status: http.StatusOK,
-		contentType: contentTypeFor(op, req.Format), body: buf.Bytes()}
+	ans := make(answer, len(bodies))
+	for f, body := range bodies {
+		ans[f] = &response{status: http.StatusOK, contentType: contentTypeFor(f), body: body}
+	}
+	return ans
+}
+
+// renderFormats renders a run or sweep's results once per format.
+func renderFormats(results []sweep.Result, req core.Request, formats []string) (map[string][]byte, error) {
+	bodies := make(map[string][]byte, len(formats))
+	for _, f := range formats {
+		var buf bytes.Buffer
+		req.Format = f
+		if err := WriteArtifacts(&buf, results, req); err != nil {
+			return nil, err
+		}
+		bodies[f] = buf.Bytes()
+	}
+	return bodies, nil
 }
 
 // checkArity enforces per-operation id counts: run, trace and links
@@ -371,8 +372,8 @@ func CheckFormat(op, format string) error {
 	return fmt.Errorf("%s: unknown format %q (want %v)", op, format, opFormats[op])
 }
 
-// contentTypeFor maps an operation+format to the response media type.
-func contentTypeFor(op, format string) string {
+// contentTypeFor maps a format to the response media type.
+func contentTypeFor(format string) string {
 	switch format {
 	case "json", "chrome":
 		return "application/json"

@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"context"
 	"encoding/json"
+	"errors"
 	"fmt"
 	"net/http"
 	"net/http/httptest"
@@ -158,36 +159,201 @@ func TestResponseCacheAndHeaders(t *testing.T) {
 	}
 }
 
-// TestResponseCacheEviction fills the response cache one past its cap:
-// the oldest key is evicted and the rest stay. Putting a key that is
-// already cached changes neither its entry nor the eviction order.
+// TestResponseCacheEviction fills the response cache past its byte
+// budget: puts evict oldest-first until the new body fits, a body larger
+// than the whole budget is not cached, and putting a key that is already
+// cached changes neither its entry nor the eviction order.
 func TestResponseCacheEviction(t *testing.T) {
 	t.Parallel()
-	srv := New(Config{})
+	c := newResponseCache(100)
+	body := func(n int) *response { return &response{status: http.StatusOK, body: make([]byte, n)} }
 	key := func(i int) string { return fmt.Sprintf("run:%d", i) }
-	for i := 0; i <= cacheEntries; i++ {
-		srv.cachePut(key(i), &response{status: http.StatusOK})
+	for i := 0; i < 4; i++ {
+		c.put(key(i), body(30))
 	}
-	if _, ok := srv.cacheGet(key(0)); ok {
-		t.Fatal("the oldest key survived an insert past the cap")
+	// 4 × 30 bytes overflow a 100-byte budget: only the oldest went.
+	if _, ok := c.get(key(0)); ok {
+		t.Fatal("the oldest key survived a put past the budget")
 	}
-	for i := 1; i <= cacheEntries; i++ {
-		if _, ok := srv.cacheGet(key(i)); !ok {
+	for i := 1; i < 4; i++ {
+		if _, ok := c.get(key(i)); !ok {
 			t.Fatalf("key %d evicted; only the oldest should go", i)
 		}
 	}
+	// A 70-byte body evicts the two oldest of the three left.
+	c.put(key(4), body(70))
+	if entries, bytes := c.size(); entries != 2 || bytes != 100 {
+		t.Fatalf("cache holds %d entries, %d bytes; want 2 entries, 100 bytes", entries, bytes)
+	}
+	for _, i := range []int{3, 4} {
+		if _, ok := c.get(key(i)); !ok {
+			t.Fatalf("key %d evicted out of order", i)
+		}
+	}
 
-	first, _ := srv.cacheGet(key(1))
-	order := slices.Clone(srv.order)
-	srv.cachePut(key(1), &response{status: http.StatusOK})
-	if got, _ := srv.cacheGet(key(1)); got != first {
+	first, _ := c.get(key(3))
+	order := slices.Clone(c.order)
+	c.put(key(3), body(10))
+	if got, _ := c.get(key(3)); got != first {
 		t.Fatal("a duplicate put replaced the cached entry")
 	}
-	if len(srv.cache) != cacheEntries {
-		t.Fatalf("a duplicate put left %d entries, want %d", len(srv.cache), cacheEntries)
-	}
-	if !slices.Equal(srv.order, order) {
+	if !slices.Equal(c.order, order) {
 		t.Fatal("a duplicate put changed the eviction order")
+	}
+
+	c.put(key(5), body(101))
+	if _, ok := c.get(key(5)); ok {
+		t.Fatal("a body over the whole budget was cached")
+	}
+	if entries, bytes := c.size(); entries != 2 || bytes != 100 {
+		t.Fatalf("an over-budget put left %d entries, %d bytes; want the 2 entries, 100 bytes", entries, bytes)
+	}
+}
+
+// TestOverBudgetBodyIsServedUncached: a response whose body exceeds the
+// cache's whole budget is served in full, and the next identical request
+// executes again.
+func TestOverBudgetBodyIsServedUncached(t *testing.T) {
+	srv := New(Config{})
+	srv.cache.max = 16 // smaller than any srvtest body
+	h := srv.Handler()
+	before := atomic.LoadInt64(&extRuns)
+	body := `{"ids":["srvtest"],"format":"json"}`
+	for i := 0; i < 2; i++ {
+		rec := post(h, "/v1/run", body)
+		if rec.Code != 200 || rec.Header().Get("X-Cache") != "miss" {
+			t.Fatalf("request %d: code %d, X-Cache %q; want 200 miss", i, rec.Code, rec.Header().Get("X-Cache"))
+		}
+		if !strings.Contains(rec.Body.String(), `"srvtest"`) {
+			t.Fatalf("request %d: body %q is not the artifact", i, rec.Body.String())
+		}
+	}
+	if got := atomic.LoadInt64(&extRuns) - before; got != 2 {
+		t.Fatalf("the uncacheable request executed %d times, want 2", got)
+	}
+	if entries, _ := srv.cache.size(); entries != 0 {
+		t.Fatalf("cache holds %d entries, want none", entries)
+	}
+}
+
+// TestOneExecutionFillsEveryFormat: the first request for a run renders
+// it in every format, so each other format of the same request is a
+// cache hit and the experiment runs once.
+func TestOneExecutionFillsEveryFormat(t *testing.T) {
+	srv := New(Config{})
+	h := srv.Handler()
+	before := atomic.LoadInt64(&extRuns)
+	for i, f := range opFormats["run"] {
+		rec := post(h, "/v1/run", fmt.Sprintf(`{"ids":["srvtest"],"format":%q}`, f))
+		want := "hit"
+		if i == 0 {
+			want = "miss"
+		}
+		if rec.Code != 200 || rec.Header().Get("X-Cache") != want {
+			t.Fatalf("%s: code %d, X-Cache %q; want 200 %s", f, rec.Code, rec.Header().Get("X-Cache"), want)
+		}
+		if got := rec.Header().Get("Content-Type"); got != contentTypeFor(f) {
+			t.Fatalf("%s: Content-Type %q, want %q", f, got, contentTypeFor(f))
+		}
+	}
+	if got := atomic.LoadInt64(&extRuns) - before; got != 1 {
+		t.Fatalf("four formats of one run executed %d times, want 1", got)
+	}
+	if entries, bytes := srv.cache.size(); entries != 4 || bytes == 0 {
+		t.Fatalf("cache holds %d entries, %d bytes; want the 4 formats", entries, bytes)
+	}
+}
+
+// TestConcurrentFormatsShareOneExecution: text and json requests for an
+// uncached run, in flight together, join one execution, and each gets
+// its own format.
+func TestConcurrentFormatsShareOneExecution(t *testing.T) {
+	srv := New(Config{})
+	h := srv.Handler()
+	release := holdExtension()
+	defer release()
+	before := atomic.LoadInt64(&extRuns)
+
+	formats := []string{"text", "json"}
+	recs := make([]*httptest.ResponseRecorder, len(formats))
+	var wg sync.WaitGroup
+	for i, f := range formats {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			recs[i] = post(h, "/v1/run", fmt.Sprintf(`{"ids":["srvtest"],"format":%q}`, f))
+		}()
+	}
+	req, err := core.ParseRequest([]byte(`{"ids":["srvtest"]}`))
+	if err != nil {
+		t.Fatal(err)
+	}
+	flight := cacheKey("run", req, "")
+	waitFor(t, "both requests to join one flight", func() bool {
+		srv.flight.mu.Lock()
+		defer srv.flight.mu.Unlock()
+		c := srv.flight.calls[flight]
+		return c != nil && c.waiters == len(formats)
+	})
+	release()
+	wg.Wait()
+
+	if got := atomic.LoadInt64(&extRuns) - before; got != 1 {
+		t.Fatalf("concurrent text and json requests executed %d times, want 1", got)
+	}
+	xcaches := map[string]bool{}
+	for i, rec := range recs {
+		if rec.Code != 200 {
+			t.Fatalf("%s: code %d (body %s)", formats[i], rec.Code, rec.Body.String())
+		}
+		if got := rec.Header().Get("Content-Type"); got != contentTypeFor(formats[i]) {
+			t.Fatalf("%s: Content-Type %q", formats[i], got)
+		}
+		xcaches[rec.Header().Get("X-Cache")] = true
+	}
+	if !xcaches["miss"] || !xcaches["coalesced"] {
+		t.Fatalf("X-Cache values %v, want one miss and one coalesced", xcaches)
+	}
+	if !json.Valid(recs[1].Body.Bytes()) || json.Valid(recs[0].Body.Bytes()) {
+		t.Fatal("the waiters did not each get their own format")
+	}
+}
+
+// flakyCalls counts executions of the srvflaky experiment.
+var flakyCalls atomic.Int64
+
+// TestFailureIsNotCached: an experiment that fails once answers 500,
+// and the next identical request executes it again instead of replaying
+// the failure; its success is then cached.
+func TestFailureIsNotCached(t *testing.T) {
+	if _, err := core.GetExtension("srvflaky"); err != nil {
+		if err := core.RegisterExtension(&core.Experiment{
+			ID: "srvflaky", Title: "fails on its first call", Kind: core.Table,
+			Run: func(core.Options) (*core.Artifact, error) {
+				if flakyCalls.Add(1) == 1 {
+					return nil, errors.New("transient failure")
+				}
+				return &core.Artifact{ID: "srvflaky", Title: "fails on its first call", Kind: core.Table}, nil
+			},
+		}); err != nil {
+			t.Fatal(err)
+		}
+	}
+	flakyCalls.Store(0)
+	h := New(Config{}).Handler()
+	body := `{"ids":["srvflaky"]}`
+	for i, want := range []struct {
+		code   int
+		xcache string
+	}{{500, "miss"}, {200, "miss"}, {200, "hit"}} {
+		rec := post(h, "/v1/run", body)
+		if rec.Code != want.code || rec.Header().Get("X-Cache") != want.xcache {
+			t.Fatalf("request %d: code %d, X-Cache %q; want %d %s (body %s)",
+				i, rec.Code, rec.Header().Get("X-Cache"), want.code, want.xcache, rec.Body.String())
+		}
+	}
+	if got := flakyCalls.Load(); got != 2 {
+		t.Fatalf("the experiment ran %d times, want 2", got)
 	}
 }
 
@@ -204,7 +370,7 @@ func waitFor(t *testing.T, what string, cond func() bool) {
 }
 
 func TestSingleflightCoalescesIdenticalRequests(t *testing.T) {
-	srv := New(Config{MaxConcurrent: 4})
+	srv := New(Config{Workers: 4})
 	h := srv.Handler()
 	release := holdExtension()
 	defer release()
@@ -260,15 +426,16 @@ func TestSingleflightCoalescesIdenticalRequests(t *testing.T) {
 }
 
 func TestBackpressure429(t *testing.T) {
-	srv := New(Config{MaxConcurrent: 1, QueueDepth: 1})
+	srv := New(Config{Workers: 1, QueueDepth: 1})
 	h := srv.Handler()
 	release := holdExtension()
 	defer release()
 
-	// Distinct digests (different formats) so nothing coalesces.
+	// Distinct requests so nothing coalesces (the formats of one request
+	// share an execution, so they differ in quick and compare).
 	bodies := []string{
-		`{"ids":["srvtest"],"format":"text"}`,
-		`{"ids":["srvtest"],"format":"json"}`,
+		`{"ids":["srvtest"]}`,
+		`{"ids":["srvtest"],"quick":true}`,
 	}
 	recs := make([]*httptest.ResponseRecorder, len(bodies))
 	var wg sync.WaitGroup
@@ -285,7 +452,7 @@ func TestBackpressure429(t *testing.T) {
 
 	// Slots are exhausted (1 running + 1 queued): the next distinct
 	// request must be rejected immediately with 429 + Retry-After.
-	rejected := post(h, "/v1/run", `{"ids":["srvtest"],"format":"csv"}`)
+	rejected := post(h, "/v1/run", `{"ids":["srvtest"],"compare":true}`)
 	if rejected.Code != http.StatusTooManyRequests {
 		t.Fatalf("saturated server answered %d, want 429 (body %s)", rejected.Code, rejected.Body.String())
 	}
@@ -304,7 +471,7 @@ func TestBackpressure429(t *testing.T) {
 		}
 	}
 	// Rejections are never cached: the same request succeeds afterwards.
-	retry := post(h, "/v1/run", `{"ids":["srvtest"],"format":"csv"}`)
+	retry := post(h, "/v1/run", `{"ids":["srvtest"],"compare":true}`)
 	if retry.Code != 200 {
 		t.Fatalf("retry after 429: code %d, want 200", retry.Code)
 	}
@@ -314,7 +481,7 @@ func TestBackpressure429(t *testing.T) {
 }
 
 func TestQueuedRequestCancellation(t *testing.T) {
-	srv := New(Config{MaxConcurrent: 1, QueueDepth: 2})
+	srv := New(Config{Workers: 1, QueueDepth: 2})
 	h := srv.Handler()
 	release := holdExtension()
 	defer release()
@@ -326,7 +493,7 @@ func TestQueuedRequestCancellation(t *testing.T) {
 	wg.Add(1)
 	go func() {
 		defer wg.Done()
-		aRec = post(h, "/v1/run", `{"ids":["srvtest"],"format":"text"}`)
+		aRec = post(h, "/v1/run", `{"ids":["srvtest"]}`)
 	}()
 	waitFor(t, "A to start", func() bool { return srv.Metrics().Inflight() == 1 })
 
@@ -336,7 +503,7 @@ func TestQueuedRequestCancellation(t *testing.T) {
 	go func() {
 		defer close(bDone)
 		rec := httptest.NewRecorder()
-		req := httptest.NewRequest("POST", "/v1/run", strings.NewReader(`{"ids":["srvtest"],"format":"json"}`))
+		req := httptest.NewRequest("POST", "/v1/run", strings.NewReader(`{"ids":["srvtest"],"quick":true}`))
 		h.ServeHTTP(rec, req.WithContext(ctx))
 	}()
 	waitFor(t, "B to queue", func() bool { return srv.Metrics().Queued() == 1 })
@@ -467,6 +634,8 @@ func TestMetricsExposition(t *testing.T) {
 		"a64fxbench_serve_cache_hits_total 1",
 		"a64fxbench_serve_cache_misses_total 1",
 		"a64fxbench_serve_cache_hit_ratio 0.5",
+		"a64fxbench_serve_cached_responses 4",
+		"a64fxbench_serve_cached_bytes ",
 		"a64fxbench_serve_queue_capacity",
 		"a64fxbench_serve_request_seconds_bucket",
 		`a64fxbench_serve_request_seconds_count{endpoint="/v1/run"} 2`,

@@ -10,7 +10,7 @@ import (
 
 func TestFlightGroupDeduplicates(t *testing.T) {
 	t.Parallel()
-	g := newFlightGroup()
+	g := newFlightGroup[*response]()
 	var runs, published int32
 	block := make(chan struct{})
 	fn := func(context.Context) *response {
@@ -28,7 +28,7 @@ func TestFlightGroupDeduplicates(t *testing.T) {
 		wg.Add(1)
 		go func(i int) {
 			defer wg.Done()
-			r, shared, err := g.Do(context.Background(), "k", fn, publish)
+			r, shared, err := g.Do(context.Background(), "k", nil, fn, publish)
 			if err != nil {
 				t.Errorf("Do %d: %v", i, err)
 			}
@@ -71,14 +71,14 @@ func TestFlightGroupDeduplicates(t *testing.T) {
 
 func TestFlightGroupSequentialRunsAreIndependent(t *testing.T) {
 	t.Parallel()
-	g := newFlightGroup()
+	g := newFlightGroup[*response]()
 	var runs int32
 	fn := func(context.Context) *response {
 		atomic.AddInt32(&runs, 1)
 		return &response{status: 200}
 	}
 	for i := 0; i < 3; i++ {
-		if _, shared, err := g.Do(context.Background(), "k", fn, nil); err != nil || shared {
+		if _, shared, err := g.Do(context.Background(), "k", nil, fn, nil); err != nil || shared {
 			t.Fatalf("run %d: shared=%v err=%v, want fresh flight", i, shared, err)
 		}
 	}
@@ -87,9 +87,26 @@ func TestFlightGroupSequentialRunsAreIndependent(t *testing.T) {
 	}
 }
 
+// TestFlightGroupRechecksTheCache: a caller that finds no flight takes
+// what a finished flight published instead of starting a new one.
+func TestFlightGroupRechecksTheCache(t *testing.T) {
+	t.Parallel()
+	g := newFlightGroup[*response]()
+	published := &response{status: 200, body: []byte("published")}
+	fn := func(context.Context) *response {
+		t.Error("fn ran although a finished flight had published the value")
+		return nil
+	}
+	got, shared, err := g.Do(context.Background(), "k",
+		func() (*response, bool) { return published, true }, fn, nil)
+	if err != nil || !shared || got != published {
+		t.Fatalf("Do = %v, shared=%v, err=%v; want the published value, shared", got, shared, err)
+	}
+}
+
 func TestFlightGroupLastWaiterCancelsTheRun(t *testing.T) {
 	t.Parallel()
-	g := newFlightGroup()
+	g := newFlightGroup[*response]()
 	started := make(chan struct{})
 	sawCancel := make(chan struct{})
 	fn := func(ctx context.Context) *response {
@@ -101,7 +118,7 @@ func TestFlightGroupLastWaiterCancelsTheRun(t *testing.T) {
 	ctx, cancel := context.WithCancel(context.Background())
 	errc := make(chan error, 1)
 	go func() {
-		_, _, err := g.Do(ctx, "k", fn, nil)
+		_, _, err := g.Do(ctx, "k", nil, fn, nil)
 		errc <- err
 	}()
 	<-started
@@ -124,7 +141,7 @@ func TestFlightGroupLastWaiterCancelsTheRun(t *testing.T) {
 
 func TestFlightGroupSurvivesLeaderHangup(t *testing.T) {
 	t.Parallel()
-	g := newFlightGroup()
+	g := newFlightGroup[*response]()
 	started := make(chan struct{})
 	block := make(chan struct{})
 	var runs int32
@@ -141,7 +158,7 @@ func TestFlightGroupSurvivesLeaderHangup(t *testing.T) {
 	leaderCtx, cancelLeader := context.WithCancel(context.Background())
 	leaderErr := make(chan error, 1)
 	go func() {
-		_, _, err := g.Do(leaderCtx, "k", fn, nil)
+		_, _, err := g.Do(leaderCtx, "k", nil, fn, nil)
 		leaderErr <- err
 	}()
 	<-started
@@ -149,7 +166,7 @@ func TestFlightGroupSurvivesLeaderHangup(t *testing.T) {
 	// going because the follower still wants the answer.
 	followerResp := make(chan *response, 1)
 	go func() {
-		r, _, _ := g.Do(context.Background(), "k", fn, nil)
+		r, _, _ := g.Do(context.Background(), "k", nil, fn, nil)
 		followerResp <- r
 	}()
 	// Let the follower actually register before the leader leaves.

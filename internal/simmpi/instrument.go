@@ -15,7 +15,7 @@ import (
 //
 // Trace, Counters and Telemetry observe a run and never change its
 // simulated results. Congestion and Model change virtual times and are
-// therefore part of every artifact's identity (core.OptionsKey).
+// therefore part of every request's identity (core.Request.Digest).
 type Instrumentation struct {
 	// Trace observes the job: once it completes, the sink is called with
 	// its report, whose Events hold the event timeline (compute phases,

@@ -8,6 +8,7 @@ import (
 	"a64fxbench/internal/core"
 	"a64fxbench/internal/metrics"
 	"a64fxbench/internal/obs"
+	"a64fxbench/internal/perfmodel"
 	"a64fxbench/internal/simmpi"
 )
 
@@ -31,6 +32,14 @@ func CounterSnapshot(ctx context.Context, eng *Engine, ids []string, opt core.Op
 	}
 	cfg := opt.Counters.Sanitized()
 	opt.Counters = &cfg
+	// The canonical model name ("" → "roofline") identifies which
+	// pricing model produced the snapshot; `a64fxbench diff` switches
+	// to the report-only roofline-vs-ECM delta table when two snapshots
+	// disagree here.
+	model := opt.Model
+	if model == "" {
+		model = perfmodel.ModelRoofline
+	}
 	reports := make([][]*obs.CounterReport, len(ids)) // per result, per job
 	results := eng.Observe(ctx, ids, opt, func(i int, job *simmpi.Report) {
 		reports[i] = append(reports[i], obs.BuildCounterReport(job, obs.A64FXPeaks(job)))
@@ -40,11 +49,7 @@ func CounterSnapshot(ctx context.Context, eng *Engine, ids []string, opt core.Op
 		"quick":      strconv.FormatBool(opt.Quick),
 		"congestion": strconv.FormatBool(opt.Congestion),
 		"period_ns":  strconv.FormatInt(int64(cfg.Period), 10),
-		// The canonical model name ("" → "roofline") identifies which
-		// pricing model produced the snapshot; `a64fxbench diff` switches
-		// to the report-only roofline-vs-ECM delta table when two
-		// snapshots disagree here.
-		"model": string(opt.ArtifactKey().Model),
+		"model":      string(model),
 	})
 	for i, r := range results {
 		for j, cr := range reports[i] {

@@ -61,9 +61,8 @@ func TestCounterSnapshotDeterministicAcrossWorkers(t *testing.T) {
 }
 
 // TestCountersArtifactNeutral pins Options.Counters as an observability
-// field: the artifact of a counted, observed run must be byte-identical
-// to the uncounted (cached-path) one. Without a sink the counts have
-// nowhere to go, so that run is a cache hit.
+// field: the artifact of a counted run, observed or not, must be
+// byte-identical to the uncounted one.
 func TestCountersArtifactNeutral(t *testing.T) {
 	t.Parallel()
 	ctx := context.Background()
@@ -73,24 +72,19 @@ func TestCountersArtifactNeutral(t *testing.T) {
 	opt := core.Options{Quick: true}
 	opt.Counters = &metrics.Config{}
 	counted := eng.Observe(ctx, ids, opt, func(int, *simmpi.Report) {})
+	unobserved := eng.Run(ctx, ids, opt)
 	for i, id := range ids {
-		if plain[i].Err != nil || counted[i].Err != nil {
-			t.Fatalf("%s: %v / %v", id, plain[i].Err, counted[i].Err)
+		for _, r := range []Result{plain[i], counted[i], unobserved[i]} {
+			if r.Err != nil {
+				t.Fatalf("%s: %v", id, r.Err)
+			}
 		}
-		if counted[i].Cached {
-			t.Errorf("%s: observed counted run hit the cache — it must execute", id)
+		want := golden.Digest(plain[i].Artifact)
+		if got := golden.Digest(counted[i].Artifact); got != want {
+			t.Errorf("%s: observed counters changed the artifact (digest %s vs %s)", id, got, want)
 		}
-		if !bytes.Equal(golden.Canonical(plain[i].Artifact), golden.Canonical(counted[i].Artifact)) {
-			t.Errorf("%s: counters changed the artifact (digest %s vs %s)",
-				id, golden.Digest(counted[i].Artifact), golden.Digest(plain[i].Artifact))
-		}
-	}
-	for i, r := range eng.Run(ctx, ids, opt) {
-		if r.Err != nil {
-			t.Fatalf("%s: %v", r.ID, r.Err)
-		}
-		if !r.Cached || r.Artifact != plain[i].Artifact {
-			t.Errorf("%s: Counters without a sink missed the cache", r.ID)
+		if got := golden.Digest(unobserved[i].Artifact); got != want {
+			t.Errorf("%s: counters without a sink changed the artifact (digest %s vs %s)", id, got, want)
 		}
 	}
 }

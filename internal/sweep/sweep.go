@@ -1,9 +1,10 @@
 // Package sweep executes sets of experiments concurrently: a bounded
 // worker pool runs any mix of paper artifacts and extension ablations in
-// parallel, with per-experiment timing, an artifact cache keyed by
-// (id, Options) so repeated renders never recompute, and cooperative
-// cancellation through context.Context (first error under FailFast, or an
-// external interrupt).
+// parallel, with per-experiment timing and cooperative cancellation
+// through context.Context (first error under FailFast, or an external
+// interrupt). An engine keeps no state between calls: a sweep runs each
+// distinct id once, and caching what a request produced is the serve
+// daemon's job (its response cache, keyed by core.Request.Digest).
 //
 // Every experiment is a pure function of its Options — the simulation's
 // virtual clocks make results independent of real scheduling — so a
@@ -34,11 +35,9 @@ type Result struct {
 	// context.DeadlineExceeded when the sweep was cancelled before this
 	// experiment started.
 	Err error
-	// Elapsed is the wall-clock execution time. Cache hits report the
-	// (near-zero) lookup time of the cached artifact.
+	// Elapsed is the wall-clock execution time; a repeated id reports
+	// it once, at its first position, and zero at the others.
 	Elapsed time.Duration
-	// Cached reports whether the artifact came from the engine's cache.
-	Cached bool
 }
 
 // Skipped reports whether the experiment never ran because the sweep was
@@ -59,26 +58,8 @@ func Lookup(id string) (*core.Experiment, error) {
 	return nil, fmt.Errorf("sweep: unknown experiment or extension %q", id)
 }
 
-// cacheKey identifies one cached execution. The key carries only the
-// artifact-affecting projection of the options (core.OptionsKey):
-// observability settings never change artifact contents, so a traced
-// and an untraced execution of the same experiment are interchangeable
-// as far as the cache is concerned.
-type cacheKey struct {
-	id  string
-	opt core.OptionsKey
-}
-
-// cacheEntry is a single-flight slot: the first requester runs the
-// experiment and closes ready; everyone else waits on it.
-type cacheEntry struct {
-	ready chan struct{}
-	art   *core.Artifact
-	err   error
-}
-
-// Engine runs sweeps. The zero value is ready to use; engines are safe
-// for concurrent use and the cache persists across Run calls.
+// Engine runs sweeps. The zero value is ready to use; an engine holds
+// only its settings, so it is safe for concurrent use.
 type Engine struct {
 	// Workers bounds concurrent experiment executions; ≤ 0 means
 	// runtime.GOMAXPROCS(0).
@@ -88,9 +69,6 @@ type Engine struct {
 	// cancellation cause. Already-running experiments complete (they do
 	// not observe the context internally).
 	FailFast bool
-
-	mu    sync.Mutex
-	cache map[cacheKey]*cacheEntry
 }
 
 // New returns an engine with the given worker bound (≤ 0 for GOMAXPROCS).
@@ -112,14 +90,25 @@ func (e *Engine) workerCount(n int) int {
 }
 
 // Run executes the given experiment ids under opt and returns results in
-// input order. Duplicate ids coalesce onto one execution through the
-// cache. Cancellation of ctx (or, with FailFast, the first failure) stops
-// experiments that have not started; their results carry the context
-// error.
+// input order. A repeated id runs once and every position of it gets the
+// same artifact. Cancellation of ctx (or, with FailFast, the first
+// failure) stops experiments that have not started; their results carry
+// the context error.
 func (e *Engine) Run(ctx context.Context, ids []string, opt core.Options) []Result {
-	return e.run(ctx, len(ids), func(ctx context.Context, i int) Result {
-		return e.runOne(ctx, ids[i], opt)
+	uniq, at := distinct(ids)
+	res := e.run(ctx, len(uniq), func(ctx context.Context, i int) Result {
+		return runOne(ctx, uniq[i], opt)
 	})
+	out := make([]Result, len(ids))
+	seen := make([]bool, len(uniq))
+	for i, u := range at {
+		out[i] = res[u]
+		if seen[u] {
+			out[i].Elapsed = 0
+		}
+		seen[u] = true
+	}
+	return out
 }
 
 // Observe is the observed-run path: it runs each distinct id once, in
@@ -128,22 +117,31 @@ func (e *Engine) Run(ctx context.Context, ids []string, opt core.Options) []Resu
 // job(i, rep) as the job finishes, where i indexes the returned results
 // (so i < len(ids)). One id's jobs arrive in order, from the goroutine
 // running that id; distinct ids may call job concurrently. Observed
-// runs replace opt.Trace, always execute and never touch the cache.
-// Workers and FailFast apply as in Run.
+// runs replace opt.Trace. Workers and FailFast apply as in Run.
 func (e *Engine) Observe(ctx context.Context, ids []string, opt core.Options, job func(i int, rep *simmpi.Report)) []Result {
-	uniq := make([]string, 0, len(ids))
-	seen := map[string]bool{}
-	for _, id := range ids {
-		if !seen[id] {
-			seen[id] = true
-			uniq = append(uniq, id)
-		}
-	}
+	uniq, _ := distinct(ids)
 	return e.run(ctx, len(uniq), func(ctx context.Context, i int) Result {
 		o := opt
 		o.Trace = func(rep *simmpi.Report) { job(i, rep) }
-		return e.runOne(ctx, uniq[i], o)
+		return runOne(ctx, uniq[i], o)
 	})
+}
+
+// distinct returns the distinct ids in first-seen order and, for each
+// position of ids, the index of its id in that list.
+func distinct(ids []string) (uniq []string, at []int) {
+	index := map[string]int{}
+	at = make([]int, len(ids))
+	for i, id := range ids {
+		u, ok := index[id]
+		if !ok {
+			u = len(uniq)
+			index[id] = u
+			uniq = append(uniq, id)
+		}
+		at[i] = u
+	}
+	return uniq, at
 }
 
 // run executes one(ctx, i) for every i in [0, n) on the worker pool and
@@ -178,76 +176,20 @@ func (e *Engine) run(ctx context.Context, n int, one func(ctx context.Context, i
 	return results
 }
 
-// runOne executes (or fetches from cache) a single experiment.
-func (e *Engine) runOne(ctx context.Context, id string, opt core.Options) Result {
+// runOne executes a single experiment under its own artifact span, a
+// child of whatever span the caller carried in ctx (the serve daemon's
+// request, or nothing — every method on a nil span is a no-op).
+func runOne(ctx context.Context, id string, opt core.Options) Result {
 	start := time.Now()
 	if err := ctx.Err(); err != nil {
 		return Result{ID: id, Err: err}
 	}
-	// Per-artifact telemetry: one span per requested id, a child of
-	// whatever span the caller carried in ctx (the serve daemon's
-	// request, or nothing — every method on a nil span is a no-op).
-	// Telemetry does NOT bypass the artifact cache: spans describe this
-	// request's path, and "served from cache" is itself the story — hits
-	// are annotated cached=true and simply carry no job spans, because
-	// nothing executed.
 	span := telemetry.SpanFrom(ctx).Child("artifact:" + id)
 	defer span.End()
 	opt.Telemetry = span
-	// A run with a trace sink bypasses the cache in both directions: the
-	// sink must see the events of this execution (a cached artifact has
-	// none), and the artifact of a bypass run must not displace the
-	// single-flight slot other workers may be waiting on. Nothing else
-	// outside the key changes an artifact; Counters without a sink has
-	// nowhere to report, so it shares the cache.
-	if opt.Trace != nil {
-		art, err := runExperiment(id, opt)
-		span.Fail(err)
-		return Result{ID: id, Artifact: art, Err: err, Elapsed: time.Since(start)}
-	}
-	key := cacheKey{id, opt.ArtifactKey()}
-	entry, owner := e.entryFor(key)
-	if !owner {
-		// Someone else is (or was) computing this key; wait for it.
-		span.SetAttr("cached", true)
-		select {
-		case <-entry.ready:
-			span.Fail(entry.err)
-			return Result{ID: id, Artifact: entry.art, Err: entry.err,
-				Elapsed: time.Since(start), Cached: true}
-		case <-ctx.Done():
-			span.Fail(ctx.Err())
-			return Result{ID: id, Err: ctx.Err()}
-		}
-	}
 	art, err := runExperiment(id, opt)
 	span.Fail(err)
-	entry.art, entry.err = art, err
-	close(entry.ready)
-	if err != nil {
-		// Failures are not cached: waiters already on this flight get
-		// the error, later callers run the experiment again.
-		e.mu.Lock()
-		delete(e.cache, key)
-		e.mu.Unlock()
-	}
 	return Result{ID: id, Artifact: art, Err: err, Elapsed: time.Since(start)}
-}
-
-// entryFor returns the cache slot for key and whether the caller owns the
-// execution (true exactly once per key).
-func (e *Engine) entryFor(k cacheKey) (*cacheEntry, bool) {
-	e.mu.Lock()
-	defer e.mu.Unlock()
-	if e.cache == nil {
-		e.cache = map[cacheKey]*cacheEntry{}
-	}
-	if entry, ok := e.cache[k]; ok {
-		return entry, false
-	}
-	entry := &cacheEntry{ready: make(chan struct{})}
-	e.cache[k] = entry
-	return entry, true
 }
 
 // runExperiment resolves and executes one experiment, converting panics

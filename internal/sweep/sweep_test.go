@@ -2,7 +2,6 @@ package sweep
 
 import (
 	"context"
-	"errors"
 	"strings"
 	"sync"
 	"sync/atomic"
@@ -67,11 +66,33 @@ func TestLookup(t *testing.T) {
 	}
 }
 
+// countCalls counts executions of the ext-test-count experiment.
+var countCalls atomic.Int32
+
+// registerTestExtension registers e once per test binary.
+func registerTestExtension(t *testing.T, e *core.Experiment) {
+	t.Helper()
+	if _, err := core.GetExtension(e.ID); err == nil {
+		return
+	}
+	if err := core.RegisterExtension(e); err != nil {
+		t.Fatal(err)
+	}
+}
+
 func TestRunReturnsInputOrder(t *testing.T) {
 	t.Parallel()
-	eng := New(4)
-	ids := []string{"table1", "table2", "table1"}
-	results := eng.Run(context.Background(), ids, core.Options{Quick: true})
+	const id = "ext-test-count"
+	registerTestExtension(t, &core.Experiment{
+		ID: id, Title: "counts its calls", Kind: core.Table,
+		Run: func(core.Options) (*core.Artifact, error) {
+			countCalls.Add(1)
+			return &core.Artifact{ID: id, Title: "counts its calls", Kind: core.Table}, nil
+		},
+	})
+	before := countCalls.Load()
+	ids := []string{"table1", id, "table2", id}
+	results := New(4).Run(context.Background(), ids, core.Options{Quick: true})
 	if len(results) != len(ids) {
 		t.Fatalf("got %d results, want %d", len(results), len(ids))
 	}
@@ -86,40 +107,15 @@ func TestRunReturnsInputOrder(t *testing.T) {
 			t.Errorf("%s: nil artifact", r.ID)
 		}
 	}
-	// The duplicate id coalesces onto one execution.
-	if !results[0].Cached && !results[2].Cached {
-		t.Error("duplicate id should have hit the single-flight cache")
+	// The repeated id runs once, and both positions get its artifact.
+	if got := countCalls.Load() - before; got != 1 {
+		t.Errorf("a repeated id ran %d times, want 1", got)
 	}
-}
-
-func TestCachePersistsAcrossRuns(t *testing.T) {
-	t.Parallel()
-	eng := New(2)
-	ctx := context.Background()
-	first := eng.Run(ctx, []string{"table2"}, core.Options{Quick: true})
-	if first[0].Err != nil {
-		t.Fatal(first[0].Err)
+	if results[1].Artifact != results[3].Artifact {
+		t.Error("the positions of a repeated id got different artifacts")
 	}
-	if first[0].Cached {
-		t.Error("first execution reported as cached")
-	}
-	second := eng.Run(ctx, []string{"table2"}, core.Options{Quick: true})
-	if second[0].Err != nil {
-		t.Fatal(second[0].Err)
-	}
-	if !second[0].Cached {
-		t.Error("second execution should be a cache hit")
-	}
-	if second[0].Artifact != first[0].Artifact {
-		t.Error("cache hit should return the same artifact")
-	}
-	// Different Options are a different cache key.
-	third := eng.Run(ctx, []string{"table2"}, core.Options{Quick: false})
-	if third[0].Err != nil {
-		t.Fatal(third[0].Err)
-	}
-	if third[0].Cached {
-		t.Error("different Options must not hit the Quick cache entry")
+	if results[3].Elapsed != 0 {
+		t.Errorf("the repeat reports %v of execution, want 0", results[3].Elapsed)
 	}
 }
 
@@ -190,55 +186,13 @@ func TestPerExperimentTiming(t *testing.T) {
 	}
 }
 
-// flakyCalls counts executions of the ext-test-flaky experiment.
-var flakyCalls atomic.Int32
-
-// TestFailureIsNotCached: an experiment that fails once must run again
-// on the next request instead of replaying the failure from the cache.
-func TestFailureIsNotCached(t *testing.T) {
-	const id = "ext-test-flaky"
-	flakyCalls.Store(0)
-	if _, err := core.GetExtension(id); err != nil {
-		if err := core.RegisterExtension(&core.Experiment{
-			ID: id, Title: "fails on its first call", Kind: core.Table,
-			Run: func(core.Options) (*core.Artifact, error) {
-				if flakyCalls.Add(1) == 1 {
-					return nil, errors.New("transient failure")
-				}
-				return &core.Artifact{ID: id, Title: "fails on its first call", Kind: core.Table}, nil
-			},
-		}); err != nil {
-			t.Fatal(err)
-		}
-	}
-	eng := New(1)
-	ctx := context.Background()
-	if first := eng.Run(ctx, []string{id}, core.Options{})[0]; first.Err == nil {
-		t.Fatal("first call should fail")
-	}
-	second := eng.Run(ctx, []string{id}, core.Options{})[0]
-	if second.Err != nil {
-		t.Fatalf("second call replayed the failure: %v", second.Err)
-	}
-	if second.Cached {
-		t.Error("second call must execute, not come from the cache")
-	}
-	if third := eng.Run(ctx, []string{id}, core.Options{})[0]; !third.Cached {
-		t.Error("a success must still be cached")
-	}
-}
-
 func TestPanicBecomesError(t *testing.T) {
 	// Registered once for the whole package; not parallel with itself.
 	const id = "ext-test-panic"
-	if _, err := core.GetExtension(id); err != nil {
-		if err := core.RegisterExtension(&core.Experiment{
-			ID: id, Title: "panics", Kind: core.Table,
-			Run: func(core.Options) (*core.Artifact, error) { panic("boom") },
-		}); err != nil {
-			t.Fatal(err)
-		}
-	}
+	registerTestExtension(t, &core.Experiment{
+		ID: id, Title: "panics", Kind: core.Table,
+		Run: func(core.Options) (*core.Artifact, error) { panic("boom") },
+	})
 	results := New(1).Run(context.Background(), []string{id}, core.Options{})
 	if results[0].Err == nil || !strings.Contains(results[0].Err.Error(), "panicked") {
 		t.Fatalf("want panic converted to error, got %v", results[0].Err)

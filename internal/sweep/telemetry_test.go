@@ -10,8 +10,7 @@ import (
 )
 
 // A telemetry-carrying sweep must produce artifacts byte-identical to a
-// bare one: spans are observability, never part of the result or the
-// cache key.
+// bare one: spans are observability, never part of the result.
 func TestTelemetryIsResultNeutral(t *testing.T) {
 	t.Parallel()
 	const id = "table3"
@@ -39,8 +38,7 @@ func TestSweepSpanTree(t *testing.T) {
 	t.Parallel()
 	tr := telemetry.NewTrace("req-tree", "request")
 	ctx := telemetry.ContextWithSpan(context.Background(), tr.Root())
-	eng := New(1)
-	res := eng.Run(ctx, []string{"table3"}, core.Options{Quick: true})
+	res := New(1).Run(ctx, []string{"table3"}, core.Options{Quick: true})
 	if res[0].Err != nil {
 		t.Fatalf("run: %v", res[0].Err)
 	}
@@ -75,29 +73,6 @@ func TestSweepSpanTree(t *testing.T) {
 	}
 	if vm.DurationNS <= 0 {
 		t.Fatalf("virtual-makespan duration = %d, want > 0", vm.DurationNS)
-	}
-
-	// A second run of the same key is a cache hit: the artifact span is
-	// annotated cached=true and carries no job spans.
-	tr2 := telemetry.NewTrace("req-tree-2", "request")
-	ctx2 := telemetry.ContextWithSpan(context.Background(), tr2.Root())
-	res2 := eng.Run(ctx2, []string{"table3"}, core.Options{Quick: true})
-	if res2[0].Err != nil {
-		t.Fatalf("cached run: %v", res2[0].Err)
-	}
-	if !res2[0].Cached {
-		t.Fatal("second run was not served from cache")
-	}
-	tr2.Finish()
-	art2 := tr2.Tree().Find("artifact:table3")
-	if art2 == nil {
-		t.Fatal("cached run has no artifact span")
-	}
-	if v, ok := art2.Attrs["cached"].(bool); !ok || !v {
-		t.Fatalf("cached artifact span attrs = %v, want cached=true", art2.Attrs)
-	}
-	if len(art2.Children) != 0 {
-		t.Fatalf("cached artifact span has %d children, want none", len(art2.Children))
 	}
 }
 

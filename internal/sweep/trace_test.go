@@ -10,6 +10,7 @@ import (
 	"a64fxbench/internal/core"
 	"a64fxbench/internal/obs"
 	"a64fxbench/internal/simmpi"
+	"a64fxbench/internal/sweep/golden"
 )
 
 // tracedIDs is the cheap subset used by the trace determinism tests:
@@ -41,9 +42,6 @@ func runTraced(t *testing.T, workers int) map[string]string {
 		if r.Err != nil {
 			t.Fatalf("%s: %v", r.ID, r.Err)
 		}
-		if r.Cached {
-			t.Fatalf("%s: traced run served from cache", r.ID)
-		}
 		out[r.ID] = texts[i]
 	}
 	return out
@@ -66,68 +64,31 @@ func TestTracedSweepParallelDeterministic(t *testing.T) {
 	}
 }
 
-// TestTraceBypassesCache checks the cache discipline around traced runs:
-// a traced execution neither reads nor writes the cache, and the
-// artifacts it produces are identical to the untraced ones.
-func TestTraceBypassesCache(t *testing.T) {
+// TestTraceIsArtifactNeutral: a run traced through Options.Trace records
+// events and produces the artifact an untraced run does, digest for
+// digest.
+func TestTraceIsArtifactNeutral(t *testing.T) {
+	t.Parallel()
 	ctx := context.Background()
 	id := "table5"
 	opt := core.Options{Quick: true}
-	eng := New(1)
-
-	// Traced first, through Options.Trace: it must not fill the cache.
-	traced := opt
-	traced.Trace = func(*simmpi.Report) {}
-	r1 := eng.Run(ctx, []string{id}, traced)[0]
-	if r1.Err != nil {
-		t.Fatal(r1.Err)
+	plain := New(1).Run(ctx, []string{id}, opt)[0]
+	if plain.Err != nil {
+		t.Fatal(plain.Err)
 	}
-	r2 := eng.Run(ctx, []string{id}, opt)[0]
-	if r2.Err != nil {
-		t.Fatal(r2.Err)
-	}
-	if r2.Cached {
-		t.Error("a traced run wrote the cache")
-	}
-
-	// Traced again, with the cache primed: it must re-execute and
-	// record events.
 	events := 0
+	traced := opt
 	traced.Trace = func(job *simmpi.Report) { events += len(job.Events) }
-	r3 := eng.Run(ctx, []string{id}, traced)[0]
-	if r3.Err != nil {
-		t.Fatal(r3.Err)
-	}
-	if r3.Cached {
-		t.Error("traced run was served from the cache")
+	r := New(1).Run(ctx, []string{id}, traced)[0]
+	if r.Err != nil {
+		t.Fatal(r.Err)
 	}
 	if events == 0 {
 		t.Error("traced run recorded no events")
 	}
-
-	// Untraced again: still a cache hit (tracing didn't evict), and the
-	// traced artifacts match the cached one (trace invariance).
-	r4 := eng.Run(ctx, []string{id}, opt)[0]
-	if r4.Err != nil {
-		t.Fatal(r4.Err)
+	if got, want := golden.Digest(r.Artifact), golden.Digest(plain.Artifact); got != want {
+		t.Errorf("tracing changed the artifact: digest %s, untraced %s", got, want)
 	}
-	if !r4.Cached {
-		t.Error("untraced rerun missed the cache after a traced run")
-	}
-	for _, r := range []Result{r1, r3, r4} {
-		if renderJSON(t, r.Artifact) != renderJSON(t, r2.Artifact) {
-			t.Error("artifact changed across traced/untraced executions")
-		}
-	}
-}
-
-func renderJSON(t *testing.T, a *core.Artifact) string {
-	t.Helper()
-	var buf bytes.Buffer
-	if err := a.WriteJSON(&buf); err != nil {
-		t.Fatal(err)
-	}
-	return buf.String()
 }
 
 // goid returns the calling goroutine's id, from its stack header.
@@ -138,8 +99,8 @@ func goid() string {
 
 // TestObserveJobs checks the observed-run path: Observe runs each
 // distinct id once, in first-seen order; hands one id's jobs over in
-// order, from one goroutine; neither reads nor writes the cache;
-// honours FailFast; and leaves the artifacts unchanged.
+// order, from one goroutine; honours FailFast; and leaves the artifacts
+// unchanged.
 func TestObserveJobs(t *testing.T) {
 	ctx := context.Background()
 	opt := core.Options{Quick: true}
@@ -175,11 +136,8 @@ func TestObserveJobs(t *testing.T) {
 		if len(goids[i]) != 1 {
 			t.Errorf("%s: jobs handed over from %d goroutines", r.ID, len(goids[i]))
 		}
-		if r.Cached {
-			t.Errorf("%s: observed run was served from the cache", r.ID)
-		}
 	}
-	if renderJSON(t, plain.Artifact) != renderJSON(t, got[0].Artifact) {
+	if golden.Digest(plain.Artifact) != golden.Digest(got[0].Artifact) {
 		t.Error("observing changed the artifact")
 	}
 	// Each id's jobs arrive in the order its own traced run makes them.
@@ -191,10 +149,6 @@ func TestObserveJobs(t *testing.T) {
 	}
 	if strings.Join(labels[0], "\n") != strings.Join(want, "\n") {
 		t.Errorf("table5's jobs arrived as %q, want %q", labels[0], want)
-	}
-	// Observing wrote nothing to the cache.
-	if r := eng.Run(ctx, []string{"table3"}, opt)[0]; r.Err != nil || r.Cached {
-		t.Errorf("table3 after Observe: cached=%v err=%v, want a fresh run", r.Cached, r.Err)
 	}
 
 	ff := New(1)
