@@ -216,8 +216,8 @@ type Timeline = simmpi.Timeline
 // stall time, messages, collective time) and sample them in virtual
 // time. Counting never changes simulated results.
 type (
-	// CounterConfig enables and tunes the virtual PMU (sampling period,
-	// series length bound). The zero value means the defaults.
+	// CounterConfig enables the virtual PMU and sets its sampling
+	// period. The zero value means the default period.
 	CounterConfig = metrics.Config
 	// JobCounters is a counted job's full PMU state: per-rank finals
 	// and sampled series (JobReport.Counters).

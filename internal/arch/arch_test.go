@@ -270,7 +270,7 @@ func TestFabricConstruction(t *testing.T) {
 		if f == nil || f.Topo == nil {
 			t.Errorf("%s fabric construction failed", s.ID)
 		}
-		if f.Latency(0, 1) <= 0 {
+		if f.PointToPoint(0, 1, 0) <= 0 {
 			t.Errorf("%s fabric has non-positive latency", s.ID)
 		}
 	}

@@ -183,7 +183,6 @@ var legacyEfficiencies = map[ID]map[perfmodel.KernelClass]perfmodel.Efficiency{
 		perfmodel.FluxFV:        eff(0.060, 0.350),
 		perfmodel.FFTKernel:     eff(0.053, 0.400),
 		perfmodel.GatherScatter: eff(0.020, 0.300),
-		perfmodel.Precond:       eff(0.050, 0.500),
 	},
 	ARCHER: {
 		perfmodel.SpMV:          eff(0.080, 0.960),
@@ -196,7 +195,6 @@ var legacyEfficiencies = map[ID]map[perfmodel.KernelClass]perfmodel.Efficiency{
 		perfmodel.FluxFV:        eff(0.090, 0.800),
 		perfmodel.FFTKernel:     eff(0.180, 0.660),
 		perfmodel.GatherScatter: eff(0.050, 0.600),
-		perfmodel.Precond:       eff(0.100, 0.800),
 	},
 	Cirrus: {
 		perfmodel.SpMV:          eff(0.060, 0.805),
@@ -209,7 +207,6 @@ var legacyEfficiencies = map[ID]map[perfmodel.KernelClass]perfmodel.Efficiency{
 		perfmodel.FluxFV:        eff(0.085, 0.800),
 		perfmodel.FFTKernel:     eff(0.190, 0.790),
 		perfmodel.GatherScatter: eff(0.045, 0.550),
-		perfmodel.Precond:       eff(0.080, 0.750),
 	},
 	NGIO: {
 		perfmodel.SpMV:          eff(0.045, 0.699),
@@ -222,7 +219,6 @@ var legacyEfficiencies = map[ID]map[perfmodel.KernelClass]perfmodel.Efficiency{
 		perfmodel.FluxFV:        eff(0.080, 0.800),
 		perfmodel.FFTKernel:     eff(0.160, 0.690),
 		perfmodel.GatherScatter: eff(0.040, 0.550),
-		perfmodel.Precond:       eff(0.070, 0.750),
 	},
 	Fulhame: {
 		perfmodel.SpMV:          eff(0.110, 0.541),
@@ -235,7 +231,6 @@ var legacyEfficiencies = map[ID]map[perfmodel.KernelClass]perfmodel.Efficiency{
 		perfmodel.FluxFV:        eff(0.130, 0.850),
 		perfmodel.FFTKernel:     eff(0.155, 0.700),
 		perfmodel.GatherScatter: eff(0.080, 0.550),
-		perfmodel.Precond:       eff(0.140, 0.750),
 	},
 }
 
@@ -299,8 +294,8 @@ func TestSpecReproducesTable1(t *testing.T) {
 					gf.InjectionBandwidth != wf.InjectionBandwidth {
 					t.Errorf("fabric(%d) pricing differs: got %+v want %+v", nodes, gf, wf)
 				}
-				if gf.Topo.Name() != wf.Topo.Name() {
-					t.Errorf("fabric(%d) topology %q, want %q", nodes, gf.Topo.Name(), wf.Topo.Name())
+				if reflect.TypeOf(gf.Topo) != reflect.TypeOf(wf.Topo) {
+					t.Errorf("fabric(%d) topology %T, want %T", nodes, gf.Topo, wf.Topo)
 				}
 				if gh, wh := gf.Topo.Hops(0, nodes-1), wf.Topo.Hops(0, nodes-1); gh != wh {
 					t.Errorf("fabric(%d) hops(0,%d) = %d, want %d", nodes, nodes-1, gh, wh)

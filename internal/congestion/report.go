@@ -48,17 +48,6 @@ type LinkReport struct {
 	Links []LinkStats `json:"links"`
 }
 
-// MaxPeakFlows reports the largest concurrent-flow count on any link.
-func (r *LinkReport) MaxPeakFlows() int {
-	worst := 0
-	for _, l := range r.Links {
-		if l.PeakFlows > worst {
-			worst = l.PeakFlows
-		}
-	}
-	return worst
-}
-
 // report assembles the LinkReport from the totals of the completed run.
 // When cfg.SeriesLinks asks for utilization series, it re-runs the fluid
 // schedule once more to bucket the busiest links over the now-known

@@ -218,15 +218,6 @@ func Counters() []Def {
 	return out
 }
 
-// Lookup resolves a counter name.
-func Lookup(name string) (ID, bool) {
-	id, ok := byName[name]
-	return id, ok
-}
-
-// Def returns the counter's definition.
-func (id ID) Def() Def { return defs[id] }
-
 // String returns the counter's name.
 func (id ID) String() string { return defs[id].Name }
 
@@ -236,34 +227,28 @@ func FlopsFor(c perfmodel.KernelClass) ID { return flopsByClass[c] }
 // CollTime returns the time counter of a collective algorithm.
 func CollTime(c Collective) ID { return collByOp[c] }
 
-// Config enables and tunes counter collection for a job.
+// Config enables counter collection for a job.
 type Config struct {
 	// Period is the virtual-time sampling period of the per-rank series;
 	// ≤ 0 means the 100µs default. Samples land on multiples of the
 	// period of each rank's own virtual clock.
 	Period units.Duration
-	// MaxSamples bounds each rank's series: when a series would exceed
-	// it, the period doubles and existing samples are decimated onto the
-	// coarser grid (deterministically — the kept samples are exactly the
-	// even multiples). ≤ 0 means the default of 512; the bound keeps
-	// memory finite regardless of job length.
-	MaxSamples int
 }
 
-// Defaults for Config zero values.
-const (
-	DefaultPeriod     = 100 * units.Microsecond
-	DefaultMaxSamples = 512
-)
+// DefaultPeriod is the sampling period of a zero Config.
+const DefaultPeriod = 100 * units.Microsecond
 
-// Sanitized resolves defaults: a zero Config means the default period
-// and sample bound.
+// MaxSamples bounds each rank's series: when a series would exceed it,
+// the period doubles and existing samples are decimated onto the
+// coarser grid (deterministically — the kept samples are exactly the
+// even multiples). The bound keeps memory finite regardless of job
+// length.
+const MaxSamples = 512
+
+// Sanitized resolves defaults: a zero Config means the default period.
 func (c Config) Sanitized() Config {
 	if c.Period <= 0 {
 		c.Period = DefaultPeriod
-	}
-	if c.MaxSamples <= 0 {
-		c.MaxSamples = DefaultMaxSamples
 	}
 	return c
 }
@@ -279,21 +264,19 @@ type Sample struct {
 // from its body goroutine; it is not safe for concurrent use — exactly
 // like the rank itself.
 type RankPMU struct {
-	vals       []float64
-	period     units.Duration
-	maxSamples int
-	next       units.Duration
-	samples    []Sample
+	vals    []float64
+	period  units.Duration
+	next    units.Duration
+	samples []Sample
 }
 
 // NewRankPMU creates a PMU for one rank.
 func NewRankPMU(cfg Config) *RankPMU {
 	cfg = cfg.Sanitized()
 	return &RankPMU{
-		vals:       make([]float64, len(defs)),
-		period:     cfg.Period,
-		maxSamples: cfg.MaxSamples,
-		next:       cfg.Period,
+		vals:   make([]float64, len(defs)),
+		period: cfg.Period,
+		next:   cfg.Period,
 	}
 }
 
@@ -314,7 +297,7 @@ func (p *RankPMU) Observe(now units.Duration) {
 		copy(vals, p.vals)
 		p.samples = append(p.samples, Sample{At: p.next, Values: vals})
 		p.next += p.period
-		if len(p.samples) > p.maxSamples {
+		if len(p.samples) > MaxSamples {
 			p.decimate()
 		}
 	}
@@ -362,9 +345,6 @@ type RankCounters struct {
 	// Samples is the virtual-time series, ascending in At.
 	Samples []Sample `json:"samples,omitempty"`
 }
-
-// Value returns one final counter value.
-func (rc *RankCounters) Value(id ID) float64 { return rc.Values[id] }
 
 // JobCounters aggregates every rank's counters for one job.
 type JobCounters struct {

@@ -16,44 +16,38 @@ func TestRegistryStable(t *testing.T) {
 	if NumCounters() == 0 {
 		t.Fatal("empty registry")
 	}
+	defs := Counters()
 	for _, c := range perfmodel.KernelClasses() {
-		id := FlopsFor(c)
-		if got := id.Def().Name; !strings.HasPrefix(got, "flops.") {
-			t.Errorf("FlopsFor(%v) = %q", c, got)
+		d := defs[FlopsFor(c)]
+		if !strings.HasPrefix(d.Name, "flops.") {
+			t.Errorf("FlopsFor(%v) = %q", c, d.Name)
 		}
-		if id.Def().Kind != Work {
-			t.Errorf("flop counter %v is %v, want work", id, id.Def().Kind)
+		if d.Kind != Work {
+			t.Errorf("flop counter %v is %v, want work", d.Name, d.Kind)
 		}
 	}
 	for c := Collective(0); c < NumCollectives(); c++ {
-		if got := CollTime(c).Def(); got.Kind != Time || !strings.HasSuffix(got.Name, ".ns") {
+		if got := defs[CollTime(c)]; got.Kind != Time || !strings.HasSuffix(got.Name, ".ns") {
 			t.Errorf("CollTime(%v) = %+v", c, got)
 		}
 	}
-	for _, d := range Counters() {
-		id, ok := Lookup(d.Name)
-		if !ok {
-			t.Fatalf("Lookup(%q) missed", d.Name)
+	for id, d := range defs {
+		if got := ID(id).String(); got != d.Name {
+			t.Fatalf("ID(%d) names %q, registry %q", id, got, d.Name)
 		}
-		if id.Def().Name != d.Name {
-			t.Fatalf("Lookup(%q) → %q", d.Name, id.Def().Name)
-		}
-	}
-	if _, ok := Lookup("no.such.counter"); ok {
-		t.Error("Lookup invented a counter")
 	}
 }
 
-// TestSamplingGrid drives one PMU through a long virtual run with a
-// tiny sample cap and checks the decimation invariants: the final
-// period is a power-of-two multiple of the configured one, samples sit
-// on its grid strictly increasing, the cap holds, and replaying the
-// same input reproduces the series exactly.
+// TestSamplingGrid drives one PMU through a virtual run of more sample
+// periods than MaxSamples and checks the decimation invariants: the
+// final period is a power-of-two multiple of the configured one,
+// samples sit on its grid strictly increasing, the cap holds, and
+// replaying the same input reproduces the series exactly.
 func TestSamplingGrid(t *testing.T) {
 	t.Parallel()
-	const base = 10 * units.Microsecond
+	const base = units.Microsecond
 	run := func() RankCounters {
-		p := NewRankPMU(Config{Period: base, MaxSamples: 4})
+		p := NewRankPMU(Config{Period: base})
 		now := units.Duration(0)
 		for i := 0; i < 300; i++ {
 			p.Add(MemDRAM, float64(i))
@@ -63,11 +57,11 @@ func TestSamplingGrid(t *testing.T) {
 		return p.Counters(0)
 	}
 	rc := run()
-	if len(rc.Samples) == 0 || len(rc.Samples) > 4 {
-		t.Fatalf("got %d samples, want 1..4", len(rc.Samples))
+	if len(rc.Samples) == 0 || len(rc.Samples) > MaxSamples {
+		t.Fatalf("got %d samples, want 1..%d", len(rc.Samples), MaxSamples)
 	}
-	if rc.Period <= 0 || rc.Period%base != 0 {
-		t.Fatalf("final period %v not a multiple of %v", rc.Period, base)
+	if rc.Period <= base || rc.Period%base != 0 {
+		t.Fatalf("final period %v not a multiple of %v above it", rc.Period, base)
 	}
 	if k := rc.Period / base; k&(k-1) != 0 {
 		t.Fatalf("period grew by non-power-of-two factor %d", k)
@@ -95,9 +89,9 @@ func TestSamplingGrid(t *testing.T) {
 // finished ranks at their final counters.
 func TestAggregateSeries(t *testing.T) {
 	t.Parallel()
-	const base = 10 * units.Microsecond
-	mk := func(stop units.Duration, cap int) RankCounters {
-		p := NewRankPMU(Config{Period: base, MaxSamples: cap})
+	const base = 10 * units.Nanosecond
+	mk := func(stop units.Duration) RankCounters {
+		p := NewRankPMU(Config{Period: base})
 		for now := units.Duration(0); now <= stop; now += base {
 			p.Add(SentMsgs, 1)
 			p.Observe(now)
@@ -105,9 +99,12 @@ func TestAggregateSeries(t *testing.T) {
 		return p.Counters(0)
 	}
 	jc := &JobCounters{Ranks: []RankCounters{
-		mk(100*units.Microsecond, 64), // fine grid, long
-		mk(40*units.Microsecond, 2),   // decimated → coarser grid, short
+		mk(MaxSamples / 2 * base), // fine grid, short
+		mk(2 * MaxSamples * base), // decimated → coarser grid, long
 	}}
+	if jc.Ranks[1].Period <= base {
+		t.Fatalf("long rank kept period %v", jc.Ranks[1].Period)
+	}
 	period, samples := jc.AggregateSeries()
 	coarsest := jc.Ranks[0].Period
 	if jc.Ranks[1].Period > coarsest {

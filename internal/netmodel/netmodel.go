@@ -107,11 +107,6 @@ func (f *Fabric) LinkCapacity(l topo.Link) units.ByteRate {
 	return f.LinkBandwidth
 }
 
-// Latency reports the zero-byte one-way latency between two nodes.
-func (f *Fabric) Latency(a, b int) units.Duration {
-	return f.PointToPoint(a, b, 0)
-}
-
 // effAlpha is the effective per-step latency of a collective over the
 // first n nodes: software overhead plus mean-hop wire time.
 func (f *Fabric) effAlpha(n int) units.Duration {
@@ -197,7 +192,7 @@ func NewFDRInfiniBand() *Fabric {
 		Name: "FDR InfiniBand",
 		// 2:1 oversubscribed at the leaf (18 uplinks per 36-port edge
 		// switch) — Hops is unchanged, only contention sees it.
-		Topo:               &topo.FatTree{NodesPerLeaf: 36, Uplinks: 18, Label: "FDR fat-tree"},
+		Topo:               &topo.FatTree{NodesPerLeaf: 36, Uplinks: 18},
 		SoftwareOverhead:   units.Duration(1200 * units.Nanosecond),
 		HopLatency:         units.Duration(150 * units.Nanosecond),
 		LinkBandwidth:      6.8 * units.GBPerSec, // 56 Gb/s signalling
@@ -209,7 +204,7 @@ func NewFDRInfiniBand() *Fabric {
 func NewEDRInfiniBand() *Fabric {
 	return &Fabric{
 		Name:               "EDR InfiniBand",
-		Topo:               &topo.FatTree{NodesPerLeaf: 32, Label: "EDR fat-tree"},
+		Topo:               &topo.FatTree{NodesPerLeaf: 32},
 		SoftwareOverhead:   units.Duration(1000 * units.Nanosecond),
 		HopLatency:         units.Duration(130 * units.Nanosecond),
 		LinkBandwidth:      12.5 * units.GBPerSec, // 100 Gb/s
@@ -222,7 +217,7 @@ func NewOmniPath() *Fabric {
 	return &Fabric{
 		Name: "OmniPath",
 		// 2:1 oversubscribed at the leaf; EDR above stays non-blocking.
-		Topo:               &topo.FatTree{NodesPerLeaf: 32, Uplinks: 16, Label: "OPA fat-tree"},
+		Topo:               &topo.FatTree{NodesPerLeaf: 32, Uplinks: 16},
 		SoftwareOverhead:   units.Duration(1300 * units.Nanosecond),
 		HopLatency:         units.Duration(140 * units.Nanosecond),
 		LinkBandwidth:      12.5 * units.GBPerSec, // 100 Gb/s

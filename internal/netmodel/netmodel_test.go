@@ -22,14 +22,14 @@ func TestPointToPointLatency(t *testing.T) {
 	t.Parallel()
 	f := testFabric()
 	// Same leaf (nodes 0,1): 1µs + 2×0.1µs = 1.2µs.
-	got := f.Latency(0, 1)
+	got := f.PointToPoint(0, 1, 0)
 	want := units.Duration(1200 * units.Nanosecond)
 	if got != want {
-		t.Errorf("Latency(0,1) = %v, want %v", got, want)
+		t.Errorf("zero-byte PointToPoint(0,1) = %v, want %v", got, want)
 	}
 	// Cross leaf: 1µs + 4×0.1µs.
-	if got := f.Latency(0, 2); got != units.Duration(1400*units.Nanosecond) {
-		t.Errorf("Latency(0,2) = %v", got)
+	if got := f.PointToPoint(0, 2, 0); got != units.Duration(1400*units.Nanosecond) {
+		t.Errorf("zero-byte PointToPoint(0,2) = %v", got)
 	}
 }
 
@@ -104,7 +104,7 @@ func TestStandardFabrics(t *testing.T) {
 		if f.Name == "" || f.Topo == nil {
 			t.Errorf("fabric %+v incomplete", f)
 		}
-		lat := f.Latency(0, 1).Seconds()
+		lat := f.PointToPoint(0, 1, 0).Seconds()
 		if lat < 0.5e-6 || lat > 5e-6 {
 			t.Errorf("%s latency %v s outside credible MPI range", f.Name, lat)
 		}
@@ -122,7 +122,7 @@ func TestTofuDLowerLatencyThanOmniPath(t *testing.T) {
 	// our model encodes TofuD as at least as fast at small messages.
 	tofu := NewTofuD(48)
 	opa := NewOmniPath()
-	if tofu.Latency(0, 1) > opa.Latency(0, 1) {
+	if tofu.PointToPoint(0, 1, 0) > opa.PointToPoint(0, 1, 0) {
 		t.Error("TofuD should not have worse latency than OmniPath")
 	}
 }

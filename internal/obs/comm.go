@@ -1,11 +1,6 @@
 package obs
 
 import (
-	"fmt"
-	"io"
-	"sort"
-	"strings"
-
 	"a64fxbench/internal/simmpi"
 	"a64fxbench/internal/units"
 )
@@ -86,97 +81,4 @@ func (m *CommMatrix) Totals() (msgs int64, bytes units.Bytes) {
 		}
 	}
 	return msgs, bytes
-}
-
-// pair is one (src,dst) traffic entry for the heavy-hitters listing.
-type pair struct {
-	src, dst int
-	msgs     int64
-	bytes    units.Bytes
-}
-
-// heaviest lists the k heaviest (by bytes, then msgs) traffic pairs.
-func (m *CommMatrix) heaviest(k int) []pair {
-	var ps []pair
-	for s := 0; s < m.N; s++ {
-		for d := 0; d < m.N; d++ {
-			if m.Msgs[s][d] > 0 {
-				ps = append(ps, pair{s, d, m.Msgs[s][d], m.Bytes[s][d]})
-			}
-		}
-	}
-	sort.Slice(ps, func(i, j int) bool {
-		if ps[i].bytes != ps[j].bytes {
-			return ps[i].bytes > ps[j].bytes
-		}
-		if ps[i].msgs != ps[j].msgs {
-			return ps[i].msgs > ps[j].msgs
-		}
-		if ps[i].src != ps[j].src {
-			return ps[i].src < ps[j].src
-		}
-		return ps[i].dst < ps[j].dst
-	})
-	if len(ps) > k {
-		ps = ps[:k]
-	}
-	return ps
-}
-
-// Render writes a human-readable traffic report: totals, the full
-// matrix (bytes) when it is small enough to read, the node-aggregated
-// view for multi-node jobs, and the heaviest pairs.
-func (m *CommMatrix) Render(w io.Writer) error {
-	unit := "rank"
-	if m.Nodes {
-		unit = "node"
-	}
-	msgs, bytes := m.Totals()
-	if _, err := fmt.Fprintf(w, "communication matrix (%d %ss): %d msgs, %v total\n",
-		m.N, unit, msgs, bytes); err != nil {
-		return err
-	}
-	if m.N <= 16 {
-		if err := m.renderGrid(w, unit); err != nil {
-			return err
-		}
-	}
-	for _, p := range m.heaviest(10) {
-		if _, err := fmt.Fprintf(w, "  %s %3d → %-3d  %8d msgs  %v\n",
-			unit, p.src, p.dst, p.msgs, p.bytes); err != nil {
-			return err
-		}
-	}
-	if !m.Nodes && m.NodeOf != nil {
-		if nv := m.NodeView(); nv.N > 1 {
-			if _, err := io.WriteString(w, "\n"); err != nil {
-				return err
-			}
-			return nv.Render(w)
-		}
-	}
-	return nil
-}
-
-// renderGrid prints the byte matrix as a src×dst grid.
-func (m *CommMatrix) renderGrid(w io.Writer, unit string) error {
-	var b strings.Builder
-	fmt.Fprintf(&b, "  %8s", unit+`\`+unit)
-	for d := 0; d < m.N; d++ {
-		fmt.Fprintf(&b, " %10d", d)
-	}
-	b.WriteByte('\n')
-	for s := 0; s < m.N; s++ {
-		fmt.Fprintf(&b, "  %8d", s)
-		for d := 0; d < m.N; d++ {
-			if m.Msgs[s][d] == 0 {
-				fmt.Fprintf(&b, " %10s", "·")
-			} else {
-				fmt.Fprintf(&b, " %10v", m.Bytes[s][d])
-			}
-		}
-		b.WriteByte('\n')
-	}
-	_, err := io.WriteString(w, b.String())
-	return err
 }

@@ -78,16 +78,6 @@ type CounterReport struct {
 	Phases []PhaseCounters `json:"phases,omitempty"`
 }
 
-// Total returns one counter's job total (0 when absent).
-func (cr *CounterReport) Total(name string) float64 {
-	for _, t := range cr.Totals {
-		if t.Name == name {
-			return t.Value
-		}
-	}
-	return 0
-}
-
 // BuildCounterReport aggregates one job's PMU accounting: the totals
 // are the nonzero rank sums of its counters in registry order, and the
 // phases a fold over its timeline. It returns nil when the job was run

@@ -2,7 +2,6 @@ package obs
 
 import (
 	"fmt"
-	"io"
 	"sort"
 
 	"a64fxbench/internal/simmpi"
@@ -291,23 +290,4 @@ func phaseBase(e *simmpi.Event) string {
 		return e.Class.String()
 	}
 	return e.Kind.String()
-}
-
-// Render writes the critical-path report.
-func (cp *CriticalPath) Render(w io.Writer) error {
-	if _, err := fmt.Fprintf(w, "critical path: %v of %v makespan (%.1f%%), %d events\n",
-		cp.Length, cp.Makespan, 100*cp.Fraction, cp.Steps); err != nil {
-		return err
-	}
-	top := cp.Phases
-	if len(top) > 12 {
-		top = top[:12]
-	}
-	for _, p := range top {
-		if _, err := fmt.Fprintf(w, "  %-32s %12v %6.1f%%  (%d events)\n",
-			p.Label, p.Time, 100*p.Fraction, p.Steps); err != nil {
-			return err
-		}
-	}
-	return nil
 }

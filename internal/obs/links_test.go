@@ -2,6 +2,7 @@ package obs_test
 
 import (
 	"bytes"
+	"encoding/json"
 	"strings"
 	"testing"
 
@@ -109,11 +110,11 @@ func TestAnalyzeCarriesLinks(t *testing.T) {
 	if rep.Links == nil {
 		t.Fatal("Analyze dropped the link heatmap")
 	}
-	var buf bytes.Buffer
-	if err := rep.WriteJSON(&buf); err != nil {
+	b, err := json.Marshal(rep)
+	if err != nil {
 		t.Fatal(err)
 	}
-	if !strings.Contains(buf.String(), `"links"`) {
+	if !strings.Contains(string(b), `"links"`) {
 		t.Error("report JSON missing links section")
 	}
 }

@@ -2,6 +2,7 @@ package obs_test
 
 import (
 	"bytes"
+	"encoding/json"
 	"fmt"
 	"strconv"
 	"strings"
@@ -178,13 +179,6 @@ func TestCommMatrix(t *testing.T) {
 	if nmsgs != msgs || nbytes != bytesTotal {
 		t.Error("node view must conserve totals")
 	}
-	var out bytes.Buffer
-	if err := m.Render(&out); err != nil {
-		t.Fatal(err)
-	}
-	if !strings.Contains(out.String(), "communication matrix") {
-		t.Errorf("render output:\n%s", out.String())
-	}
 }
 
 func TestRoofline(t *testing.T) {
@@ -217,13 +211,6 @@ func TestRoofline(t *testing.T) {
 	if p.Utilization <= 0 || p.Utilization > 1.5 {
 		t.Errorf("utilization %.3f out of range", p.Utilization)
 	}
-	var out bytes.Buffer
-	if err := obs.RenderRoofline(&out, peaks, points); err != nil {
-		t.Fatal(err)
-	}
-	if !strings.Contains(out.String(), "vecop") {
-		t.Errorf("roofline render:\n%s", out.String())
-	}
 }
 
 func TestAnalyzeReportJSON(t *testing.T) {
@@ -236,20 +223,13 @@ func TestAnalyzeReportJSON(t *testing.T) {
 	if rep.Ranks != 4 || rep.Nodes != 2 || rep.CommByNode == nil {
 		t.Errorf("report shape: %+v", rep)
 	}
-	var buf bytes.Buffer
-	if err := rep.WriteJSON(&buf); err != nil {
+	b, err := json.Marshal(rep)
+	if err != nil {
 		t.Fatal(err)
 	}
 	for _, key := range []string{"critical_path", "roofline", "comm_by_node", "makespan_ns"} {
-		if !strings.Contains(buf.String(), key) {
+		if !strings.Contains(string(b), key) {
 			t.Errorf("JSON report missing %q", key)
 		}
-	}
-	var text bytes.Buffer
-	if err := rep.Render(&text, obs.Peaks{}); err != nil {
-		t.Fatal(err)
-	}
-	if !strings.Contains(text.String(), "critical path") {
-		t.Errorf("text report:\n%s", text.String())
 	}
 }

@@ -1,10 +1,6 @@
 package obs
 
 import (
-	"encoding/json"
-	"fmt"
-	"io"
-
 	"a64fxbench/internal/simmpi"
 	"a64fxbench/internal/units"
 )
@@ -50,49 +46,4 @@ func Analyze(job *simmpi.Report, peaks Peaks) (*Report, error) {
 		rep.CommByNode = rep.Comm.NodeView()
 	}
 	return rep, nil
-}
-
-// WriteJSON writes the report as indented JSON.
-func (r *Report) WriteJSON(w io.Writer) error {
-	enc := json.NewEncoder(w)
-	enc.SetIndent("", "  ")
-	return enc.Encode(r)
-}
-
-// Render writes the full human-readable report.
-func (r *Report) Render(w io.Writer, peaks Peaks) error {
-	if _, err := fmt.Fprintf(w, "=== %s: %d ranks on %d nodes, makespan %v ===\n",
-		r.Label, r.Ranks, r.Nodes, r.Makespan); err != nil {
-		return err
-	}
-	if err := r.CriticalPath.Render(w); err != nil {
-		return err
-	}
-	if _, err := io.WriteString(w, "\n"); err != nil {
-		return err
-	}
-	if err := RenderRoofline(w, peaks, r.Roofline); err != nil {
-		return err
-	}
-	if _, err := io.WriteString(w, "\n"); err != nil {
-		return err
-	}
-	if err := r.Comm.Render(w); err != nil {
-		return err
-	}
-	if r.Links != nil {
-		if _, err := io.WriteString(w, "\n"); err != nil {
-			return err
-		}
-		if err := r.Links.Render(w); err != nil {
-			return err
-		}
-	}
-	if r.Counters != nil {
-		if _, err := io.WriteString(w, "\n"); err != nil {
-			return err
-		}
-		return r.Counters.Render(w)
-	}
-	return nil
 }

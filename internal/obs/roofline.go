@@ -1,8 +1,6 @@
 package obs
 
 import (
-	"fmt"
-	"io"
 	"sort"
 
 	"a64fxbench/internal/perfmodel"
@@ -103,28 +101,4 @@ func safeDiv(a, b float64) float64 {
 		return 0
 	}
 	return a / b
-}
-
-// RenderRoofline writes the per-class roofline table.
-func RenderRoofline(w io.Writer, peaks Peaks, points []RooflinePoint) error {
-	if _, err := fmt.Fprintf(w, "roofline (per-rank peaks: %.1f GFLOP/s, %.1f GB/s)\n",
-		peaks.FlopRate.GFLOPs(), float64(peaks.Bandwidth)/1e9); err != nil {
-		return err
-	}
-	if _, err := fmt.Fprintf(w, "  %-10s %12s %12s %12s %10s %8s %s\n",
-		"class", "time", "GFLOP/s", "GB/s", "flops/byte", "util", "bound"); err != nil {
-		return err
-	}
-	for _, p := range points {
-		bound := p.Bound
-		if bound == "" {
-			bound = "-"
-		}
-		if _, err := fmt.Fprintf(w, "  %-10s %12v %12.2f %12.2f %10.3f %7.1f%% %s\n",
-			p.Class, p.Time, p.FlopRate.GFLOPs(), float64(p.Bandwidth)/1e9,
-			p.Intensity, 100*p.Utilization, bound); err != nil {
-			return err
-		}
-	}
-	return nil
 }

@@ -10,7 +10,7 @@ import (
 )
 
 func spanFixture() *telemetry.SpanNode {
-	tr := telemetry.NewTrace("req-1", "request /v1/run")
+	tr := telemetry.NewTrace("request /v1/run")
 	root := tr.Root()
 	dec := root.Child("decode")
 	dec.End()

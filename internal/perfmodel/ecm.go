@@ -91,7 +91,6 @@ var ecmCoreEff = [NumKernelClasses]float64{
 	FluxFV:        0.75,
 	FFTKernel:     0.60,
 	GatherScatter: 0.40,
-	Precond:       0.85,
 }
 
 // ECMCoreEfficiency reports the class's in-core execution efficiency

@@ -62,8 +62,6 @@ const (
 	// GatherScatter is indexed copy traffic (halo packing, spectral
 	// element gather/scatter).
 	GatherScatter
-	// Precond is a lightweight pointwise preconditioner application.
-	Precond
 	// NumKernelClasses counts the classes above, so arrays indexed by
 	// class can be sized statically.
 	NumKernelClasses
@@ -92,8 +90,6 @@ func (k KernelClass) String() string {
 		return "fft"
 	case GatherScatter:
 		return "gather-scatter"
-	case Precond:
-		return "precond"
 	default:
 		return fmt.Sprintf("kernel(%d)", int(k))
 	}
@@ -141,20 +137,6 @@ type WorkProfile struct {
 	// Calls is the number of kernel invocations folded into this
 	// profile; it scales the per-call overhead.
 	Calls int64
-}
-
-// Add accumulates another profile of the same class. Mixing classes is a
-// programming error and panics, because the efficiency factors differ.
-func (w *WorkProfile) Add(o WorkProfile) {
-	if w.Calls == 0 && w.Flops == 0 && w.Bytes == 0 {
-		w.Class = o.Class
-	}
-	if w.Class != o.Class {
-		panic(fmt.Sprintf("perfmodel: adding %v profile into %v profile", o.Class, w.Class))
-	}
-	w.Flops += o.Flops
-	w.Bytes += o.Bytes
-	w.Calls += o.Calls
 }
 
 // Scale multiplies the profile by n (e.g. to account for repeated
@@ -494,7 +476,6 @@ var cacheAmp = [NumKernelClasses]struct{ l1PerFlop, l2Amp float64 }{
 	FluxFV:        {14, 1.6},
 	FFTKernel:     {16, 2.0},
 	GatherScatter: {16, 1.3},
-	Precond:       {8, 1.0},
 }
 
 // CacheAmplification reports the class's cache-traffic model: bytes of
@@ -506,16 +487,6 @@ func CacheAmplification(c KernelClass) (l1PerFlop, l2Amp float64) {
 	}
 	a := cacheAmp[c]
 	return a.l1PerFlop, a.l2Amp
-}
-
-// Bound reports which roofline bound the phase sits under on this node:
-// "memory" or "compute". It ignores the fast-math gain.
-func (m *CostModel) Bound(w WorkProfile, opt PhaseOptions) string {
-	tFlops, tBytes, _ := m.Rates(w.Class, PhaseOptions{Cores: opt.Cores}).times(w)
-	if tBytes >= tFlops {
-		return "memory"
-	}
-	return "compute"
 }
 
 // ScaleEfficiency returns a copy of the model with the listed classes'

@@ -281,7 +281,7 @@ func (m *Metrics) WritePrometheus(w io.Writer) error {
 		p("# HELP a64fxbench_serve_cached_responses Entries in the response cache.\n")
 		p("# TYPE a64fxbench_serve_cached_responses gauge\n")
 		p("a64fxbench_serve_cached_responses %d\n", entries)
-		p("# HELP a64fxbench_serve_cached_bytes Bytes of response bodies in the cache.\n")
+		p("# HELP a64fxbench_serve_cached_bytes Bytes the response cache charges its entries: bodies, keys and per-entry overhead.\n")
 		p("# TYPE a64fxbench_serve_cached_bytes gauge\n")
 		p("a64fxbench_serve_cached_bytes %d\n", bytes)
 	}

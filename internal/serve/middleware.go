@@ -115,7 +115,7 @@ func (s *Server) withTelemetry(next http.Handler) http.Handler {
 		w.Header().Set("X-Request-ID", id)
 		sw := &statusWriter{ResponseWriter: w}
 		start := time.Now()
-		tr := telemetry.NewTrace(id, "request "+r.URL.Path)
+		tr := telemetry.NewTrace("request " + r.URL.Path)
 		root := tr.Root()
 		root.SetAttr("method", r.Method)
 		next.ServeHTTP(sw, r.WithContext(telemetry.ContextWithSpan(r.Context(), root)))

@@ -160,18 +160,21 @@ func TestResponseCacheAndHeaders(t *testing.T) {
 }
 
 // TestResponseCacheEviction fills the response cache past its byte
-// budget: puts evict oldest-first until the new body fits, a body larger
-// than the whole budget is not cached, and putting a key that is already
-// cached changes neither its entry nor the eviction order.
+// budget: each entry is charged its key, body and overhead bytes, puts
+// evict oldest-first until the new entry fits, an entry larger than the
+// whole budget is not cached, and putting a key that is already cached
+// changes neither its entry nor the eviction order.
 func TestResponseCacheEviction(t *testing.T) {
 	t.Parallel()
-	c := newResponseCache(100)
 	body := func(n int) *response { return &response{status: http.StatusOK, body: make([]byte, n)} }
 	key := func(i int) string { return fmt.Sprintf("run:%d", i) }
+	per := func(n int) int { return len(key(0)) + n + entryOverhead } // an entry's charge
+	budget := 3*per(30) + 10
+	c := newResponseCache(budget)
 	for i := 0; i < 4; i++ {
 		c.put(key(i), body(30))
 	}
-	// 4 × 30 bytes overflow a 100-byte budget: only the oldest went.
+	// Four entries overflow a budget of three: only the oldest went.
 	if _, ok := c.get(key(0)); ok {
 		t.Fatal("the oldest key survived a put past the budget")
 	}
@@ -180,10 +183,10 @@ func TestResponseCacheEviction(t *testing.T) {
 			t.Fatalf("key %d evicted; only the oldest should go", i)
 		}
 	}
-	// A 70-byte body evicts the two oldest of the three left.
+	// A body 40 bytes longer evicts the two oldest of the three left.
 	c.put(key(4), body(70))
-	if entries, bytes := c.size(); entries != 2 || bytes != 100 {
-		t.Fatalf("cache holds %d entries, %d bytes; want 2 entries, 100 bytes", entries, bytes)
+	if entries, bytes := c.size(); entries != 2 || bytes != per(30)+per(70) {
+		t.Fatalf("cache holds %d entries, %d bytes; want 2 entries, %d bytes", entries, bytes, per(30)+per(70))
 	}
 	for _, i := range []int{3, 4} {
 		if _, ok := c.get(key(i)); !ok {
@@ -201,12 +204,26 @@ func TestResponseCacheEviction(t *testing.T) {
 		t.Fatal("a duplicate put changed the eviction order")
 	}
 
-	c.put(key(5), body(101))
+	c.put(key(5), body(budget))
 	if _, ok := c.get(key(5)); ok {
 		t.Fatal("a body over the whole budget was cached")
 	}
-	if entries, bytes := c.size(); entries != 2 || bytes != 100 {
-		t.Fatalf("an over-budget put left %d entries, %d bytes; want the 2 entries, 100 bytes", entries, bytes)
+	if entries, bytes := c.size(); entries != 2 || bytes != per(30)+per(70) {
+		t.Fatalf("an over-budget put left %d entries, %d bytes; want the 2 entries, %d bytes", entries, bytes, per(30)+per(70))
+	}
+
+	// Three one-byte bodies are far below the budget, but their keys and
+	// overhead are not: a cache with room for two entries evicts the
+	// oldest.
+	small := newResponseCache(2 * per(1))
+	for i := 0; i < 3; i++ {
+		small.put(key(i), body(1))
+	}
+	if entries, bytes := small.size(); entries != 2 || bytes != 2*per(1) {
+		t.Fatalf("small bodies: %d entries, %d bytes; want 2 entries, %d bytes", entries, bytes, 2*per(1))
+	}
+	if _, ok := small.get(key(0)); ok {
+		t.Fatal("small bodies: the oldest key survived its entries' charge")
 	}
 }
 

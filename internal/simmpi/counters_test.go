@@ -68,14 +68,15 @@ func countedJobModel(t *testing.T, cfg *metrics.Config, model perfmodel.Model) s
 }
 
 // TestCountersDeterministicAcrossGOMAXPROCS serializes the full counter
-// state — per-rank finals, sampled series (with a tiny MaxSamples so
-// decimation triggers), and peer stats — and demands byte-identical
-// JSON across the scheduler-width sweep. Must not run in parallel:
-// GOMAXPROCS is process-global.
+// state — per-rank finals, sampled series (over more periods than
+// MaxSamples, so decimation triggers), and peer stats — and demands
+// byte-identical JSON across the scheduler-width sweep. Must not run in
+// parallel: GOMAXPROCS is process-global.
 func TestCountersDeterministicAcrossGOMAXPROCS(t *testing.T) {
 	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(0))
+	const period = 20 * units.Microsecond
 	run := func() []byte {
-		rep := countedJob(t, &metrics.Config{Period: 20 * units.Microsecond, MaxSamples: 8})
+		rep := countedJob(t, &metrics.Config{Period: period})
 		b, err := json.Marshal(rep.Counters)
 		if err != nil {
 			t.Fatal(err)
@@ -90,8 +91,11 @@ func TestCountersDeterministicAcrossGOMAXPROCS(t *testing.T) {
 	}
 	for _, rc := range jc.Ranks {
 		sampled += len(rc.Samples)
-		if len(rc.Samples) > 8 {
-			t.Fatalf("rank %d holds %d samples, cap 8", rc.Rank, len(rc.Samples))
+		if len(rc.Samples) > metrics.MaxSamples {
+			t.Fatalf("rank %d holds %d samples, cap %d", rc.Rank, len(rc.Samples), metrics.MaxSamples)
+		}
+		if rc.Period == period {
+			t.Fatalf("rank %d never decimated its series", rc.Rank)
 		}
 		for i, s := range rc.Samples {
 			if s.At%rc.Period != 0 {
@@ -219,15 +223,16 @@ func TestCounterTimesPartitionBusy(t *testing.T) {
 func checkBusyPartition(t *testing.T, rep simmpi.Report) {
 	t.Helper()
 	for i, rc := range rep.Counters.Ranks {
-		busy := rc.Value(metrics.TimeFlops) + rc.Value(metrics.StallMem) +
-			rc.Value(metrics.StallCall) + rc.Value(metrics.StallNoise) +
-			rc.Value(metrics.NetInject) + rc.Value(metrics.TimeOther) +
-			rc.Value(metrics.ECML1) + rc.Value(metrics.ECML2) +
-			rc.Value(metrics.ECMMem) - rc.Value(metrics.ECMHidden)
+		v := rc.Values
+		busy := v[metrics.TimeFlops] + v[metrics.StallMem] +
+			v[metrics.StallCall] + v[metrics.StallNoise] +
+			v[metrics.NetInject] + v[metrics.TimeOther] +
+			v[metrics.ECML1] + v[metrics.ECML2] +
+			v[metrics.ECMMem] - v[metrics.ECMHidden]
 		if want := float64(rep.Ranks[i].Busy); busy != want {
 			t.Errorf("rank %d: time counters sum %v, busy %v", i, busy, want)
 		}
-		if wait := rc.Value(metrics.StallNet); wait != float64(rep.Ranks[i].Wait) {
+		if wait := v[metrics.StallNet]; wait != float64(rep.Ranks[i].Wait) {
 			t.Errorf("rank %d: stall.net %v, wait %v", i, wait, rep.Ranks[i].Wait)
 		}
 	}
@@ -273,7 +278,7 @@ func TestNekboneCountersDeterministic(t *testing.T) {
 		res, err := nekbone.Run(nekbone.Config{
 			System: arch.MustGet(arch.A64FX), Nodes: 4,
 			ElementsPerRank: 8, Order: 4, Iterations: 12,
-			Instrumentation: simmpi.Instrumentation{Counters: &metrics.Config{Period: 50 * units.Microsecond, MaxSamples: 16}},
+			Instrumentation: simmpi.Instrumentation{Counters: &metrics.Config{Period: 50 * units.Microsecond}},
 		})
 		if err != nil {
 			t.Fatal(err)

@@ -382,7 +382,7 @@ func TestEngineEquivalenceOptions(t *testing.T) {
 		{"plain", func(*JobConfig) {}, false},
 		{"trace", func(*JobConfig) {}, true},
 		{"counters", func(c *JobConfig) {
-			c.Counters = &metrics.Config{Period: 20 * units.Microsecond, MaxSamples: 16}
+			c.Counters = &metrics.Config{Period: 625 * units.Nanosecond}
 		}, false},
 		{"congestion", func(c *JobConfig) { c.Congestion = true }, false},
 		{"noise", func(c *JobConfig) {
@@ -390,7 +390,7 @@ func TestEngineEquivalenceOptions(t *testing.T) {
 			c.NoiseDuration = 5 * units.Microsecond
 		}, false},
 		{"everything", func(c *JobConfig) {
-			c.Counters = &metrics.Config{Period: 20 * units.Microsecond, MaxSamples: 16}
+			c.Counters = &metrics.Config{Period: 625 * units.Nanosecond}
 			c.Congestion = true
 			c.NoiseProb = 0.2
 			c.NoiseDuration = 2 * units.Microsecond

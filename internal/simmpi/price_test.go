@@ -22,7 +22,6 @@ import (
 // intra-node −1, and 127 with 383, in any byte-wide key field.
 type farTopo struct{}
 
-func (farTopo) Name() string               { return "far" }
 func (farTopo) Route(a, b int) []topo.Link { return nil }
 func (farTopo) MaxNodes() int              { return 0 }
 func (farTopo) Hops(a, b int) int {

@@ -122,7 +122,6 @@ func (c *JobConfig) validate() error {
 // singleNodeTopo is the trivial topology of one node.
 type singleNodeTopo struct{}
 
-func (singleNodeTopo) Name() string               { return "single-node" }
 func (singleNodeTopo) Hops(a, b int) int          { return 0 }
 func (singleNodeTopo) Route(a, b int) []topo.Link { return nil }
 func (singleNodeTopo) MaxNodes() int              { return 1 }

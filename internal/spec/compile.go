@@ -321,7 +321,7 @@ func (s *Spec) compileCustomFabric() (func(int) *netmodel.Fabric, error) {
 		if f.Uplinks < 0 {
 			return nil, fieldErrf("fabric.uplinks", "must be ≥ 0 (0 = non-blocking), got %d", f.Uplinks)
 		}
-		ft := &topo.FatTree{NodesPerLeaf: f.NodesPerLeaf, Uplinks: f.Uplinks, Label: name + " fat-tree"}
+		ft := &topo.FatTree{NodesPerLeaf: f.NodesPerLeaf, Uplinks: f.Uplinks}
 		return func(int) *netmodel.Fabric { return price(ft) }, nil
 	case "torus":
 		// Sized per job like TofuD: a 5-dim torus grown to cover the

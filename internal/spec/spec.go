@@ -22,7 +22,6 @@ import (
 	"encoding/json"
 	"errors"
 	"fmt"
-	"io"
 	"reflect"
 	"sort"
 	"strings"
@@ -195,15 +194,6 @@ func Parse(data []byte) (*Spec, error) {
 		return nil, fmt.Errorf("spec: %w", err)
 	}
 	return &s, nil
-}
-
-// Decode reads one machine spec from r with Parse's strictness.
-func Decode(r io.Reader) (*Spec, error) {
-	data, err := io.ReadAll(r)
-	if err != nil {
-		return nil, fmt.Errorf("spec: %w", err)
-	}
-	return Parse(data)
 }
 
 // checkUnknownFields walks raw JSON guided by the Go type it should

@@ -19,7 +19,7 @@ func TestTelemetryIsResultNeutral(t *testing.T) {
 		t.Fatalf("bare run: %v", bare[0].Err)
 	}
 
-	tr := telemetry.NewTrace("req-neutral", "request")
+	tr := telemetry.NewTrace("request")
 	ctx := telemetry.ContextWithSpan(context.Background(), tr.Root())
 	traced := New(1).Run(ctx, []string{id}, core.Options{Quick: true})
 	if traced[0].Err != nil {
@@ -36,7 +36,7 @@ func TestTelemetryIsResultNeutral(t *testing.T) {
 // simulated jobs' phase spans (and virtual makespan) nested inside.
 func TestSweepSpanTree(t *testing.T) {
 	t.Parallel()
-	tr := telemetry.NewTrace("req-tree", "request")
+	tr := telemetry.NewTrace("request")
 	ctx := telemetry.ContextWithSpan(context.Background(), tr.Root())
 	res := New(1).Run(ctx, []string{"table3"}, core.Options{Quick: true})
 	if res[0].Err != nil {

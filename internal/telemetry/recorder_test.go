@@ -89,7 +89,7 @@ func TestRecorderDefaultsAndNil(t *testing.T) {
 
 func TestEntryWriteText(t *testing.T) {
 	t.Parallel()
-	tr := NewTrace("req-9", "request")
+	tr := NewTrace("request")
 	tr.Root().Child("decode").End()
 	tr.Finish()
 	e := &Entry{RequestID: "req-9", Op: "/v1/run", Status: 200, Cache: "miss",

@@ -55,36 +55,26 @@ type Attr struct {
 // concurrent use: the sweep engine ends artifact spans from worker
 // goroutines while the serving layer reads the tree.
 type Trace struct {
-	mu        sync.Mutex
-	requestID string
-	root      *Span
-	spans     int
-	dropped   int
-	now       func() int64 // wall nanoseconds; injectable in tests
-	base      int64        // wall nanoseconds at root start
+	mu      sync.Mutex
+	root    *Span
+	spans   int
+	dropped int
+	now     func() int64 // wall nanoseconds; injectable in tests
+	base    int64        // wall nanoseconds at root start
 }
 
-// NewTrace starts a trace: the root span begins now. requestID tags the
-// trace (the serve daemon uses the X-Request-ID value).
-func NewTrace(requestID, rootName string) *Trace {
-	return newTraceAt(requestID, rootName, func() int64 { return time.Now().UnixNano() })
+// NewTrace starts a trace: the root span begins now.
+func NewTrace(rootName string) *Trace {
+	return newTraceAt(rootName, func() int64 { return time.Now().UnixNano() })
 }
 
 // newTraceAt is NewTrace with an injectable clock (tests).
-func newTraceAt(requestID, rootName string, now func() int64) *Trace {
-	t := &Trace{requestID: requestID, now: now}
+func newTraceAt(rootName string, now func() int64) *Trace {
+	t := &Trace{now: now}
 	t.base = now()
 	t.root = &Span{tr: t, name: rootName, clock: ClockWall, start: 0}
 	t.spans = 1
 	return t
-}
-
-// RequestID returns the trace's request identity. Nil-safe.
-func (t *Trace) RequestID() string {
-	if t == nil {
-		return ""
-	}
-	return t.requestID
 }
 
 // Root returns the root span. Nil-safe (returns nil).

@@ -29,10 +29,7 @@ func (c *fakeClock) advance(d int64) {
 func TestSpanTreeShape(t *testing.T) {
 	t.Parallel()
 	clk := &fakeClock{ns: 1000}
-	tr := newTraceAt("req-1", "request", clk.now)
-	if tr.RequestID() != "req-1" {
-		t.Fatalf("RequestID = %q", tr.RequestID())
-	}
+	tr := newTraceAt("request", clk.now)
 
 	clk.advance(10)
 	decode := tr.Root().Child("decode")
@@ -81,7 +78,7 @@ func TestNilSafety(t *testing.T) {
 	}
 	var tr *Trace
 	tr.Finish()
-	if tr.Tree() != nil || tr.Root() != nil || tr.RequestID() != "" {
+	if tr.Tree() != nil || tr.Root() != nil {
 		t.Fatal("nil trace accessors must be zero")
 	}
 
@@ -97,7 +94,7 @@ func TestNilSafety(t *testing.T) {
 
 func TestContextPropagation(t *testing.T) {
 	t.Parallel()
-	tr := NewTrace("req-2", "request")
+	tr := NewTrace("request")
 	ctx := ContextWithSpan(context.Background(), tr.Root())
 	ctx, a := StartSpan(ctx, "a")
 	_, b := StartSpan(ctx, "b")
@@ -112,7 +109,7 @@ func TestContextPropagation(t *testing.T) {
 
 func TestVirtualSpans(t *testing.T) {
 	t.Parallel()
-	tr := NewTrace("req-3", "request")
+	tr := NewTrace("request")
 	tr.Root().Record("virtual-makespan", ClockVirtual, 0, 2_500_000,
 		Attr{Key: "ranks", Value: 48})
 	tr.Finish()
@@ -129,7 +126,7 @@ func TestVirtualSpans(t *testing.T) {
 func TestStages(t *testing.T) {
 	t.Parallel()
 	clk := &fakeClock{}
-	tr := newTraceAt("req-4", "request", clk.now)
+	tr := newTraceAt("request", clk.now)
 	for _, stage := range []string{"decode", "cache-lookup", "singleflight-wait"} {
 		s := tr.Root().Child(stage)
 		clk.advance(1000)
@@ -155,7 +152,7 @@ func TestStages(t *testing.T) {
 
 func TestSpanCap(t *testing.T) {
 	t.Parallel()
-	tr := NewTrace("req-5", "request")
+	tr := NewTrace("request")
 	for i := 0; i < maxSpans+10; i++ {
 		tr.Root().Record("s", ClockWall, 0, 1)
 	}
@@ -171,7 +168,7 @@ func TestSpanCap(t *testing.T) {
 
 func TestConcurrentSpans(t *testing.T) {
 	t.Parallel()
-	tr := NewTrace("req-6", "request")
+	tr := NewTrace("request")
 	var wg sync.WaitGroup
 	for i := 0; i < 16; i++ {
 		wg.Add(1)
@@ -195,7 +192,7 @@ func TestConcurrentSpans(t *testing.T) {
 func TestUnfinishedSpanSnapshot(t *testing.T) {
 	t.Parallel()
 	clk := &fakeClock{}
-	tr := newTraceAt("req-7", "request", clk.now)
+	tr := newTraceAt("request", clk.now)
 	s := tr.Root().Child("stuck")
 	clk.advance(5000)
 	n := tr.Tree().Find("stuck")
@@ -208,7 +205,7 @@ func TestUnfinishedSpanSnapshot(t *testing.T) {
 func TestWriteTree(t *testing.T) {
 	t.Parallel()
 	clk := &fakeClock{}
-	tr := newTraceAt("req-8", "request", clk.now)
+	tr := newTraceAt("request", clk.now)
 	a := tr.Root().Child("decode")
 	clk.advance(2_000_000)
 	a.End()

@@ -12,15 +12,12 @@
 package topo
 
 import (
-	"fmt"
 	"math"
 	"sync/atomic"
 )
 
 // Topology reports hop distances and minimal routes between nodes.
 type Topology interface {
-	// Name identifies the topology for diagnostics.
-	Name() string
 	// Hops returns the number of network hops (links traversed) between
 	// two node indices. Hops(a,a) is 0.
 	Hops(a, b int) int
@@ -40,8 +37,6 @@ type Topology interface {
 type Torus struct {
 	// Dims are the per-dimension extents, all ≥ 1.
 	Dims []int
-	// Label overrides the default name when non-empty.
-	Label string
 
 	// tab caches the coordinate/stride lookup table. Hops sits on the
 	// pricing hot path (every message and every MeanHops pair), so
@@ -106,15 +101,7 @@ func NewTofuD(nodes int) *Torus {
 		x = 1
 	}
 	y := (groups + x - 1) / x
-	return &Torus{Dims: []int{x, y, 2, 3, 2}, Label: "TofuD"}
-}
-
-// Name implements Topology.
-func (t *Torus) Name() string {
-	if t.Label != "" {
-		return t.Label
-	}
-	return fmt.Sprintf("torus%v", t.Dims)
+	return &Torus{Dims: []int{x, y, 2, 3, 2}}
 }
 
 // MaxNodes implements Topology.
@@ -169,9 +156,6 @@ func NewAries() *Dragonfly {
 	return &Dragonfly{NodesPerRouter: 4, RoutersPerGroup: 96}
 }
 
-// Name implements Topology.
-func (d *Dragonfly) Name() string { return "dragonfly" }
-
 // MaxNodes implements Topology (unbounded: groups scale out).
 func (d *Dragonfly) MaxNodes() int { return 0 }
 
@@ -205,16 +189,6 @@ type FatTree struct {
 	// leaf models an oversubscribed tree, which only matters to the
 	// contention engine: Hops (and thus latency) is unchanged.
 	Uplinks int
-	// Label names the fabric (e.g. "EDR fat-tree").
-	Label string
-}
-
-// Name implements Topology.
-func (f *FatTree) Name() string {
-	if f.Label != "" {
-		return f.Label
-	}
-	return "fat-tree"
 }
 
 // MaxNodes implements Topology (unbounded).

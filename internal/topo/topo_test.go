@@ -28,24 +28,11 @@ func TestTorusBasics(t *testing.T) {
 	}
 }
 
-func TestTorusName(t *testing.T) {
-	t.Parallel()
-	if (&Torus{Dims: []int{2, 3}}).Name() != "torus[2 3]" {
-		t.Error("default torus name wrong")
-	}
-	if (&Torus{Dims: []int{2}, Label: "TofuD"}).Name() != "TofuD" {
-		t.Error("labelled torus name wrong")
-	}
-}
-
 func TestNewTofuD(t *testing.T) {
 	t.Parallel()
 	tf := NewTofuD(48)
 	if tf.MaxNodes() < 48 {
 		t.Errorf("TofuD for 48 nodes only covers %d", tf.MaxNodes())
-	}
-	if tf.Name() != "TofuD" {
-		t.Errorf("name = %q", tf.Name())
 	}
 	// Unit group structure preserved: last three dims are 2,3,2.
 	d := tf.Dims
@@ -82,7 +69,7 @@ func TestDragonflyHops(t *testing.T) {
 
 func TestFatTreeHops(t *testing.T) {
 	t.Parallel()
-	f := &FatTree{NodesPerLeaf: 24, Label: "EDR fat-tree"}
+	f := &FatTree{NodesPerLeaf: 24}
 	if f.Hops(1, 1) != 0 {
 		t.Error("self distance must be 0")
 	}
@@ -91,12 +78,6 @@ func TestFatTreeHops(t *testing.T) {
 	}
 	if got := f.Hops(0, 24); got != 4 {
 		t.Errorf("cross-leaf hops = %d, want 4", got)
-	}
-	if f.Name() != "EDR fat-tree" {
-		t.Errorf("name = %q", f.Name())
-	}
-	if (&FatTree{NodesPerLeaf: 4}).Name() != "fat-tree" {
-		t.Error("default name wrong")
 	}
 }
 
